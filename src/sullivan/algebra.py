@@ -259,11 +259,6 @@ class Element:
         return f"<{format_element(self)}>"
 
 
-def multiply(a: Element, b: Element) -> Element:
-    """Koszul-signed product; provided as a free function alongside ``*``."""
-    return a * b
-
-
 def basis(
     algebra: Algebra,
     degree: int,
@@ -477,11 +472,8 @@ def _parse_term(sc: _Scanner, algebra: Algebra, sign: int) -> Element:
             raise ParseError(
                 f"odd generator {value!r} squared", column=pos
             )
-        factor = algebra.one()
-        base = algebra.gen_element(value)
-        for _ in range(exponent):
-            factor = factor * base
-        result = result * factor
+        mono = tuple(exponent if i == gen.index else 0 for i in range(algebra.ngens))
+        result = result * Element.from_monomial(algebra, mono)
         seen_factor = True
         if sc.peek()[:2] == ("op", "*"):
             sc.next()

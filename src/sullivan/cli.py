@@ -38,7 +38,7 @@ from .errors import (
     PreconditionError,
 )
 from .murillo import coefficient_matrix, murillo_fundamental_class
-from .spectral import delta_cohomology, spectral_run
+from .spectral import SpectralRun, delta_cohomology, spectral_run
 from . import selftest as selftest_mod
 
 
@@ -225,8 +225,11 @@ def _delta_pairs(model: SullivanModel, degree: int, with_reps: bool) -> Pairs:
     return pairs
 
 
-def _toomer_pairs(model: SullivanModel, method: str) -> Tuple[Pairs, bool]:
-    """Returns the pairs and whether the run is consistent."""
+def _toomer_pairs(
+    model: SullivanModel, method: str, run: Optional[SpectralRun] = None
+) -> Tuple[Pairs, bool]:
+    """Returns the pairs and whether the run is consistent.  A spectral
+    ``run`` already computed for the model is used instead of a new one."""
     pairs: Pairs = []
     agree = True
     oracle = spectral = None
@@ -237,7 +240,7 @@ def _toomer_pairs(model: SullivanModel, method: str) -> Tuple[Pairs, bool]:
             ("toomer.oracle.representative", format_element(oracle.representative))
         )
     if method in ("spectral", "both"):
-        spectral = spectral_run(model).result
+        spectral = (run or spectral_run(model)).result
         pairs.append(("toomer.spectral.e0", spectral.e0))
         pairs.append(
             ("toomer.spectral.representative", format_element(spectral.representative))
@@ -250,8 +253,7 @@ def _toomer_pairs(model: SullivanModel, method: str) -> Tuple[Pairs, bool]:
     return pairs, agree
 
 
-def _spectral_trace_pairs(model: SullivanModel) -> Pairs:
-    run = spectral_run(model)
+def _spectral_trace_pairs(run: SpectralRun) -> Pairs:
     pairs: Pairs = []
     for i, outcome in enumerate(run.outcomes):
         trace = outcome.trace
@@ -348,10 +350,11 @@ def _cmd_report(args) -> int:
         if is_pure(model):
             pairs += _murillo_pairs(model)
         if model.k == 3:
-            toomer_pairs, agree = _toomer_pairs(model, "both")
+            run = spectral_run(model)
+            toomer_pairs, agree = _toomer_pairs(model, "both", run)
             pairs += toomer_pairs
             pairs += _delta_pairs(model, n, with_reps=False)
-            pairs += _spectral_trace_pairs(model)
+            pairs += _spectral_trace_pairs(run)
         else:
             toomer_pairs, _ = _toomer_pairs(model, "oracle")
             pairs += toomer_pairs

@@ -7,7 +7,10 @@ algebra.  The pieces provided here:
 * the formal dimension N read off the generator degrees,
 * an ellipticity decision procedure through the associated pure model,
 * the top cohomology class of an elliptic model,
-* the Toomer invariant by direct word-length filtration membership.
+* the Toomer invariant by direct word-length filtration membership, through
+  a one-pass depth search that the spectral method shares: the normal form
+  of a cocycle modulo the boundary echelon, over a basis ordered by word
+  length, starts at the deepest filtration stage holding the class.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
     Element,
+    Monomial,
     basis,
     coefficient_vector,
     element_from_vector,
+    grlex_key,
     wordlength,
 )
 from .differential import SullivanModel, pure_projection
@@ -283,39 +288,84 @@ def top_class(model: SullivanModel) -> Tuple[int, CohomologySpace]:
     return n, space
 
 
+def _deepest_representative(
+    bn: List[Monomial],
+    boundary_cols: List[List[Fraction]],
+    echelon: List[Element],
+    z: Element,
+) -> Optional[Tuple[int, Element]]:
+    """The greatest s with z in Lambda^{>=s}V + boundaries, and a witness.
+
+    ``bn`` is a degree-n monomial basis in graded-lex order, so its word
+    lengths ascend; ``boundary_cols`` span the boundary space in those
+    coordinates and ``echelon`` is that space's reduced row echelon basis
+    for the same column order.  Each echelon row is zero left of its pivot,
+    so reducing z modulo the rows subtracts only rows pivoted at word length
+    >= s from any z in Lambda^{>=s}V: the lowest word length of the normal
+    form is therefore exactly the greatest s.
+
+    The representative is the one the membership solve of z against the unit
+    vectors of word length >= s followed by ``boundary_cols`` picks (free
+    variables zero).  That solve takes a boundary column exactly when its
+    part below word length s is independent of the earlier columns' parts,
+    so it is found from the smaller system of those parts alone: z minus the
+    chosen boundary combination.
+
+    Returns None when z is a boundary.
+    """
+    normal = z
+    for row in echelon:
+        c = normal.terms.get(min(row.terms, key=grlex_key))
+        if c:
+            normal = normal - c * row
+    if normal.is_zero:
+        return None
+    s = normal.min_wordlength()
+    zvec = coefficient_vector(z, bn)
+    shallow = [i for i, m in enumerate(bn) if wordlength(m) < s]
+    sol = solve_membership(
+        RationalMatrix(
+            [[col[i] for col in boundary_cols] for i in shallow],
+            ncols=len(boundary_cols),
+        ),
+        [zvec[i] for i in shallow],
+    )
+    if sol is None:
+        raise InternalInconsistencyError(
+            f"no representative at word length >= {s}, the depth of its own "
+            "normal form"
+        )
+    for x, col in zip(sol, boundary_cols):
+        if x:
+            zvec = [a - x * b for a, b in zip(zvec, col)]
+    return s, element_from_vector(z.algebra, bn, zvec)
+
+
 def toomer_oracle(model: SullivanModel) -> ToomerResult:
     """e0 by direct linear algebra: the deepest word-length filtration stage
     that still contains a representative of the fundamental class.
 
-    For s descending from the largest word length in the top degree, test
-    whether the fundamental cocycle lies in Lambda^{>=s}V plus boundaries;
-    the first success is e0 and the solve yields a witness representative.
+    The fundamental cocycle is reduced modulo the canonical boundary basis of
+    top degree that :func:`cohomology_basis` already holds; the lowest word
+    length left is e0, and one membership solve there gives the witness
+    representative (see :func:`_deepest_representative`).  The result is
+    kept in the model's cache, so the cross-check in the spectral method
+    reuses it.
     """
+
+    def produce():
+        n, space = top_class(model)
+        bn = basis(model.algebra, n)
+        _, in_m = cochain_maps(model, n)
+        found = _deepest_representative(
+            bn, in_m.columns(), space.boundary_basis, space.representatives[0]
+        )
+        if found is None:
+            raise InternalInconsistencyError(
+                "top class representative reduced to zero"
+            )
+        e0, rep = found
+        return ToomerResult(e0=e0, method="oracle", representative=rep)
+
     require_elliptic(model)
-    n, space = top_class(model)
-    alg = model.algebra
-    bn = basis(alg, n)
-    omega_vec = coefficient_vector(space.representatives[0], bn)
-    _, in_m = cochain_maps(model, n)
-    boundary_cols = in_m.columns()
-    s_max = max((wordlength(m) for m in bn), default=0)
-    for s in range(s_max, -1, -1):
-        deep = [i for i, m in enumerate(bn) if wordlength(m) >= s]
-        cols = []
-        for i in deep:
-            unit = [Fraction(0)] * len(bn)
-            unit[i] = Fraction(1)
-            cols.append(unit)
-        cols.extend(boundary_cols)
-        sol = solve_membership(RationalMatrix.from_columns(cols, len(bn)), omega_vec)
-        if sol is not None:
-            rep_vec = [Fraction(0)] * len(bn)
-            for slot, i in enumerate(deep):
-                rep_vec[i] = sol[slot]
-            rep = element_from_vector(alg, bn, rep_vec)
-            if rep.is_zero:
-                raise InternalInconsistencyError(
-                    "top class representative reduced to zero"
-                )
-            return ToomerResult(e0=s, method="oracle", representative=rep)
-    raise InternalInconsistencyError("membership failed even at filtration 0")
+    return _cached(model, ("toomer_oracle",), produce)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
-from .algebra import Algebra, Element, Generator, format_element, wordlength_split
+from .algebra import Algebra, Element, Generator, format_element
 from .errors import ModelError
 
 

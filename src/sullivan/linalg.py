@@ -59,18 +59,11 @@ class RationalMatrix:
         rows = [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
         return cls(rows, ncols=len(cols))
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls([[Fraction(0)] * ncols for _ in range(nrows)], ncols=ncols)
-
     def column(self, j: int) -> Vector:
         return [self.entries[i][j] for i in range(self.nrows)]
 
     def columns(self) -> List[Vector]:
         return [self.column(j) for j in range(self.ncols)]
-
-    def copy(self) -> "RationalMatrix":
-        return RationalMatrix([list(r) for r in self.entries], ncols=self.ncols)
 
     def __eq__(self, other) -> bool:
         return (

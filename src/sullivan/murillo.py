@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import List, Tuple
 
 from .algebra import Algebra, Element, Generator, format_element, grlex_key
-from .cohomology import formal_dimension, is_boundary, require_elliptic
+from .cohomology import _cached, formal_dimension, is_boundary, require_elliptic
 from .differential import SullivanModel, is_pure
 from .errors import InternalInconsistencyError, PreconditionError
 
@@ -55,47 +55,54 @@ class CoefficientMatrix:
 
 
 def coefficient_matrix(model: SullivanModel) -> CoefficientMatrix:
-    """Greedy left-to-right extraction of the triangular coefficient matrix."""
+    """Greedy left-to-right extraction of the triangular coefficient matrix,
+    kept in the model's cache."""
     if not is_pure(model):
         raise PreconditionError(
             "coefficient matrix requires a pure differential; apply "
             "pure_projection first if that is intended"
         )
-    alg = model.algebra
-    evens = tuple(g for g in alg.generators if not g.is_odd)
-    odds = tuple(g for g in alg.generators if g.is_odd)
-    entries: List[List[Element]] = []
-    for y in odds:
-        remaining = model.differential.image_of(y)
-        row: List[Element] = []
-        for x in evens:
-            divisible = {
-                mono: c for mono, c in remaining.terms.items() if mono[x.index] >= 1
-            }
-            quotient = {
-                tuple(e - 1 if i == x.index else e for i, e in enumerate(mono)): c
-                for mono, c in divisible.items()
-            }
-            row.append(Element(alg, quotient))
-            remaining = Element(
-                alg,
-                {m: c for m, c in remaining.terms.items() if m not in divisible},
-            )
-        if not remaining.is_zero:
-            raise InternalInconsistencyError(
-                f"d({y.name}) left a remainder after extracting all even "
-                f"generators: {format_element(remaining)}"
-            )
-        entries.append(row)
-    matrix = CoefficientMatrix(model, evens, odds, entries)
-    for j in range(len(odds)):
-        if not matrix.row_identity_holds(j):
-            raise InternalInconsistencyError(
-                f"coefficient row for {odds[j].name!r} does not reassemble d"
-            )
-    if not matrix.is_triangular():
-        raise InternalInconsistencyError("coefficient matrix is not triangular")
-    return matrix
+
+    def produce():
+        alg = model.algebra
+        evens = tuple(g for g in alg.generators if not g.is_odd)
+        odds = tuple(g for g in alg.generators if g.is_odd)
+        entries: List[List[Element]] = []
+        for y in odds:
+            remaining = model.differential.image_of(y)
+            row: List[Element] = []
+            for x in evens:
+                divisible = {
+                    mono: c for mono, c in remaining.terms.items() if mono[x.index] >= 1
+                }
+                quotient = {
+                    tuple(e - 1 if i == x.index else e for i, e in enumerate(mono)): c
+                    for mono, c in divisible.items()
+                }
+                row.append(Element(alg, quotient))
+                remaining = Element(
+                    alg,
+                    {m: c for m, c in remaining.terms.items() if m not in divisible},
+                )
+            if not remaining.is_zero:
+                raise InternalInconsistencyError(
+                    f"d({y.name}) left a remainder after extracting all even "
+                    f"generators: {format_element(remaining)}"
+                )
+            entries.append(row)
+        matrix = CoefficientMatrix(model, evens, odds, entries)
+        for j in range(len(odds)):
+            if not matrix.row_identity_holds(j):
+                raise InternalInconsistencyError(
+                    f"coefficient row for {odds[j].name!r} does not reassemble d"
+                )
+        if not matrix.is_triangular():
+            raise InternalInconsistencyError("coefficient matrix is not triangular")
+        # cached without the model itself, so that the model's cache holds
+        # no reference cycle and the model is freed as soon as it is unused
+        return evens, odds, entries
+
+    return CoefficientMatrix(model, *_cached(model, ("coefficient_matrix",), produce))
 
 
 def _det(entries: List[List[Element]], alg: Algebra) -> Element:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .algebra import (
     Element,
@@ -30,11 +30,11 @@ from .algebra import (
     basis,
     coefficient_vector,
     element_from_vector,
-    wordlength,
 )
 from .cohomology import (
     ToomerResult,
-    cochain_maps,
+    _cached,
+    _deepest_representative,
     formal_dimension,
     is_boundary,
     require_elliptic,
@@ -42,7 +42,7 @@ from .cohomology import (
 )
 from .differential import SullivanModel
 from .errors import InternalInconsistencyError, PreconditionError
-from .linalg import RationalMatrix, RowSpace, kernel_basis, solve_membership
+from .linalg import RationalMatrix, RowSpace, kernel_basis, rref, solve_membership
 
 
 def _require_delta(model: SullivanModel) -> None:
@@ -155,21 +155,6 @@ def delta_element(model: SullivanModel, e: Element) -> Element:
     return model.d3(e) + model.d4(e.even_wordlength_part())
 
 
-def element_pairs(model: SullivanModel, e: Element) -> Dict[int, FilteredPair]:
-    """Decompose an element into its consecutive filtration pairs."""
-    n = e.degree()
-    parts: Dict[int, Dict[str, Element]] = {}
-    for s in e.wordlengths():
-        comp = e.wordlength_component(s)
-        p, slot = divmod(s, 2)
-        parts.setdefault(p, {})["u" if slot == 0 else "v"] = comp
-    zero = model.algebra.zero()
-    return {
-        p: FilteredPair(model, p, n, d.get("u", zero), d.get("v", zero))
-        for p, d in sorted(parts.items())
-    }
-
-
 def pair_basis(model: SullivanModel, p: int, n: int) -> Tuple[List[Monomial], List[Monomial]]:
     """Monomial bases of the two slots of E_1^{p, n-p}."""
     _require_delta(model)
@@ -216,10 +201,7 @@ def delta_matrix(model: SullivanModel, p: int, n: int) -> RationalMatrix:
             cols.append(zero_u + coefficient_vector(model.d3(e), dst_v))
         return RationalMatrix.from_columns(cols, len(dst_u) + len(dst_v))
 
-    key = ("delta_matrix", p, n)
-    if key not in model._cache:
-        model._cache[key] = produce()
-    return model._cache[key]
+    return _cached(model, ("delta_matrix", p, n), produce)
 
 
 @dataclass
@@ -267,15 +249,23 @@ def delta_cohomology(model: SullivanModel, n: int) -> List[DeltaClass]:
     return classes
 
 
-def _delta_boundary_columns(model: SullivanModel, n: int):
-    """Images under delta of all degree-(n-1) monomials, in degree-n coords."""
-    alg = model.algebra
-    bn = basis(alg, n)
-    cols = []
-    for mono in basis(alg, n - 1):
-        img = delta_element(model, Element.from_monomial(alg, mono))
-        cols.append(coefficient_vector(img, bn))
-    return bn, cols
+def _delta_boundaries(model: SullivanModel, n: int):
+    """Degree-n basis, the delta-images of all degree-(n-1) monomials in its
+    coordinates, and the reduced row echelon basis of their span (as
+    elements), cached per degree."""
+
+    def produce():
+        alg = model.algebra
+        bn = basis(alg, n)
+        cols = []
+        for mono in basis(alg, n - 1):
+            img = delta_element(model, Element.from_monomial(alg, mono))
+            cols.append(coefficient_vector(img, bn))
+        reduced, _, rank = rref(RationalMatrix(cols, ncols=len(bn)))
+        echelon = [element_from_vector(alg, bn, row) for row in reduced.entries[:rank]]
+        return bn, cols, echelon
+
+    return _cached(model, ("delta_boundaries", n), produce)
 
 
 def representative_depth(
@@ -284,34 +274,19 @@ def representative_depth(
     """Greatest s such that the class has a delta-representative in
     Lambda^{>=s} V, plus a representative realizing it.
 
-    Works on the total delta complex in the class's degree with the same
-    membership test the Toomer oracle uses for d.
+    Works on the total delta complex in the class's degree with the depth
+    search the Toomer oracle uses for d: the lowest word length of the
+    class's normal form modulo the delta-boundary echelon, then one
+    membership solve at that word length for the representative.
     """
     z = cls.representative.as_element()
     if z.is_zero:
         raise ValueError("zero class has no depth")
-    n = cls.n
-    bn, boundary_cols = _delta_boundary_columns(model, n)
-    zvec = coefficient_vector(z, bn)
-    s_max = max((wordlength(m) for m in bn), default=0)
-    for s in range(s_max, -1, -1):
-        deep = [i for i, m in enumerate(bn) if wordlength(m) >= s]
-        cols = []
-        for i in deep:
-            unit = [Fraction(0)] * len(bn)
-            unit[i] = Fraction(1)
-            cols.append(unit)
-        cols.extend(boundary_cols)
-        sol = solve_membership(RationalMatrix.from_columns(cols, len(bn)), zvec)
-        if sol is not None:
-            rep_vec = [Fraction(0)] * len(bn)
-            for slot, i in enumerate(deep):
-                rep_vec[i] = sol[slot]
-            rep = element_from_vector(model.algebra, bn, rep_vec)
-            if rep.is_zero:
-                raise ValueError("the given class is a delta-boundary")
-            return s, rep
-    raise InternalInconsistencyError("depth search fell through filtration 0")
+    bn, boundary_cols, echelon = _delta_boundaries(model, cls.n)
+    found = _deepest_representative(bn, boundary_cols, echelon, z)
+    if found is None:
+        raise ValueError("the given class is a delta-boundary")
+    return found
 
 
 @dataclass

@@ -196,6 +196,17 @@ def test_parse_odd_square_rejected():
     assert "odd" in str(err.value)
 
 
+def test_parse_power_is_one_monomial():
+    alg = _alg_s2()
+    assert parse_element("x2^0", alg) == alg.one()
+    assert parse_element("2*x2^0*y3", alg) == parse_element("2*y3", alg)
+    assert parse_element("x2^3", alg) == parse_element("x2*x2*x2", alg)
+    huge = parse_element("x2^9999999999", alg)
+    assert huge.degree() == 2 * 9999999999
+    with pytest.raises(ParseError):
+        parse_element("x2*y3^9999999999", alg)
+
+
 def test_parse_unknown_generator_rejected():
     alg = _alg_s2()
     with pytest.raises(ParseError) as err:

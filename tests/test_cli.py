@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,16 @@ def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["toomer", "--method", "bogus", str(FIXTURES / "pure_n37.model")])
     assert exc.value.code == 1
+
+
+def test_huge_exponent_fails_fast_with_exit_1(capsys, tmp_path):
+    path = tmp_path / "huge.model"
+    path.write_text("generator x2 2\ngenerator y5 5\nd y5 = x2^9999999999\n")
+    started = time.perf_counter()
+    code, _, err = _run(capsys, "validate", path)
+    assert time.perf_counter() - started < 0.5
+    assert code == 1
+    assert "expected 6" in err
 
 
 def test_nonelliptic_toomer_exits_2(capsys):
@@ -249,12 +260,13 @@ def test_selftest_command(capsys):
 # golden reports
 
 
-@pytest.mark.parametrize("stem", ["pure_n37", "pure_n35"])
+@pytest.mark.parametrize("stem", ["pure_n37", "pure_n35", "three_even"])
 def test_golden_report(capsys, stem):
     path = FIXTURES / f"{stem}.model"
     code, out, _ = _run(capsys, "report", path, "--format", "structured")
     assert code == 0
-    golden = GOLDEN / f"report_{stem[5:]}.txt"  # report_n37.txt / report_n35.txt
+    # report_n37.txt, report_n35.txt, report_three_even.txt
+    golden = GOLDEN / f"report_{stem.removeprefix('pure_')}.txt"
     expected = golden.read_text().splitlines()
     got = out.splitlines()
     assert len(got) == len(expected)

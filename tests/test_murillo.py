@@ -25,8 +25,13 @@ from sullivan.models import (
     projective_plane_times_s3,
     tower_two_even_mixed,
 )
+from sullivan import murillo
+from sullivan.cli import parse_model_text
+from sullivan.cohomology import formal_dimension, is_boundary
 from sullivan.murillo import (
     _det,
+    _det_bareiss,
+    _det_cofactor,
     coefficient_matrix,
     exact_divide,
     murillo_fundamental_class,
@@ -155,6 +160,65 @@ def test_determinant_matches_permutation_expansion():
         n = 5  # forces the fraction-free elimination path
         entries = [[random_poly() for _ in range(n)] for _ in range(n)]
         assert _det(entries, alg) == naive_det(entries)
+
+
+def test_bareiss_matches_cofactor_expansion():
+    rng = random.Random(20261017)
+    alg = build_algebra([("a2", 2), ("b2", 2), ("c4", 4), ("y5", 5)])
+    monos = basis(alg, 2) + basis(alg, 4)
+    monos = [m for m in monos if not m[3]]  # polynomial part only
+
+    def random_poly():
+        e = alg.zero()
+        for _ in range(rng.randint(0, 2)):
+            e = e + Element.from_monomial(
+                alg, rng.choice(monos), rng.choice((-2, -1, 1, 3))
+            )
+        return e
+
+    for n in (5, 6):
+        for trial in range(2):
+            entries = [[random_poly() for _ in range(n)] for _ in range(n)]
+            if trial:
+                entries[0][0] = alg.zero()  # the first pivot needs a row swap
+            expected = _det_cofactor(entries, alg)
+            assert _det_bareiss(entries, alg) == expected
+            assert _det(entries, alg) == expected
+
+
+FIVE_EVEN = """
+generator xa 2
+generator xb 2
+generator xc 2
+generator xe 2
+generator xf 2
+generator ya 3
+generator yb 3
+generator yc 3
+generator ye 3
+generator yf 3
+d ya = xa^2 + xa*xb
+d yb = xb^2 + xb*xc
+d yc = xc^2 + xc*xe
+d ye = xe^2 + xe*xf
+d yf = xf^2
+"""
+
+
+def test_fundamental_class_five_even_through_bareiss(monkeypatch):
+    calls = []
+
+    def counted(entries, alg):
+        calls.append(len(entries))
+        return _det_bareiss(entries, alg)
+
+    monkeypatch.setattr(murillo, "_det_bareiss", counted)
+    model = parse_model_text(FIVE_EVEN)
+    omega = murillo_fundamental_class(model)
+    assert calls == [5]
+    assert omega.degree() == formal_dimension(model) == 10
+    assert model.d(omega).is_zero
+    assert not is_boundary(model, omega)
 
 
 def test_exact_divide_roundtrip():
