@@ -13,6 +13,7 @@ spaces), so each fixed degree contains only finitely many monomials.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -321,27 +322,21 @@ def wordlength_split(e: Element) -> Dict[int, Element]:
     return {s: Element(e.algebra, t) for s, t in sorted(out.items())}
 
 
-def coefficient_vector(e: Element, basis_list: Sequence[Monomial]) -> List[Fraction]:
-    """Coordinates of e with respect to an explicit monomial basis."""
+def coefficient_vector(e: Element, basis_list: Sequence[Monomial]) -> Dict[int, Fraction]:
+    """Sparse coordinates {position: coefficient} of e in an explicit
+    monomial basis."""
     index = {m: i for i, m in enumerate(basis_list)}
-    vec = [Fraction(0)] * len(basis_list)
-    for m, c in e.terms.items():
-        try:
-            vec[index[m]] = c
-        except KeyError:
-            raise ValueError(f"monomial {m} outside the given basis") from None
-    return vec
+    try:
+        return {index[m]: c for m, c in e.terms.items()}
+    except KeyError as exc:
+        raise ValueError(f"monomial {exc.args[0]} outside the given basis") from None
 
 
 def element_from_vector(
-    algebra: Algebra, basis_list: Sequence[Monomial], vec: Sequence
+    algebra: Algebra, basis_list: Sequence[Monomial], vec: Dict[int, Fraction]
 ) -> Element:
-    terms = {}
-    for m, c in zip(basis_list, vec):
-        c = Fraction(c)
-        if c != 0:
-            terms[m] = c
-    return Element(algebra, terms)
+    """The element with sparse coordinates vec in an explicit monomial basis."""
+    return Element(algebra, {basis_list[i]: c for i, c in vec.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +399,8 @@ def parse_element(text: str, algebra: Algebra) -> Element:
 
     Whitespace is insignificant and ``#`` starts a comment running to the end
     of the line.  A leading ``+`` or ``-`` on the first term is accepted.
-    Squaring an odd generator is a syntax error.
+    Squaring an odd generator, as ``y^2`` or as ``y*y`` within one product,
+    is a syntax error.
     """
     sc = _Scanner(text)
     total = algebra.zero()
@@ -427,19 +423,29 @@ def parse_element(text: str, algebra: Algebra) -> Element:
         raise ParseError(f"expected '+' or '-', found {value!r}", column=pos)
 
 
+def _int_token(value: str, pos: int) -> int:
+    try:
+        return int(value)
+    except ValueError:  # more digits than the interpreter converts
+        limit = sys.get_int_max_str_digits()
+        msg = f"number of {len(value)} digits exceeds the limit of {limit} digits"
+        raise ParseError(msg, column=pos) from None
+
+
 def _parse_term(sc: _Scanner, algebra: Algebra, sign: int) -> Element:
     coeff = Fraction(sign)
     seen_factor = False
+    odd_factors = set()
     kind, value, pos = sc.peek()
     if kind == "int":
         sc.next()
-        num = int(value)
+        num = _int_token(value, pos)
         if sc.peek()[:2] == ("op", "/"):
             sc.next()
             dkind, dvalue, dpos = sc.next()
             if dkind != "int":
                 raise ParseError("expected denominator after '/'", column=dpos)
-            den = int(dvalue)
+            den = _int_token(dvalue, dpos)
             if den == 0:
                 raise ParseError("zero denominator", column=dpos)
             coeff *= Fraction(num, den)
@@ -467,11 +473,13 @@ def _parse_term(sc: _Scanner, algebra: Algebra, sign: int) -> Element:
             ekind, evalue, epos = sc.next()
             if ekind != "int":
                 raise ParseError("expected an exponent after '^'", column=epos)
-            exponent = int(evalue)
-        if gen.is_odd and exponent >= 2:
-            raise ParseError(
-                f"odd generator {value!r} squared", column=pos
-            )
+            exponent = _int_token(evalue, epos)
+        if gen.is_odd and exponent >= 1:
+            if exponent >= 2 or gen.index in odd_factors:
+                raise ParseError(
+                    f"odd generator {value!r} squared", column=pos
+                )
+            odd_factors.add(gen.index)
         mono = tuple(exponent if i == gen.index else 0 for i in range(algebra.ngens))
         result = result * Element.from_monomial(algebra, mono)
         seen_factor = True

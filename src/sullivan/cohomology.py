@@ -16,23 +16,23 @@ algebra.  The pieces provided here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
+    Algebra,
     Element,
     Monomial,
     basis,
     coefficient_vector,
     element_from_vector,
-    grlex_key,
     wordlength,
 )
-from .differential import SullivanModel, pure_projection
+from .differential import SullivanModel, _cached, pure_projection
 from .errors import InternalInconsistencyError, PreconditionError
 from .linalg import (
     RationalMatrix,
     RowSpace,
+    Vector,
     kernel_basis,
     quotient_dim,
     rref,
@@ -86,12 +86,6 @@ class ToomerResult:
     witness: Optional[Tuple[int, str]] = None
 
 
-def _cached(model: SullivanModel, key, producer):
-    if key not in model._cache:
-        model._cache[key] = producer()
-    return model._cache[key]
-
-
 def cochain_maps(model: SullivanModel, n: int) -> Tuple[RationalMatrix, RationalMatrix]:
     """Matrices of d out of degree n and into degree n.
 
@@ -103,18 +97,43 @@ def cochain_maps(model: SullivanModel, n: int) -> Tuple[RationalMatrix, Rational
     return (_d_matrix(model, n), _d_matrix(model, n - 1))
 
 
-def _d_matrix(model: SullivanModel, n: int) -> RationalMatrix:
-    def produce():
-        alg = model.algebra
-        src = basis(alg, n)
-        dst = basis(alg, n + 1)
-        cols = []
-        for mono in src:
-            img = model.d(Element.from_monomial(alg, mono))
-            cols.append(coefficient_vector(img, dst))
-        return RationalMatrix.from_columns(cols, len(dst))
+def _map_matrix(alg: Algebra, f, src: List[Monomial], dst: List[Monomial]) -> RationalMatrix:
+    """Matrix of a linear map given on monomials: column j holds the
+    coordinates of f(src[j]) in the basis dst."""
+    index = {m: i for i, m in enumerate(dst)}
+    return RationalMatrix.from_columns(
+        [
+            {index[m]: c for m, c in f(Element.from_monomial(alg, mono)).terms.items()}
+            for mono in src
+        ],
+        len(dst),
+    )
 
-    return _cached(model, ("dmat", n), produce)
+
+def _d_matrix(model: SullivanModel, n: int) -> RationalMatrix:
+    alg = model.algebra
+    return _cached(
+        model,
+        ("dmat", n),
+        lambda: _map_matrix(alg, model.d, basis(alg, n), basis(alg, n + 1)),
+    )
+
+
+def _echelon(boundaries: RationalMatrix) -> List[Vector]:
+    """Reduced row echelon basis of the column space of ``boundaries``."""
+    reduced, _, rank = rref(RationalMatrix(boundaries.columns(), ncols=boundaries.nrows))
+    return reduced.rows[:rank]
+
+
+def _d_boundaries(model: SullivanModel, n: int):
+    """Degree-n basis, the matrix of d into degree n, and the reduced row
+    echelon basis of its image, cached per degree."""
+
+    def produce():
+        in_m = _d_matrix(model, n - 1)
+        return basis(model.algebra, n), in_m, _echelon(in_m)
+
+    return _cached(model, ("d_boundaries", n), produce)
 
 
 def cohomology_basis(model: SullivanModel, n: int) -> CohomologySpace:
@@ -122,29 +141,17 @@ def cohomology_basis(model: SullivanModel, n: int) -> CohomologySpace:
 
     def produce():
         alg = model.algebra
-        bn = basis(alg, n)
-        out_m, in_m = cochain_maps(model, n)
+        out_m, _ = cochain_maps(model, n)
         cocycles = kernel_basis(out_m)
-        boundary_rows = RationalMatrix(
-            [in_m.column(j) for j in range(in_m.ncols)], ncols=len(bn)
-        )
-        reduced, _, brank = rref(boundary_rows)
-        boundary_basis = [
-            element_from_vector(alg, bn, row)
-            for row in reduced.entries[:brank]
-        ]
-        space = RowSpace(len(bn))
-        for row in reduced.entries[:brank]:
-            space.add(row)
-        reps = []
-        for z in cocycles:
-            if space.add(z):
-                reps.append(element_from_vector(alg, bn, z))
-        dim = len(cocycles) - brank
+        bn, _, echelon = _d_boundaries(model, n)
+        space = RowSpace(len(bn), echelon)
+        reps = [element_from_vector(alg, bn, z) for z in cocycles if space.add(z)]
+        dim = len(cocycles) - len(echelon)
         if dim != len(reps):
             raise InternalInconsistencyError(
                 f"H^{n}: dimension {dim} but {len(reps)} representatives"
             )
+        boundary_basis = [element_from_vector(alg, bn, row) for row in echelon]
         return CohomologySpace(n, dim, reps, boundary_basis)
 
     return _cached(model, ("H", n), produce)
@@ -183,10 +190,10 @@ def is_elliptic(model: SullivanModel, bound: Optional[int] = None) -> Ellipticit
     above its formal dimension); with a user-supplied smaller bound the
     result degrades to "inconclusive".
     """
-    key = ("elliptic", bound)
-    if key in model._cache:
-        return model._cache[key]
+    return _cached(model, ("elliptic", bound), lambda: _scan_pure_quotient(model, bound))
 
+
+def _scan_pure_quotient(model: SullivanModel, bound: Optional[int]) -> EllipticityResult:
     alg = model.algebra
     n_formal = formal_dimension(model)
     even_degrees = [g.degree for g in alg.generators if not g.is_odd]
@@ -216,6 +223,7 @@ def is_elliptic(model: SullivanModel, bound: Optional[int] = None) -> Ellipticit
             if not ambient:
                 qdims[degree] = 0
             else:
+                index = {m: i for i, m in enumerate(ambient)}
                 rows = []
                 for img in ideal_gens:
                     shift = degree - img.degree()
@@ -225,34 +233,29 @@ def is_elliptic(model: SullivanModel, bound: Optional[int] = None) -> Ellipticit
                         if any(m[i] for i in alg.odd_indices):
                             continue
                         prod = Element.from_monomial(alg, m) * img
-                        rows.append(coefficient_vector(prod, ambient))
+                        rows.append({index[t]: c for t, c in prod.terms.items()})
                 gens_matrix = RationalMatrix(rows, ncols=len(ambient))
                 qdims[degree] = quotient_dim(gens_matrix, len(ambient))
         return qdims[degree]
 
-    result = None
     for b in range(bound + 1):
         if all(quotient_dim_at(d) == 0 for d in range(b, b + width)):
-            result = EllipticityResult(
+            return EllipticityResult(
                 status="elliptic",
                 formal_dimension=n_formal,
                 bound=bound,
                 window_width=width,
                 window_start=b,
             )
-            break
-    if result is None:
-        nonvanishing = tuple(sorted(d for d, q in qdims.items() if q > 0))
-        conclusive = bound >= max(n_formal + 1, 0)
-        result = EllipticityResult(
-            status="not_elliptic" if conclusive else "inconclusive",
-            formal_dimension=n_formal,
-            bound=bound,
-            window_width=width,
-            nonvanishing_degrees=nonvanishing,
-        )
-    model._cache[key] = result
-    return result
+    nonvanishing = tuple(sorted(d for d, q in qdims.items() if q > 0))
+    conclusive = bound >= max(n_formal + 1, 0)
+    return EllipticityResult(
+        status="not_elliptic" if conclusive else "inconclusive",
+        formal_dimension=n_formal,
+        bound=bound,
+        window_width=width,
+        nonvanishing_degrees=nonvanishing,
+    )
 
 
 def require_elliptic(model: SullivanModel, bound: Optional[int] = None) -> EllipticityResult:
@@ -290,54 +293,50 @@ def top_class(model: SullivanModel) -> Tuple[int, CohomologySpace]:
 
 def _deepest_representative(
     bn: List[Monomial],
-    boundary_cols: List[List[Fraction]],
-    echelon: List[Element],
+    boundaries: RationalMatrix,
+    echelon: List[Vector],
     z: Element,
 ) -> Optional[Tuple[int, Element]]:
     """The greatest s with z in Lambda^{>=s}V + boundaries, and a witness.
 
     ``bn`` is a degree-n monomial basis in graded-lex order, so its word
-    lengths ascend; ``boundary_cols`` span the boundary space in those
-    coordinates and ``echelon`` is that space's reduced row echelon basis
-    for the same column order.  Each echelon row is zero left of its pivot,
-    so reducing z modulo the rows subtracts only rows pivoted at word length
-    >= s from any z in Lambda^{>=s}V: the lowest word length of the normal
-    form is therefore exactly the greatest s.
+    lengths ascend; the columns of ``boundaries`` span the boundary space in
+    those coordinates and ``echelon`` is that space's reduced row echelon
+    basis for the same column order.  Each echelon row is zero left of its
+    pivot, so reducing z modulo the rows subtracts only rows pivoted at word
+    length >= s from any z in Lambda^{>=s}V: the lowest word length of the
+    normal form is therefore exactly the greatest s.
 
     The representative is the one the membership solve of z against the unit
-    vectors of word length >= s followed by ``boundary_cols`` picks (free
+    vectors of word length >= s followed by the boundary columns picks (free
     variables zero).  That solve takes a boundary column exactly when its
     part below word length s is independent of the earlier columns' parts,
-    so it is found from the smaller system of those parts alone: z minus the
-    chosen boundary combination.
+    so it is found from the smaller system of those parts alone, the first
+    rows of ``boundaries``: z minus the chosen boundary combination.
 
     Returns None when z is a boundary.
     """
-    normal = z
-    for row in echelon:
-        c = normal.terms.get(min(row.terms, key=grlex_key))
-        if c:
-            normal = normal - c * row
-    if normal.is_zero:
-        return None
-    s = normal.min_wordlength()
     zvec = coefficient_vector(z, bn)
-    shallow = [i for i, m in enumerate(bn) if wordlength(m) < s]
+    normal = RowSpace(len(bn), echelon).reduce(zvec)
+    if not normal:
+        return None
+    s = wordlength(bn[min(normal)])
+    shallow = next(i for i, m in enumerate(bn) if wordlength(m) >= s)
     sol = solve_membership(
-        RationalMatrix(
-            [[col[i] for col in boundary_cols] for i in shallow],
-            ncols=len(boundary_cols),
-        ),
-        [zvec[i] for i in shallow],
+        RationalMatrix(boundaries.rows[:shallow], ncols=boundaries.ncols),
+        {i: c for i, c in zvec.items() if i < shallow},
     )
     if sol is None:
         raise InternalInconsistencyError(
             f"no representative at word length >= {s}, the depth of its own "
             "normal form"
         )
-    for x, col in zip(sol, boundary_cols):
-        if x:
-            zvec = [a - x * b for a, b in zip(zvec, col)]
+    for i, row in enumerate(boundaries.rows):
+        c = zvec.get(i, 0) - sum(x * sol[j] for j, x in row.items() if j in sol)
+        if c:
+            zvec[i] = c
+        else:
+            zvec.pop(i, None)
     return s, element_from_vector(z.algebra, bn, zvec)
 
 
@@ -355,10 +354,8 @@ def toomer_oracle(model: SullivanModel) -> ToomerResult:
 
     def produce():
         n, space = top_class(model)
-        bn = basis(model.algebra, n)
-        _, in_m = cochain_maps(model, n)
         found = _deepest_representative(
-            bn, in_m.columns(), space.boundary_basis, space.representatives[0]
+            *_d_boundaries(model, n), space.representatives[0]
         )
         if found is None:
             raise InternalInconsistencyError(

@@ -160,6 +160,13 @@ def detect_k(d: Derivation) -> Optional[int]:
     return min(wls) if wls else None
 
 
+def _cached(model: SullivanModel, key, producer):
+    """``model._cache[key]``, computed by ``producer()`` on first use."""
+    if key not in model._cache:
+        model._cache[key] = producer()
+    return model._cache[key]
+
+
 @dataclass(eq=False)
 class SullivanModel:
     """A free minimal algebra together with a validated differential.
@@ -178,10 +185,9 @@ class SullivanModel:
         return self.differential(e)
 
     def component(self, i: int) -> Derivation:
-        key = ("component", i)
-        if key not in self._cache:
-            self._cache[key] = homogeneous_component(self.differential, i)
-        return self._cache[key]
+        return _cached(
+            self, ("component", i), lambda: homogeneous_component(self.differential, i)
+        )
 
     @property
     def d3(self) -> Derivation:

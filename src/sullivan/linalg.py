@@ -1,8 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Everything here is dense and uses fractions.Fraction entries, so there is no
-rounding anywhere.  Matrices are small throughout the engine (cochain spaces
-of a fixed degree), which keeps plain Gauss-Jordan elimination comfortable.
+Entries are fractions.Fraction, so there is no rounding anywhere.  The
+engine's matrices (cochain maps of one degree, the ideal of the pure
+quotient) are almost all zeros, so vectors and matrix rows are sparse:
+``{index: nonzero value}``.  A vector may also be given densely, as a
+sequence, wherever one is passed in.
+
+All elimination is done by one kernel, :class:`RowSpace`, which keeps a row
+space as its reduced row echelon basis: every pivot is 1 and is the only
+nonzero entry of its column.  That basis is unique for a fixed column order,
+whatever order the rows arrive in, so ``rref``, ``kernel_basis``,
+``solve_membership`` and ``quotient_dim`` are views of it.
 
 Conventions that the rest of the package relies on:
 
@@ -19,95 +27,166 @@ engine deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-Vector = List[Fraction]
+Vector = Dict[int, Fraction]
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
-def _frac_row(row: Iterable) -> Vector:
-    return [x if isinstance(x, Fraction) else Fraction(x) for x in row]
+def _vector(v: Union[Vector, Sequence], n: int) -> Vector:
+    """v as a fresh sparse vector of length n: {index: nonzero Fraction}."""
+    dense = not isinstance(v, dict)
+    out = {
+        j: x if isinstance(x, Fraction) else Fraction(x)
+        for j, x in (enumerate(v) if dense else v.items())
+        if x
+    }
+    if len(v) != n if dense else any(not 0 <= j < n for j in out):
+        raise ValueError(f"vector does not have length {n}")
+    return out
 
 
 class RationalMatrix:
-    """A dense matrix over Q, stored row major.
+    """A matrix over Q, stored as sparse rows.
 
-    ``ncols`` is stored explicitly so matrices with zero rows or zero columns
-    stay well defined; both shapes occur naturally at the ends of a cochain
-    complex.
+    Rows may be given densely (sequences of one length) or sparsely
+    (mappings from column to value).  ``ncols`` is stored explicitly so
+    matrices with zero rows or zero columns stay well defined; both shapes
+    occur naturally at the ends of a cochain complex.
     """
 
-    __slots__ = ("entries", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols")
 
-    def __init__(self, rows: Sequence[Sequence], ncols: Optional[int] = None):
-        self.entries = [_frac_row(r) for r in rows]
+    def __init__(self, rows: Sequence, ncols: Optional[int] = None):
         if ncols is None:
-            if not self.entries:
+            if not rows or isinstance(rows[0], dict):
                 raise ValueError("ncols is required for a matrix with no rows")
-            ncols = len(self.entries[0])
+            ncols = len(rows[0])
+        self.rows: List[Vector] = [_vector(r, ncols) for r in rows]
+        self.nrows = len(self.rows)
         self.ncols = ncols
-        self.nrows = len(self.entries)
-        for r in self.entries:
-            if len(r) != ncols:
-                raise ValueError("ragged rows in matrix")
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], nrows: int) -> "RationalMatrix":
-        cols = [_frac_row(c) for c in columns]
-        for c in cols:
-            if len(c) != nrows:
-                raise ValueError("column of wrong length")
-        rows = [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
-        return cls(rows, ncols=len(cols))
+    def from_columns(cls, columns: Sequence, nrows: int) -> "RationalMatrix":
+        rows: List[Vector] = [{} for _ in range(nrows)]
+        for j, col in enumerate(columns):
+            for i, x in _vector(col, nrows).items():
+                rows[i][j] = x
+        return cls(rows, ncols=len(columns))
 
-    def column(self, j: int) -> Vector:
-        return [self.entries[i][j] for i in range(self.nrows)]
+    @property
+    def entries(self) -> List[List[Fraction]]:
+        """Dense, read-only copy of the rows."""
+        return [[r.get(j, ZERO) for j in range(self.ncols)] for r in self.rows]
 
     def columns(self) -> List[Vector]:
-        return [self.column(j) for j in range(self.ncols)]
+        cols: List[Vector] = [{} for _ in range(self.ncols)]
+        for i, r in enumerate(self.rows):
+            for j, x in r.items():
+                cols[j][i] = x
+        return cols
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RationalMatrix)
             and self.ncols == other.ncols
-            and self.entries == other.entries
+            and self.rows == other.rows
         )
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"RationalMatrix({self.entries!r}, ncols={self.ncols})"
+        return f"RationalMatrix({self.rows!r}, ncols={self.ncols})"
+
+
+class RowSpace:
+    """A subspace of Q^ncols kept as its reduced row echelon basis.
+
+    This is the package's one elimination kernel.  ``echelon`` seeds the
+    space with rows that are already in reduced row echelon form, such as
+    the first ``rank`` rows of an :func:`rref` result; they are taken as
+    they are, without elimination.
+    """
+
+    def __init__(self, ncols: int, echelon: Iterable[Vector] = ()):
+        self.ncols = ncols
+        self._rows: Dict[int, Vector] = {min(r): dict(r) for r in echelon}
+
+    def _reduce(self, v: Vector) -> Vector:
+        """Reduce v in place to its normal form, zero at every pivot column.
+
+        The other rows vanish at a row's pivot, so each pivot is cleared by
+        subtracting its row once, with v's own coefficient there.
+        """
+        rows = self._rows
+        for p in [j for j in v if j in rows]:
+            f = v.pop(p)
+            for j, x in rows[p].items():
+                if j != p:
+                    y = v.get(j, ZERO) - f * x
+                    if y:
+                        v[j] = y
+                    else:
+                        del v[j]
+        return v
+
+    def _insert(self, v: Vector) -> bool:
+        """Insert a fresh vector v; True if it enlarged the space."""
+        v = self._reduce(v)
+        if not v:
+            return False
+        lead = min(v)
+        if v[lead] != 1:
+            inv = ONE / v[lead]
+            for j in v:
+                v[j] *= inv
+        for row in self._rows.values():
+            f = row.get(lead)
+            if f:
+                for j, x in v.items():
+                    y = row.get(j, ZERO) - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+        self._rows[lead] = v
+        return True
+
+    def reduce(self, v) -> Vector:
+        """Normal form of v modulo the space."""
+        return self._reduce(_vector(v, self.ncols))
+
+    def add(self, v) -> bool:
+        """Insert v; True if it enlarged the space."""
+        return self._insert(_vector(v, self.ncols))
+
+    def contains(self, v) -> bool:
+        return not self.reduce(v)
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def echelon(self) -> List[Vector]:
+        """The reduced row echelon basis, by ascending pivot column."""
+        return [self._rows[p] for p in sorted(self._rows)]
 
 
 def rref(m: RationalMatrix) -> Tuple[RationalMatrix, Tuple[int, ...], int]:
     """Reduced row echelon form.
 
-    Returns ``(reduced, pivot_columns, rank)``.  Deterministic: the pivot of
-    each step is the first nonzero entry of the first unfinished column.
+    Returns ``(reduced, pivot_columns, rank)``; ``reduced`` has the rows of
+    the echelon basis by ascending pivot, then ``nrows - rank`` zero rows.
     """
-    a = [list(r) for r in m.entries]
-    nrows, ncols = m.nrows, m.ncols
-    pivots: List[int] = []
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        sel = None
-        for i in range(row, nrows):
-            if a[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        a[row], a[sel] = a[sel], a[row]
-        inv = Fraction(1) / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for i in range(nrows):
-            if i != row and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-        pivots.append(col)
-        row += 1
-    return RationalMatrix(a, ncols=ncols), tuple(pivots), len(pivots)
+    space = RowSpace(m.ncols)
+    for r in m.rows:
+        space._insert(dict(r))
+    rows = space.echelon()
+    pivots = tuple(min(r) for r in rows)
+    rows.extend({} for _ in range(m.nrows - len(rows)))
+    return RationalMatrix(rows, ncols=m.ncols), pivots, len(pivots)
 
 
 def rank(m: RationalMatrix) -> int:
@@ -116,39 +195,29 @@ def rank(m: RationalMatrix) -> int:
 
 def kernel_basis(m: RationalMatrix) -> List[Vector]:
     """Basis of the null space {x : m x = 0}, one vector per free column."""
-    reduced, pivots, _ = rref(m)
+    reduced, pivots, r = rref(m)
     pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
-    basis: List[Vector] = []
-    for f in free:
-        v = [Fraction(0)] * m.ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.entries[r][f]
-        basis.append(v)
-    return basis
+    basis = {j: {j: ONE} for j in range(m.ncols) if j not in pivot_set}
+    for row, p in zip(reduced.rows[:r], pivots):
+        for j, x in row.items():
+            if j != p:
+                basis[j][p] = -x
+    return list(basis.values())
 
 
-def solve_membership(m: RationalMatrix, b: Sequence) -> Optional[Vector]:
+def solve_membership(m: RationalMatrix, b) -> Optional[Vector]:
     """Solve m x = b exactly, or return None if b is outside the column space.
 
     Free variables are set to zero, so the returned solution is canonical.
     """
-    b = _frac_row(b)
-    if len(b) != m.nrows:
-        raise ValueError("right hand side of wrong length")
-    if m.ncols == 0:
-        return [] if all(x == 0 for x in b) else None
-    aug = RationalMatrix(
-        [list(r) + [b[i]] for i, r in enumerate(m.entries)], ncols=m.ncols + 1
-    )
-    reduced, pivots, _ = rref(aug)
+    b = _vector(b, m.nrows)
+    aug = [dict(r) for r in m.rows]
+    for i, x in b.items():
+        aug[i][m.ncols] = x
+    reduced, pivots, r = rref(RationalMatrix(aug, ncols=m.ncols + 1))
     if m.ncols in pivots:
         return None
-    x = [Fraction(0)] * m.ncols
-    for r, p in enumerate(pivots):
-        x[p] = reduced.entries[r][m.ncols]
-    return x
+    return {p: row[m.ncols] for row, p in zip(reduced.rows[:r], pivots) if m.ncols in row}
 
 
 def quotient_dim(subspace_gens: RationalMatrix, ambient_dim: int) -> int:
@@ -159,46 +228,3 @@ def quotient_dim(subspace_gens: RationalMatrix, ambient_dim: int) -> int:
     if r > ambient_dim:
         raise ValueError("rank exceeds ambient dimension")
     return ambient_dim - r
-
-
-class RowSpace:
-    """Incremental row space kept in echelon form.
-
-    Used wherever the engine extends a basis deterministically (for example
-    cohomology representatives on top of a boundary space).
-    """
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self._rows: List[Tuple[int, Vector]] = []  # (lead column, row), sorted
-
-    def reduce(self, v: Sequence) -> Vector:
-        v = _frac_row(list(v))
-        for lead, row in self._rows:
-            if v[lead] != 0:
-                f = v[lead]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def add(self, v: Sequence) -> bool:
-        """Insert v; True if it enlarged the space."""
-        res = self.reduce(v)
-        lead = next((j for j, x in enumerate(res) if x != 0), None)
-        if lead is None:
-            return False
-        inv = Fraction(1) / res[lead]
-        res = [x * inv for x in res]
-        for i, (l, row) in enumerate(self._rows):
-            if row[lead] != 0:
-                f = row[lead]
-                self._rows[i] = (l, [a - f * b for a, b in zip(row, res)])
-        self._rows.append((lead, res))
-        self._rows.sort(key=lambda t: t[0])
-        return True
-
-    def contains(self, v: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce(v))
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)

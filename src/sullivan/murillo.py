@@ -20,8 +20,8 @@ from itertools import combinations
 from typing import List, Tuple
 
 from .algebra import Algebra, Element, Generator, format_element, grlex_key
-from .cohomology import _cached, formal_dimension, is_boundary, require_elliptic
-from .differential import SullivanModel, is_pure
+from .cohomology import formal_dimension, is_boundary, require_elliptic
+from .differential import SullivanModel, _cached, is_pure
 from .errors import InternalInconsistencyError, PreconditionError
 
 

@@ -21,7 +21,6 @@ bounds has collapsed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .algebra import (
@@ -33,16 +32,17 @@ from .algebra import (
 )
 from .cohomology import (
     ToomerResult,
-    _cached,
     _deepest_representative,
+    _echelon,
+    _map_matrix,
     formal_dimension,
     is_boundary,
     require_elliptic,
     toomer_oracle,
 )
-from .differential import SullivanModel
+from .differential import SullivanModel, _cached
 from .errors import InternalInconsistencyError, PreconditionError
-from .linalg import RationalMatrix, RowSpace, kernel_basis, rref, solve_membership
+from .linalg import RationalMatrix, RowSpace, kernel_basis, solve_membership
 
 
 def _require_delta(model: SullivanModel) -> None:
@@ -165,41 +165,16 @@ def pair_basis(model: SullivanModel, p: int, n: int) -> Tuple[List[Monomial], Li
     )
 
 
-def _pair_vector(pair: FilteredPair, bases: Tuple[List[Monomial], List[Monomial]]):
-    ub, vb = bases
-    return coefficient_vector(pair.u, ub) + coefficient_vector(pair.v, vb)
-
-
-def _pair_from_vector(
-    model: SullivanModel, p: int, n: int, bases, vec
-) -> FilteredPair:
-    ub, vb = bases
-    alg = model.algebra
-    u = element_from_vector(alg, ub, vec[: len(ub)])
-    v = element_from_vector(alg, vb, vec[len(ub):])
-    return FilteredPair(model, p, n, u, v)
-
-
 def delta_matrix(model: SullivanModel, p: int, n: int) -> RationalMatrix:
-    """Matrix of delta from the (p, n) pair slot to the (p+1, n+1) slot."""
+    """Matrix of delta from the (p, n) pair slot to the (p+1, n+1) slot, in
+    coordinates that list the u slot, then the v slot."""
 
     def produce():
-        alg = model.algebra
         src_u, src_v = pair_basis(model, p, n)
-        dst = pair_basis(model, p + 1, n + 1)
-        dst_u, dst_v = dst
-        cols = []
-        for mono in src_u:
-            e = Element.from_monomial(alg, mono)
-            cols.append(
-                coefficient_vector(model.d3(e), dst_u)
-                + coefficient_vector(model.d4(e), dst_v)
-            )
-        zero_u = [Fraction(0)] * len(dst_u)
-        for mono in src_v:
-            e = Element.from_monomial(alg, mono)
-            cols.append(zero_u + coefficient_vector(model.d3(e), dst_v))
-        return RationalMatrix.from_columns(cols, len(dst_u) + len(dst_v))
+        dst_u, dst_v = pair_basis(model, p + 1, n + 1)
+        return _map_matrix(
+            model.algebra, lambda e: delta_element(model, e), src_u + src_v, dst_u + dst_v
+        )
 
     return _cached(model, ("delta_matrix", p, n), produce)
 
@@ -226,44 +201,30 @@ def delta_cohomology(model: SullivanModel, n: int) -> List[DeltaClass]:
     classes: List[DeltaClass] = []
     max_p = n // 4 + 1 if n >= 0 else -1
     for p in range(0, max_p + 1):
-        bases = pair_basis(model, p, n)
-        dim_here = len(bases[0]) + len(bases[1])
-        if dim_here == 0:
+        ub, vb = pair_basis(model, p, n)
+        if not ub and not vb:
             continue
-        out_m = delta_matrix(model, p, n)
-        cocycles = kernel_basis(out_m)
+        cocycles = kernel_basis(delta_matrix(model, p, n))
         if not cocycles:
             continue
-        space = RowSpace(dim_here)
-        if p > 0:
-            in_m = delta_matrix(model, p - 1, n - 1)
-            for j in range(in_m.ncols):
-                space.add(in_m.column(j))
-        idx = 0
-        for z in cocycles:
-            if space.add(z):
-                classes.append(
-                    DeltaClass(p, n, _pair_from_vector(model, p, n, bases, z), idx)
-                )
-                idx += 1
+        echelon = _echelon(delta_matrix(model, p - 1, n - 1)) if p > 0 else []
+        space = RowSpace(len(ub) + len(vb), echelon)
+        for idx, z in enumerate([z for z in cocycles if space.add(z)]):
+            e = element_from_vector(model.algebra, ub + vb, z)
+            u, v = e.wordlength_component(2 * p), e.wordlength_component(2 * p + 1)
+            classes.append(DeltaClass(p, n, FilteredPair(model, p, n, u, v), idx))
     return classes
 
 
 def _delta_boundaries(model: SullivanModel, n: int):
-    """Degree-n basis, the delta-images of all degree-(n-1) monomials in its
-    coordinates, and the reduced row echelon basis of their span (as
-    elements), cached per degree."""
+    """Degree-n basis, the matrix of delta into degree n, and the reduced
+    row echelon basis of its image, cached per degree."""
 
     def produce():
         alg = model.algebra
         bn = basis(alg, n)
-        cols = []
-        for mono in basis(alg, n - 1):
-            img = delta_element(model, Element.from_monomial(alg, mono))
-            cols.append(coefficient_vector(img, bn))
-        reduced, _, rank = rref(RationalMatrix(cols, ncols=len(bn)))
-        echelon = [element_from_vector(alg, bn, row) for row in reduced.entries[:rank]]
-        return bn, cols, echelon
+        in_m = _map_matrix(alg, lambda e: delta_element(model, e), basis(alg, n - 1), bn)
+        return bn, in_m, _echelon(in_m)
 
     return _cached(model, ("delta_boundaries", n), produce)
 
@@ -282,8 +243,7 @@ def representative_depth(
     z = cls.representative.as_element()
     if z.is_zero:
         raise ValueError("zero class has no depth")
-    bn, boundary_cols, echelon = _delta_boundaries(model, cls.n)
-    found = _deepest_representative(bn, boundary_cols, echelon, z)
+    found = _deepest_representative(*_delta_boundaries(model, cls.n), z)
     if found is None:
         raise ValueError("the given class is a delta-boundary")
     return found
@@ -368,17 +328,16 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
                 "lowest obstruction pair is not a delta-cocycle"
             )
         trace.obstructions.append(obstruction)
-        target_bases = pair_basis(model, p_obs, n + 1)
-        rhs = _pair_vector(obstruction, target_bases)
-        m = delta_matrix(model, p_obs - 1, n)
-        sol = solve_membership(m, rhs)
+        target_u, target_v = pair_basis(model, p_obs, n + 1)
+        rhs = coefficient_vector(obstruction.as_element(), target_u + target_v)
+        sol = solve_membership(delta_matrix(model, p_obs - 1, n), rhs)
         if sol is None:
             trace.outcome = "died"
             trace.died_obstruction = obstruction
             trace.final = None
             return trace
-        src_bases = pair_basis(model, p_obs - 1, n)
-        corrector = _pair_from_vector(model, p_obs - 1, n, src_bases, sol).as_element()
+        src_u, src_v = pair_basis(model, p_obs - 1, n)
+        corrector = element_from_vector(model.algebra, src_u + src_v, sol)
         trace.correctors.append(corrector)
         w = w - corrector
         trace.iterates.append(w)

@@ -57,11 +57,11 @@ def _matches_top_class_mod_boundaries(model, omega) -> bool:
     rep = space.representatives[0]
     ambient = basis(model.algebra, n)
     _, incoming = cochain_maps(model, n)
-    cols = [incoming.column(j) for j in range(incoming.ncols)]
+    cols = incoming.columns()
     cols.append(coefficient_vector(rep, ambient))
     stacked = RationalMatrix.from_columns(cols, len(ambient))
     sol = solve_membership(stacked, coefficient_vector(omega, ambient))
-    return sol is not None and sol[-1] != 0
+    return sol is not None and sol.get(len(cols) - 1, 0) != 0
 
 
 def test_criterion_01_n37_model_invariants():

@@ -196,6 +196,18 @@ def test_parse_odd_square_rejected():
     assert "odd" in str(err.value)
 
 
+def test_parse_repeated_odd_factor_rejected_like_a_square():
+    alg = _alg_s2()
+    with pytest.raises(ParseError) as square:
+        parse_element("x2 + 2*y3^2", alg)
+    with pytest.raises(ParseError) as repeat:
+        parse_element("x2 + 2*y3*x2*y3", alg)
+    assert repeat.value.message == square.value.message == "odd generator 'y3' squared"
+    assert square.value.column == 7
+    assert repeat.value.column == 13
+    assert parse_element("y3^0*y3", alg) == parse_element("y3", alg)
+
+
 def test_parse_power_is_one_monomial():
     alg = _alg_s2()
     assert parse_element("x2^0", alg) == alg.one()

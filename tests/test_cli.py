@@ -115,6 +115,20 @@ def test_huge_exponent_fails_fast_with_exit_1(capsys, tmp_path):
     assert "expected 6" in err
 
 
+@pytest.mark.parametrize(
+    "poly, column",
+    [("x2^" + "9" * 5000, 11), ("7" * 5000 + "*x2^3", 8)],
+    ids=["exponent", "coefficient"],
+)
+def test_overlong_number_exits_1_with_its_column(capsys, tmp_path, poly, column):
+    path = tmp_path / "long.model"
+    path.write_text(f"generator x2 2\ngenerator y5 5\nd y5 = {poly}\n")
+    code, _, err = _run(capsys, "validate", path)
+    assert code == 1
+    assert "number of 5000 digits exceeds the limit" in err
+    assert f"line 3, column {column}" in err
+
+
 def test_nonelliptic_toomer_exits_2(capsys):
     code, _, err = _run(capsys, "toomer", FIXTURES / "truncated_n37.model")
     assert code == 2

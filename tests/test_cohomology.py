@@ -126,7 +126,7 @@ def test_toomer_oracle_representative_contract():
         n = rep.degree()
         ambient = basis(model.algebra, n)
         _, incoming = cochain_maps(model, n)
-        cols = [incoming.column(j) for j in range(incoming.ncols)]
+        cols = incoming.columns()
         for i, mono in enumerate(ambient):
             if sum(mono) >= res.e0 + 1:
                 unit = [Fraction(0)] * len(ambient)

@@ -64,9 +64,7 @@ def _descending_search(bn, boundary_cols, z: Element):
         cols.extend(boundary_cols)
         sol = solve_membership(RationalMatrix.from_columns(cols, len(bn)), zvec)
         if sol is not None:
-            rep_vec = [0] * len(bn)
-            for slot, i in enumerate(deep):
-                rep_vec[i] = sol[slot]
+            rep_vec = {i: sol[slot] for slot, i in enumerate(deep) if slot in sol}
             return s, element_from_vector(z.algebra, bn, rep_vec)
     raise AssertionError("membership failed even at filtration 0")
 

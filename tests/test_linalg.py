@@ -57,20 +57,20 @@ def test_kernel_vectors_are_annihilated():
         assert len(ker) == ncols - rank(m)
         for v in ker:
             for row in m.entries:
-                assert sum(a * b for a, b in zip(row, v)) == 0
+                assert sum(row[j] * x for j, x in v.items()) == 0
 
 
 def test_solve_membership_positive_and_negative():
     m = _mat([[1, 0], [0, 1], [1, 1]])  # columns span a plane in Q^3
     sol = solve_membership(m, [Fraction(2), Fraction(3), Fraction(5)])
     assert sol is not None
-    assert sol == [Fraction(2), Fraction(3)]
+    assert sol == {0: Fraction(2), 1: Fraction(3)}
     assert solve_membership(m, [Fraction(1), Fraction(0), Fraction(0)]) is None
 
 
 def test_solve_membership_empty_matrix():
     zero_cols = RationalMatrix.from_columns([], nrows=2)
-    assert solve_membership(zero_cols, [Fraction(0), Fraction(0)]) == []
+    assert solve_membership(zero_cols, [Fraction(0), Fraction(0)]) == {}
     assert solve_membership(zero_cols, [Fraction(1), Fraction(0)]) is None
 
 
@@ -91,7 +91,7 @@ def test_solve_matches_matrix_action():
         sol = solve_membership(m, b)
         assert sol is not None
         again = [
-            sum(row[j] * sol[j] for j in range(ncols)) for row in m.entries
+            sum(row[j] * sol.get(j, 0) for j in range(ncols)) for row in m.entries
         ]
         assert again == b
 
@@ -118,3 +118,173 @@ def test_ragged_rows_rejected():
         RationalMatrix([[Fraction(1)], [Fraction(1), Fraction(2)]])
     with pytest.raises(ValueError):
         RationalMatrix([])  # ncols unknown
+
+
+# ---------------------------------------------------------------------------
+# cross-check of the sparse kernel against dense Gauss-Jordan elimination
+#
+# The functions below are the dense routines the package used before its
+# elimination became sparse, kept here as the reference.
+
+
+def _dense_rref(a, ncols):
+    a = [list(r) for r in a]
+    nrows = len(a)
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row >= nrows:
+            break
+        sel = next((i for i in range(row, nrows) if a[i][col] != 0), None)
+        if sel is None:
+            continue
+        a[row], a[sel] = a[sel], a[row]
+        inv = Fraction(1) / a[row][col]
+        a[row] = [x * inv for x in a[row]]
+        for i in range(nrows):
+            if i != row and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+        pivots.append(col)
+        row += 1
+    return a, tuple(pivots)
+
+
+def _dense_kernel(a, ncols):
+    reduced, pivots = _dense_rref(a, ncols)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][f]
+        basis.append(v)
+    return basis
+
+
+def _dense_solve(a, ncols, b):
+    if ncols == 0:
+        return [] if all(x == 0 for x in b) else None
+    reduced, pivots = _dense_rref([r + [x] for r, x in zip(a, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, p in enumerate(pivots):
+        x[p] = reduced[r][ncols]
+    return x
+
+
+class _DenseRowSpace:
+    def __init__(self, ncols):
+        self.rows = []  # (lead column, row), sorted
+
+    def reduce(self, v):
+        v = list(v)
+        for lead, row in self.rows:
+            if v[lead] != 0:
+                f = v[lead]
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    def add(self, v):
+        res = self.reduce(v)
+        lead = next((j for j, x in enumerate(res) if x != 0), None)
+        if lead is None:
+            return False
+        inv = Fraction(1) / res[lead]
+        res = [x * inv for x in res]
+        for i, (l, row) in enumerate(self.rows):
+            if row[lead] != 0:
+                f = row[lead]
+                self.rows[i] = (l, [a - f * b for a, b in zip(row, res)])
+        self.rows.append((lead, res))
+        self.rows.sort(key=lambda t: t[0])
+        return True
+
+
+def _dense(v, n):
+    return [v.get(j, Fraction(0)) for j in range(n)]
+
+
+def _random_rows(rng, nrows, ncols, density, integral):
+    def entry():
+        if rng.random() >= density:
+            return Fraction(0)
+        num = rng.choice([-3, -2, -1, 1, 2, 3, 7])
+        return Fraction(num) if integral else Fraction(num, rng.randint(1, 6))
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if rows and rng.random() < 0.5:  # duplicate rows and their multiples
+        for _ in range(rng.randint(1, 3)):
+            src = rng.choice(rows)
+            rows[rng.randrange(nrows)] = [Fraction(rng.randint(1, 3)) * x for x in src]
+    if rows and rng.random() < 0.5:
+        rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    return rows
+
+
+def _cases():
+    rng = random.Random(20261018)
+    shapes = [(0, 5), (5, 0), (0, 0), (1, 1), (3, 1), (1, 4)]
+    for nrows, ncols in shapes:
+        yield _random_rows(rng, nrows, ncols, 0.6, False), ncols
+    for _ in range(12):  # about 1 % dense, as the cochain matrices are
+        nrows, ncols = rng.randint(20, 60), rng.randint(30, 90)
+        yield _random_rows(rng, nrows, ncols, 0.01, rng.random() < 0.5), ncols
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        density = rng.choice([0.2, 0.5, 1.0])
+        yield _random_rows(rng, nrows, ncols, density, rng.random() < 0.5), ncols
+
+
+def test_kernel_matches_dense_gauss_jordan():
+    rng = random.Random(5)
+    for rows, ncols in _cases():
+        m = RationalMatrix(rows, ncols=ncols)
+        reduced, pivots, rk = rref(m)
+        want, want_pivots = _dense_rref(rows, ncols)
+        assert reduced.entries == want
+        assert (pivots, rk) == (want_pivots, len(want_pivots))
+        assert [_dense(v, ncols) for v in kernel_basis(m)] == _dense_kernel(rows, ncols)
+        assert quotient_dim(m, ncols) == ncols - len(want_pivots)
+
+        x = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(ncols)]
+        inside = [sum((a * b for a, b in zip(r, x)), Fraction(0)) for r in rows]
+        outside = [Fraction(rng.randint(-2, 2)) for _ in range(len(rows))]
+        for b in (inside, outside, [Fraction(0)] * len(rows)):
+            sol = solve_membership(m, b)
+            want_sol = _dense_solve(rows, ncols, b)
+            assert (None if sol is None else _dense(sol, ncols)) == want_sol
+        assert solve_membership(m, inside) is not None
+
+
+def test_row_space_matches_dense_row_space():
+    rng = random.Random(9)
+    for rows, ncols in _cases():
+        space, oracle = RowSpace(ncols), _DenseRowSpace(ncols)
+        probes = _random_rows(rng, 4, ncols, 0.5, False)
+        for i, v in enumerate(rows):
+            assert space.add(v) == oracle.add(v)
+            assert space.rank == len(oracle.rows)
+            if i % 8 == 7 or i == len(rows) - 1:
+                for w in probes + rows[i + 1 : i + 3]:
+                    assert _dense(space.reduce(w), ncols) == oracle.reduce(w)
+                    assert space.contains(w) == (not any(oracle.reduce(w)))
+        assert [_dense(r, ncols) for r in space.echelon()] == [r for _, r in oracle.rows]
+
+
+def test_row_space_seeded_from_an_echelon_matches_one_filled_row_by_row():
+    rng = random.Random(17)
+    for rows, ncols in _cases():
+        m = RationalMatrix(rows, ncols=ncols)
+        reduced, _, rk = rref(m)
+        seeded, filled = RowSpace(ncols, reduced.rows[:rk]), RowSpace(ncols)
+        for v in rows:
+            filled.add(v)
+        assert seeded.rank == filled.rank == rk
+        assert seeded.echelon() == filled.echelon() == reduced.rows[:rk]
+        for w in _random_rows(rng, 6, ncols, 0.5, False) + rows:
+            assert seeded.reduce(w) == filled.reduce(w)
+            assert seeded.add(w) == filled.add(w)
+        assert seeded.echelon() == filled.echelon()
+        assert rref(m)[0] == reduced  # seeding copied the rows it was given

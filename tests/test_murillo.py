@@ -113,12 +113,12 @@ def test_fundamental_class_matches_top_class_up_to_scalar_mod_boundaries():
         rep = space.representatives[0]
         ambient = basis(model.algebra, n)
         _, incoming = cochain_maps(model, n)
-        cols = [incoming.column(j) for j in range(incoming.ncols)]
+        cols = incoming.columns()
         cols.append(coefficient_vector(rep, ambient))
         stacked = RationalMatrix.from_columns(cols, len(ambient))
         sol = solve_membership(stacked, coefficient_vector(omega, ambient))
         assert sol is not None
-        assert sol[-1] != 0  # the top-class coordinate is a nonzero scalar
+        assert sol.get(len(cols) - 1, 0) != 0  # the top-class coordinate is a nonzero scalar
 
 
 def test_determinant_matches_permutation_expansion():
