@@ -26,7 +26,6 @@ from .cohomology import (
     top_class,
 )
 from .differential import (
-    Differential,
     SullivanModel,
     apply_d,
     build_differential,
@@ -75,7 +74,6 @@ __all__ = [
     "require_elliptic",
     "toomer_oracle",
     "top_class",
-    "Differential",
     "SullivanModel",
     "apply_d",
     "build_differential",

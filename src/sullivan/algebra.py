@@ -46,9 +46,14 @@ class Algebra:
         self.even_indices = tuple(g.index for g in self.generators if not g.is_odd)
         self._by_name = {g.name: g for g in self.generators}
         self._basis_cache: Dict[int, List[Monomial]] = {}
+        # per degree, the offset in the cached basis where each word length
+        # starts, followed by the basis length (see `basis`)
+        self._wordlength_starts: Dict[int, List[int]] = {}
+        self._signature = tuple((g.name, g.degree) for g in self.generators)
+        self._hash = hash(self._signature)
 
     def signature(self) -> Tuple[Tuple[str, int], ...]:
-        return tuple((g.name, g.degree) for g in self.generators)
+        return self._signature
 
     def generator(self, name: str) -> Generator:
         try:
@@ -74,10 +79,12 @@ class Algebra:
         return Element(self, {})
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Algebra) and self.signature() == other.signature()
+        if self is other:
+            return True
+        return isinstance(other, Algebra) and self._signature == other._signature
 
     def __hash__(self) -> int:
-        return hash(self.signature())
+        return self._hash
 
     def __repr__(self) -> str:
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)
@@ -269,25 +276,38 @@ def basis(
     """All monomials of the given degree, in graded-lex order.
 
     Optional filters restrict to a single word length or to a lower bound on
-    word length.  Negative degrees give the empty list.
+    word length.  Negative degrees give the empty list.  Graded-lex order
+    sorts by word length first, so within a degree the word lengths ascend
+    and each filter is a slice of the cached degree basis.  The result is a
+    fresh list; changing it does not change the cache.
     """
     if degree < 0:
         return []
     full = algebra._basis_cache.get(degree)
     if full is None:
         full = sorted(_enumerate_monomials(algebra, degree), key=grlex_key)
+        starts: List[int] = []
+        for i, m in enumerate(full):
+            while len(starts) <= wordlength(m):
+                starts.append(i)
+        starts.append(len(full))
         algebra._basis_cache[degree] = full
+        algebra._wordlength_starts[degree] = starts
     if wordlength_exact is None and wordlength_min is None:
         return list(full)
-    out = []
-    for m in full:
-        wl = wordlength(m)
-        if wordlength_exact is not None and wl != wordlength_exact:
-            continue
-        if wordlength_min is not None and wl < wordlength_min:
-            continue
-        out.append(m)
-    return out
+    starts = algebra._wordlength_starts[degree]
+    last = len(starts) - 1
+
+    def start(s: int) -> int:
+        """Offset of the first monomial of word length >= s."""
+        return starts[min(max(s, 0), last)]
+
+    lo, hi = 0, len(full)
+    if wordlength_exact is not None:
+        lo, hi = start(wordlength_exact), start(wordlength_exact + 1)
+    if wordlength_min is not None:
+        lo = max(lo, start(wordlength_min))
+    return full[lo:hi]
 
 
 def _enumerate_monomials(algebra: Algebra, degree: int) -> List[Monomial]:

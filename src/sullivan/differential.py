@@ -84,13 +84,9 @@ class Derivation:
     __hash__ = None
 
 
-class Differential(Derivation):
-    """A validated differential: degrees, minimality and d^2 = 0 all hold."""
-
-
 def build_differential(
     algebra: Algebra, images: Mapping[Union[str, Generator], Element]
-) -> Differential:
+) -> Derivation:
     """Validate generator images and assemble a differential.
 
     Checks, in order: every key names a generator of the algebra; every image
@@ -125,7 +121,7 @@ def build_differential(
                 "minimality requires word length >= 2"
             )
         by_index[gen.index] = img
-    d = Differential(algebra, by_index)
+    d = Derivation(algebra, by_index)
     for g in algebra.generators:
         sq = d(d.image_of(g))
         if not sq.is_zero:
@@ -177,7 +173,7 @@ class SullivanModel:
     """
 
     algebra: Algebra
-    differential: Differential
+    differential: Derivation
     k: Optional[int]
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -207,7 +203,7 @@ class SullivanModel:
     __hash__ = None
 
 
-def build_model(algebra: Algebra, differential: Differential) -> SullivanModel:
+def build_model(algebra: Algebra, differential: Derivation) -> SullivanModel:
     if differential.algebra != algebra:
         raise ModelError("differential belongs to a different algebra")
     return SullivanModel(algebra, differential, detect_k(differential))

@@ -8,6 +8,11 @@ basis cardinalities against an independent generating-function expansion and
 verify Poincare duality degree by degree on the elliptic fixtures.
 
 Everything is driven by an explicit seed so failures reproduce.
+
+`run_all` builds the fixture zoo once and hands the same models to every
+check, so each model's bases, pair slots and cohomology are computed once per
+run.  Those caches live on the models, which `run_all` builds afresh: nothing
+is kept from one run to the next.
 """
 
 from __future__ import annotations
@@ -15,14 +20,23 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Element, basis
 from .cohomology import cohomology_basis, formal_dimension, is_elliptic
-from .differential import SullivanModel
+from .differential import SullivanModel, _cached
 from .errors import InternalInconsistencyError
 from .models import ELLIPTIC_K3_POOL, all_models
 from .spectral import FilteredPair, delta_apply, pair_basis, pair_product
+
+
+#: The fixture zoo as `all_models` builds it: (name, model) pairs.
+Models = Sequence[Tuple[str, SullivanModel]]
+
+
+def _zoo(models: Optional[Models]) -> Models:
+    """`models`, or a freshly built fixture zoo when none is given."""
+    return all_models() if models is None else models
 
 
 @dataclass
@@ -57,13 +71,11 @@ def random_pair(
     rng: random.Random, model: SullivanModel, max_degree: int = 24
 ) -> Optional[FilteredPair]:
     """A random filtration pair with at least one nonzero slot, or None if
-    the model has no populated pair slot in range."""
-    slots = []
-    for p in range(0, max_degree // 4 + 1):
-        for n in range(0, max_degree + 1):
-            ub, vb = pair_basis(model, p, n)
-            if ub or vb:
-                slots.append((p, n, ub, vb))
+    the model has no populated pair slot in range.  The populated slots are
+    found once per (model, max_degree) and kept in the model's cache."""
+    slots = _cached(
+        model, ("pair_slots", max_degree), lambda: _pair_slots(model, max_degree)
+    )
     if not slots:
         return None
     p, n, ub, vb = rng.choice(slots)
@@ -80,12 +92,26 @@ def random_pair(
     return FilteredPair(model, p, n, sample(ub), sample(vb))
 
 
+def _pair_slots(model: SullivanModel, max_degree: int):
+    """Every (p, n, u-basis, v-basis) slot with 4p <= max_degree and
+    n <= max_degree that has a nonzero basis."""
+    slots = []
+    for p in range(0, max_degree // 4 + 1):
+        for n in range(0, max_degree + 1):
+            ub, vb = pair_basis(model, p, n)
+            if ub or vb:
+                slots.append((p, n, ub, vb))
+    return slots
+
+
 def _scaled(pair: FilteredPair, s: int) -> FilteredPair:
     return FilteredPair(pair.model, pair.p, pair.n, s * pair.u, s * pair.v)
 
 
-def check_graded_commutativity(rng: random.Random, cases: int) -> int:
-    models = all_models()
+def check_graded_commutativity(
+    rng: random.Random, cases: int, models: Optional[Models] = None
+) -> int:
+    models = _zoo(models)
     for i in range(cases):
         _, model = models[i % len(models)]
         alg = model.algebra
@@ -101,8 +127,10 @@ def check_graded_commutativity(rng: random.Random, cases: int) -> int:
     return cases
 
 
-def check_leibniz(rng: random.Random, cases: int) -> int:
-    models = all_models()
+def check_leibniz(
+    rng: random.Random, cases: int, models: Optional[Models] = None
+) -> int:
+    models = _zoo(models)
     for i in range(cases):
         _, model = models[i % len(models)]
         alg = model.algebra
@@ -119,8 +147,10 @@ def check_leibniz(rng: random.Random, cases: int) -> int:
     return cases
 
 
-def check_d_squared(rng: random.Random, cases: int) -> int:
-    models = all_models()
+def check_d_squared(
+    rng: random.Random, cases: int, models: Optional[Models] = None
+) -> int:
+    models = _zoo(models)
     for i in range(cases):
         _, model = models[i % len(models)]
         e = random_element(rng, model.algebra, max_terms=4)
@@ -130,12 +160,16 @@ def check_d_squared(rng: random.Random, cases: int) -> int:
     return cases
 
 
-def _k3_models() -> List[Tuple[str, SullivanModel]]:
-    return [(name, build()) for name, build in ELLIPTIC_K3_POOL]
+def _k3_models(models: Optional[Models]) -> List[Tuple[str, SullivanModel]]:
+    """The `ELLIPTIC_K3_POOL` fixtures of the zoo, in pool order."""
+    by_name = dict(_zoo(models))
+    return [(name, by_name[name]) for name, _ in ELLIPTIC_K3_POOL]
 
 
-def check_delta_squared(rng: random.Random, cases: int) -> int:
-    models = _k3_models()
+def check_delta_squared(
+    rng: random.Random, cases: int, models: Optional[Models] = None
+) -> int:
+    models = _k3_models(models)
     done = 0
     for i in range(cases):
         _, model = models[i % len(models)]
@@ -151,9 +185,11 @@ def check_delta_squared(rng: random.Random, cases: int) -> int:
     return done
 
 
-def check_delta_derivation(rng: random.Random, cases: int) -> int:
+def check_delta_derivation(
+    rng: random.Random, cases: int, models: Optional[Models] = None
+) -> int:
     """delta(a b) = delta(a) b + (-1)^{deg a} a delta(b) for the pair product."""
-    models = _k3_models()
+    models = _k3_models(models)
     done = 0
     for i in range(cases):
         _, model = models[i % len(models)]
@@ -174,11 +210,11 @@ def check_delta_derivation(rng: random.Random, cases: int) -> int:
     return done
 
 
-def check_basis_counts(max_degree: int = 40) -> int:
+def check_basis_counts(max_degree: int = 40, models: Optional[Models] = None) -> int:
     """Basis cardinalities against the Poincare series
     prod_even 1/(1 - t^d) * prod_odd (1 + t^d), expanded independently."""
     checked = 0
-    for name, model in all_models():
+    for name, model in _zoo(models):
         alg = model.algebra
         series = [0] * (max_degree + 1)
         series[0] = 1
@@ -204,11 +240,11 @@ def check_basis_counts(max_degree: int = 40) -> int:
     return checked
 
 
-def check_poincare_duality() -> int:
+def check_poincare_duality(models: Optional[Models] = None) -> int:
     """dim H^n = dim H^{N-n} on every elliptic fixture, plus a vanishing
     window above N."""
     checked = 0
-    for name, model in all_models():
+    for name, model in _zoo(models):
         if not is_elliptic(model).is_elliptic:
             continue
         n_top = formal_dimension(model)
@@ -243,11 +279,12 @@ RANDOM_CHECKS = [
 
 
 def run_all(seed: int = 0, cases: int = 200) -> List[CheckResult]:
+    models = all_models()
     results: List[CheckResult] = []
     for name, fn in RANDOM_CHECKS:
         rng = random.Random(f"{seed}:{name}")
         try:
-            done = fn(rng, cases)
+            done = fn(rng, cases, models)
             results.append(CheckResult(name, done, True))
         except InternalInconsistencyError as exc:
             results.append(CheckResult(name, 0, False, str(exc)))
@@ -256,7 +293,7 @@ def run_all(seed: int = 0, cases: int = 200) -> List[CheckResult]:
         ("poincare_duality", check_poincare_duality),
     ):
         try:
-            done = fn0()
+            done = fn0(models=models)
             results.append(CheckResult(name, done, True))
         except InternalInconsistencyError as exc:
             results.append(CheckResult(name, 0, False, str(exc)))

@@ -16,6 +16,7 @@ from sullivan.algebra import (
     wordlength_split,
 )
 from sullivan.errors import ModelError, ParseError
+from sullivan.models import ALL_MODELS
 
 
 def _alg_n37():
@@ -82,6 +83,55 @@ def test_basis_wordlength_filters():
     assert exact == [m for m in all_monos if wordlength(m) == 4]
     deep = basis(alg, 16, wordlength_min=5)
     assert deep == [m for m in all_monos if wordlength(m) >= 5]
+
+
+def _filtered_basis(alg, degree, wordlength_exact=None, wordlength_min=None):
+    """The word-length filter as a loop over the whole degree basis."""
+    out = []
+    for m in basis(alg, degree):
+        wl = wordlength(m)
+        if wordlength_exact is not None and wl != wordlength_exact:
+            continue
+        if wordlength_min is not None and wl < wordlength_min:
+            continue
+        out.append(m)
+    return out
+
+
+def test_basis_wordlength_slices_match_the_filter_loop():
+    for _, build in ALL_MODELS:
+        alg = build().algebra
+        for n in range(0, 46):
+            top = max((wordlength(m) for m in basis(alg, n)), default=0)
+            lengths = range(-1, top + 2)
+            for s in lengths:
+                assert basis(alg, n, wordlength_exact=s) == _filtered_basis(
+                    alg, n, wordlength_exact=s
+                )
+                assert basis(alg, n, wordlength_min=s) == _filtered_basis(
+                    alg, n, wordlength_min=s
+                )
+                for t in lengths:
+                    assert basis(
+                        alg, n, wordlength_exact=s, wordlength_min=t
+                    ) == _filtered_basis(alg, n, wordlength_exact=s, wordlength_min=t)
+        for n in (-1, -7):
+            assert basis(alg, n) == []
+            assert basis(alg, n, wordlength_exact=0) == []
+            assert basis(alg, n, wordlength_min=0) == []
+            assert basis(alg, n, wordlength_exact=1, wordlength_min=1) == []
+
+
+def test_basis_returns_a_fresh_list():
+    alg = _alg_n37()
+    for kwargs in ({}, {"wordlength_exact": 4}, {"wordlength_min": 5}):
+        first = basis(alg, 16, **kwargs)
+        expected = list(first)
+        first.clear()
+        assert basis(alg, 16, **kwargs) == expected
+        again = basis(alg, 16, **kwargs)
+        again.append((0, 0, 0, 0, 0))
+        assert basis(alg, 16, **kwargs) == expected
 
 
 def test_basis_counts_match_series_for_small_algebra():

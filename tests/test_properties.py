@@ -8,7 +8,11 @@ generator can't pass.
 """
 
 import random
+from collections import Counter
+from fractions import Fraction
 
+from sullivan import models, selftest
+from sullivan.algebra import Element
 from sullivan.selftest import (
     check_basis_counts,
     check_d_squared,
@@ -17,8 +21,10 @@ from sullivan.selftest import (
     check_graded_commutativity,
     check_leibniz,
     check_poincare_duality,
+    random_pair,
     run_all,
 )
+from sullivan.spectral import FilteredPair, pair_basis
 
 CASES = 200
 
@@ -70,3 +76,63 @@ def test_run_all_is_green():
     names = {res.name for res in results}
     assert "graded_commutativity" in names
     assert "poincare_duality" in names
+
+
+def test_run_all_builds_each_fixture_once_per_run(monkeypatch):
+    built = Counter()
+
+    def counting(name, build):
+        def wrapper():
+            built[name] += 1
+            return build()
+
+        return wrapper
+
+    for owner, pool in ((models, "ALL_MODELS"), (selftest, "ELLIPTIC_K3_POOL")):
+        entries = getattr(owner, pool)
+        monkeypatch.setattr(
+            owner, pool, [(name, counting(name, build)) for name, build in entries]
+        )
+    names = [name for name, _ in models.ALL_MODELS]
+
+    assert all(res.ok for res in run_all(seed=2, cases=5))
+    assert built == Counter(names)
+    # a second run shares nothing with the first, so it builds them again
+    assert all(res.ok for res in run_all(seed=2, cases=5))
+    assert built == Counter(names * 2)
+
+
+def _scanning_random_pair(rng, model, max_degree=24):
+    """random_pair as a scan of every pair slot on each draw."""
+    slots = []
+    for p in range(0, max_degree // 4 + 1):
+        for n in range(0, max_degree + 1):
+            ub, vb = pair_basis(model, p, n)
+            if ub or vb:
+                slots.append((p, n, ub, vb))
+    if not slots:
+        return None
+    p, n, ub, vb = rng.choice(slots)
+    alg = model.algebra
+
+    def sample(monos):
+        e = alg.zero()
+        for _ in range(rng.randint(0, 2)):
+            if monos:
+                coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                e = e + coeff * Element.from_monomial(alg, rng.choice(monos))
+        return e
+
+    return FilteredPair(model, p, n, sample(ub), sample(vb))
+
+
+def test_random_pair_draws_match_a_slot_scan():
+    for name, build in models.ELLIPTIC_K3_POOL:
+        model = build()
+        cached_rng, scan_rng = _rng(f"pairs:{name}"), _rng(f"pairs:{name}")
+        for i in range(40):
+            max_degree = (24, 18, 6)[i % 3]
+            got = random_pair(cached_rng, model, max_degree)
+            want = _scanning_random_pair(scan_rng, model, max_degree)
+            assert got == want, (name, i)
+        assert cached_rng.getstate() == scan_rng.getstate()
