@@ -27,7 +27,6 @@ from .cohomology import (
 )
 from .differential import (
     SullivanModel,
-    apply_d,
     build_differential,
     build_model,
     detect_k,
@@ -75,7 +74,6 @@ __all__ = [
     "toomer_oracle",
     "top_class",
     "SullivanModel",
-    "apply_d",
     "build_differential",
     "build_model",
     "detect_k",

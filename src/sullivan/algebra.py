@@ -45,15 +45,13 @@ class Algebra:
         self.odd_indices = tuple(g.index for g in self.generators if g.is_odd)
         self.even_indices = tuple(g.index for g in self.generators if not g.is_odd)
         self._by_name = {g.name: g for g in self.generators}
-        self._basis_cache: Dict[int, List[Monomial]] = {}
-        # per degree, the offset in the cached basis where each word length
-        # starts, followed by the basis length (see `basis`)
-        self._wordlength_starts: Dict[int, List[int]] = {}
+        # indexed by degree, filled from degree 0 up (see `basis`): the
+        # degree basis, and the offset in it where each word length starts,
+        # followed by the basis length
+        self._basis_cache: List[List[Monomial]] = []
+        self._wordlength_starts: List[List[int]] = []
         self._signature = tuple((g.name, g.degree) for g in self.generators)
         self._hash = hash(self._signature)
-
-    def signature(self) -> Tuple[Tuple[str, int], ...]:
-        return self._signature
 
     def generator(self, name: str) -> Generator:
         try:
@@ -222,14 +220,14 @@ class Element:
         self._check_same_algebra(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms.get(m, 0) + c
         return Element(self.algebra, terms)
 
     def __sub__(self, other: "Element") -> "Element":
         self._check_same_algebra(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) - c
+            terms[m] = terms.get(m, 0) - c
         return Element(self.algebra, terms)
 
     def __neg__(self) -> "Element":
@@ -245,7 +243,7 @@ class Element:
                     if sign == 0:
                         continue
                     mono = tuple(x + y for x, y in zip(ma, mb))
-                    out[mono] = out.get(mono, Fraction(0)) + sign * ca * cb
+                    out[mono] = out.get(mono, 0) + sign * ca * cb
             return Element(self.algebra, out)
         return Element(
             self.algebra, {m: c * Fraction(other) for m, c in self.terms.items()}
@@ -283,16 +281,8 @@ def basis(
     """
     if degree < 0:
         return []
-    full = algebra._basis_cache.get(degree)
-    if full is None:
-        full = sorted(_enumerate_monomials(algebra, degree), key=grlex_key)
-        starts: List[int] = []
-        for i, m in enumerate(full):
-            while len(starts) <= wordlength(m):
-                starts.append(i)
-        starts.append(len(full))
-        algebra._basis_cache[degree] = full
-        algebra._wordlength_starts[degree] = starts
+    _fill_bases(algebra, degree)
+    full = algebra._basis_cache[degree]
     if wordlength_exact is None and wordlength_min is None:
         return list(full)
     starts = algebra._wordlength_starts[degree]
@@ -310,36 +300,34 @@ def basis(
     return full[lo:hi]
 
 
-def _enumerate_monomials(algebra: Algebra, degree: int) -> List[Monomial]:
-    gens = algebra.generators
-    out: List[Monomial] = []
-    exps = [0] * len(gens)
+def _fill_bases(algebra: Algebra, degree: int) -> None:
+    """Cache the bases of every degree up to ``degree``, lowest first.
 
-    def rec(i: int, remaining: int) -> None:
-        if i == len(gens):
-            if remaining == 0:
-                out.append(tuple(exps))
-            return
-        g = gens[i]
-        cap = 1 if g.is_odd else remaining // g.degree
-        for e in range(cap + 1):
-            cost = e * g.degree
-            if cost > remaining:
-                break
-            exps[i] = e
-            rec(i + 1, remaining - cost)
-        exps[i] = 0
-
-    rec(0, degree)
-    return out
-
-
-def wordlength_split(e: Element) -> Dict[int, Element]:
-    """Split an element into its word-length homogeneous components."""
-    out: Dict[int, Dict[Monomial, Fraction]] = {}
-    for m, c in e.terms.items():
-        out.setdefault(wordlength(m), {})[m] = c
-    return {s: Element(e.algebra, t) for s, t in sorted(out.items())}
+    A monomial of positive degree is m*g for exactly one generator g, its
+    last factor: m has degree |m*g| - |g|, no factor after g, and no factor
+    g when g is odd.  So each degree is built from the cached lower ones.
+    """
+    cache = algebra._basis_cache
+    n = algebra.ngens
+    while len(cache) <= degree:
+        d = len(cache)
+        monos = [(0,) * n] if d == 0 else []
+        for g in algebra.generators:
+            if g.degree > d:
+                continue
+            i = g.index
+            tail = (0,) * (n - i - 1)
+            for m in cache[d - g.degree]:
+                if m[i + 1:] == tail and not (g.is_odd and m[i]):
+                    monos.append(m[:i] + (m[i] + 1,) + tail)
+        monos.sort(key=grlex_key)
+        starts: List[int] = []
+        for i, m in enumerate(monos):
+            while len(starts) <= wordlength(m):
+                starts.append(i)
+        starts.append(len(monos))
+        cache.append(monos)
+        algebra._wordlength_starts.append(starts)
 
 
 def coefficient_vector(e: Element, basis_list: Sequence[Monomial]) -> Dict[int, Fraction]:

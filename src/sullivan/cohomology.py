@@ -4,6 +4,8 @@ Everything is computed one degree at a time with exact rational linear
 algebra.  The pieces provided here:
 
 * cochain maps and cohomology bases with deterministic representatives,
+  through one set of cached helpers that serve both d and the spectral
+  sequence's page-one differential delta,
 * the formal dimension N read off the generator degrees,
 * an ellipticity decision procedure through the associated pure model,
 * the top cohomology class of an elliptic model,
@@ -45,14 +47,12 @@ class CohomologySpace:
     """H^degree of a model: dimension plus explicit cocycle representatives.
 
     ``representatives`` extend a basis of the boundary space to a basis of the
-    cocycle space; ``boundary_basis`` is the canonical (reduced row echelon)
-    basis of the boundaries in this degree.
+    cocycle space.
     """
 
     degree: int
     dimension: int
     representatives: List[Element]
-    boundary_basis: List[Element]
 
 
 @dataclass
@@ -94,7 +94,7 @@ def cochain_maps(model: SullivanModel, n: int) -> Tuple[RationalMatrix, Rational
     coordinates to degree-n coordinates.  Columns are indexed by the
     graded-lex monomial basis of the source degree.
     """
-    return (_d_matrix(model, n), _d_matrix(model, n - 1))
+    return (_map_out(model, "d", n), _map_out(model, "d", n - 1))
 
 
 def _map_matrix(alg: Algebra, f, src: List[Monomial], dst: List[Monomial]) -> RationalMatrix:
@@ -110,13 +110,23 @@ def _map_matrix(alg: Algebra, f, src: List[Monomial], dst: List[Monomial]) -> Ra
     )
 
 
-def _d_matrix(model: SullivanModel, n: int) -> RationalMatrix:
-    alg = model.algebra
-    return _cached(
-        model,
-        ("dmat", n),
-        lambda: _map_matrix(alg, model.d, basis(alg, n), basis(alg, n + 1)),
-    )
+# The helpers below serve both differentials: ``which`` is "d" or "delta"
+# (``SullivanModel.delta``), and results are cached per differential and
+# degree.  A degree basis, in graded-lex order, is the delta pair slots one
+# after another, so the delta matrix of a whole degree is the block sum of
+# the slot matrices: its echelon, kernel basis and representatives are the
+# per-slot ones placed side by side.
+
+
+def _map_out(model: SullivanModel, which: str, n: int) -> RationalMatrix:
+    """Matrix of the differential ``which`` out of degree n."""
+
+    def produce():
+        alg = model.algebra
+        f = model.d if which == "d" else model.delta
+        return _map_matrix(alg, f, basis(alg, n), basis(alg, n + 1))
+
+    return _cached(model, (which, "map", n), produce)
 
 
 def _echelon(boundaries: RationalMatrix) -> List[Vector]:
@@ -125,46 +135,48 @@ def _echelon(boundaries: RationalMatrix) -> List[Vector]:
     return reduced.rows[:rank]
 
 
-def _d_boundaries(model: SullivanModel, n: int):
-    """Degree-n basis, the matrix of d into degree n, and the reduced row
-    echelon basis of its image, cached per degree."""
+def _boundaries(model: SullivanModel, which: str, n: int):
+    """Degree-n basis, the matrix of ``which`` into degree n, and the reduced
+    row echelon basis of its image."""
 
     def produce():
-        in_m = _d_matrix(model, n - 1)
+        in_m = _map_out(model, which, n - 1)
         return basis(model.algebra, n), in_m, _echelon(in_m)
 
-    return _cached(model, ("d_boundaries", n), produce)
+    return _cached(model, (which, "boundaries", n), produce)
+
+
+def _cohomology(model: SullivanModel, which: str, n: int) -> List[Element]:
+    """Representatives of the degree-n cohomology of ``which``: the kernel
+    basis vectors that extend the boundary echelon to a cocycle basis."""
+
+    def produce():
+        cocycles = kernel_basis(_map_out(model, which, n))
+        bn, _, echelon = _boundaries(model, which, n)
+        space = RowSpace(len(bn), echelon)
+        reps = [element_from_vector(model.algebra, bn, z) for z in cocycles if space.add(z)]
+        dim = len(cocycles) - len(echelon)
+        if dim != len(reps):
+            raise InternalInconsistencyError(
+                f"H^{n}({which}): dimension {dim} but {len(reps)} representatives"
+            )
+        return reps
+
+    return _cached(model, (which, "H", n), produce)
 
 
 def cohomology_basis(model: SullivanModel, n: int) -> CohomologySpace:
     """Compute H^n with deterministic representatives."""
-
-    def produce():
-        alg = model.algebra
-        out_m, _ = cochain_maps(model, n)
-        cocycles = kernel_basis(out_m)
-        bn, _, echelon = _d_boundaries(model, n)
-        space = RowSpace(len(bn), echelon)
-        reps = [element_from_vector(alg, bn, z) for z in cocycles if space.add(z)]
-        dim = len(cocycles) - len(echelon)
-        if dim != len(reps):
-            raise InternalInconsistencyError(
-                f"H^{n}: dimension {dim} but {len(reps)} representatives"
-            )
-        boundary_basis = [element_from_vector(alg, bn, row) for row in echelon]
-        return CohomologySpace(n, dim, reps, boundary_basis)
-
-    return _cached(model, ("H", n), produce)
+    reps = _cohomology(model, "d", n)
+    return CohomologySpace(n, len(reps), reps)
 
 
 def is_boundary(model: SullivanModel, e: Element) -> bool:
     """Exact membership of a homogeneous element in the boundary space."""
     if e.is_zero:
         return True
-    n = e.degree()
-    bn = basis(model.algebra, n)
-    _, in_m = cochain_maps(model, n)
-    return solve_membership(in_m, coefficient_vector(e, bn)) is not None
+    bn, _, echelon = _boundaries(model, "d", e.degree())
+    return RowSpace(len(bn), echelon).contains(coefficient_vector(e, bn))
 
 
 def formal_dimension(model: SullivanModel) -> int:
@@ -211,35 +223,37 @@ def _scan_pure_quotient(model: SullivanModel, bound: Optional[int]) -> Elliptici
         if g.is_odd and not pure.differential.image_of(g).is_zero
     ]
 
+    def quotient_dim_at(degree: int) -> int:
+        ambient = [
+            m for m in basis(alg, degree) if not any(m[i] for i in alg.odd_indices)
+        ]
+        if not ambient:
+            return 0
+        index = {m: i for i, m in enumerate(ambient)}
+        rows = []
+        for img in ideal_gens:
+            shift = degree - img.degree()
+            if shift < 0:
+                continue
+            for m in basis(alg, shift):
+                if any(m[i] for i in alg.odd_indices):
+                    continue
+                prod = Element.from_monomial(alg, m) * img
+                rows.append({index[t]: c for t, c in prod.terms.items()})
+        return quotient_dim(RationalMatrix(rows, ncols=len(ambient)), len(ambient))
+
+    # quotient dimensions are cached on the model, so every scan shares
+    # them; ``qdims`` records only the degrees this scan looked at
     qdims: Dict[int, int] = {}
 
-    def quotient_dim_at(degree: int) -> int:
-        if degree not in qdims:
-            ambient = [
-                m
-                for m in basis(alg, degree)
-                if not any(m[i] for i in alg.odd_indices)
-            ]
-            if not ambient:
-                qdims[degree] = 0
-            else:
-                index = {m: i for i, m in enumerate(ambient)}
-                rows = []
-                for img in ideal_gens:
-                    shift = degree - img.degree()
-                    if shift < 0:
-                        continue
-                    for m in basis(alg, shift):
-                        if any(m[i] for i in alg.odd_indices):
-                            continue
-                        prod = Element.from_monomial(alg, m) * img
-                        rows.append({index[t]: c for t, c in prod.terms.items()})
-                gens_matrix = RationalMatrix(rows, ncols=len(ambient))
-                qdims[degree] = quotient_dim(gens_matrix, len(ambient))
-        return qdims[degree]
+    def vanishes(degree: int) -> bool:
+        qdims[degree] = _cached(
+            model, ("pure_quotient_dim", degree), lambda: quotient_dim_at(degree)
+        )
+        return qdims[degree] == 0
 
     for b in range(bound + 1):
-        if all(quotient_dim_at(d) == 0 for d in range(b, b + width)):
+        if all(vanishes(d) for d in range(b, b + width)):
             return EllipticityResult(
                 status="elliptic",
                 formal_dimension=n_formal,
@@ -355,7 +369,7 @@ def toomer_oracle(model: SullivanModel) -> ToomerResult:
     def produce():
         n, space = top_class(model)
         found = _deepest_representative(
-            *_d_boundaries(model, n), space.representatives[0]
+            *_boundaries(model, "d", n), space.representatives[0]
         )
         if found is None:
             raise InternalInconsistencyError(

@@ -132,10 +132,6 @@ def build_differential(
     return d
 
 
-def apply_d(d: Derivation, e: Element) -> Element:
-    return d(e)
-
-
 def homogeneous_component(d: Derivation, i: int) -> Derivation:
     """The derivation d_i whose generator images are the word-length-i parts."""
     if i < 0:
@@ -192,6 +188,12 @@ class SullivanModel:
     @property
     def d4(self) -> Derivation:
         return self.component(4)
+
+    def delta(self, e: Element) -> Element:
+        """The page-one differential of the word-length spectral sequence
+        for k = 3 on a plain element: d3 everywhere plus d4 on even word
+        lengths."""
+        return self.d3(e) + self.d4(e.even_wordlength_part())
 
     def __eq__(self, other) -> bool:
         return (

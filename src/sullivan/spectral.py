@@ -32,9 +32,11 @@ from .algebra import (
 )
 from .cohomology import (
     ToomerResult,
+    _boundaries,
+    _cohomology,
     _deepest_representative,
-    _echelon,
     _map_matrix,
+    _map_out,
     formal_dimension,
     is_boundary,
     require_elliptic,
@@ -42,7 +44,7 @@ from .cohomology import (
 )
 from .differential import SullivanModel, _cached
 from .errors import InternalInconsistencyError, PreconditionError
-from .linalg import RationalMatrix, RowSpace, kernel_basis, solve_membership
+from .linalg import RationalMatrix, solve_membership
 
 
 def _require_delta(model: SullivanModel) -> None:
@@ -152,7 +154,7 @@ def delta_apply(pair: FilteredPair) -> FilteredPair:
 def delta_element(model: SullivanModel, e: Element) -> Element:
     """delta on a raw element: d3 everywhere plus d4 on even word lengths."""
     _require_delta(model)
-    return model.d3(e) + model.d4(e.even_wordlength_part())
+    return model.delta(e)
 
 
 def pair_basis(model: SullivanModel, p: int, n: int) -> Tuple[List[Monomial], List[Monomial]]:
@@ -167,7 +169,8 @@ def pair_basis(model: SullivanModel, p: int, n: int) -> Tuple[List[Monomial], Li
 
 def delta_matrix(model: SullivanModel, p: int, n: int) -> RationalMatrix:
     """Matrix of delta from the (p, n) pair slot to the (p+1, n+1) slot, in
-    coordinates that list the u slot, then the v slot."""
+    coordinates that list the u slot, then the v slot.  It is one diagonal
+    block of the whole-degree matrix the engine solves with."""
 
     def produce():
         src_u, src_v = pair_basis(model, p, n)
@@ -192,41 +195,25 @@ class DeltaClass:
 def delta_cohomology(model: SullivanModel, n: int) -> List[DeltaClass]:
     """All of H^n(Lambda V, delta), grouped by filtration index.
 
-    The delta complex splits over the pair grading, so the classes at each p
-    are computed independently: kernel of delta out of (p, n) modulo the
-    image of delta from (p-1, n-1).  Representatives extend the canonical
-    boundary basis, exactly as in ordinary cohomology.
+    Solved once over the whole degree basis, which is the concatenation of
+    the pair slots (p, n) in order; delta maps slot (p, n) into slot
+    (p + 1, n + 1), so its matrix is the block sum of the slot matrices and
+    each representative, exactly as in ordinary cohomology, is the per-slot
+    one.  A class sits at p = its lowest word length // 2, and its index
+    counts the earlier classes at the same p.
     """
     _require_delta(model)
     classes: List[DeltaClass] = []
-    max_p = n // 4 + 1 if n >= 0 else -1
-    for p in range(0, max_p + 1):
-        ub, vb = pair_basis(model, p, n)
-        if not ub and not vb:
-            continue
-        cocycles = kernel_basis(delta_matrix(model, p, n))
-        if not cocycles:
-            continue
-        echelon = _echelon(delta_matrix(model, p - 1, n - 1)) if p > 0 else []
-        space = RowSpace(len(ub) + len(vb), echelon)
-        for idx, z in enumerate([z for z in cocycles if space.add(z)]):
-            e = element_from_vector(model.algebra, ub + vb, z)
-            u, v = e.wordlength_component(2 * p), e.wordlength_component(2 * p + 1)
-            classes.append(DeltaClass(p, n, FilteredPair(model, p, n, u, v), idx))
+    for e in _cohomology(model, "delta", n):
+        p = e.min_wordlength() // 2
+        u, v = e.wordlength_component(2 * p), e.wordlength_component(2 * p + 1)
+        if u + v != e:
+            raise InternalInconsistencyError(
+                f"delta-class in degree {n} has terms outside its pair slot {p}"
+            )
+        index = sum(1 for c in classes if c.p == p)
+        classes.append(DeltaClass(p, n, FilteredPair(model, p, n, u, v), index))
     return classes
-
-
-def _delta_boundaries(model: SullivanModel, n: int):
-    """Degree-n basis, the matrix of delta into degree n, and the reduced
-    row echelon basis of its image, cached per degree."""
-
-    def produce():
-        alg = model.algebra
-        bn = basis(alg, n)
-        in_m = _map_matrix(alg, lambda e: delta_element(model, e), basis(alg, n - 1), bn)
-        return bn, in_m, _echelon(in_m)
-
-    return _cached(model, ("delta_boundaries", n), produce)
 
 
 def representative_depth(
@@ -243,7 +230,7 @@ def representative_depth(
     z = cls.representative.as_element()
     if z.is_zero:
         raise ValueError("zero class has no depth")
-    found = _deepest_representative(*_delta_boundaries(model, cls.n), z)
+    found = _deepest_representative(*_boundaries(model, "delta", cls.n), z)
     if found is None:
         raise ValueError("the given class is a delta-boundary")
     return found
@@ -271,9 +258,11 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
 
     Each round takes the lowest nonzero filtration pair of d(w) — always a
     delta-cocycle, by d^2 = 0 and word-length bookkeeping — and solves
-    delta(b) = obstruction one filtration step below.  Subtracting b strictly
-    raises the lowest obstruction, so the loop terminates within
-    ceil(degree/2) - p rounds.
+    delta(b) = obstruction one filtration step below.  The solve runs on
+    delta out of the whole degree; delta is a block sum over the pair slots,
+    so with free variables zero it returns the solution on that one slot.
+    Subtracting b strictly raises the lowest obstruction, so the loop
+    terminates within ceil(degree/2) - p rounds.
 
     Outcomes: "died" when some obstruction is not a delta-boundary,
     "collapsed" when d(w) reaches zero but w bounds (or started as zero),
@@ -328,16 +317,14 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
                 "lowest obstruction pair is not a delta-cocycle"
             )
         trace.obstructions.append(obstruction)
-        target_u, target_v = pair_basis(model, p_obs, n + 1)
-        rhs = coefficient_vector(obstruction.as_element(), target_u + target_v)
-        sol = solve_membership(delta_matrix(model, p_obs - 1, n), rhs)
+        rhs = coefficient_vector(obstruction.as_element(), basis(model.algebra, n + 1))
+        sol = solve_membership(_map_out(model, "delta", n), rhs)
         if sol is None:
             trace.outcome = "died"
             trace.died_obstruction = obstruction
             trace.final = None
             return trace
-        src_u, src_v = pair_basis(model, p_obs - 1, n)
-        corrector = element_from_vector(model.algebra, src_u + src_v, sol)
+        corrector = element_from_vector(model.algebra, basis(model.algebra, n), sol)
         trace.correctors.append(corrector)
         w = w - corrector
         trace.iterates.append(w)
@@ -413,16 +400,10 @@ def spectral_run(model: SullivanModel) -> SpectralRun:
     result = ToomerResult(
         e0=best.depth,
         method="spectral",
-        representative=trace_final(best.trace),
+        representative=best.trace.final,
         witness=(best.delta_class.p, parity),
     )
     return SpectralRun(model, n, outcomes, result)
-
-
-def trace_final(trace: LiftTrace) -> Element:
-    if trace.final is None:
-        raise ValueError("trace has no final cocycle")
-    return trace.final
 
 
 def toomer_spectral(model: SullivanModel) -> ToomerResult:

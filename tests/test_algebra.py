@@ -13,7 +13,6 @@ from sullivan.algebra import (
     koszul_sign,
     parse_element,
     wordlength,
-    wordlength_split,
 )
 from sullivan.errors import ModelError, ParseError
 from sullivan.models import ALL_MODELS
@@ -122,6 +121,47 @@ def test_basis_wordlength_slices_match_the_filter_loop():
             assert basis(alg, n, wordlength_exact=1, wordlength_min=1) == []
 
 
+def _enumerated_basis(alg, degree):
+    """The degree basis by a walk over every exponent vector of degree at
+    most ``degree``, sorted into graded-lex order."""
+    gens = alg.generators
+    out = []
+    exps = [0] * len(gens)
+
+    def rec(i, remaining):
+        if i == len(gens):
+            if remaining == 0:
+                out.append(tuple(exps))
+            return
+        g = gens[i]
+        cap = 1 if g.is_odd else remaining // g.degree
+        for e in range(cap + 1):
+            cost = e * g.degree
+            if cost > remaining:
+                break
+            exps[i] = e
+            rec(i + 1, remaining - cost)
+        exps[i] = 0
+
+    rec(0, degree)
+    return sorted(out, key=grlex_key)
+
+
+def test_basis_matches_the_exponent_vector_walk():
+    for name, build in ALL_MODELS:
+        alg = build().algebra
+        for n in range(0, 46):
+            assert basis(alg, n) == _enumerated_basis(alg, n), (name, n)
+
+
+def test_basis_of_a_deep_degree_first():
+    # the lower degrees are built in a loop, not by recursion
+    alg = _alg_s2()
+    assert basis(alg, 5000) == [(2500, 0)]
+    assert basis(alg, 4999) == [(2498, 1)]
+    assert basis(build_algebra([("y3", 3), ("y5", 5)]), 4000) == []
+
+
 def test_basis_returns_a_fresh_list():
     alg = _alg_n37()
     for kwargs in ({}, {"wordlength_exact": 4}, {"wordlength_min": 5}):
@@ -195,12 +235,13 @@ def test_structurally_equal_algebras_interoperate():
 def test_wordlength_split_two_components():
     alg = _alg_n37()
     e = parse_element("-x2^2*x6^3*y15 + x2*x6^5*y5", alg)
-    split = wordlength_split(e)
-    assert sorted(split) == [6, 7]
-    assert format_element(split[6]) == "-x2^2*x6^3*y15"
-    assert format_element(split[7]) == "x2*x6^5*y5"
+    assert e.wordlengths() == (6, 7)
+    six, seven = e.wordlength_component(6), e.wordlength_component(7)
+    assert format_element(six) == "-x2^2*x6^3*y15"
+    assert format_element(seven) == "x2*x6^5*y5"
+    assert six + seven == e
     assert e.min_wordlength() == 6
-    assert e.even_wordlength_part() == split[6]
+    assert e.even_wordlength_part() == six
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import time
 from pathlib import Path
 
@@ -149,6 +150,39 @@ def test_small_max_degree_is_inconclusive(capsys):
     )
     assert code == 2
     assert "inconclusive" in err
+
+
+# (command, fixture, --max-degree): (exit code, first 16 hex digits of the
+# SHA-256 of the structured output without its model.path line), recorded
+# before the ellipticity scans shared their quotient dimensions
+SCAN_BOUND_OUTPUTS = {
+    ("report", "truncated_n37", 10): (0, "fdc8fa57cb1c9f96"),
+    ("report", "truncated_n37", 40): (0, "9fb215448027061e"),
+    ("report", "truncated_n37", 200): (0, "4c52ac5a3723be77"),
+    ("elliptic", "truncated_n37", 10): (0, "fe13f442e52ba3c9"),
+    ("elliptic", "truncated_n37", 40): (0, "3efdc8295716675a"),
+    ("elliptic", "truncated_n37", 200): (0, "a4c033bd72f7daa8"),
+    ("report", "pure_n37", 10): (0, "fdc8fa57cb1c9f96"),
+    ("report", "pure_n37", 40): (0, "2bf2bfbc76da8f59"),
+    ("report", "pure_n37", 200): (0, "df6f4bf007bc79e1"),
+    ("elliptic", "pure_n37", 10): (0, "fe13f442e52ba3c9"),
+    ("elliptic", "pure_n37", 40): (0, "737eb45feaaf4023"),
+    ("elliptic", "pure_n37", 200): (0, "3abe3821fde6851c"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SCAN_BOUND_OUTPUTS))
+def test_scan_bound_outputs_unchanged(capsys, key):
+    command, stem, bound = key
+    code, out, _ = _run(
+        capsys, command, FIXTURES / f"{stem}.model",
+        "--max-degree", bound, "--format", "structured",
+    )
+    text = "".join(
+        l for l in out.splitlines(True) if not l.startswith("model.path = ")
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert (code, digest) == SCAN_BOUND_OUTPUTS[key]
 
 
 def test_elliptic_certificate_structured(capsys):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from sullivan import cli, cohomology
 from sullivan.algebra import basis, coefficient_vector, format_element, parse_element
 from sullivan.cohomology import (
     cochain_maps,
@@ -25,6 +27,8 @@ from sullivan.models import (
     projective_plane,
     sphere_s2,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_sphere_cochain_map_is_one_by_one_identity():
@@ -87,6 +91,37 @@ def test_small_bound_is_inconclusive_not_false():
     with pytest.raises(PreconditionError) as err:
         require_elliptic(nonelliptic_truncation_n37(), bound=10)
     assert "inconclusive" in str(err.value)
+
+
+def test_scans_share_quotient_dimensions_but_report_their_own_degrees():
+    fresh = {b: is_elliptic(nonelliptic_truncation_n37(), b) for b in (10, 40, None)}
+    for order in ((10, 40, None), (None, 40, 10)):
+        model = nonelliptic_truncation_n37()
+        for b in order:
+            assert is_elliptic(model, b) == fresh[b], (order, b)
+    assert fresh[10].nonvanishing_degrees != fresh[None].nonvanishing_degrees
+
+
+def test_report_with_a_scan_bound_computes_each_quotient_dimension_once(
+    capsys, monkeypatch
+):
+    calls = []
+    counted = cohomology.quotient_dim
+
+    def counting(*args):
+        calls.append(args)
+        return counted(*args)
+
+    monkeypatch.setattr(cohomology, "quotient_dim", counting)
+    counts = []
+    for extra in ([], ["--max-degree", "60"]):
+        calls.clear()
+        path = str(FIXTURES / "pure_n37.model")
+        assert cli.main(["report", path, "--format", "structured", *extra]) == 0
+        counts.append(len(calls))
+    capsys.readouterr()
+    # the flag's scan and top_class's default-bound scan share their degrees
+    assert counts == [14, 14]
 
 
 def test_require_elliptic_message_lists_degrees():

@@ -7,6 +7,11 @@ representative, with a plain transcription of the earlier method: solve the
 membership problem for s = s_max, s_max - 1, ... and stop at the first
 success.  The comparison runs over the fixture zoo and over seeded random
 pure k = 3 models.
+
+The same models check the cohomology helpers that d and delta share:
+delta-cohomology solved over the whole degree basis against the earlier
+loop over pair slots, and ``is_boundary`` on the cached boundary echelon
+against a membership solve.
 """
 
 from __future__ import annotations
@@ -30,13 +35,16 @@ from sullivan.algebra import (
 )
 from sullivan.cohomology import (
     cochain_maps,
+    cohomology_basis,
     formal_dimension,
+    is_boundary,
     is_elliptic,
     top_class,
     toomer_oracle,
 )
 from sullivan.differential import SullivanModel, build_differential, build_model, is_pure
-from sullivan.linalg import RationalMatrix, solve_membership
+from sullivan.errors import InternalInconsistencyError
+from sullivan.linalg import RationalMatrix, RowSpace, kernel_basis, rref, solve_membership
 from sullivan.models import ALL_MODELS, elliptic_pure_n37
 from sullivan.spectral import (
     DeltaClass,
@@ -44,6 +52,7 @@ from sullivan.spectral import (
     delta_apply,
     delta_cohomology,
     delta_element,
+    delta_matrix,
     pair_basis,
     representative_depth,
 )
@@ -234,3 +243,100 @@ def test_report_runs_each_depth_search_once(capsys, monkeypatch):
     )
     assert classes >= 2
     assert calls == {"oracle": 1, "depth": classes}
+
+
+# ---------------------------------------------------------------------------
+# one cohomology path for d and delta
+
+
+def _per_slot_delta_cohomology(model: SullivanModel, n: int):
+    """(p, index, u, v) of every delta-class, by the earlier loop over the
+    pair slots: kernel of delta out of (p, n) modulo the image of delta from
+    (p - 1, n - 1), each slot on its own."""
+    out = []
+    for p in range(0, n // 4 + 2 if n >= 0 else 0):
+        ub, vb = pair_basis(model, p, n)
+        if not ub and not vb:
+            continue
+        echelon = []
+        if p > 0:
+            incoming = delta_matrix(model, p - 1, n - 1)
+            reduced, _, r = rref(RationalMatrix(incoming.columns(), ncols=incoming.nrows))
+            echelon = reduced.rows[:r]
+        space = RowSpace(len(ub) + len(vb), echelon)
+        cocycles = kernel_basis(delta_matrix(model, p, n))
+        for index, z in enumerate([z for z in cocycles if space.add(z)]):
+            e = element_from_vector(model.algebra, ub + vb, z)
+            out.append(
+                (p, index, e.wordlength_component(2 * p), e.wordlength_component(2 * p + 1))
+            )
+    return out
+
+
+def _k3_models():
+    models = [(name, build()) for name, build in ALL_MODELS]
+    models += [(f"random {i}", m) for i, m in enumerate(_random_models(seed=0, count=8))]
+    return [(name, m) for name, m in models if m.k == 3]
+
+
+def test_delta_cohomology_matches_the_per_slot_loop():
+    compared = 0
+    for name, model in _k3_models():
+        for n in range(0, formal_dimension(model) + 2):
+            got = [
+                (c.p, c.index, c.representative.u, c.representative.v)
+                for c in delta_cohomology(model, n)
+            ]
+            assert got == _per_slot_delta_cohomology(model, n), (name, n)
+            assert all(c.n == n for c in delta_cohomology(model, n))
+            compared += len(got)
+    assert compared >= 200
+
+
+def test_is_boundary_agrees_with_a_membership_solve():
+    checked = {True: 0, False: 0}
+    for name, build in ALL_MODELS:
+        model = build()
+        if not is_elliptic(model).is_elliptic:
+            continue
+        alg = model.algebra
+        for n in range(0, formal_dimension(model) + 1):
+            bn = basis(alg, n)
+            _, incoming = cochain_maps(model, n)
+            reps = cohomology_basis(model, n).representatives
+            images = [
+                model.d(Element.from_monomial(alg, m)) for m in basis(alg, n - 1)
+            ]
+            images = [e for e in images if not e.is_zero]
+            sums = [a + b for a, b in zip(images, images[1:])]
+            sums += [r + e for r, e in zip(reps, images)]
+            for e in reps + images + sums:
+                expected = solve_membership(incoming, coefficient_vector(e, bn)) is not None
+                assert is_boundary(model, e) == expected, (name, n, e)
+                checked[expected] += 1
+    assert checked[True] >= 100 and checked[False] >= 50
+
+
+def test_second_delta_cohomology_runs_no_elimination(monkeypatch):
+    model = elliptic_pure_n37()
+    first = delta_cohomology(model, 37)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("elimination on a cached degree")
+
+    monkeypatch.setattr(cohomology, "kernel_basis", fail)
+    monkeypatch.setattr(cohomology, "rref", fail)
+    second = delta_cohomology(model, 37)
+    assert [(c.p, c.index, c.representative) for c in second] == [
+        (c.p, c.index, c.representative) for c in first
+    ]
+
+
+def test_delta_class_outside_one_pair_slot_is_an_inconsistency(monkeypatch):
+    model = elliptic_pure_n37()
+    alg = model.algebra
+    # word lengths 2 and 4 lie in the pair slots p = 1 and p = 2
+    straddling = parse_element("x2*x6 + x2^4", alg)
+    monkeypatch.setattr(spectral, "_cohomology", lambda *args: [straddling])
+    with pytest.raises(InternalInconsistencyError, match="outside its pair slot"):
+        delta_cohomology(model, 8)

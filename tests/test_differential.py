@@ -4,7 +4,6 @@ import pytest
 
 from sullivan.algebra import build_algebra, format_element, parse_element
 from sullivan.differential import (
-    apply_d,
     build_differential,
     build_model,
     detect_k,
@@ -28,7 +27,7 @@ def test_apply_d_on_product_of_two_odds():
     alg = model.algebra
     e = parse_element("y5*y15", alg)
     expected = parse_element("x2^3*y15 - x2^2*x6^2*y5", alg)
-    assert apply_d(model.differential, e) == expected
+    assert model.differential(e) == expected
 
 
 def test_apply_d_even_square():
