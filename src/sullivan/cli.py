@@ -390,6 +390,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _scan_bound(text: str) -> int:
+    """A ``--max-degree`` value: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sullivan", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -402,7 +413,7 @@ def _build_parser() -> _Parser:
             p.add_argument("model", help="path to a model file")
             p.add_argument(
                 "--max-degree",
-                type=int,
+                type=_scan_bound,
                 default=None,
                 help="override the ellipticity scan bound",
             )

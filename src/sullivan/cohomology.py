@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
-    Algebra,
     Element,
     Monomial,
     basis,
@@ -31,15 +30,7 @@ from .algebra import (
 )
 from .differential import SullivanModel, _cached, pure_projection
 from .errors import InternalInconsistencyError, PreconditionError
-from .linalg import (
-    RationalMatrix,
-    RowSpace,
-    Vector,
-    kernel_basis,
-    quotient_dim,
-    rref,
-    solve_membership,
-)
+from .linalg import ColumnFactorization, RationalMatrix, RowSpace, Vector, quotient_dim
 
 
 @dataclass
@@ -94,20 +85,22 @@ def cochain_maps(model: SullivanModel, n: int) -> Tuple[RationalMatrix, Rational
     coordinates to degree-n coordinates.  Columns are indexed by the
     graded-lex monomial basis of the source degree.
     """
-    return (_map_out(model, "d", n), _map_out(model, "d", n - 1))
+    factors = _factor(model, "d", n), _factor(model, "d", n - 1)
+    return tuple(RationalMatrix.from_columns(f.columns, f.nrows) for f in factors)
 
 
-def _map_matrix(alg: Algebra, f, src: List[Monomial], dst: List[Monomial]) -> RationalMatrix:
-    """Matrix of a linear map given on monomials: column j holds the
-    coordinates of f(src[j]) in the basis dst."""
+def _images(
+    model: SullivanModel, which: str, src: List[Monomial], dst: List[Monomial]
+) -> List[Vector]:
+    """Columns of the matrix of the differential ``which`` from span(src) to
+    span(dst): the coordinates of its value on each monomial of src."""
+    alg = model.algebra
+    f = model.d if which == "d" else model.delta
     index = {m: i for i, m in enumerate(dst)}
-    return RationalMatrix.from_columns(
-        [
-            {index[m]: c for m, c in f(Element.from_monomial(alg, mono)).terms.items()}
-            for mono in src
-        ],
-        len(dst),
-    )
+    return [
+        {index[m]: c for m, c in f(Element.from_monomial(alg, mono)).terms.items()}
+        for mono in src
+    ]
 
 
 # The helpers below serve both differentials: ``which`` is "d" or "delta"
@@ -118,32 +111,16 @@ def _map_matrix(alg: Algebra, f, src: List[Monomial], dst: List[Monomial]) -> Ra
 # per-slot ones placed side by side.
 
 
-def _map_out(model: SullivanModel, which: str, n: int) -> RationalMatrix:
-    """Matrix of the differential ``which`` out of degree n."""
+def _factor(model: SullivanModel, which: str, n: int) -> ColumnFactorization:
+    """The differential ``which`` out of degree n, eliminated once: its
+    kernel holds the degree-n cocycles, its echelon spans the degree-(n+1)
+    boundaries, and it solves ``which``(x) = b."""
 
     def produce():
-        alg = model.algebra
-        f = model.d if which == "d" else model.delta
-        return _map_matrix(alg, f, basis(alg, n), basis(alg, n + 1))
+        src, dst = basis(model.algebra, n), basis(model.algebra, n + 1)
+        return ColumnFactorization(_images(model, which, src, dst), len(dst))
 
-    return _cached(model, (which, "map", n), produce)
-
-
-def _echelon(boundaries: RationalMatrix) -> List[Vector]:
-    """Reduced row echelon basis of the column space of ``boundaries``."""
-    reduced, _, rank = rref(RationalMatrix(boundaries.columns(), ncols=boundaries.nrows))
-    return reduced.rows[:rank]
-
-
-def _boundaries(model: SullivanModel, which: str, n: int):
-    """Degree-n basis, the matrix of ``which`` into degree n, and the reduced
-    row echelon basis of its image."""
-
-    def produce():
-        in_m = _map_out(model, which, n - 1)
-        return basis(model.algebra, n), in_m, _echelon(in_m)
-
-    return _cached(model, (which, "boundaries", n), produce)
+    return _cached(model, (which, "factor", n), produce)
 
 
 def _cohomology(model: SullivanModel, which: str, n: int) -> List[Element]:
@@ -151,8 +128,9 @@ def _cohomology(model: SullivanModel, which: str, n: int) -> List[Element]:
     basis vectors that extend the boundary echelon to a cocycle basis."""
 
     def produce():
-        cocycles = kernel_basis(_map_out(model, which, n))
-        bn, _, echelon = _boundaries(model, which, n)
+        cocycles = _factor(model, which, n).kernel
+        echelon = _factor(model, which, n - 1).echelon()
+        bn = basis(model.algebra, n)
         space = RowSpace(len(bn), echelon)
         reps = [element_from_vector(model.algebra, bn, z) for z in cocycles if space.add(z)]
         dim = len(cocycles) - len(echelon)
@@ -175,8 +153,8 @@ def is_boundary(model: SullivanModel, e: Element) -> bool:
     """Exact membership of a homogeneous element in the boundary space."""
     if e.is_zero:
         return True
-    bn, _, echelon = _boundaries(model, "d", e.degree())
-    return RowSpace(len(bn), echelon).contains(coefficient_vector(e, bn))
+    bn = basis(model.algebra, e.degree())
+    return not _factor(model, "d", e.degree() - 1).reduce(coefficient_vector(e, bn))
 
 
 def formal_dimension(model: SullivanModel) -> int:
@@ -306,51 +284,48 @@ def top_class(model: SullivanModel) -> Tuple[int, CohomologySpace]:
 
 
 def _deepest_representative(
-    bn: List[Monomial],
-    boundaries: RationalMatrix,
-    echelon: List[Vector],
-    z: Element,
+    bn: List[Monomial], boundaries: ColumnFactorization, z: Element
 ) -> Optional[Tuple[int, Element]]:
     """The greatest s with z in Lambda^{>=s}V + boundaries, and a witness.
 
     ``bn`` is a degree-n monomial basis in graded-lex order, so its word
-    lengths ascend; the columns of ``boundaries`` span the boundary space in
-    those coordinates and ``echelon`` is that space's reduced row echelon
-    basis for the same column order.  Each echelon row is zero left of its
-    pivot, so reducing z modulo the rows subtracts only rows pivoted at word
-    length >= s from any z in Lambda^{>=s}V: the lowest word length of the
-    normal form is therefore exactly the greatest s.
+    lengths ascend, and ``boundaries`` factors the differential into degree
+    n.  Each row of its image echelon is zero left of its pivot, so reducing
+    z modulo the boundaries subtracts only rows pivoted at word length >= s
+    from any z in Lambda^{>=s}V: the lowest word length of the normal form is
+    therefore exactly the greatest s.
 
     The representative is the one the membership solve of z against the unit
     vectors of word length >= s followed by the boundary columns picks (free
     variables zero).  That solve takes a boundary column exactly when its
-    part below word length s is independent of the earlier columns' parts,
-    so it is found from the smaller system of those parts alone, the first
-    rows of ``boundaries``: z minus the chosen boundary combination.
+    part below word length s is independent of the earlier columns' parts.
+    So it is read off a factorization of the columns cut below word length
+    s; the representative is z minus that combination of the whole columns.
 
     Returns None when z is a boundary.
     """
     zvec = coefficient_vector(z, bn)
-    normal = RowSpace(len(bn), echelon).reduce(zvec)
+    normal = boundaries.reduce(zvec)
     if not normal:
         return None
     s = wordlength(bn[min(normal)])
     shallow = next(i for i, m in enumerate(bn) if wordlength(m) >= s)
-    sol = solve_membership(
-        RationalMatrix(boundaries.rows[:shallow], ncols=boundaries.ncols),
-        {i: c for i, c in zvec.items() if i < shallow},
-    )
+    sol = ColumnFactorization(
+        [{i: x for i, x in col.items() if i < shallow} for col in boundaries.columns],
+        shallow,
+    ).solve({i: c for i, c in zvec.items() if i < shallow})
     if sol is None:
         raise InternalInconsistencyError(
             f"no representative at word length >= {s}, the depth of its own "
             "normal form"
         )
-    for i, row in enumerate(boundaries.rows):
-        c = zvec.get(i, 0) - sum(x * sol[j] for j, x in row.items() if j in sol)
-        if c:
-            zvec[i] = c
-        else:
-            zvec.pop(i, None)
+    for j, x in sol.items():
+        for i, y in boundaries.columns[j].items():
+            c = zvec.get(i, 0) - x * y
+            if c:
+                zvec[i] = c
+            else:
+                del zvec[i]
     return s, element_from_vector(z.algebra, bn, zvec)
 
 
@@ -358,8 +333,8 @@ def toomer_oracle(model: SullivanModel) -> ToomerResult:
     """e0 by direct linear algebra: the deepest word-length filtration stage
     that still contains a representative of the fundamental class.
 
-    The fundamental cocycle is reduced modulo the canonical boundary basis of
-    top degree that :func:`cohomology_basis` already holds; the lowest word
+    The fundamental cocycle is reduced modulo the boundaries of top degree,
+    whose factorization :func:`cohomology_basis` already built; the lowest word
     length left is e0, and one membership solve there gives the witness
     representative (see :func:`_deepest_representative`).  The result is
     kept in the model's cache, so the cross-check in the spectral method
@@ -368,9 +343,8 @@ def toomer_oracle(model: SullivanModel) -> ToomerResult:
 
     def produce():
         n, space = top_class(model)
-        found = _deepest_representative(
-            *_boundaries(model, "d", n), space.representatives[0]
-        )
+        bn, rep = basis(model.algebra, n), space.representatives[0]
+        found = _deepest_representative(bn, _factor(model, "d", n - 1), rep)
         if found is None:
             raise InternalInconsistencyError(
                 "top class representative reduced to zero"

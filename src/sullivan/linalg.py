@@ -9,19 +9,25 @@ sequence, wherever one is passed in.
 All elimination is done by one kernel, :class:`RowSpace`, which keeps a row
 space as its reduced row echelon basis: every pivot is 1 and is the only
 nonzero entry of its column.  That basis is unique for a fixed column order,
-whatever order the rows arrive in, so ``rref``, ``kernel_basis``,
-``solve_membership`` and ``quotient_dim`` are views of it.
+whatever order the rows arrive in, and so is the normal form of a vector
+modulo the space (zero at every pivot column).  ``rref`` picks the first
+nonzero column as the next pivot and scales every pivot to 1.
 
-Conventions that the rest of the package relies on:
+A map m: Q^ncols -> Q^nrows is eliminated once, as a
+:class:`ColumnFactorization`: column j goes into a ``RowSpace`` with one
+extra unit coordinate, nrows + j, in column order.  A column is stored
+exactly when it is independent of the earlier ones, so the stored columns
+are the pivot columns of m, and they are independent.  Hence every answer
+read off the factorization is unique, and ``kernel_basis`` and
+``solve_membership`` are views of it:
 
-* ``rref`` picks the first nonzero column as the next pivot and scales every
-  pivot to 1, so the reduced form of a matrix is canonical.
-* ``kernel_basis`` sets one free variable to 1 and the others to 0, walking
-  the free columns in ascending order.
-* ``solve_membership`` sets all free variables to 0.
-
-Those three choices make every basis and representative produced by the
-engine deterministic.
+* a column that is not stored leaves only its unit part: the kernel vector
+  with that free variable 1 and the others 0, free columns ascending;
+* the stored rows, cut to the first nrows coordinates, are the reduced row
+  echelon basis of the image;
+* b is in the image exactly when its normal form vanishes on the first
+  nrows coordinates; minus its unit part is then the solution of m x = b
+  with every free variable 0.
 """
 
 from __future__ import annotations
@@ -132,11 +138,9 @@ class RowSpace:
                         del v[j]
         return v
 
-    def _insert(self, v: Vector) -> bool:
-        """Insert a fresh vector v; True if it enlarged the space."""
-        v = self._reduce(v)
-        if not v:
-            return False
+    def _store(self, v: Vector) -> None:
+        """Add a nonzero normal form v as a basis row: scale its lead to 1
+        and clear that column from the other rows."""
         lead = min(v)
         if v[lead] != 1:
             inv = ONE / v[lead]
@@ -152,7 +156,13 @@ class RowSpace:
                     else:
                         del row[j]
         self._rows[lead] = v
-        return True
+
+    def _insert(self, v: Vector) -> bool:
+        """Insert a fresh vector v; True if it enlarged the space."""
+        v = self._reduce(v)
+        if v:
+            self._store(v)
+        return bool(v)
 
     def reduce(self, v) -> Vector:
         """Normal form of v modulo the space."""
@@ -162,9 +172,6 @@ class RowSpace:
         """Insert v; True if it enlarged the space."""
         return self._insert(_vector(v, self.ncols))
 
-    def contains(self, v) -> bool:
-        return not self.reduce(v)
-
     @property
     def rank(self) -> int:
         return len(self._rows)
@@ -172,6 +179,44 @@ class RowSpace:
     def echelon(self) -> List[Vector]:
         """The reduced row echelon basis, by ascending pivot column."""
         return [self._rows[p] for p in sorted(self._rows)]
+
+
+class ColumnFactorization:
+    """A map m: Q^ncols -> Q^nrows given by its ``columns``, eliminated once
+    (see the module docstring); ``kernel`` is its kernel basis."""
+
+    def __init__(self, columns: Sequence, nrows: int):
+        self.nrows = nrows
+        self.columns: List[Vector] = [_vector(c, nrows) for c in columns]
+        self.kernel: List[Vector] = []
+        self._space = RowSpace(nrows + len(self.columns))
+        for j, col in enumerate(self.columns):
+            v = self._space._reduce({**col, nrows + j: ONE})
+            if min(v) < nrows:
+                self._space._store(v)
+            else:
+                self.kernel.append({i - nrows: x for i, x in v.items()})
+
+    def _split(self, b) -> Tuple[Vector, Vector]:
+        """The normal form of b: its first nrows coordinates, and minus the rest."""
+        n = self.nrows
+        r = self._space._reduce(_vector(b, n))
+        rest = {i: x for i, x in r.items() if i < n}
+        return rest, {i - n: -x for i, x in r.items() if i >= n}
+
+    def reduce(self, b) -> Vector:
+        """Normal form of b modulo the image; empty exactly when b is in it."""
+        return self._split(b)[0]
+
+    def solve(self, b) -> Optional[Vector]:
+        """The solution of m x = b with free variables 0, or None if there is none."""
+        rest, x = self._split(b)
+        return None if rest else x
+
+    def echelon(self) -> List[Vector]:
+        """Reduced row echelon basis of the image, by ascending pivot."""
+        n = self.nrows
+        return [{i: x for i, x in r.items() if i < n} for r in self._space.echelon()]
 
 
 def rref(m: RationalMatrix) -> Tuple[RationalMatrix, Tuple[int, ...], int]:
@@ -195,14 +240,7 @@ def rank(m: RationalMatrix) -> int:
 
 def kernel_basis(m: RationalMatrix) -> List[Vector]:
     """Basis of the null space {x : m x = 0}, one vector per free column."""
-    reduced, pivots, r = rref(m)
-    pivot_set = set(pivots)
-    basis = {j: {j: ONE} for j in range(m.ncols) if j not in pivot_set}
-    for row, p in zip(reduced.rows[:r], pivots):
-        for j, x in row.items():
-            if j != p:
-                basis[j][p] = -x
-    return list(basis.values())
+    return ColumnFactorization(m.columns(), m.nrows).kernel
 
 
 def solve_membership(m: RationalMatrix, b) -> Optional[Vector]:
@@ -210,14 +248,7 @@ def solve_membership(m: RationalMatrix, b) -> Optional[Vector]:
 
     Free variables are set to zero, so the returned solution is canonical.
     """
-    b = _vector(b, m.nrows)
-    aug = [dict(r) for r in m.rows]
-    for i, x in b.items():
-        aug[i][m.ncols] = x
-    reduced, pivots, r = rref(RationalMatrix(aug, ncols=m.ncols + 1))
-    if m.ncols in pivots:
-        return None
-    return {p: row[m.ncols] for row, p in zip(reduced.rows[:r], pivots) if m.ncols in row}
+    return ColumnFactorization(m.columns(), m.nrows).solve(b)
 
 
 def quotient_dim(subspace_gens: RationalMatrix, ambient_dim: int) -> int:

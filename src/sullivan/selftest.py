@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import Algebra, Element, basis
+from .algebra import Algebra, Element, _fill_bases, basis
 from .cohomology import cohomology_basis, formal_dimension, is_elliptic
 from .differential import SullivanModel, _cached
 from .errors import InternalInconsistencyError
@@ -57,8 +57,10 @@ def random_element(
     """A small random element, degree-homogeneous when `degree` is given
     (or chosen at random), with small rational coefficients."""
     if degree is None:
-        candidates = [n for n in range(0, max_degree + 1) if basis(algebra, n)]
-        degree = rng.choice(candidates)
+        # read the populated degrees off the basis cache: basis() copies each one
+        _fill_bases(algebra, max_degree)
+        bases = algebra._basis_cache[: max_degree + 1]
+        degree = rng.choice([n for n, monos in enumerate(bases) if monos])
     monos = basis(algebra, degree)
     total = algebra.zero()
     for _ in range(rng.randint(1, max_terms)):

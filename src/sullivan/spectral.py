@@ -32,11 +32,10 @@ from .algebra import (
 )
 from .cohomology import (
     ToomerResult,
-    _boundaries,
     _cohomology,
     _deepest_representative,
-    _map_matrix,
-    _map_out,
+    _factor,
+    _images,
     formal_dimension,
     is_boundary,
     require_elliptic,
@@ -44,7 +43,7 @@ from .cohomology import (
 )
 from .differential import SullivanModel, _cached
 from .errors import InternalInconsistencyError, PreconditionError
-from .linalg import RationalMatrix, solve_membership
+from .linalg import RationalMatrix
 
 
 def _require_delta(model: SullivanModel) -> None:
@@ -175,9 +174,8 @@ def delta_matrix(model: SullivanModel, p: int, n: int) -> RationalMatrix:
     def produce():
         src_u, src_v = pair_basis(model, p, n)
         dst_u, dst_v = pair_basis(model, p + 1, n + 1)
-        return _map_matrix(
-            model.algebra, lambda e: delta_element(model, e), src_u + src_v, dst_u + dst_v
-        )
+        images = _images(model, "delta", src_u + src_v, dst_u + dst_v)
+        return RationalMatrix.from_columns(images, len(dst_u) + len(dst_v))
 
     return _cached(model, ("delta_matrix", p, n), produce)
 
@@ -230,7 +228,9 @@ def representative_depth(
     z = cls.representative.as_element()
     if z.is_zero:
         raise ValueError("zero class has no depth")
-    found = _deepest_representative(*_boundaries(model, "delta", cls.n), z)
+    found = _deepest_representative(
+        basis(model.algebra, cls.n), _factor(model, "delta", cls.n - 1), z
+    )
     if found is None:
         raise ValueError("the given class is a delta-boundary")
     return found
@@ -258,8 +258,8 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
 
     Each round takes the lowest nonzero filtration pair of d(w) — always a
     delta-cocycle, by d^2 = 0 and word-length bookkeeping — and solves
-    delta(b) = obstruction one filtration step below.  The solve runs on
-    delta out of the whole degree; delta is a block sum over the pair slots,
+    delta(b) = obstruction one filtration step below on the cached factorization
+    of delta out of the whole degree; delta is a block sum over the pair slots,
     so with free variables zero it returns the solution on that one slot.
     Subtracting b strictly raises the lowest obstruction, so the loop
     terminates within ceil(degree/2) - p rounds.
@@ -318,7 +318,7 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
             )
         trace.obstructions.append(obstruction)
         rhs = coefficient_vector(obstruction.as_element(), basis(model.algebra, n + 1))
-        sol = solve_membership(_map_out(model, "delta", n), rhs)
+        sol = _factor(model, "delta", n).solve(rhs)
         if sol is None:
             trace.outcome = "died"
             trace.died_obstruction = obstruction

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -150,6 +153,22 @@ def test_small_max_degree_is_inconclusive(capsys):
     )
     assert code == 2
     assert "inconclusive" in err
+
+
+@pytest.mark.parametrize("command", ["elliptic", "report", "toomer"])
+def test_negative_max_degree_is_a_usage_error(command):
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sullivan.cli", command,
+         str(FIXTURES / "pure_n37.model"), "--max-degree", "-1"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert "error: argument --max-degree: must be nonnegative, got -1" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # (command, fixture, --max-degree): (exit code, first 16 hex digits of the

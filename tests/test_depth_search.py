@@ -10,14 +10,18 @@ pure k = 3 models.
 
 The same models check the cohomology helpers that d and delta share:
 delta-cohomology solved over the whole degree basis against the earlier
-loop over pair slots, and ``is_boundary`` on the cached boundary echelon
-against a membership solve.
+loop over pair slots, ``is_boundary`` on the cached boundary echelon
+against a membership solve, and the lift, which solves on the cached
+factorization of delta, against a lift that solves by dense Gauss-Jordan
+elimination.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 from typing import List
 
@@ -44,8 +48,15 @@ from sullivan.cohomology import (
 )
 from sullivan.differential import SullivanModel, build_differential, build_model, is_pure
 from sullivan.errors import InternalInconsistencyError
-from sullivan.linalg import RationalMatrix, RowSpace, kernel_basis, rref, solve_membership
-from sullivan.models import ALL_MODELS, elliptic_pure_n37
+from sullivan.linalg import (
+    ColumnFactorization,
+    RationalMatrix,
+    RowSpace,
+    kernel_basis,
+    rref,
+    solve_membership,
+)
+from sullivan.models import ALL_MODELS, elliptic_pure_n37, tower_one_even
 from sullivan.spectral import (
     DeltaClass,
     FilteredPair,
@@ -53,9 +64,11 @@ from sullivan.spectral import (
     delta_cohomology,
     delta_element,
     delta_matrix,
+    lift_to_d_cocycle,
     pair_basis,
     representative_depth,
 )
+from test_linalg import _dense_solve
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -198,7 +211,8 @@ def test_depth_search_matches_descending_search_on_random_models():
 def test_boundary_has_no_depth():
     model = elliptic_pure_n37()
     bn, cols = _delta_boundary_columns(model, 37)
-    assert cohomology._deepest_representative(bn, cols, [], model.algebra.zero()) is None
+    boundaries = ColumnFactorization(cols, len(bn))
+    assert cohomology._deepest_representative(bn, boundaries, model.algebra.zero()) is None
     # a delta-boundary posing as a class keeps the error of the earlier search
     zero = model.algebra.zero()
     pairs = (
@@ -324,8 +338,8 @@ def test_second_delta_cohomology_runs_no_elimination(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("elimination on a cached degree")
 
-    monkeypatch.setattr(cohomology, "kernel_basis", fail)
-    monkeypatch.setattr(cohomology, "rref", fail)
+    monkeypatch.setattr(cohomology, "ColumnFactorization", fail)
+    monkeypatch.setattr(cohomology, "RowSpace", fail)
     second = delta_cohomology(model, 37)
     assert [(c.p, c.index, c.representative) for c in second] == [
         (c.p, c.index, c.representative) for c in first
@@ -340,3 +354,137 @@ def test_delta_class_outside_one_pair_slot_is_an_inconsistency(monkeypatch):
     monkeypatch.setattr(spectral, "_cohomology", lambda *args: [straddling])
     with pytest.raises(InternalInconsistencyError, match="outside its pair slot"):
         delta_cohomology(model, 8)
+
+
+# ---------------------------------------------------------------------------
+# one factorization per (differential, degree)
+
+
+def test_report_builds_each_factorization_once(capsys, monkeypatch):
+    """Every factorization of a whole differential comes from the model
+    cache, once per (differential, degree); the only others are the depth
+    searches' factorizations of truncated boundary columns, one per search."""
+    cached, built, constructed = cohomology._cached, Counter(), [0]
+
+    def counting_cache(model, key, producer):
+        if key[1:2] == ("factor",):
+            def produce():
+                built[(id(model), key)] += 1
+                return producer()
+
+            return cached(model, key, produce)
+        return cached(model, key, producer)
+
+    class Counted(ColumnFactorization):
+        def __init__(self, *args):
+            constructed[0] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(cohomology, "_cached", counting_cache)
+    monkeypatch.setattr(cohomology, "ColumnFactorization", Counted)
+    code = cli.main(
+        ["report", str(FIXTURES / "pure_n35.model"), "--format", "structured"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    classes = int(
+        next(l for l in out.splitlines() if l.startswith("delta.dim_total = "))
+        .split(" = ")[1]
+    )
+    assert set(built.values()) == {1}
+    assert {key for _, key in built} >= {
+        (which, "factor", n) for which in ("d", "delta") for n in (34, 35)
+    }
+    assert constructed[0] == len(built) + 1 + classes
+
+
+def test_lifts_boundaries_and_cached_cohomology_build_no_factorization(monkeypatch):
+    model = tower_one_even()
+    degrees = range(0, formal_dimension(model) + 1)
+
+    def classes():
+        return [
+            (c.p, c.index, c.representative)
+            for n in degrees
+            for c in delta_cohomology(model, n)
+        ]
+
+    first = classes()
+    starts = [pair.as_element() for _, _, pair in first]
+    reps = [r for n in degrees for r in cohomology_basis(model, n).representatives]
+    lifts = [lift_to_d_cocycle(model, z) for z in starts]
+    assert any(trace.correctors for trace in lifts)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("factorization built on a cached degree")
+
+    monkeypatch.setattr(cohomology, "ColumnFactorization", fail)
+    again = [lift_to_d_cocycle(model, z) for z in starts]
+    assert [(t.outcome, t.correctors, t.final) for t in again] == [
+        (t.outcome, t.correctors, t.final) for t in lifts
+    ]
+    assert not any(is_boundary(model, r) for r in reps)
+    assert all(is_boundary(model, model.d(r)) for r in starts)
+    assert classes() == first
+
+
+def _dense_matrix(model: SullivanModel, f, n: int):
+    """Dense matrix of f from degree n to degree n + 1, as rows."""
+    alg = model.algebra
+    src, dst = basis(alg, n), basis(alg, n + 1)
+    cols = [coefficient_vector(f(Element.from_monomial(alg, m)), dst) for m in src]
+    return [[c.get(i, Fraction(0)) for c in cols] for i in range(len(dst))], len(src)
+
+
+def _dense_solution(model: SullivanModel, f, n: int, e: Element):
+    """The free-variables-zero solution of f(x) = e, x in degree n, as an
+    element, or None; solved by dense Gauss-Jordan elimination."""
+    rows, ncols = _dense_matrix(model, f, n)
+    dst = basis(model.algebra, n + 1)
+    b = coefficient_vector(e, dst)
+    x = _dense_solve(rows, ncols, [b.get(i, Fraction(0)) for i in range(len(dst))])
+    if x is None:
+        return None
+    return element_from_vector(
+        model.algebra, basis(model.algebra, n), {j: c for j, c in enumerate(x) if c}
+    )
+
+
+def _reference_lift(model: SullivanModel, start: Element):
+    """(outcome, obstructions, correctors, final) of the lift, each
+    delta(b) = obstruction and the final boundary test solved densely."""
+    n = start.degree()
+    w, obstructions, correctors = start, [], []
+    while True:
+        dw = model.d(w)
+        if dw.is_zero:
+            bounds = _dense_solution(model, model.d, n - 1, w) is not None
+            return ("collapsed" if bounds else "success"), obstructions, correctors, w
+        p = dw.min_wordlength() // 2
+        obstruction = dw.wordlength_component(2 * p) + dw.wordlength_component(2 * p + 1)
+        obstructions.append(obstruction)
+        corrector = _dense_solution(model, model.delta, n, obstruction)
+        if corrector is None:
+            return "died", obstructions, correctors, None
+        correctors.append(corrector)
+        w = w - corrector
+
+
+def test_lifts_match_a_dense_reference_lift():
+    lifts = corrected = 0
+    for name, model in _k3_models():
+        for n in range(0, formal_dimension(model) + 1):
+            for cls in delta_cohomology(model, n):
+                start = cls.representative.as_element()
+                trace = lift_to_d_cocycle(model, start)
+                got = (
+                    trace.outcome,
+                    [o.as_element() for o in trace.obstructions],
+                    trace.correctors,
+                    trace.final,
+                )
+                assert got == _reference_lift(model, start), (name, n, cls.index)
+                assert trace.iterations == len(trace.correctors)
+                lifts += 1
+                corrected += len(trace.correctors)
+    assert lifts >= 421 and corrected >= 19

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sullivan.linalg import (
+    ColumnFactorization,
     RationalMatrix,
     RowSpace,
     kernel_basis,
@@ -109,8 +110,8 @@ def test_row_space_extension():
     assert not space.add([Fraction(2), Fraction(2), Fraction(0)])
     assert space.add([Fraction(0), Fraction(0), Fraction(5)])
     assert space.rank == 2
-    assert space.contains([Fraction(3), Fraction(3), Fraction(7)])
-    assert not space.contains([Fraction(1), Fraction(0), Fraction(0)])
+    assert not space.reduce([Fraction(3), Fraction(3), Fraction(7)])
+    assert space.reduce([Fraction(1), Fraction(0), Fraction(0)])
 
 
 def test_ragged_rows_rejected():
@@ -258,6 +259,21 @@ def test_kernel_matches_dense_gauss_jordan():
         assert solve_membership(m, inside) is not None
 
 
+def test_factorization_image_matches_dense_gauss_jordan():
+    """The echelon and the normal forms of a factorization against the dense
+    reduced row echelon form of the transposed matrix."""
+    rng = random.Random(13)
+    for rows, ncols in _cases():
+        m = RationalMatrix(rows, ncols=ncols)
+        factor = ColumnFactorization(m.columns(), m.nrows)
+        image = RowSpace(m.nrows, factor.echelon())
+        want, pivots = _dense_rref([list(c) for c in zip(*rows)] if ncols else [], m.nrows)
+        assert [_dense(r, m.nrows) for r in factor.echelon()] == want[: len(pivots)]
+        for b in _random_rows(rng, 4, m.nrows, 0.5, False) + [list(c) for c in zip(*rows)]:
+            assert factor.reduce(b) == image.reduce(b)
+            assert (factor.solve(b) is None) == bool(factor.reduce(b))
+
+
 def test_row_space_matches_dense_row_space():
     rng = random.Random(9)
     for rows, ncols in _cases():
@@ -269,7 +285,7 @@ def test_row_space_matches_dense_row_space():
             if i % 8 == 7 or i == len(rows) - 1:
                 for w in probes + rows[i + 1 : i + 3]:
                     assert _dense(space.reduce(w), ncols) == oracle.reduce(w)
-                    assert space.contains(w) == (not any(oracle.reduce(w)))
+                    assert (not space.reduce(w)) == (not any(oracle.reduce(w)))
         assert [_dense(r, ncols) for r in space.echelon()] == [r for _, r in oracle.rows]
 
 

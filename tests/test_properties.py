@@ -12,7 +12,9 @@ from collections import Counter
 from fractions import Fraction
 
 from sullivan import models, selftest
-from sullivan.algebra import Element
+from sullivan.algebra import Element, basis
+from sullivan.cohomology import is_elliptic, toomer_oracle
+from sullivan.differential import build_model
 from sullivan.selftest import (
     check_basis_counts,
     check_d_squared,
@@ -21,10 +23,12 @@ from sullivan.selftest import (
     check_graded_commutativity,
     check_leibniz,
     check_poincare_duality,
+    random_element,
     random_pair,
     run_all,
 )
-from sullivan.spectral import FilteredPair, pair_basis
+from sullivan.spectral import FilteredPair, pair_basis, toomer_spectral
+from test_depth_search import _random_models
 
 CASES = 200
 
@@ -136,3 +140,53 @@ def test_random_pair_draws_match_a_slot_scan():
             want = _scanning_random_pair(scan_rng, model, max_degree)
             assert got == want, (name, i)
         assert cached_rng.getstate() == scan_rng.getstate()
+
+
+def _scanning_random_element(rng, algebra, max_degree=16, max_terms=3, degree=None):
+    """random_element with its populated degrees found by copying the basis
+    of every degree on each draw."""
+    if degree is None:
+        candidates = [n for n in range(0, max_degree + 1) if basis(algebra, n)]
+        degree = rng.choice(candidates)
+    monos = basis(algebra, degree)
+    total = algebra.zero()
+    for _ in range(rng.randint(1, max_terms)):
+        coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        total = total + coeff * Element.from_monomial(algebra, rng.choice(monos))
+    return total
+
+
+def test_random_element_draws_match_a_degree_scan():
+    for name, build in models.ALL_MODELS:
+        # separate algebras, so the cached draws start from an empty basis cache
+        cached_alg, scan_alg = build().algebra, build().algebra
+        cached_rng, scan_rng = _rng(f"elements:{name}"), _rng(f"elements:{name}")
+        for i in range(40):
+            max_degree = (16, 5, 30)[i % 3]
+            got = random_element(cached_rng, cached_alg, max_degree)
+            want = _scanning_random_element(scan_rng, scan_alg, max_degree)
+            assert got == want, (name, i)
+        assert cached_rng.getstate() == scan_rng.getstate()
+
+
+def test_e0_formula_when_the_lowest_component_is_elliptic():
+    """The paper's formula: when (Lambda V, d_k) is elliptic, where d_k is the
+    lowest word-length component of d, e0 = (k - 2) dim V^even + dim V^odd.
+    Outside that hypothesis only the two methods are compared."""
+    zoo = [(name, build()) for name, build in models.ALL_MODELS]
+    zoo = [(n, m) for n, m in zoo if m.k is not None and is_elliptic(m).is_elliptic]
+    zoo += [(f"random {i}", m) for i, m in enumerate(_random_models(seed=0, count=8))]
+    checked = 0
+    for name, model in zoo:
+        alg = model.algebra
+        oracle = toomer_oracle(model).e0
+        if is_elliptic(build_model(alg, model.component(model.k))).is_elliptic:
+            formula = (model.k - 2) * len(alg.even_indices) + len(alg.odd_indices)
+            assert oracle == formula, name
+            if model.k == 3:
+                assert toomer_spectral(model).e0 == formula, name
+            checked += 1
+        else:
+            assert model.k == 3, name
+            assert toomer_spectral(model).e0 == oracle, name
+    assert checked >= 13
