@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ModelError, ParseError
+from .errors import ModelError, ParseError, PreconditionError
 
 #: A monomial is an exponent vector, one entry per generator.
 Monomial = Tuple[int, ...]
@@ -196,12 +196,6 @@ class Element:
             self.algebra, {m: c for m, c in self.terms.items() if wordlength(m) == s}
         )
 
-    def even_wordlength_part(self) -> "Element":
-        return Element(
-            self.algebra,
-            {m: c for m, c in self.terms.items() if wordlength(m) % 2 == 0},
-        )
-
     def leading_monomial(self) -> Monomial:
         if self.is_zero:
             raise ValueError("zero element has no leading monomial")
@@ -300,26 +294,46 @@ def basis(
     return full[lo:hi]
 
 
+#: The most monomials one degree basis may hold.  Far above every model in
+#: use (the largest basis of n37 x n35 has 7,592), and low enough that an
+#: oversized model stops at once instead of filling memory.
+MAX_BASIS = 50_000
+
+
 def _fill_bases(algebra: Algebra, degree: int) -> None:
     """Cache the bases of every degree up to ``degree``, lowest first.
 
     A monomial of positive degree is m*g for exactly one generator g, its
     last factor: m has degree |m*g| - |g|, no factor after g, and no factor
-    g when g is odd.  So each degree is built from the cached lower ones.
+    g when g is odd.  So each degree is built from the cached lower ones,
+    and the lists of those m give its size before it is built.
+
+    Raises PreconditionError when a basis would exceed ``MAX_BASIS``.
     """
     cache = algebra._basis_cache
     n = algebra.ngens
     while len(cache) <= degree:
         d = len(cache)
-        monos = [(0,) * n] if d == 0 else []
+        factors = []  # (index of g, its tail of zeros, the m with last factor g)
         for g in algebra.generators:
             if g.degree > d:
                 continue
             i = g.index
             tail = (0,) * (n - i - 1)
-            for m in cache[d - g.degree]:
-                if m[i + 1:] == tail and not (g.is_odd and m[i]):
-                    monos.append(m[:i] + (m[i] + 1,) + tail)
+            ms = [
+                m for m in cache[d - g.degree]
+                if m[i + 1:] == tail and not (g.is_odd and m[i])
+            ]
+            factors.append((i, tail, ms))
+        size = sum(len(ms) for _, _, ms in factors)
+        if size > MAX_BASIS:
+            raise PreconditionError(
+                f"the degree-{d} basis has {size} monomials, more than the "
+                f"limit of {MAX_BASIS}; the model is too large"
+            )
+        monos = [(0,) * n] if d == 0 else []
+        for i, tail, ms in factors:
+            monos.extend(m[:i] + (m[i] + 1,) + tail for m in ms)
         monos.sort(key=grlex_key)
         starts: List[int] = []
         for i, m in enumerate(monos):

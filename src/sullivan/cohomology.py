@@ -18,6 +18,8 @@ algebra.  The pieces provided here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
@@ -94,13 +96,14 @@ def _images(
 ) -> List[Vector]:
     """Columns of the matrix of the differential ``which`` from span(src) to
     span(dst): the coordinates of its value on each monomial of src."""
-    alg = model.algebra
-    f = model.d if which == "d" else model.delta
+    add_image = model.differential.add_image if which == "d" else model.add_delta_image
     index = {m: i for i, m in enumerate(dst)}
-    return [
-        {index[m]: c for m, c in f(Element.from_monomial(alg, mono)).terms.items()}
-        for mono in src
-    ]
+    columns = []
+    for mono in src:
+        image: Dict[Monomial, Fraction] = {}
+        add_image(mono, 1, image)
+        columns.append({index[m]: c for m, c in image.items() if c})
+    return columns
 
 
 # The helpers below serve both differentials: ``which`` is "d" or "delta"
@@ -216,8 +219,10 @@ def _scan_pure_quotient(model: SullivanModel, bound: Optional[int]) -> Elliptici
             for m in basis(alg, shift):
                 if any(m[i] for i in alg.odd_indices):
                     continue
-                prod = Element.from_monomial(alg, m) * img
-                rows.append({index[t]: c for t, c in prod.terms.items()})
+                # m and img lie in the even subalgebra: no signs, no cancelling
+                rows.append(
+                    {index[tuple(map(add, m, t))]: c for t, c in img.terms.items()}
+                )
         return quotient_dim(RationalMatrix(rows, ncols=len(ambient)), len(ambient))
 
     # quotient dimensions are cached on the model, so every scan shares
@@ -284,15 +289,16 @@ def top_class(model: SullivanModel) -> Tuple[int, CohomologySpace]:
 
 
 def _deepest_representative(
-    bn: List[Monomial], boundaries: ColumnFactorization, z: Element
+    model: SullivanModel, which: str, n: int, z: Element
 ) -> Optional[Tuple[int, Element]]:
-    """The greatest s with z in Lambda^{>=s}V + boundaries, and a witness.
+    """The greatest s with z in Lambda^{>=s}V + boundaries of ``which``,
+    and a witness; z has degree n.
 
-    ``bn`` is a degree-n monomial basis in graded-lex order, so its word
-    lengths ascend, and ``boundaries`` factors the differential into degree
-    n.  Each row of its image echelon is zero left of its pivot, so reducing
-    z modulo the boundaries subtracts only rows pivoted at word length >= s
-    from any z in Lambda^{>=s}V: the lowest word length of the normal form is
+    The degree-n basis is in graded-lex order, so its word lengths ascend,
+    and the boundaries are the image of ``which`` out of degree n - 1.  Each
+    row of its image echelon is zero left of its pivot, so reducing z modulo
+    the boundaries subtracts only rows pivoted at word length >= s from any
+    z in Lambda^{>=s}V: the lowest word length of the normal form is
     therefore exactly the greatest s.
 
     The representative is the one the membership solve of z against the unit
@@ -300,20 +306,28 @@ def _deepest_representative(
     variables zero).  That solve takes a boundary column exactly when its
     part below word length s is independent of the earlier columns' parts.
     So it is read off a factorization of the columns cut below word length
-    s; the representative is z minus that combination of the whole columns.
+    s, which depends on (which, n, s) only and is cached on the model; the
+    representative is z minus that combination of the whole columns.
 
     Returns None when z is a boundary.
     """
+    bn = basis(model.algebra, n)
+    boundaries = _factor(model, which, n - 1)
     zvec = coefficient_vector(z, bn)
     normal = boundaries.reduce(zvec)
     if not normal:
         return None
     s = wordlength(bn[min(normal)])
     shallow = next(i for i, m in enumerate(bn) if wordlength(m) >= s)
-    sol = ColumnFactorization(
-        [{i: x for i, x in col.items() if i < shallow} for col in boundaries.columns],
-        shallow,
-    ).solve({i: c for i, c in zvec.items() if i < shallow})
+
+    def produce():
+        cut = [
+            {i: x for i, x in col.items() if i < shallow} for col in boundaries.columns
+        ]
+        return ColumnFactorization(cut, shallow)
+
+    truncated = _cached(model, (which, "factor", n - 1, s), produce)
+    sol = truncated.solve({i: c for i, c in zvec.items() if i < shallow})
     if sol is None:
         raise InternalInconsistencyError(
             f"no representative at word length >= {s}, the depth of its own "
@@ -343,8 +357,7 @@ def toomer_oracle(model: SullivanModel) -> ToomerResult:
 
     def produce():
         n, space = top_class(model)
-        bn, rep = basis(model.algebra, n), space.representatives[0]
-        found = _deepest_representative(bn, _factor(model, "d", n - 1), rep)
+        found = _deepest_representative(model, "d", n, space.representatives[0])
         if found is None:
             raise InternalInconsistencyError(
                 "top class representative reduced to zero"

@@ -8,15 +8,25 @@ lies in word length >= 2.
 ``k`` denotes the lowest word length appearing in any generator image, i.e.
 the first potentially nonzero component in d = d_k + d_{k+1} + ...; for the
 zero differential there is no such component and ``k`` is None.
+
+A derivation is applied to a monomial directly on exponent tuples
+(:meth:`Derivation.add_image`).  Each Leibniz summand
+sign * e_i * left * d(g_i) * right goes term by term into one
+``{monomial: coefficient}`` dict: a term t of d(g_i) adds its exponents to
+those of the rest of the monomial, its sign is the Koszul sign of moving t
+into place, and a term that repeats an odd factor drops out.  No
+``Element`` product is formed and nothing is kept per monomial.  The
+matrices of d, d3, d4 and delta are written column by column this way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from operator import add
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .algebra import Algebra, Element, Generator, format_element
+from .algebra import Algebra, Element, Generator, Monomial, format_element, koszul_sign
 from .errors import ModelError
 
 
@@ -27,6 +37,12 @@ class Derivation:
         self.algebra = algebra
         self.images: Dict[int, Element] = {
             i: img for i, img in images.items() if not img.is_zero
+        }
+        # the terms of each image, each flagged when it has an odd factor
+        odd = algebra.odd_indices
+        self._terms: Dict[int, List[Tuple[Monomial, Fraction, bool]]] = {
+            i: [(t, a, any(t[j] for j in odd)) for t, a in img.terms.items()]
+            for i, img in self.images.items()
         }
 
     def image_of(self, gen: Union[Generator, str]) -> Element:
@@ -40,39 +56,42 @@ class Derivation:
 
     def __call__(self, e: Element) -> Element:
         """Apply the derivation via the Leibniz rule, term by term."""
-        if e.algebra != self.algebra:
-            raise ValueError("element does not live in this derivation's algebra")
-        alg = self.algebra
-        out = alg.zero()
-        for mono, coeff in e.terms.items():
-            prefix_degree = 0
-            for i, exp in enumerate(mono):
-                if exp:
-                    img = self.images.get(i)
-                    if img is not None:
-                        out = out + self._block_term(mono, coeff, i, prefix_degree, img)
-                    prefix_degree += exp * alg.degrees[i]
-        return out
+        return _apply(self.algebra, self.add_image, e)
 
-    def _block_term(
-        self, mono, coeff: Fraction, i: int, prefix_degree: int, img: Element
-    ) -> Element:
-        """One Leibniz summand: sign * prefix * (e_i g_i^{e_i-1} d g_i) * suffix."""
+    def add_image(self, mono: Monomial, coeff, out: Dict[Monomial, Fraction]) -> None:
+        """Add ``coeff * d(mono)`` into the dict ``out``; terms that cancel
+        are left in with coefficient zero.
+
+        With mono = L g_i^e R, where L and R are the factors before and after
+        g_i, the Leibniz summand of g_i is (-1)^{|L|} e * left * d(g_i) * right
+        with left = L g_i^(e-1) and right = R.  Each term t of d(g_i) enters
+        by adding exponents, with the Koszul signs of left * t and t * right;
+        a term sharing an odd factor with left or right drops out.
+        """
         alg = self.algebra
         n = alg.ngens
-        exp = mono[i]
-        left = tuple(
-            (mono[j] if j < i else (exp - 1 if j == i else 0)) for j in range(n)
-        )
-        right = tuple((mono[j] if j > i else 0) for j in range(n))
-        c = coeff * exp
-        if prefix_degree % 2:
-            c = -c
-        term = Element.from_monomial(alg, left, c)
-        term = term * img
-        if any(right):
-            term = term * Element.from_monomial(alg, right)
-        return term
+        prefix_degree = 0
+        for i, e in enumerate(mono):
+            if not e:
+                continue
+            terms = self._terms.get(i)
+            if terms is not None:
+                c = -coeff * e if prefix_degree % 2 else coeff * e
+                rest = mono[:i] + (e - 1,) + mono[i + 1:]
+                for t, a, has_odd in terms:
+                    f = c
+                    if has_odd:
+                        left = rest[: i + 1] + (0,) * (n - i - 1)
+                        right = (0,) * (i + 1) + rest[i + 1:]
+                        sign = koszul_sign(alg, left, t) * koszul_sign(alg, t, right)
+                        if not sign:
+                            continue
+                        f = c * sign
+                    v = a if f == 1 else a * f
+                    m = tuple(map(add, rest, t))
+                    prev = out.get(m)
+                    out[m] = v if prev is None else prev + v
+            prefix_degree += e * alg.degrees[i]
 
     def __eq__(self, other) -> bool:
         return (
@@ -82,6 +101,17 @@ class Derivation:
         )
 
     __hash__ = None
+
+
+def _apply(algebra: Algebra, add_image, e: Element) -> Element:
+    """The map whose value on a monomial ``add_image`` adds into a dict,
+    applied to e term by term."""
+    if e.algebra != algebra:
+        raise ValueError("element does not live in this derivation's algebra")
+    out: Dict[Monomial, Fraction] = {}
+    for mono, coeff in e.terms.items():
+        add_image(mono, coeff, out)
+    return Element(algebra, out)
 
 
 def build_differential(
@@ -193,7 +223,16 @@ class SullivanModel:
         """The page-one differential of the word-length spectral sequence
         for k = 3 on a plain element: d3 everywhere plus d4 on even word
         lengths."""
-        return self.d3(e) + self.d4(e.even_wordlength_part())
+        return _apply(self.algebra, self.add_delta_image, e)
+
+    def add_delta_image(
+        self, mono: Monomial, coeff, out: Dict[Monomial, Fraction]
+    ) -> None:
+        """Add ``coeff * delta(mono)`` into ``out``: d3 of mono, and its d4
+        when its word length is even (see :meth:`Derivation.add_image`)."""
+        self.d3.add_image(mono, coeff, out)
+        if sum(mono) % 2 == 0:
+            self.d4.add_image(mono, coeff, out)
 
     def __eq__(self, other) -> bool:
         return (

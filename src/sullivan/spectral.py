@@ -228,9 +228,7 @@ def representative_depth(
     z = cls.representative.as_element()
     if z.is_zero:
         raise ValueError("zero class has no depth")
-    found = _deepest_representative(
-        basis(model.algebra, cls.n), _factor(model, "delta", cls.n - 1), z
-    )
+    found = _deepest_representative(model, "delta", cls.n, z)
     if found is None:
         raise ValueError("the given class is a delta-boundary")
     return found

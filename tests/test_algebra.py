@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sullivan import algebra
 from sullivan.algebra import (
     Element,
     basis,
@@ -14,7 +15,7 @@ from sullivan.algebra import (
     parse_element,
     wordlength,
 )
-from sullivan.errors import ModelError, ParseError
+from sullivan.errors import ModelError, ParseError, PreconditionError
 from sullivan.models import ALL_MODELS
 
 
@@ -162,6 +163,22 @@ def test_basis_of_a_deep_degree_first():
     assert basis(build_algebra([("y3", 3), ("y5", 5)]), 4000) == []
 
 
+def test_basis_over_the_limit_is_a_precondition_error(monkeypatch):
+    # three degree-2 generators: the degree-2k basis has (k+1)(k+2)/2
+    # monomials, 45 at degree 16 and 55 at degree 18
+    alg = build_algebra([("a", 2), ("b", 2), ("c", 2)])
+    monkeypatch.setattr(algebra, "MAX_BASIS", 45)
+    assert len(basis(alg, 17)) == 0 and len(basis(alg, 16)) == 45
+    with pytest.raises(PreconditionError, match=(
+        "the degree-18 basis has 55 monomials, more than the limit of 45"
+    )):
+        basis(alg, 20)
+    # the degrees below stay cached and whole
+    assert basis(alg, 16) == _enumerated_basis(alg, 16)
+    monkeypatch.setattr(algebra, "MAX_BASIS", 55)
+    assert basis(alg, 18) == _enumerated_basis(alg, 18)
+
+
 def test_basis_returns_a_fresh_list():
     alg = _alg_n37()
     for kwargs in ({}, {"wordlength_exact": 4}, {"wordlength_min": 5}):
@@ -241,7 +258,6 @@ def test_wordlength_split_two_components():
     assert format_element(seven) == "x2*x6^5*y5"
     assert six + seven == e
     assert e.min_wordlength() == 6
-    assert e.even_wordlength_part() == six
 
 
 # ---------------------------------------------------------------------------

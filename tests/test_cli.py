@@ -171,6 +171,35 @@ def test_negative_max_degree_is_a_usage_error(command):
     assert "Traceback" not in proc.stderr
 
 
+OVERSIZED_MODEL = "".join(
+    [f"generator x{i} 2\n" for i in range(1, 7)]
+    + [f"generator y{i} 39\n" for i in range(1, 7)]
+    + [f"d y{i} = x{i}^20\n" for i in range(1, 7)]
+)
+
+
+@pytest.mark.parametrize("command", ["elliptic", "report"])
+def test_oversized_basis_fails_fast_with_exit_2(command, tmp_path):
+    """N = 228 and a scan bound of 495: the bases would reach ~10^8
+    monomials.  The run stops at the first degree basis over the limit."""
+    path = tmp_path / "oversized.model"
+    path.write_text(OVERSIZED_MODEL)
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sullivan.cli", command, str(path)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 2
+    assert (
+        "error: the degree-40 basis has 53130 monomials, more than the limit "
+        "of 50000" in proc.stderr
+    )
+    assert "Traceback" not in proc.stderr
+
+
 # (command, fixture, --max-degree): (exit code, first 16 hex digits of the
 # SHA-256 of the structured output without its model.path line), recorded
 # before the ellipticity scans shared their quotient dimensions

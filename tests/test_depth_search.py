@@ -210,11 +210,9 @@ def test_depth_search_matches_descending_search_on_random_models():
 
 def test_boundary_has_no_depth():
     model = elliptic_pure_n37()
-    bn, cols = _delta_boundary_columns(model, 37)
-    boundaries = ColumnFactorization(cols, len(bn))
-    assert cohomology._deepest_representative(bn, boundaries, model.algebra.zero()) is None
-    # a delta-boundary posing as a class keeps the error of the earlier search
     zero = model.algebra.zero()
+    assert cohomology._deepest_representative(model, "delta", 37, zero) is None
+    # a delta-boundary posing as a class keeps the error of the earlier search
     pairs = (
         FilteredPair(model, 2, 36, Element.from_monomial(model.algebra, m), zero)
         for m in pair_basis(model, 2, 36)[0]
@@ -360,10 +358,9 @@ def test_delta_class_outside_one_pair_slot_is_an_inconsistency(monkeypatch):
 # one factorization per (differential, degree)
 
 
-def test_report_builds_each_factorization_once(capsys, monkeypatch):
-    """Every factorization of a whole differential comes from the model
-    cache, once per (differential, degree); the only others are the depth
-    searches' factorizations of truncated boundary columns, one per search."""
+def _count_factorizations(monkeypatch):
+    """Patch ``cohomology`` so that every factorization is counted: ``built``
+    counts the cached ones by (model, key), ``constructed`` all of them."""
     cached, built, constructed = cohomology._cached, Counter(), [0]
 
     def counting_cache(model, key, producer):
@@ -382,6 +379,25 @@ def test_report_builds_each_factorization_once(capsys, monkeypatch):
 
     monkeypatch.setattr(cohomology, "_cached", counting_cache)
     monkeypatch.setattr(cohomology, "ColumnFactorization", Counted)
+    return built, constructed
+
+
+def test_report_builds_each_factorization_once(capsys, monkeypatch):
+    """Every factorization comes from the model cache, once per key: the
+    whole differentials once per (differential, degree), and the depth
+    searches' factorizations of truncated boundary columns once per
+    (differential, degree, depth)."""
+    built, constructed = _count_factorizations(monkeypatch)
+    searches = []
+    search = cohomology._deepest_representative
+
+    def recorded_search(model, which, n, z):
+        found = search(model, which, n, z)
+        searches.append((which, n, found[0]))
+        return found
+
+    monkeypatch.setattr(cohomology, "_deepest_representative", recorded_search)
+    monkeypatch.setattr(spectral, "_deepest_representative", recorded_search)
     code = cli.main(
         ["report", str(FIXTURES / "pure_n35.model"), "--format", "structured"]
     )
@@ -391,11 +407,53 @@ def test_report_builds_each_factorization_once(capsys, monkeypatch):
         next(l for l in out.splitlines() if l.startswith("delta.dim_total = "))
         .split(" = ")[1]
     )
+    assert len(searches) == 1 + classes
     assert set(built.values()) == {1}
     assert {key for _, key in built} >= {
         (which, "factor", n) for which in ("d", "delta") for n in (34, 35)
     }
-    assert constructed[0] == len(built) + 1 + classes
+    truncated = {key for _, key in built if len(key) == 4}
+    assert truncated == {
+        (which, "factor", n - 1, s) for which, n, s in set(searches)
+    }
+    assert constructed[0] == len(built)
+
+
+def test_depth_searches_of_one_depth_share_a_factorization(monkeypatch):
+    """Classes of one degree and depth are searched against one truncated
+    factorization, and the depths and witnesses are those of a fresh
+    factorization per class."""
+    cached = cohomology._cached
+
+    def uncached_truncations(model, key, producer):
+        return producer() if len(key) == 4 else cached(model, key, producer)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "_cached", uncached_truncations)
+        fresh = {
+            name: [
+                (c.p, c.index, representative_depth(model, c))
+                for n in range(formal_dimension(model) + 1)
+                for c in delta_cohomology(model, n)
+            ]
+            for name, model in _k3_models()
+        }
+    built, constructed = _count_factorizations(monkeypatch)
+    shared = 0
+    for name, model in _k3_models():
+        got, depths = [], Counter()
+        for n in range(formal_dimension(model) + 1):
+            for c in delta_cohomology(model, n):
+                s, rep = representative_depth(model, c)
+                got.append((c.p, c.index, (s, rep)))
+                depths[(n, s)] += 1
+        assert got == fresh[name], name
+        keys = {key for (mid, key) in built if mid == id(model) and len(key) == 4}
+        assert keys == {("delta", "factor", n - 1, s) for n, s in depths}, name
+        shared += sum(count - 1 for count in depths.values())
+    assert set(built.values()) == {1}
+    assert constructed[0] == len(built)
+    assert shared >= 100
 
 
 def test_lifts_boundaries_and_cached_cohomology_build_no_factorization(monkeypatch):

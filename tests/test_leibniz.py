@@ -1,0 +1,319 @@
+"""The Leibniz rule on exponent tuples against the Element-product rule.
+
+``Derivation.add_image`` merges each Leibniz summand straight into one
+``{monomial: coefficient}`` dict.  Here it is compared with a plain copy of
+the rule it replaced, which built every summand from two full ``Element``
+products, on d, d3, d4 and delta of every fixture, on random derivations
+whose images carry odd factors, on the matrices the engine eliminates, and
+on the ellipticity scan's quotient dimensions.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from sullivan import cli
+from sullivan.algebra import (
+    Element,
+    basis,
+    build_algebra,
+    coefficient_vector,
+    koszul_sign,
+    parse_element,
+)
+from sullivan.cohomology import cochain_maps, formal_dimension, is_elliptic
+from sullivan.differential import (
+    Derivation,
+    SullivanModel,
+    build_differential,
+    build_model,
+    pure_projection,
+)
+from sullivan.linalg import RationalMatrix, quotient_dim
+from sullivan.models import ALL_MODELS
+from sullivan.selftest import random_element
+from sullivan.spectral import delta_matrix, pair_basis
+from test_depth_search import _random_models
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _reference_apply(derivation: Derivation, e: Element) -> Element:
+    """d(e) by the Leibniz rule, each summand sign * left * d(g_i) * right
+    formed by two Element products."""
+    alg = derivation.algebra
+    n = alg.ngens
+    out = alg.zero()
+    for mono, coeff in e.terms.items():
+        prefix_degree = 0
+        for i, exp in enumerate(mono):
+            if exp:
+                img = derivation.images.get(i)
+                if img is not None:
+                    left = tuple(
+                        (mono[j] if j < i else (exp - 1 if j == i else 0))
+                        for j in range(n)
+                    )
+                    right = tuple((mono[j] if j > i else 0) for j in range(n))
+                    c = coeff * exp
+                    if prefix_degree % 2:
+                        c = -c
+                    term = Element.from_monomial(alg, left, c) * img
+                    if any(right):
+                        term = term * Element.from_monomial(alg, right)
+                    out = out + term
+                prefix_degree += exp * alg.degrees[i]
+    return out
+
+
+def _reference_delta(model: SullivanModel, e: Element) -> Element:
+    """d3(e) + d4(even word-length part of e)."""
+    even = Element(e.algebra, {m: c for m, c in e.terms.items() if sum(m) % 2 == 0})
+    return _reference_apply(model.d3, e) + _reference_apply(model.d4, even)
+
+
+def _maps(model: SullivanModel):
+    """(name, engine map, reference map) for d, d3, d4 and delta."""
+    return [
+        ("d", model.d, lambda e: _reference_apply(model.differential, e)),
+        ("d3", model.d3, lambda e: _reference_apply(model.d3, e)),
+        ("d4", model.d4, lambda e: _reference_apply(model.d4, e)),
+        ("delta", model.delta, lambda e: _reference_delta(model, e)),
+    ]
+
+
+def _fixture_models():
+    """Every ``ALL_MODELS`` model and every parseable model file of the
+    test fixtures."""
+    models = [(name, build()) for name, build in ALL_MODELS]
+    for path in sorted(FIXTURES.glob("*.model")):
+        if path.stem != "bad_linear":
+            models.append((path.stem, cli.parse_model_file(str(path)).model))
+    return models
+
+
+def test_every_basis_monomial_matches_the_reference():
+    nonzero = 0
+    for name, build in ALL_MODELS:
+        model = build()
+        alg = model.algebra
+        for which, f, ref in _maps(model):
+            for n in range(46):
+                for m in basis(alg, n):
+                    e = Element.from_monomial(alg, m)
+                    got = f(e)
+                    assert got == ref(e), (name, which, m)
+                    nonzero += not got.is_zero
+    assert nonzero >= 4000
+
+
+def test_d_squared_cancels_term_by_term():
+    """d(d(m)) = 0: every term of it cancels in the merged dict."""
+    cancelled = 0
+    for name, build in ALL_MODELS:
+        model = build()
+        alg = model.algebra
+        for n in range(30):
+            for m in basis(alg, n):
+                dm = model.d(Element.from_monomial(alg, m))
+                out = {}
+                for t, c in dm.terms.items():
+                    model.differential.add_image(t, c, out)
+                assert not any(out.values()), (name, m)
+                assert model.d(dm) == _reference_apply(model.differential, dm) == alg.zero()
+                cancelled += len(out)
+    assert cancelled >= 200
+
+
+def test_random_elements_match_the_reference():
+    rng = random.Random("leibniz")
+    cases = 0
+    for name, build in ALL_MODELS:
+        model = build()
+        alg = model.algebra
+        degrees = [n for n in range(31) if basis(alg, n)]
+        for _ in range(30):
+            # homogeneous, and a sum of two degrees with a cancelling pair
+            a = random_element(rng, alg, max_degree=30, max_terms=6)
+            b = random_element(rng, alg, max_degree=30, max_terms=6)
+            m = Element.from_monomial(alg, rng.choice(basis(alg, rng.choice(degrees))))
+            for e in (a, a + b, a + m - m, 3 * a - a - a - a + b, m):
+                for which, f, ref in _maps(model):
+                    assert f(e) == ref(e), (name, which, e)
+                    cases += 1
+    assert cases >= 7000
+
+
+def _random_derivation(rng: random.Random) -> Derivation:
+    """A derivation on 2 or 3 even and 3 or 4 odd generators whose images are
+    random sums of monomials with odd factors.  It is neither homogeneous
+    nor a differential; the Leibniz rule extends it all the same."""
+    evens = rng.randint(2, 3)
+    odds = rng.randint(3, 4)
+    specs = [(f"x{j}", rng.choice((2, 4))) for j in range(evens)]
+    specs += [(f"y{j}", rng.choice((3, 5, 7))) for j in range(odds)]
+    rng.shuffle(specs)
+    alg = build_algebra(specs)
+    images = {}
+    for g in alg.generators:
+        if rng.random() < 0.2:
+            continue
+        img = alg.zero()
+        for _ in range(rng.randint(1, 4)):
+            mono = basis(alg, rng.randint(2, 14))
+            if mono:
+                img = img + Element.from_monomial(
+                    alg, rng.choice(mono), rng.choice((-2, -1, 1, Fraction(1, 2), 3))
+                )
+        images[g.index] = img
+    return Derivation(alg, images)
+
+
+def _summand_signs(derivation: Derivation, mono):
+    """The Koszul sign of every summand term of d(mono): 1, -1, or 0 for a
+    term sharing an odd factor with the rest of mono."""
+    n = derivation.algebra.ngens
+    for i, exp in enumerate(mono):
+        img = derivation.images.get(i)
+        if exp and img is not None:
+            left = mono[:i] + (exp - 1,) + (0,) * (n - i - 1)
+            right = (0,) * (i + 1) + mono[i + 1:]
+            for t in img.terms:
+                yield koszul_sign(derivation.algebra, left, t) * koszul_sign(
+                    derivation.algebra, t, right
+                )
+
+
+def test_random_derivations_with_odd_factors_match_the_reference():
+    rng = random.Random("leibniz derivations")
+    signs = {1: 0, -1: 0, 0: 0}
+    compared = 0
+    for _ in range(40):
+        derivation = _random_derivation(rng)
+        alg = derivation.algebra
+        for n in range(17):
+            for m in basis(alg, n):
+                e = Element.from_monomial(alg, m, rng.choice((1, -3, Fraction(2, 5))))
+                assert derivation(e) == _reference_apply(derivation, e), m
+                for sign in _summand_signs(derivation, m):
+                    signs[sign] += 1
+                compared += 1
+        for _ in range(20):
+            e = random_element(rng, alg, max_degree=16, max_terms=5)
+            assert derivation(e) == _reference_apply(derivation, e), e
+    assert compared >= 3000
+    assert min(signs.values()) >= 1000, signs
+
+
+def test_cochain_maps_and_delta_matrices_match_the_reference():
+    """Every column of the matrices the engine eliminates, entry for entry,
+    against matrices built from the reference derivation."""
+
+    def matrix(f, src, dst):
+        cols = [coefficient_vector(f(Element.from_monomial(alg, m)), dst) for m in src]
+        return RationalMatrix.from_columns(cols, len(dst))
+
+    blocks = 0
+    for name, model in _fixture_models():
+        alg = model.algebra
+        ref_d = lambda e: _reference_apply(model.differential, e)  # noqa: E731
+        top = max(formal_dimension(model), 0) + 2
+        for n in range(top):
+            outgoing, incoming = cochain_maps(model, n)
+            assert outgoing == matrix(ref_d, basis(alg, n), basis(alg, n + 1)), (name, n)
+            assert incoming == matrix(ref_d, basis(alg, n - 1), basis(alg, n)), (name, n)
+            if model.k != 3:
+                continue
+            for p in range(n // 2 + 2):
+                src_u, src_v = pair_basis(model, p, n)
+                dst_u, dst_v = pair_basis(model, p + 1, n + 1)
+                ref = matrix(
+                    lambda e: _reference_delta(model, e), src_u + src_v, dst_u + dst_v
+                )
+                assert delta_matrix(model, p, n) == ref, (name, p, n)
+                blocks += bool(ref.nrows and ref.ncols)
+    assert blocks >= 400
+
+
+def _reference_quotient_dim(model: SullivanModel, degree: int) -> int:
+    """The pure quotient in one degree with each ideal row m * d(y) formed
+    as an Element product."""
+    alg = model.algebra
+    pure = pure_projection(model)
+    even = lambda m: not any(m[i] for i in alg.odd_indices)  # noqa: E731
+    ambient = [m for m in basis(alg, degree) if even(m)]
+    if not ambient:
+        return 0
+    index = {m: i for i, m in enumerate(ambient)}
+    rows = []
+    for g in alg.generators:
+        img = pure.differential.image_of(g)
+        if not g.is_odd or img.is_zero or degree < img.degree():
+            continue
+        for m in filter(even, basis(alg, degree - img.degree())):
+            prod = Element.from_monomial(alg, m) * img
+            rows.append({index[t]: c for t, c in prod.terms.items()})
+    return quotient_dim(RationalMatrix(rows, ncols=len(ambient)), len(ambient))
+
+
+def _random_ideal_models(rng: random.Random, count: int):
+    """Pure models with 2 or 3 even generators and 1 or 2 odd ones, each odd
+    image a random sum of 2 or 3 monomials of word length >= 2.  Few are
+    elliptic, and their quotients depend on the coefficients, not only on
+    the degrees as they do for a regular sequence."""
+    models = []
+    while len(models) < count:
+        evens = rng.randint(2, 3)
+        specs = [(f"x{j}", rng.choice((2, 4))) for j in range(evens)]
+        targets = [rng.choice((6, 8, 10)) for _ in range(rng.randint(1, 2))]
+        specs += [(f"y{j}", t - 1) for j, t in enumerate(targets)]
+        alg = build_algebra(specs)
+        images = {}
+        for j, t in enumerate(targets):
+            monos = [m for m in basis(alg, t) if sum(m) >= 2]
+            img = alg.zero()
+            for m in rng.sample(monos, min(len(monos), rng.randint(2, 3))):
+                img = img + Element.from_monomial(alg, m, rng.choice((-2, -1, 1, 3)))
+            images[f"y{j}"] = img
+        model = build_model(alg, build_differential(alg, images))
+        if sum(len(img.terms) for img in model.differential.images.values()) > len(targets):
+            models.append((f"random ideal {len(models)}", model))
+    return models
+
+
+def test_pure_quotient_dims_match_the_reference():
+    models = _fixture_models()
+    models += [(f"random {i}", m) for i, m in enumerate(_random_models(seed=0, count=8))]
+    models += _random_ideal_models(random.Random("leibniz ideals"), 12)
+    # d y = x z (x + z) and d u = x (x - z)(x + z) share the factor x (x + z);
+    # with any one sign changed they share only x, and the quotient changes
+    alg = build_algebra([("x", 2), ("z", 2), ("y", 5), ("u", 5)])
+    images = {
+        "y": parse_element("x^2*z + x*z^2", alg),
+        "u": parse_element("x^3 - x*z^2", alg),
+    }
+    models.append(("common factor", build_model(alg, build_differential(alg, images))))
+    degrees = nonzero = 0
+    for name, model in models:
+        is_elliptic(model)
+        scanned = {
+            key[1]: q for key, q in model._cache.items() if key[0] == "pure_quotient_dim"
+        }
+        assert scanned, name
+        for degree, q in scanned.items():
+            assert q == _reference_quotient_dim(model, degree), (name, degree)
+            nonzero += q > 0
+        degrees += len(scanned)
+    assert degrees >= 600 and nonzero >= 250
+
+
+def test_an_element_of_another_algebra_is_rejected():
+    model = ALL_MODELS[-1][1]()
+    other = build_algebra([("a", 2), ("b", 3)])
+    for f in (model.d, model.d3, model.delta):
+        with pytest.raises(ValueError, match="derivation's algebra"):
+            f(other.gen_element("a"))
