@@ -9,15 +9,24 @@ emits the bare pairs for golden-file comparison.
 Exit codes: 0 success, 1 usage or input error, 2 mathematical precondition
 failure (non-elliptic model, wrong k), 3 internal inconsistency (method
 disagreement or a failed verification).
+
+Dispatch: each command is one row of `COMMANDS`, naming the builder that
+turns the parsed arguments and the model into pairs and an exit code,
+whether the model must first pass `require_elliptic`, and the command's
+extra arguments.  `main` parses the model file, checks ellipticity when the
+row asks for it, calls the builder and emits its pairs; a `toomer.agree =
+false` pair makes it exit 3 with an error line.  The argparse parser is
+generated from the same table, once per process, on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .algebra import format_element, parse_element
@@ -139,11 +148,10 @@ def _emit(pairs: Pairs, header: str, fmt: str, started: float) -> None:
         print(f"elapsed_seconds = {time.perf_counter() - started:.3f}", file=out)
 
 
-def _info_pairs(mf: ModelFile) -> Pairs:
-    model = mf.model
+def _info_pairs(path: str, model: SullivanModel) -> Pairs:
     alg = model.algebra
     return [
-        ("model.path", mf.path),
+        ("model.path", path),
         ("model.generators", alg.ngens),
         ("model.dim_v_even", len(alg.even_indices)),
         ("model.dim_v_odd", len(alg.odd_indices)),
@@ -227,11 +235,10 @@ def _delta_pairs(model: SullivanModel, degree: int, with_reps: bool) -> Pairs:
 
 def _toomer_pairs(
     model: SullivanModel, method: str, run: Optional[SpectralRun] = None
-) -> Tuple[Pairs, bool]:
-    """Returns the pairs and whether the run is consistent.  A spectral
-    ``run`` already computed for the model is used instead of a new one."""
+) -> Pairs:
+    """A spectral ``run`` already computed for the model is used instead of
+    a new one."""
     pairs: Pairs = []
-    agree = True
     oracle = spectral = None
     if method in ("oracle", "both"):
         oracle = toomer_oracle(model)
@@ -248,9 +255,8 @@ def _toomer_pairs(
         pairs.append(("toomer.spectral.witness.p", spectral.witness[0]))
         pairs.append(("toomer.spectral.witness.parity", spectral.witness[1]))
     if method == "both":
-        agree = oracle.e0 == spectral.e0
-        pairs.append(("toomer.agree", agree))
-    return pairs, agree
+        pairs.append(("toomer.agree", oracle.e0 == spectral.e0))
+    return pairs
 
 
 def _spectral_trace_pairs(run: SpectralRun) -> Pairs:
@@ -272,78 +278,18 @@ def _spectral_trace_pairs(run: SpectralRun) -> Pairs:
 # commands
 
 
-def _cmd_info(args) -> int:
-    mf = parse_model_file(args.model)
-    _emit(_info_pairs(mf), f"info: {args.model}", args.format, args.started)
-    return 0
-
-
-def _cmd_validate(args) -> int:
-    mf = parse_model_file(args.model)
-    pairs: Pairs = [("validate.ok", True), ("model.k", mf.model.k)]
-    _emit(pairs, f"validate: {args.model}", args.format, args.started)
-    return 0
-
-
-def _cmd_cohomology(args) -> int:
-    mf = parse_model_file(args.model)
-    lo = args.degree
-    hi = args.to if args.to is not None else lo
-    if lo < 0 or hi < lo:
+def _cohomology(args, model: SullivanModel) -> Tuple[Pairs, int]:
+    hi = args.degree if args.to is None else args.to
+    if args.degree < 0 or hi < args.degree:
         raise PreconditionError("degree range must satisfy 0 <= degree <= to")
-    pairs = _cohomology_pairs(mf.model, lo, hi, with_reps=args.format == "human")
-    _emit(pairs, f"cohomology: {args.model}", args.format, args.started)
-    return 0
+    return _cohomology_pairs(model, args.degree, hi, args.format == "human"), 0
 
 
-def _cmd_elliptic(args) -> int:
-    mf = parse_model_file(args.model)
-    pairs = _elliptic_pairs(mf.model, args.max_degree)
-    _emit(pairs, f"elliptic: {args.model}", args.format, args.started)
-    return 0
-
-
-def _cmd_top_class(args) -> int:
-    mf = parse_model_file(args.model)
-    require_elliptic(mf.model, args.max_degree)
-    _emit(_top_class_pairs(mf.model), f"top-class: {args.model}", args.format, args.started)
-    return 0
-
-
-def _cmd_murillo(args) -> int:
-    mf = parse_model_file(args.model)
-    require_elliptic(mf.model, args.max_degree)
-    _emit(_murillo_pairs(mf.model), f"murillo: {args.model}", args.format, args.started)
-    return 0
-
-
-def _cmd_delta_cohomology(args) -> int:
-    mf = parse_model_file(args.model)
-    pairs = _delta_pairs(mf.model, args.degree, with_reps=True)
-    _emit(pairs, f"delta-cohomology: {args.model}", args.format, args.started)
-    return 0
-
-
-def _cmd_toomer(args) -> int:
-    mf = parse_model_file(args.model)
-    require_elliptic(mf.model, args.max_degree)
-    pairs, agree = _toomer_pairs(mf.model, args.method)
-    _emit(pairs, f"toomer: {args.model}", args.format, args.started)
-    if not agree:
-        print("error: oracle and spectral methods disagree", file=sys.stderr)
-        return 3
-    return 0
-
-
-def _cmd_report(args) -> int:
-    mf = parse_model_file(args.model)
-    model = mf.model
+def _report(args, model: SullivanModel) -> Tuple[Pairs, int]:
     pairs: Pairs = [("command", "report"), ("engine.version", __version__)]
-    pairs += _info_pairs(mf)
+    pairs += _info_pairs(args.model, model)
     pairs += _elliptic_pairs(model, args.max_degree)
-    elliptic = is_elliptic(model, args.max_degree)
-    agree = True
-    if elliptic.is_elliptic:
+    if is_elliptic(model, args.max_degree).is_elliptic:
         n = formal_dimension(model)
         pairs += _cohomology_pairs(model, 0, n, with_reps=False)
         pairs += _top_class_pairs(model)
@@ -351,33 +297,59 @@ def _cmd_report(args) -> int:
             pairs += _murillo_pairs(model)
         if model.k == 3:
             run = spectral_run(model)
-            toomer_pairs, agree = _toomer_pairs(model, "both", run)
-            pairs += toomer_pairs
+            pairs += _toomer_pairs(model, "both", run)
             pairs += _delta_pairs(model, n, with_reps=False)
             pairs += _spectral_trace_pairs(run)
         else:
-            toomer_pairs, _ = _toomer_pairs(model, "oracle")
-            pairs += toomer_pairs
-    _emit(pairs, f"report: {args.model}", args.format, args.started)
-    return 0 if agree else 3
+            pairs += _toomer_pairs(model, "oracle")
+    return pairs, 0
 
 
-def _cmd_selftest(args) -> int:
-    results = selftest_mod.run_all(seed=args.seed, cases=args.cases)
+def _selftest(args, model) -> Tuple[Pairs, int]:
     pairs: Pairs = [("selftest.seed", args.seed)]
-    failed = False
-    for res in results:
+    code = 0
+    for res in selftest_mod.run_all(seed=args.seed, cases=args.cases):
         pairs.append((f"selftest.{res.name}.cases", res.cases))
         pairs.append((f"selftest.{res.name}.ok", res.ok))
         if not res.ok:
-            failed = True
+            code = 3
             pairs.append((f"selftest.{res.name}.detail", res.detail))
-    _emit(pairs, "selftest", args.format, args.started)
-    return 3 if failed else 0
+    return pairs, code
+
+
+_DEGREE = ("--degree", dict(type=int, required=True))
+
+#: name -> (builder(args, model) -> (pairs, exit code), needs_elliptic,
+#: extra arguments as (flag, add_argument keywords)).  needs_elliptic is
+#: None for a command that reads no model file.
+COMMANDS: Dict[str, Tuple[Callable, Optional[bool], tuple]] = {
+    "info": (lambda a, m: (_info_pairs(a.model, m), 0), False, ()),
+    "validate": (lambda a, m: ([("validate.ok", True), ("model.k", m.k)], 0), False, ()),
+    "cohomology": (
+        _cohomology, False, (_DEGREE, ("--to", dict(type=int, default=None)))
+    ),
+    "elliptic": (lambda a, m: (_elliptic_pairs(m, a.max_degree), 0), False, ()),
+    "top-class": (lambda a, m: (_top_class_pairs(m), 0), True, ()),
+    "murillo": (lambda a, m: (_murillo_pairs(m), 0), True, ()),
+    "delta-cohomology": (
+        lambda a, m: (_delta_pairs(m, a.degree, with_reps=True), 0), False, (_DEGREE,)
+    ),
+    "toomer": (
+        lambda a, m: (_toomer_pairs(m, a.method), 0),
+        True,
+        (("--method", dict(choices=("oracle", "spectral", "both"), default="both")),),
+    ),
+    "report": (_report, False, ()),
+    "selftest": (
+        _selftest,
+        None,
+        (("--seed", dict(type=int, default=0)), ("--cases", dict(type=int, default=200))),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing and dispatch
 
 
 class _Parser(argparse.ArgumentParser):
@@ -401,15 +373,16 @@ def _scan_bound(text: str) -> int:
     return value
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="sullivan", description=__doc__)
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, generated from `COMMANDS` on first use."""
+    # --help shows the user-facing part of the module docstring
+    parser = _Parser(prog="sullivan", description=__doc__.partition("\nDispatch")[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, with_model: bool = True):
+    for name, (_, needs_elliptic, extra) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.set_defaults(handler=handler)
-        if with_model:
+        if needs_elliptic is not None:
             p.add_argument("model", help="path to a model file")
             p.add_argument(
                 "--max-degree",
@@ -417,41 +390,25 @@ def _build_parser() -> _Parser:
                 default=None,
                 help="override the ellipticity scan bound",
             )
-        p.add_argument(
-            "--format",
-            choices=("human", "structured"),
-            default="human",
-        )
-        return p
-
-    add("info", _cmd_info)
-    add("validate", _cmd_validate)
-    p = add("cohomology", _cmd_cohomology)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--to", type=int, default=None)
-    add("elliptic", _cmd_elliptic)
-    add("top-class", _cmd_top_class)
-    add("murillo", _cmd_murillo)
-    p = add("delta-cohomology", _cmd_delta_cohomology)
-    p.add_argument("--degree", type=int, required=True)
-    p = add("toomer", _cmd_toomer)
-    p.add_argument(
-        "--method", choices=("oracle", "spectral", "both"), default="both"
-    )
-    add("report", _cmd_report)
-    p = add("selftest", _cmd_selftest, with_model=False)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=200)
+        p.add_argument("--format", choices=("human", "structured"), default="human")
+        for flag, options in extra:
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    args.started = time.perf_counter()
+    args = _parser().parse_args(argv)
+    started = time.perf_counter()
+    build, needs_elliptic, _ = COMMANDS[args.command]
+    header, model = args.command, None
     try:
-        return args.handler(args)
-    except ParseError as exc:
+        if needs_elliptic is not None:
+            header += f": {args.model}"
+            model = parse_model_file(args.model).model
+            if needs_elliptic:
+                require_elliptic(model, args.max_degree)
+        pairs, code = build(args, model)
+    except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PreconditionError as exc:
@@ -460,9 +417,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InternalInconsistencyError as exc:
         print(f"error: internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _emit(pairs, header, args.format, started)
+    if ("toomer.agree", False) in pairs:
+        print("error: oracle and spectral methods disagree", file=sys.stderr)
+        return 3
+    return code
 
 
 if __name__ == "__main__":

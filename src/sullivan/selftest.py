@@ -20,9 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import Algebra, Element, _fill_bases, basis
+from .algebra import Algebra, Element, Monomial, _fill_bases, basis
 from .cohomology import cohomology_basis, formal_dimension, is_elliptic
 from .differential import SullivanModel, _cached
 from .errors import InternalInconsistencyError
@@ -62,11 +62,20 @@ def random_element(
         bases = algebra._basis_cache[: max_degree + 1]
         degree = rng.choice([n for n, monos in enumerate(bases) if monos])
     monos = basis(algebra, degree)
-    total = algebra.zero()
-    for _ in range(rng.randint(1, max_terms)):
-        coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        total = total + coeff * Element.from_monomial(algebra, rng.choice(monos))
-    return total
+    return _random_sum(rng, algebra, monos, rng.randint(1, max_terms), 4, 3)
+
+
+def _random_sum(
+    rng: random.Random, algebra: Algebra, monos, count: int, top: int, den: int
+) -> Element:
+    """The sum of `count` drawn terms a/b * m: a in [-top, top], b in
+    [1, den], then m from `monos`, gathered in one term dict."""
+    terms: Dict[Monomial, Fraction] = {}
+    for _ in range(count):
+        coeff = Fraction(rng.randint(-top, top), rng.randint(1, den))
+        mono = rng.choice(monos)
+        terms[mono] = terms.get(mono, 0) + coeff
+    return Element(algebra, terms)
 
 
 def random_pair(
@@ -84,12 +93,8 @@ def random_pair(
     alg = model.algebra
 
     def sample(monos):
-        e = alg.zero()
-        for _ in range(rng.randint(0, 2)):
-            if monos:
-                coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                e = e + coeff * Element.from_monomial(alg, rng.choice(monos))
-        return e
+        count = rng.randint(0, 2)
+        return _random_sum(rng, alg, monos, count if monos else 0, 3, 2)
 
     return FilteredPair(model, p, n, sample(ub), sample(vb))
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -278,6 +279,20 @@ def test_method_disagreement_exits_3(capsys, monkeypatch):
     assert "disagree" in err
 
 
+def test_report_disagreement_exits_3_with_an_error_line(capsys, monkeypatch):
+    def broken_oracle(model):
+        return ToomerResult(e0=99, method="oracle", representative=model.algebra.one())
+
+    monkeypatch.setattr(cli, "toomer_oracle", broken_oracle)
+    code, out, err = _run(
+        capsys, "report", FIXTURES / "pure_n35.model", "--format", "structured"
+    )
+    assert code == 3
+    assert "toomer.oracle.e0 = 99" in out
+    assert "toomer.agree = false" in out
+    assert err == "error: oracle and spectral methods disagree\n"
+
+
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):
     from sullivan.errors import InternalInconsistencyError
 
@@ -350,6 +365,109 @@ def test_selftest_command(capsys):
     assert code == 0
     assert "selftest.leibniz.ok = true" in out
     assert "selftest.poincare_duality.ok = true" in out
+
+
+# ---------------------------------------------------------------------------
+# the command table and its parser
+
+MODEL_ARGUMENTS = [
+    ("model", None, None, True, None),
+    ("--max-degree", None, None, False, "_scan_bound"),
+    ("--format", "human", ("human", "structured"), False, None),
+]
+
+# subcommand: (option string or dest, default, choices, required, type name)
+# of every argument but --help, in the order the usage line lists them
+ARGUMENTS = {
+    "info": MODEL_ARGUMENTS,
+    "validate": MODEL_ARGUMENTS,
+    "cohomology": MODEL_ARGUMENTS + [
+        ("--degree", None, None, True, "int"),
+        ("--to", None, None, False, "int"),
+    ],
+    "elliptic": MODEL_ARGUMENTS,
+    "top-class": MODEL_ARGUMENTS,
+    "murillo": MODEL_ARGUMENTS,
+    "delta-cohomology": MODEL_ARGUMENTS + [("--degree", None, None, True, "int")],
+    "toomer": MODEL_ARGUMENTS + [
+        ("--method", "both", ("oracle", "spectral", "both"), False, None),
+    ],
+    "report": MODEL_ARGUMENTS,
+    "selftest": [
+        ("--format", "human", ("human", "structured"), False, None),
+        ("--seed", 0, None, False, "int"),
+        ("--cases", 200, None, False, "int"),
+    ],
+}
+
+
+def test_parser_arguments_are_pinned():
+    parser = cli._parser()
+    (commands,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert list(commands.choices) == list(ARGUMENTS)
+    for name, sub in commands.choices.items():
+        got = [
+            (
+                a.option_strings[0] if a.option_strings else a.dest,
+                a.default,
+                a.choices,
+                a.required,
+                getattr(a.type, "__name__", None),
+            )
+            for a in sub._actions
+            if a.dest != "help"
+        ]
+        assert got == ARGUMENTS[name], name
+
+
+def _python(*args):
+    """(exit code, stdout, stderr) of a fresh interpreter run on `args`."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_calls_in_one_process_match_separate_runs(capsys):
+    model = str(FIXTURES / "pure_n37.model")
+    calls = [
+        ("cohomology", model, "--degree", "2", "--to", "4", "--format", "structured"),
+        ("cohomology", model, "--degree", "3", "--format", "structured"),
+        ("toomer", "--method", "bogus", model),
+        ("info", model, "--format", "structured"),
+    ]
+    for argv in calls:
+        try:
+            got = _run(capsys, *argv)
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            got = (exc.code, captured.out, captured.err)
+        assert got == _python("-m", "sullivan.cli", *argv), argv
+
+
+def test_parser_is_built_once_on_first_use(capsys, monkeypatch):
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording)
+    for _ in range(2):
+        assert _run(capsys, "validate", FIXTURES / "pure_n35.model")[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    # importing the module builds no parser
+    code, out, _ = _python(
+        "-c", "from sullivan import cli; print(cli._parser.cache_info().currsize)"
+    )
+    assert (code, out) == (0, "0\n")
 
 
 # ---------------------------------------------------------------------------
