@@ -14,6 +14,7 @@ spaces), so each fixed degree contains only finitely many monomials.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -45,11 +46,8 @@ class Algebra:
         self.odd_indices = tuple(g.index for g in self.generators if g.is_odd)
         self.even_indices = tuple(g.index for g in self.generators if not g.is_odd)
         self._by_name = {g.name: g for g in self.generators}
-        # indexed by degree, filled from degree 0 up (see `basis`): the
-        # degree basis, and the offset in it where each word length starts,
-        # followed by the basis length
+        # the degree bases, filled from degree 0 up (see `basis`)
         self._basis_cache: List[List[Monomial]] = []
-        self._wordlength_starts: List[List[int]] = []
         self._signature = tuple((g.name, g.degree) for g in self.generators)
         self._hash = hash(self._signature)
 
@@ -260,44 +258,34 @@ class Element:
 
 
 def basis(
-    algebra: Algebra,
-    degree: int,
-    wordlength_exact: Optional[int] = None,
-    wordlength_min: Optional[int] = None,
+    algebra: Algebra, degree: int, wordlength_exact: Optional[int] = None
 ) -> List[Monomial]:
     """All monomials of the given degree, in graded-lex order.
 
-    Optional filters restrict to a single word length or to a lower bound on
-    word length.  Negative degrees give the empty list.  Graded-lex order
-    sorts by word length first, so within a degree the word lengths ascend
-    and each filter is a slice of the cached degree basis.  The result is a
+    ``wordlength_exact`` restricts to a single word length.  Graded-lex
+    order sorts by word length first, so within a degree the word lengths
+    ascend and the filter is a slice of the cached degree basis, found by
+    bisection.  Negative degrees give the empty list.  The result is a
     fresh list; changing it does not change the cache.
     """
     if degree < 0:
         return []
     _fill_bases(algebra, degree)
     full = algebra._basis_cache[degree]
-    if wordlength_exact is None and wordlength_min is None:
+    if wordlength_exact is None:
         return list(full)
-    starts = algebra._wordlength_starts[degree]
-    last = len(starts) - 1
-
-    def start(s: int) -> int:
-        """Offset of the first monomial of word length >= s."""
-        return starts[min(max(s, 0), last)]
-
-    lo, hi = 0, len(full)
-    if wordlength_exact is not None:
-        lo, hi = start(wordlength_exact), start(wordlength_exact + 1)
-    if wordlength_min is not None:
-        lo = max(lo, start(wordlength_min))
-    return full[lo:hi]
+    lo = bisect_left(full, wordlength_exact, key=wordlength)
+    return full[lo:bisect_left(full, wordlength_exact + 1, lo, key=wordlength)]
 
 
 #: The most monomials one degree basis may hold.  Far above every model in
 #: use (the largest basis of n37 x n35 has 7,592), and low enough that an
 #: oversized model stops at once instead of filling memory.
 MAX_BASIS = 50_000
+
+#: The highest degree a basis may be built in: every model in use needs a few
+#: hundred at most, and a longer scan or degree range stops at once.
+MAX_DEGREE = 1_000
 
 
 def _fill_bases(algebra: Algebra, degree: int) -> None:
@@ -308,9 +296,14 @@ def _fill_bases(algebra: Algebra, degree: int) -> None:
     g when g is odd.  So each degree is built from the cached lower ones,
     and the lists of those m give its size before it is built.
 
-    Raises PreconditionError when a basis would exceed ``MAX_BASIS``.
+    Raises PreconditionError when a basis would exceed ``MAX_BASIS`` or
+    ``degree`` is above ``MAX_DEGREE``.
     """
     cache = algebra._basis_cache
+    if degree > MAX_DEGREE:
+        raise PreconditionError(
+            f"the degree-{degree} basis is above the degree limit of {MAX_DEGREE}"
+        )
     n = algebra.ngens
     while len(cache) <= degree:
         d = len(cache)
@@ -335,13 +328,7 @@ def _fill_bases(algebra: Algebra, degree: int) -> None:
         for i, tail, ms in factors:
             monos.extend(m[:i] + (m[i] + 1,) + tail for m in ms)
         monos.sort(key=grlex_key)
-        starts: List[int] = []
-        for i, m in enumerate(monos):
-            while len(starts) <= wordlength(m):
-                starts.append(i)
-        starts.append(len(monos))
         cache.append(monos)
-        algebra._wordlength_starts.append(starts)
 
 
 def coefficient_vector(e: Element, basis_list: Sequence[Monomial]) -> Dict[int, Fraction]:

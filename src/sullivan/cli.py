@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .algebra import format_element, parse_element
+from .algebra import basis, build_algebra, format_element, parse_element
 from .cohomology import (
     cohomology_basis,
     formal_dimension,
@@ -38,7 +38,6 @@ from .cohomology import (
     toomer_oracle,
     top_class,
 )
-from .algebra import build_algebra
 from .differential import SullivanModel, build_differential, build_model, is_pure
 from .errors import (
     InternalInconsistencyError,
@@ -282,6 +281,9 @@ def _cohomology(args, model: SullivanModel) -> Tuple[Pairs, int]:
     hi = args.degree if args.to is None else args.to
     if args.degree < 0 or hi < args.degree:
         raise PreconditionError("degree range must satisfy 0 <= degree <= to")
+    # H^hi needs the degree-(hi + 1) basis: building it first stops a range
+    # over MAX_DEGREE or MAX_BASIS before any degree is solved
+    basis(model.algebra, hi + 1)
     return _cohomology_pairs(model, args.degree, hi, args.format == "human"), 0
 
 
@@ -317,6 +319,17 @@ def _selftest(args, model) -> Tuple[Pairs, int]:
     return pairs, code
 
 
+def _nonnegative_int(text: str) -> int:
+    """A ``--max-degree`` or ``--cases`` value: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 _DEGREE = ("--degree", dict(type=int, required=True))
 
 #: name -> (builder(args, model) -> (pairs, exit code), needs_elliptic,
@@ -343,7 +356,10 @@ COMMANDS: Dict[str, Tuple[Callable, Optional[bool], tuple]] = {
     "selftest": (
         _selftest,
         None,
-        (("--seed", dict(type=int, default=0)), ("--cases", dict(type=int, default=200))),
+        (
+            ("--seed", dict(type=int, default=0)),
+            ("--cases", dict(type=_nonnegative_int, default=200)),
+        ),
     ),
 }
 
@@ -362,17 +378,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _scan_bound(text: str) -> int:
-    """A ``--max-degree`` value: a nonnegative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
-
-
 @functools.cache
 def _parser() -> _Parser:
     """The parser, generated from `COMMANDS` on first use."""
@@ -386,7 +391,7 @@ def _parser() -> _Parser:
             p.add_argument("model", help="path to a model file")
             p.add_argument(
                 "--max-degree",
-                type=_scan_bound,
+                type=_nonnegative_int,
                 default=None,
                 help="override the ellipticity scan bound",
             )

@@ -17,22 +17,25 @@ algebra.  The pieces provided here:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
+    Algebra,
     Element,
     Monomial,
     basis,
+    build_algebra,
     coefficient_vector,
     element_from_vector,
     wordlength,
 )
 from .differential import SullivanModel, _cached, pure_projection
 from .errors import InternalInconsistencyError, PreconditionError
-from .linalg import ColumnFactorization, RationalMatrix, RowSpace, Vector, quotient_dim
+from .linalg import ColumnFactorization, RationalMatrix, RowSpace, Vector
 
 
 @dataclass
@@ -197,42 +200,13 @@ def _scan_pure_quotient(model: SullivanModel, bound: Optional[int]) -> Elliptici
     if bound < 0:
         raise ValueError("scan bound must be nonnegative")
 
-    pure = _cached(model, ("pure",), lambda: pure_projection(model))
-    ideal_gens = [
-        pure.differential.image_of(g)
-        for g in alg.generators
-        if g.is_odd and not pure.differential.image_of(g).is_zero
-    ]
-
-    def quotient_dim_at(degree: int) -> int:
-        ambient = [
-            m for m in basis(alg, degree) if not any(m[i] for i in alg.odd_indices)
-        ]
-        if not ambient:
-            return 0
-        index = {m: i for i, m in enumerate(ambient)}
-        rows = []
-        for img in ideal_gens:
-            shift = degree - img.degree()
-            if shift < 0:
-                continue
-            for m in basis(alg, shift):
-                if any(m[i] for i in alg.odd_indices):
-                    continue
-                # m and img lie in the even subalgebra: no signs, no cancelling
-                rows.append(
-                    {index[tuple(map(add, m, t))]: c for t, c in img.terms.items()}
-                )
-        return quotient_dim(RationalMatrix(rows, ncols=len(ambient)), len(ambient))
-
     # quotient dimensions are cached on the model, so every scan shares
     # them; ``qdims`` records only the degrees this scan looked at
     qdims: Dict[int, int] = {}
 
     def vanishes(degree: int) -> bool:
-        qdims[degree] = _cached(
-            model, ("pure_quotient_dim", degree), lambda: quotient_dim_at(degree)
-        )
+        key = ("pure_quotient_dim", degree)
+        qdims[degree] = _cached(model, key, lambda: _pure_quotient_dim(model, degree))
         return qdims[degree] == 0
 
     for b in range(bound + 1):
@@ -253,6 +227,33 @@ def _scan_pure_quotient(model: SullivanModel, bound: Optional[int]) -> Elliptici
         window_width=width,
         nonvanishing_degrees=nonvanishing,
     )
+
+
+def _pure_ideal(model: SullivanModel) -> Tuple[Algebra, List[Tuple[int, Dict]]]:
+    """The even generators' own algebra Lambda(V^even), and the pure images
+    of the odd generators in it as (degree, {exponent tuple: coefficient})."""
+    alg = model.algebra
+    even = build_algebra((g.name, g.degree) for g in alg.generators if not g.is_odd)
+    ideal = []
+    for img in pure_projection(model).differential.images.values():
+        f = {tuple(m[i] for i in alg.even_indices): c for m, c in img.terms.items()}
+        ideal.append((img.degree(), f))
+    return even, ideal
+
+
+def _pure_quotient_dim(model: SullivanModel, degree: int) -> int:
+    """Dimension of the degree part of Lambda(V^even) / (ideal), the ideal
+    of :func:`_pure_ideal`: the degree basis less the rank of the rows m * f,
+    m a monomial and f an ideal generator.  Both lie in the even algebra, so
+    m * f adds exponents: no signs, no cancelling."""
+    even, ideal = _cached(model, ("pure_ideal",), lambda: _pure_ideal(model))
+    ambient = basis(even, degree)
+    index = {m: i for i, m in enumerate(ambient)}
+    space = RowSpace(len(ambient))
+    for f_degree, f in ideal:
+        for m in basis(even, degree - f_degree):
+            space.add({index[tuple(map(add, m, t))]: c for t, c in f.items()})
+    return len(ambient) - space.rank
 
 
 def require_elliptic(model: SullivanModel, bound: Optional[int] = None) -> EllipticityResult:
@@ -318,7 +319,7 @@ def _deepest_representative(
     if not normal:
         return None
     s = wordlength(bn[min(normal)])
-    shallow = next(i for i, m in enumerate(bn) if wordlength(m) >= s)
+    shallow = bisect_left(bn, s, key=wordlength)
 
     def produce():
         cut = [

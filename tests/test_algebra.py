@@ -81,21 +81,11 @@ def test_basis_wordlength_filters():
     all_monos = basis(alg, 16)
     exact = basis(alg, 16, wordlength_exact=4)
     assert exact == [m for m in all_monos if wordlength(m) == 4]
-    deep = basis(alg, 16, wordlength_min=5)
-    assert deep == [m for m in all_monos if wordlength(m) >= 5]
 
 
-def _filtered_basis(alg, degree, wordlength_exact=None, wordlength_min=None):
+def _filtered_basis(alg, degree, wordlength_exact):
     """The word-length filter as a loop over the whole degree basis."""
-    out = []
-    for m in basis(alg, degree):
-        wl = wordlength(m)
-        if wordlength_exact is not None and wl != wordlength_exact:
-            continue
-        if wordlength_min is not None and wl < wordlength_min:
-            continue
-        out.append(m)
-    return out
+    return [m for m in basis(alg, degree) if wordlength(m) == wordlength_exact]
 
 
 def test_basis_wordlength_slices_match_the_filter_loop():
@@ -108,18 +98,9 @@ def test_basis_wordlength_slices_match_the_filter_loop():
                 assert basis(alg, n, wordlength_exact=s) == _filtered_basis(
                     alg, n, wordlength_exact=s
                 )
-                assert basis(alg, n, wordlength_min=s) == _filtered_basis(
-                    alg, n, wordlength_min=s
-                )
-                for t in lengths:
-                    assert basis(
-                        alg, n, wordlength_exact=s, wordlength_min=t
-                    ) == _filtered_basis(alg, n, wordlength_exact=s, wordlength_min=t)
         for n in (-1, -7):
             assert basis(alg, n) == []
             assert basis(alg, n, wordlength_exact=0) == []
-            assert basis(alg, n, wordlength_min=0) == []
-            assert basis(alg, n, wordlength_exact=1, wordlength_min=1) == []
 
 
 def _enumerated_basis(alg, degree):
@@ -155,8 +136,9 @@ def test_basis_matches_the_exponent_vector_walk():
             assert basis(alg, n) == _enumerated_basis(alg, n), (name, n)
 
 
-def test_basis_of_a_deep_degree_first():
+def test_basis_of_a_deep_degree_first(monkeypatch):
     # the lower degrees are built in a loop, not by recursion
+    monkeypatch.setattr(algebra, "MAX_DEGREE", 5000)
     alg = _alg_s2()
     assert basis(alg, 5000) == [(2500, 0)]
     assert basis(alg, 4999) == [(2498, 1)]
@@ -181,7 +163,7 @@ def test_basis_over_the_limit_is_a_precondition_error(monkeypatch):
 
 def test_basis_returns_a_fresh_list():
     alg = _alg_n37()
-    for kwargs in ({}, {"wordlength_exact": 4}, {"wordlength_min": 5}):
+    for kwargs in ({}, {"wordlength_exact": 4}):
         first = basis(alg, 16, **kwargs)
         expected = list(first)
         first.clear()

@@ -172,6 +172,14 @@ def test_negative_max_degree_is_a_usage_error(command):
     assert "Traceback" not in proc.stderr
 
 
+def test_negative_cases_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest", "--cases", "-1"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error: argument --cases: must be nonnegative, got -1" in err
+
+
 OVERSIZED_MODEL = "".join(
     [f"generator x{i} 2\n" for i in range(1, 7)]
     + [f"generator y{i} 39\n" for i in range(1, 7)]
@@ -199,6 +207,34 @@ def test_oversized_basis_fails_fast_with_exit_2(command, tmp_path):
         "of 50000" in proc.stderr
     )
     assert "Traceback" not in proc.stderr
+
+
+# without the degree limit each would run for 40 s or more: the scans
+# because their quotients never vanish, the others because every lower
+# degree would be built first
+OVERSIZED_DEGREE_RUNS = {
+    "elliptic_with_a_huge_bound": (
+        "elliptic", str(FIXTURES / "truncated_n37.model"), "--max-degree", "1000000"
+    ),
+    "delta_cohomology": (
+        "delta-cohomology", str(FIXTURES / "pure_n35.model"), "--degree", "100000"
+    ),
+    "cohomology_range": (
+        "cohomology", str(FIXTURES / "pure_n35.model"),
+        "--degree", "0", "--to", "100000",
+    ),
+    "elliptic_with_a_huge_default_bound": ("elliptic", "y100001.model"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_DEGREE_RUNS))
+def test_oversized_degree_fails_fast_with_exit_2(case, tmp_path):
+    (tmp_path / "y100001.model").write_text("generator x2 2\ngenerator y 100001\n")
+    argv = OVERSIZED_DEGREE_RUNS[case]
+    code, _, err = _python("-m", "sullivan.cli", *argv, timeout=10, cwd=tmp_path)
+    assert code == 2
+    assert "is above the degree limit of 1000" in err
+    assert "Traceback" not in err
 
 
 # (command, fixture, --max-degree): (exit code, first 16 hex digits of the
@@ -372,7 +408,7 @@ def test_selftest_command(capsys):
 
 MODEL_ARGUMENTS = [
     ("model", None, None, True, None),
-    ("--max-degree", None, None, False, "_scan_bound"),
+    ("--max-degree", None, None, False, "_nonnegative_int"),
     ("--format", "human", ("human", "structured"), False, None),
 ]
 
@@ -396,7 +432,7 @@ ARGUMENTS = {
     "selftest": [
         ("--format", "human", ("human", "structured"), False, None),
         ("--seed", 0, None, False, "int"),
-        ("--cases", 200, None, False, "int"),
+        ("--cases", 200, None, False, "_nonnegative_int"),
     ],
 }
 
@@ -422,14 +458,15 @@ def test_parser_arguments_are_pinned():
         assert got == ARGUMENTS[name], name
 
 
-def _python(*args):
-    """(exit code, stdout, stderr) of a fresh interpreter run on `args`."""
+def _python(*args, **kwargs):
+    """(exit code, stdout, stderr) of a fresh interpreter run on `args`;
+    `kwargs` go to `subprocess.run`."""
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     proc = subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env
+        [sys.executable, *args], capture_output=True, text=True, env=env, **kwargs
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -106,13 +106,13 @@ def test_report_with_a_scan_bound_computes_each_quotient_dimension_once(
     capsys, monkeypatch
 ):
     calls = []
-    counted = cohomology.quotient_dim
+    counted = cohomology._pure_quotient_dim
 
     def counting(*args):
         calls.append(args)
         return counted(*args)
 
-    monkeypatch.setattr(cohomology, "quotient_dim", counting)
+    monkeypatch.setattr(cohomology, "_pure_quotient_dim", counting)
     counts = []
     for extra in ([], ["--max-degree", "60"]):
         calls.clear()
@@ -121,7 +121,7 @@ def test_report_with_a_scan_bound_computes_each_quotient_dimension_once(
         counts.append(len(calls))
     capsys.readouterr()
     # the flag's scan and top_class's default-bound scan share their degrees
-    assert counts == [14, 14]
+    assert counts == [27, 27]
 
 
 def test_require_elliptic_message_lists_degrees():

@@ -297,6 +297,13 @@ def test_pure_quotient_dims_match_the_reference():
         "u": parse_element("x^3 - x*z^2", alg),
     }
     models.append(("common factor", build_model(alg, build_differential(alg, images))))
+    # n37 x CP^2: the even generator w2 follows the odd ones, so the scan's
+    # projection onto the even exponents is not a prefix of the monomial
+    models.append(("n37_cp2", cli.parse_model_text(
+        "generator x2 2\ngenerator x6 6\ngenerator y5 5\ngenerator y15 15\n"
+        "generator y23 23\ngenerator w2 2\ngenerator z5 5\n"
+        "d y5 = x2^3\nd y15 = x2^2*x6^2\nd y23 = x6^4\nd z5 = w2^3\n"
+    )))
     degrees = nonzero = 0
     for name, model in models:
         is_elliptic(model)
