@@ -17,6 +17,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ModelError, ParseError, PreconditionError
@@ -46,8 +47,10 @@ class Algebra:
         self.odd_indices = tuple(g.index for g in self.generators if g.is_odd)
         self.even_indices = tuple(g.index for g in self.generators if not g.is_odd)
         self._by_name = {g.name: g for g in self.generators}
-        # the degree bases, filled from degree 0 up (see `basis`)
+        # the degree bases, filled from degree 0 up (see `basis`), and for each
+        # degree and k how many of its monomials have no factor of index >= k
         self._basis_cache: List[List[Monomial]] = []
+        self._basis_counts: List[List[int]] = []
         self._signature = tuple((g.name, g.degree) for g in self.generators)
         self._hash = hash(self._signature)
 
@@ -294,12 +297,12 @@ def _fill_bases(algebra: Algebra, degree: int) -> None:
     A monomial of positive degree is m*g for exactly one generator g, its
     last factor: m has degree |m*g| - |g|, no factor after g, and no factor
     g when g is odd.  So each degree is built from the cached lower ones,
-    and the lists of those m give its size before it is built.
+    and its size is summed from their counts before any list is built.
 
     Raises PreconditionError when a basis would exceed ``MAX_BASIS`` or
     ``degree`` is above ``MAX_DEGREE``.
     """
-    cache = algebra._basis_cache
+    cache, counts = algebra._basis_cache, algebra._basis_counts
     if degree > MAX_DEGREE:
         raise PreconditionError(
             f"the degree-{degree} basis is above the degree limit of {MAX_DEGREE}"
@@ -307,27 +310,29 @@ def _fill_bases(algebra: Algebra, degree: int) -> None:
     n = algebra.ngens
     while len(cache) <= degree:
         d = len(cache)
-        factors = []  # (index of g, its tail of zeros, the m with last factor g)
+        ends = [  # how many monomials of degree d have last factor g
+            counts[d - g.degree][g.index + (not g.is_odd)] if g.degree <= d else 0
+            for g in algebra.generators
+        ]
+        row = list(accumulate(ends, initial=int(d == 0)))
+        if row[-1] > MAX_BASIS:
+            raise PreconditionError(
+                f"the degree-{d} basis has {row[-1]} monomials, more than the "
+                f"limit of {MAX_BASIS}; the model is too large"
+            )
+        monos = [(0,) * n] if d == 0 else []
         for g in algebra.generators:
             if g.degree > d:
                 continue
             i = g.index
             tail = (0,) * (n - i - 1)
-            ms = [
-                m for m in cache[d - g.degree]
+            monos.extend(
+                m[:i] + (m[i] + 1,) + tail
+                for m in cache[d - g.degree]
                 if m[i + 1:] == tail and not (g.is_odd and m[i])
-            ]
-            factors.append((i, tail, ms))
-        size = sum(len(ms) for _, _, ms in factors)
-        if size > MAX_BASIS:
-            raise PreconditionError(
-                f"the degree-{d} basis has {size} monomials, more than the "
-                f"limit of {MAX_BASIS}; the model is too large"
             )
-        monos = [(0,) * n] if d == 0 else []
-        for i, tail, ms in factors:
-            monos.extend(m[:i] + (m[i] + 1,) + tail for m in ms)
         monos.sort(key=grlex_key)
+        counts.append(row)
         cache.append(monos)
 
 
@@ -355,52 +360,32 @@ def element_from_vector(
 _OPS = set("+-*/^")
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: List[Tuple[str, str, int]] = []  # (kind, value, position)
-        self._scan()
-        self.i = 0
-
-    def _scan(self) -> None:
-        text, n = self.text, len(self.text)
-        pos = 0
-        while pos < n:
-            c = text[pos]
-            if c == "#":
-                while pos < n and text[pos] != "\n":
-                    pos += 1
-                continue
-            if c.isspace():
+def _tokens(text: str) -> List[Tuple[str, str, int]]:
+    """The (kind, value, position) tokens of ``text``, ending in an "eof" one."""
+    tokens: List[Tuple[str, str, int]] = []
+    n, pos = len(text), 0
+    while pos < n:
+        c, start = text[pos], pos
+        if c == "#":
+            while pos < n and text[pos] != "\n":
                 pos += 1
-                continue
-            if c in _OPS:
-                self.tokens.append(("op", c, pos))
+        elif c.isspace():
+            pos += 1
+        elif c in _OPS:
+            tokens.append(("op", c, pos))
+            pos += 1
+        elif c.isdecimal():
+            while pos < n and text[pos].isdecimal():
                 pos += 1
-                continue
-            if c.isdigit():
-                start = pos
-                while pos < n and text[pos].isdigit():
-                    pos += 1
-                self.tokens.append(("int", text[start:pos], start))
-                continue
-            if c.isalpha() or c == "_":
-                start = pos
-                while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                    pos += 1
-                self.tokens.append(("name", text[start:pos], start))
-                continue
+            tokens.append(("int", text[start:pos], start))
+        elif c.isalpha() or c == "_":
+            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
+                pos += 1
+            tokens.append(("name", text[start:pos], start))
+        else:
             raise ParseError(f"unexpected character {c!r}", column=pos)
-        self.tokens.append(("eof", "", n))
-
-    def peek(self) -> Tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def next(self) -> Tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    tokens.append(("eof", "", n))
+    return tokens
 
 
 def parse_element(text: str, algebra: Algebra) -> Element:
@@ -411,25 +396,24 @@ def parse_element(text: str, algebra: Algebra) -> Element:
     Squaring an odd generator, as ``y^2`` or as ``y*y`` within one product,
     is a syntax error.
     """
-    sc = _Scanner(text)
-    total = algebra.zero()
-    sign = 1
-    kind, value, pos = sc.peek()
-    if kind == "op" and value in "+-":
-        sc.next()
-        sign = -1 if value == "-" else 1
-    if sc.peek()[0] == "eof":
-        raise ParseError("empty expression", column=sc.peek()[2])
+    tokens = _tokens(text)
+    i, sign = 0, 1
+    if tokens[0][0] == "op" and tokens[0][1] in "+-":
+        i, sign = 1, (-1 if tokens[0][1] == "-" else 1)
+    if tokens[i][0] == "eof":
+        raise ParseError("empty expression", column=tokens[i][2])
+    terms: Dict[Monomial, Fraction] = {}
     while True:
-        total = total + _parse_term(sc, algebra, sign)
-        kind, value, pos = sc.peek()
+        i, mono, coeff = _parse_term(tokens, i, algebra, sign)
+        terms[mono] = terms.get(mono, 0) + coeff
+        if not terms[mono]:  # dropped at once, as a running sum of Elements does
+            del terms[mono]
+        kind, value, pos = tokens[i]
         if kind == "eof":
-            return total
-        if kind == "op" and value in "+-":
-            sc.next()
-            sign = -1 if value == "-" else 1
-            continue
-        raise ParseError(f"expected '+' or '-', found {value!r}", column=pos)
+            return Element(algebra, terms)
+        if kind != "op" or value not in "+-":
+            raise ParseError(f"expected '+' or '-', found {value!r}", column=pos)
+        i, sign = i + 1, (-1 if value == "-" else 1)
 
 
 def _int_token(value: str, pos: int) -> int:
@@ -441,61 +425,56 @@ def _int_token(value: str, pos: int) -> int:
         raise ParseError(msg, column=pos) from None
 
 
-def _parse_term(sc: _Scanner, algebra: Algebra, sign: int) -> Element:
+def _parse_term(
+    tokens: List[Tuple[str, str, int]], i: int, algebra: Algebra, sign: int
+) -> Tuple[int, Monomial, Fraction]:
+    """The index after the term at ``tokens[i]``, its monomial and coefficient.
+
+    An odd factor flips the sign once per odd factor of higher index already
+    read: the Koszul sign of moving it into declaration order.
+    """
     coeff = Fraction(sign)
-    seen_factor = False
-    odd_factors = set()
-    kind, value, pos = sc.peek()
+    exps = [0] * algebra.ngens
+    kind, value, pos = tokens[i]
     if kind == "int":
-        sc.next()
-        num = _int_token(value, pos)
-        if sc.peek()[:2] == ("op", "/"):
-            sc.next()
-            dkind, dvalue, dpos = sc.next()
+        coeff *= _int_token(value, pos)
+        i += 1
+        if tokens[i][:2] == ("op", "/"):
+            dkind, dvalue, dpos = tokens[i + 1]
             if dkind != "int":
                 raise ParseError("expected denominator after '/'", column=dpos)
             den = _int_token(dvalue, dpos)
             if den == 0:
                 raise ParseError("zero denominator", column=dpos)
-            coeff *= Fraction(num, den)
-        else:
-            coeff *= num
-        if sc.peek()[:2] == ("op", "*"):
-            sc.next()
-            seen_factor = False  # a factor must follow the '*'
-        elif sc.peek()[0] != "name":
-            return Element(algebra, {(0,) * algebra.ngens: coeff})
-    result = Element(algebra, {(0,) * algebra.ngens: coeff})
-    while True:
-        kind, value, pos = sc.peek()
+            coeff /= den
+            i += 2
+        if tokens[i][:2] == ("op", "*"):
+            i += 1
+        elif tokens[i][0] != "name":
+            return i, tuple(exps), coeff
+    while True:  # a generator name starts the term and follows every '*'
+        kind, value, pos = tokens[i]
         if kind != "name":
-            if seen_factor:
-                return result
-            raise ParseError(f"expected a generator name", column=pos)
-        sc.next()
+            raise ParseError("expected a generator name", column=pos)
         if not algebra.has_generator(value):
             raise ParseError(f"unknown generator {value!r}", column=pos)
         gen = algebra.generator(value)
         exponent = 1
-        if sc.peek()[:2] == ("op", "^"):
-            sc.next()
-            ekind, evalue, epos = sc.next()
+        if tokens[i + 1][:2] == ("op", "^"):
+            ekind, evalue, epos = tokens[i + 2]
             if ekind != "int":
                 raise ParseError("expected an exponent after '^'", column=epos)
             exponent = _int_token(evalue, epos)
-        if gen.is_odd and exponent >= 1:
-            if exponent >= 2 or gen.index in odd_factors:
-                raise ParseError(
-                    f"odd generator {value!r} squared", column=pos
-                )
-            odd_factors.add(gen.index)
-        mono = tuple(exponent if i == gen.index else 0 for i in range(algebra.ngens))
-        result = result * Element.from_monomial(algebra, mono)
-        seen_factor = True
-        if sc.peek()[:2] == ("op", "*"):
-            sc.next()
-            continue
-        return result
+            i += 2
+        if gen.is_odd and exponent:
+            if exponent >= 2 or exps[gen.index]:
+                raise ParseError(f"odd generator {value!r} squared", column=pos)
+            if sum(exps[j] for j in algebra.odd_indices if j > gen.index) % 2:
+                coeff = -coeff
+        exps[gen.index] += exponent
+        if tokens[i + 1][:2] != ("op", "*"):
+            return i + 1, tuple(exps), coeff
+        i += 2
 
 
 def _format_monomial(algebra: Algebra, mono: Monomial) -> str:

@@ -15,7 +15,6 @@ normalized so the graded-lex leading coefficient is positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import List, Tuple
 
@@ -69,27 +68,22 @@ def coefficient_matrix(model: SullivanModel) -> CoefficientMatrix:
         odds = tuple(g for g in alg.generators if g.is_odd)
         entries: List[List[Element]] = []
         for y in odds:
-            remaining = model.differential.image_of(y)
-            row: List[Element] = []
-            for x in evens:
-                divisible = {
-                    mono: c for mono, c in remaining.terms.items() if mono[x.index] >= 1
-                }
-                quotient = {
-                    tuple(e - 1 if i == x.index else e for i, e in enumerate(mono)): c
-                    for mono, c in divisible.items()
-                }
-                row.append(Element(alg, quotient))
-                remaining = Element(
-                    alg,
-                    {m: c for m, c in remaining.terms.items() if m not in divisible},
-                )
-            if not remaining.is_zero:
+            # each term goes to the column of the first even generator in it
+            row = [{} for _ in evens]
+            remainder = {}
+            for mono, c in model.differential.image_of(y).terms.items():
+                col = next((i for i, x in enumerate(evens) if mono[x.index]), None)
+                if col is None:
+                    remainder[mono] = c
+                    continue
+                k = evens[col].index
+                row[col][mono[:k] + (mono[k] - 1,) + mono[k + 1:]] = c
+            if remainder:
                 raise InternalInconsistencyError(
                     f"d({y.name}) left a remainder after extracting all even "
-                    f"generators: {format_element(remaining)}"
+                    f"generators: {format_element(Element(alg, remainder))}"
                 )
-            entries.append(row)
+            entries.append([Element(alg, quotient) for quotient in row])
         matrix = CoefficientMatrix(model, evens, odds, entries)
         for j in range(len(odds)):
             if not matrix.row_identity_holds(j):
@@ -198,12 +192,12 @@ def murillo_fundamental_class(model: SullivanModel) -> Element:
         if det.is_zero:
             continue
         sign = -1 if sum(j + 1 for j in rows) % 2 else 1
-        rest = alg.one()
-        chosen = set(rows)
+        # the odd generators left out, in declaration order: one monomial, no sign
+        rest = [0] * alg.ngens
         for j, y in enumerate(matrix.odd_gens):
-            if j not in chosen:
-                rest = rest * alg.gen_element(y.name)
-        omega = omega + Fraction(sign) * det * rest
+            if j not in rows:
+                rest[y.index] = 1
+        omega = omega + det * Element.from_monomial(alg, rest, sign)
     if omega.is_zero:
         raise InternalInconsistencyError(
             "determinant formula produced zero on an elliptic model"

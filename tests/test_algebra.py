@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -161,6 +162,23 @@ def test_basis_over_the_limit_is_a_precondition_error(monkeypatch):
     assert basis(alg, 18) == _enumerated_basis(alg, 18)
 
 
+def test_basis_size_is_counted_before_the_build(monkeypatch):
+    # odd and even generators of several degrees: the size the limit check
+    # counts for each degree is the length of the basis then built
+    alg = build_algebra(
+        [("x2", 2), ("y3", 3), ("x4", 4), ("y5", 5), ("y7", 7), ("x6", 6)]
+    )
+    for d in range(40):
+        size = len(_enumerated_basis(alg, d))
+        monkeypatch.setattr(algebra, "MAX_BASIS", size - 1)
+        with pytest.raises(PreconditionError, match=(
+            f"the degree-{d} basis has {size} monomials"
+        )):
+            basis(alg, d)
+        monkeypatch.setattr(algebra, "MAX_BASIS", size)
+        assert basis(alg, d) == _enumerated_basis(alg, d)
+
+
 def test_basis_returns_a_fresh_list():
     alg = _alg_n37()
     for kwargs in ({}, {"wordlength_exact": 4}):
@@ -306,6 +324,39 @@ def test_parse_power_is_one_monomial():
     assert huge.degree() == 2 * 9999999999
     with pytest.raises(ParseError):
         parse_element("x2*y3^9999999999", alg)
+
+
+def test_parse_odd_factors_in_any_order_carry_the_koszul_sign():
+    alg = _alg_n37()
+    assert parse_element("y15*y5", alg) == -parse_element("y5*y15", alg)
+    ordered = parse_element("y5*y15*y23", alg)
+    for names in permutations(["y5", "y15", "y23"]):
+        inversions = sum(
+            a > b for a, b in combinations([int(n[1:]) for n in names], 2)
+        )
+        sign = -1 if inversions % 2 else 1
+        assert parse_element("*".join(names), alg) == sign * ordered
+    assert parse_element("x2*y23*x6*y5", alg) == -parse_element("x2*x6*y5*y23", alg)
+
+
+def test_parse_dangling_star_rejected():
+    alg = _alg_s2()
+    for text, column in (("x2*", 3), ("x2* + y3", 4), ("x2^3*", 5), ("3*", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_element(text, alg)
+        assert err.value.message == "expected a generator name"
+        assert err.value.column == column
+
+
+def test_parse_numbers_are_decimal_digits_only():
+    alg = _alg_s2()
+    with pytest.raises(ParseError) as err:
+        parse_element("x2^\u00b2", alg)
+    assert err.value.message == "unexpected character '\u00b2'"
+    assert err.value.column == 3
+    with pytest.raises(ParseError) as err:
+        parse_element("x2\u00b2", alg)
+    assert err.value.message == "unknown generator 'x2\u00b2'"
 
 
 def test_parse_unknown_generator_rejected():

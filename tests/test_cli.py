@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -234,6 +235,36 @@ def test_oversized_degree_fails_fast_with_exit_2(case, tmp_path):
     code, _, err = _python("-m", "sullivan.cli", *argv, timeout=10, cwd=tmp_path)
     assert code == 2
     assert "is above the degree limit of 1000" in err
+    assert "Traceback" not in err
+
+
+def test_a_long_d_line_validates_fast(tmp_path):
+    """Every one of the 12,376 degree-12 monomials in 12 degree-2
+    generators on one d-line (260 KB): the terms are summed in one pass."""
+    evens = [f"x{i}" for i in range(12)]
+    terms = ("*".join(m) for m in combinations_with_replacement(evens, 6))
+    (tmp_path / "long.model").write_text(
+        "".join(f"generator {x} 2\n" for x in evens)
+        + "generator y 11\nd y = " + " + ".join(terms) + "\n"
+    )
+    code, out, err = _python(
+        "-m", "sullivan.cli", "validate", "long.model", timeout=10, cwd=tmp_path
+    )
+    assert code == 0, err
+    assert "validate.ok = true" in out
+
+
+def test_many_generators_fail_the_basis_limit_fast(tmp_path):
+    """2,000 degree-2 generators: the degree-4 basis is counted, not built,
+    before it is found to be over the limit."""
+    (tmp_path / "wide.model").write_text(
+        "".join(f"generator x{i} 2\n" for i in range(2000))
+    )
+    code, _, err = _python(
+        "-m", "sullivan.cli", "elliptic", "wide.model", timeout=10, cwd=tmp_path
+    )
+    assert code == 2
+    assert "the degree-4 basis has 2001000 monomials" in err
     assert "Traceback" not in err
 
 
