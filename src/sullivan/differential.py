@@ -31,7 +31,7 @@ from .errors import ModelError
 
 
 class Derivation:
-    """A degree +1 derivation given by generator images (not validated)."""
+    """An odd-degree derivation given by generator images (not validated)."""
 
     def __init__(self, algebra: Algebra, images: Mapping[int, Element]):
         self.algebra = algebra

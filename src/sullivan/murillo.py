@@ -1,26 +1,28 @@
-"""Fundamental class of a pure elliptic model by the determinant formula.
+"""Fundamental class of a pure elliptic model by contraction.
 
 For a pure model with even generators x_1..x_n and odd generators y_1..y_m,
 each image d(y_j) is peeled greedily into sum_i a_j^i x_i where a_j^i only
 involves x_i..x_n: terms divisible by x_1 are extracted first, then x_2 among
-what remains, and so on.  The fundamental class is then
+what remains, and so on.  With iota_i the odd derivation sending y_j to a_j^i
+and every even generator to 0, the fundamental class is
 
-    omega = sum over n-subsets j_1 < ... < j_n of row indices of
-            (-1)^{j_1+...+j_n} det(A restricted to those rows)
-            * (product of the odd generators left out),
+    omega = iota_1 o ... o iota_n (y_1 * ... * y_m),
 
-normalized so the graded-lex leading coefficient is positive.
+normalized so the graded-lex leading coefficient is positive.  The Leibniz
+rule expands this (Laplace expansion of an exterior product) into the
+determinant formula, sum over n-subsets J of rows of (-1)^{sum J} det(A_J)
+times the odd generators left out, up to a sign that depends only on n; so
+after the normalization the two agree term for term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import List, Tuple
 
 from .algebra import Algebra, Element, Generator, format_element, grlex_key
 from .cohomology import formal_dimension, is_boundary, require_elliptic
-from .differential import SullivanModel, _cached, is_pure
+from .differential import Derivation, SullivanModel, _cached, is_pure
 from .errors import InternalInconsistencyError, PreconditionError
 
 
@@ -99,18 +101,13 @@ def coefficient_matrix(model: SullivanModel) -> CoefficientMatrix:
     return CoefficientMatrix(model, *_cached(model, ("coefficient_matrix",), produce))
 
 
-def _det(entries: List[List[Element]], alg: Algebra) -> Element:
-    """Determinant over the (commutative) even subalgebra."""
+# The determinant and the exact division below are not on the engine's path:
+# the tests evaluate the minors formula with them as the reference for the
+# contraction, and bench/spans.py traces the two determinants by name.
+def _det_cofactor(entries: List[List[Element]], alg: Algebra) -> Element:
     n = len(entries)
     if n == 0:
         return alg.one()
-    if n <= 4:
-        return _det_cofactor(entries, alg)
-    return _det_bareiss(entries, alg)
-
-
-def _det_cofactor(entries: List[List[Element]], alg: Algebra) -> Element:
-    n = len(entries)
     if n == 1:
         return entries[0][0]
     total = alg.zero()
@@ -151,6 +148,8 @@ def exact_divide(a: Element, b: Element) -> Element:
 
 def _det_bareiss(entries: List[List[Element]], alg: Algebra) -> Element:
     n = len(entries)
+    if n == 0:
+        return alg.one()
     m = [[entries[i][j] for j in range(n)] for i in range(n)]
     sign = 1
     prev = alg.one()
@@ -185,19 +184,13 @@ def murillo_fundamental_class(model: SullivanModel) -> Element:
             f"{m} odd generators but {n} even ones: no square minors exist"
         )
     alg = model.algebra
-    omega = alg.zero()
-    for rows in combinations(range(m), n):
-        sub = [matrix.entries[j] for j in rows]
-        det = _det(sub, alg)
-        if det.is_zero:
-            continue
-        sign = -1 if sum(j + 1 for j in rows) % 2 else 1
-        # the odd generators left out, in declaration order: one monomial, no sign
-        rest = [0] * alg.ngens
-        for j, y in enumerate(matrix.odd_gens):
-            if j not in rows:
-                rest[y.index] = 1
-        omega = omega + det * Element.from_monomial(alg, rest, sign)
+    # y_1 * ... * y_m in declaration order, then iota_n first and iota_1 last
+    omega = Element.from_monomial(alg, [int(g.is_odd) for g in alg.generators])
+    for i in reversed(range(n)):
+        iota = Derivation(
+            alg, {y.index: row[i] for y, row in zip(matrix.odd_gens, matrix.entries)}
+        )
+        omega = iota(omega)
     if omega.is_zero:
         raise InternalInconsistencyError(
             "determinant formula produced zero on an elliptic model"

@@ -542,12 +542,12 @@ def test_parser_is_built_once_on_first_use(capsys, monkeypatch):
 # golden reports
 
 
-@pytest.mark.parametrize("stem", ["pure_n37", "pure_n35", "three_even"])
+@pytest.mark.parametrize("stem", ["pure_n37", "pure_n35", "three_even", "five_even_k2"])
 def test_golden_report(capsys, stem):
     path = FIXTURES / f"{stem}.model"
     code, out, _ = _run(capsys, "report", path, "--format", "structured")
     assert code == 0
-    # report_n37.txt, report_n35.txt, report_three_even.txt
+    # report_n37.txt, report_n35.txt, report_three_even.txt, report_five_even_k2.txt
     golden = GOLDEN / f"report_{stem.removeprefix('pure_')}.txt"
     expected = golden.read_text().splitlines()
     got = out.splitlines()

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -14,10 +15,12 @@ from sullivan.algebra import (
     format_element,
     parse_element,
 )
-from sullivan.cohomology import cochain_maps, top_class
+from sullivan.cohomology import cochain_maps, is_elliptic, top_class
+from sullivan.differential import build_differential, build_model, is_pure
 from sullivan.errors import PreconditionError
 from sullivan.linalg import RationalMatrix, solve_membership
 from sullivan.models import (
+    ALL_MODELS,
     elliptic_pure_n35,
     elliptic_pure_n37,
     nonpure_n23,
@@ -25,11 +28,9 @@ from sullivan.models import (
     projective_plane_times_s3,
     tower_two_even_mixed,
 )
-from sullivan import murillo
-from sullivan.cli import parse_model_text
+from sullivan.cli import parse_model_file
 from sullivan.cohomology import formal_dimension, is_boundary
 from sullivan.murillo import (
-    _det,
     _det_bareiss,
     _det_cofactor,
     coefficient_matrix,
@@ -157,9 +158,9 @@ def test_determinant_matches_permutation_expansion():
         return total
 
     for trial in range(4):
-        n = 5  # forces the fraction-free elimination path
+        n = 5
         entries = [[random_poly() for _ in range(n)] for _ in range(n)]
-        assert _det(entries, alg) == naive_det(entries)
+        assert _det_cofactor(entries, alg) == naive_det(entries)
 
 
 def test_bareiss_matches_cofactor_expansion():
@@ -183,39 +184,103 @@ def test_bareiss_matches_cofactor_expansion():
                 entries[0][0] = alg.zero()  # the first pivot needs a row swap
             expected = _det_cofactor(entries, alg)
             assert _det_bareiss(entries, alg) == expected
-            assert _det(entries, alg) == expected
 
 
-FIVE_EVEN = """
-generator xa 2
-generator xb 2
-generator xc 2
-generator xe 2
-generator xf 2
-generator ya 3
-generator yb 3
-generator yc 3
-generator ye 3
-generator yf 3
-d ya = xa^2 + xa*xb
-d yb = xb^2 + xb*xc
-d yc = xc^2 + xc*xe
-d ye = xe^2 + xe*xf
-d yf = xf^2
-"""
+def test_empty_determinant_is_one():
+    alg = build_algebra([("x2", 2), ("y3", 3)])
+    assert _det_cofactor([], alg) == alg.one()
+    assert _det_bareiss([], alg) == alg.one()
 
 
-def test_fundamental_class_five_even_through_bareiss(monkeypatch):
-    calls = []
+FIXTURES = Path(__file__).parent / "fixtures"
 
-    def counted(entries, alg):
-        calls.append(len(entries))
-        return _det_bareiss(entries, alg)
 
-    monkeypatch.setattr(murillo, "_det_bareiss", counted)
-    model = parse_model_text(FIVE_EVEN)
+def _minors_class(model, det):
+    """The determinant formula: the sum over n-subsets J of rows of
+    (-1)^{sum J} det(A_J) times the odd generators left out, normalized to a
+    positive leading coefficient like ``murillo_fundamental_class``."""
+    matrix = coefficient_matrix(model)
+    alg = model.algebra
+    omega = alg.zero()
+    for rows in combinations(range(len(matrix.odd_gens)), len(matrix.even_gens)):
+        sign = -1 if sum(j + 1 for j in rows) % 2 else 1
+        rest = [0] * alg.ngens
+        for j, y in enumerate(matrix.odd_gens):
+            if j not in rows:
+                rest[y.index] = 1
+        sub = [matrix.entries[j] for j in rows]
+        omega = omega + det(sub, alg) * Element.from_monomial(alg, rest, sign)
+    if omega.terms[omega.leading_monomial()] < 0:
+        omega = -omega
+    return omega
+
+
+def _random_pure_model(rng, n, m):
+    """A random pure model with n even and m odd generators, elliptic by
+    construction, whose coefficient rows touch several columns.
+
+    The even x_0..x_{n-1} have degree 2 or 4.  For j < n,
+    d y_j = x_j^a + (random terms in x_j..x_{n-1}): on the zero set of the
+    later images only x_j^a is left, so the pure quotient is finite.  The
+    m - n further odd generators get random images of word length >= 2 in
+    all the even generators, possibly zero.
+    """
+    degrees = [rng.choice((2, 4)) for _ in range(n)]
+    targets = [rng.choice((2, 3)) * deg for deg in degrees]
+    targets += [rng.choice((4, 6, 8)) for _ in range(m - n)]
+    alg = build_algebra(
+        [(f"x{i}", deg) for i, deg in enumerate(degrees)]
+        + [(f"y{j}", t - 1) for j, t in enumerate(targets)]
+    )
+    images = {}
+    for j, target in enumerate(targets):
+        first = j if j < n else 0
+        lead = [0] * alg.ngens
+        if j < n:
+            lead[j] = target // degrees[j]
+        monos = [
+            mono
+            for mono in basis(alg, target)
+            if sum(mono) >= 2
+            and list(mono) != lead
+            and not any(mono[:first]) and not any(mono[n:])
+        ]
+        image = Element.from_monomial(alg, lead) if j < n else alg.zero()
+        for mono in rng.sample(monos, min(len(monos), rng.randint(0, 3))):
+            image = image + Element.from_monomial(alg, mono, rng.choice((-2, -1, 1, 3)))
+        images[f"y{j}"] = image
+    return build_model(alg, build_differential(alg, images))
+
+
+def test_contraction_equals_the_minors_formula():
+    models = [build() for _, build in ALL_MODELS]
+    models += [
+        parse_model_file(str(path)).model
+        for path in sorted(FIXTURES.glob("*.model"))
+        if path.stem != "bad_linear"
+    ]
+    rng = random.Random("contraction")
+    # up to nine generators: the engine's own checks (the non-boundary test
+    # at degree N) grow quickly with the size of the algebra
+    shapes = [(n, m) for n in (1, 2, 3, 4) for m in range(n, n + 3) if n + m <= 9]
+    models += [_random_pure_model(rng, n, m) for n, m in shapes for _ in range(2)]
+    several_columns = checked = 0
+    for model in models:
+        if not is_pure(model) or is_elliptic(model).status != "elliptic":
+            continue
+        omega = murillo_fundamental_class(model)
+        assert omega == _minors_class(model, _det_cofactor)
+        assert omega == _minors_class(model, _det_bareiss)
+        entries = coefficient_matrix(model).entries
+        several_columns += any(sum(not e.is_zero for e in row) > 1 for row in entries)
+        checked += 1
+    assert checked >= 30 and several_columns >= 10
+
+
+def test_fundamental_class_five_even_through_bareiss():
+    model = parse_model_file(str(FIXTURES / "five_even_k2.model")).model
     omega = murillo_fundamental_class(model)
-    assert calls == [5]
+    assert omega == _minors_class(model, _det_bareiss)
     assert omega.degree() == formal_dimension(model) == 10
     assert model.d(omega).is_zero
     assert not is_boundary(model, omega)
