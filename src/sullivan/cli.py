@@ -46,7 +46,7 @@ from .errors import (
     PreconditionError,
 )
 from .murillo import coefficient_matrix, murillo_fundamental_class
-from .spectral import SpectralRun, delta_cohomology, spectral_run
+from .spectral import DeltaClass, SpectralRun, delta_cohomology, spectral_run
 from . import selftest as selftest_mod
 
 
@@ -61,7 +61,7 @@ def parse_model_file(path: str) -> ModelFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelError(f"cannot read {path}: {exc}") from exc
     model = parse_model_text(source)
     return ModelFile(path=path, model=model, source=source)
@@ -213,8 +213,7 @@ def _murillo_pairs(model: SullivanModel) -> Pairs:
     return pairs
 
 
-def _delta_pairs(model: SullivanModel, degree: int, with_reps: bool) -> Pairs:
-    classes = delta_cohomology(model, degree)
+def _delta_pairs(degree: int, classes: List[DeltaClass], with_reps: bool) -> Pairs:
     by_p: Dict[int, int] = {}
     for cls in classes:
         by_p[cls.p] = by_p.get(cls.p, 0) + 1
@@ -300,7 +299,7 @@ def _report(args, model: SullivanModel) -> Tuple[Pairs, int]:
         if model.k == 3:
             run = spectral_run(model)
             pairs += _toomer_pairs(model, "both", run)
-            pairs += _delta_pairs(model, n, with_reps=False)
+            pairs += _delta_pairs(n, [o.delta_class for o in run.outcomes], False)
             pairs += _spectral_trace_pairs(run)
         else:
             pairs += _toomer_pairs(model, "oracle")
@@ -345,7 +344,8 @@ COMMANDS: Dict[str, Tuple[Callable, Optional[bool], tuple]] = {
     "top-class": (lambda a, m: (_top_class_pairs(m), 0), True, ()),
     "murillo": (lambda a, m: (_murillo_pairs(m), 0), True, ()),
     "delta-cohomology": (
-        lambda a, m: (_delta_pairs(m, a.degree, with_reps=True), 0), False, (_DEGREE,)
+        lambda a, m: (_delta_pairs(a.degree, delta_cohomology(m, a.degree), True), 0),
+        False, (_DEGREE,),
     ),
     "toomer": (
         lambda a, m: (_toomer_pairs(m, a.method), 0),

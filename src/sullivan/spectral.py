@@ -6,9 +6,9 @@ Lambda^{2p} V + Lambda^{2p+1} V, with differential
 
     delta(u, v) = (d_3 u, d_3 v + d_4 u)
 
-and product (u, v)(u', v') = (uu', uv' + vu').  On a plain element the same
-map reads delta = d_3 + d_4 o (even word-length projection), since every word
-length belongs to exactly one pair slot.
+and product (u, v)(u', v') = (uu', uv' + vu').  Every word length belongs to
+one pair slot, so one map, ``SullivanModel.delta`` = d_3 + d_4 on even word
+lengths, is delta on plain elements and, read slot by slot, on pairs.
 
 ``lift_to_d_cocycle`` turns a delta-cocycle of top degree into an honest
 d-cocycle when possible: the lowest pair component of d(w) is always a
@@ -124,6 +124,12 @@ class FilteredPair:
 
     __hash__ = None
 
+    @classmethod
+    def slot(cls, model: SullivanModel, p: int, n: int, e: Element) -> "FilteredPair":
+        """The (p, n) pair of e: its word-length 2p and 2p + 1 parts."""
+        part = e.wordlength_component
+        return cls(model, p, n, part(2 * p), part(2 * p + 1))
+
 
 def pair_product(a: FilteredPair, b: FilteredPair) -> FilteredPair:
     """(u, v)(u', v') = (uu', uv' + vu') at filtration p + p'."""
@@ -139,15 +145,15 @@ def pair_product(a: FilteredPair, b: FilteredPair) -> FilteredPair:
 
 
 def delta_apply(pair: FilteredPair) -> FilteredPair:
-    """The page-one differential: (u, v) -> (d3 u, d3 v + d4 u)."""
-    model = pair.model
-    return FilteredPair(
-        model,
-        pair.p + 1,
-        pair.n + 1,
-        model.d3(pair.u),
-        model.d3(pair.v) + model.d4(pair.u),
-    )
+    """(u, v) -> (d3 u, d3 v + d4 u): the slot-(p + 1, n + 1) part of
+    ``model.delta``, the map every delta-matrix is built from."""
+    image = pair.model.delta(pair.as_element())
+    out = FilteredPair.slot(pair.model, pair.p + 1, pair.n + 1, image)
+    if len(out.u.terms) + len(out.v.terms) != len(image.terms):
+        raise InternalInconsistencyError(
+            f"delta of a slot-{pair.p} pair has terms outside slot {pair.p + 1}"
+        )
+    return out
 
 
 def delta_element(model: SullivanModel, e: Element) -> Element:
@@ -204,13 +210,13 @@ def delta_cohomology(model: SullivanModel, n: int) -> List[DeltaClass]:
     classes: List[DeltaClass] = []
     for e in _cohomology(model, "delta", n):
         p = e.min_wordlength() // 2
-        u, v = e.wordlength_component(2 * p), e.wordlength_component(2 * p + 1)
-        if u + v != e:
+        rep = FilteredPair.slot(model, p, n, e)
+        if rep.as_element() != e:
             raise InternalInconsistencyError(
                 f"delta-class in degree {n} has terms outside its pair slot {p}"
             )
         index = sum(1 for c in classes if c.p == p)
-        classes.append(DeltaClass(p, n, FilteredPair(model, p, n, u, v), index))
+        classes.append(DeltaClass(p, n, rep, index))
     return classes
 
 
@@ -303,13 +309,7 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
                 "obstruction filtration failed to increase"
             )
         last_obstruction_p = p_obs
-        obstruction = FilteredPair(
-            model,
-            p_obs,
-            n + 1,
-            dw.wordlength_component(2 * p_obs),
-            dw.wordlength_component(2 * p_obs + 1),
-        )
+        obstruction = FilteredPair.slot(model, p_obs, n + 1, dw)
         if not delta_apply(obstruction).is_zero:
             raise InternalInconsistencyError(
                 "lowest obstruction pair is not a delta-cocycle"

@@ -105,6 +105,50 @@ def test_missing_file_exits_1(capsys):
     assert "cannot read" in err
 
 
+def test_non_utf8_model_file_exits_1(capsys, tmp_path):
+    path = tmp_path / "latin.model"
+    path.write_bytes(b"generator x2 2\n\xff\xfe\n")
+    code, out, err = _run(capsys, "info", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("generator x2\n", "expected `generator <name> <degree>` (line 1)"),
+        ("generator x2 2\ngenerator y5 5\nd y5 x2^3\n",
+         "expected `d <name> = <polynomial>` (line 3)"),
+        ("generator x2 2\ngenerator y5 5\nd y5 y7 = x2^3\n",
+         "expected `d <name> = <polynomial>` (line 3)"),
+        ("generator x2 2\ngen y5 5\n", "unrecognized statement 'gen' (line 2)"),
+        ("generator x2 2\ngenerator y5 5\nd y5 = 3/\n",
+         "expected denominator after '/' (line 3, column 10)"),
+        ("generator 2x 2\n", "invalid generator name '2x'"),
+    ],
+    ids=["generator-tokens", "d-without-eq", "d-head", "statement", "denominator",
+         "name"],
+)
+def test_malformed_model_file_exits_1_with_its_message(
+    capsys, tmp_path, source, message
+):
+    path = tmp_path / "bad.model"
+    path.write_text(source)
+    assert _run(capsys, "info", path) == (1, "", f"error: {message}\n")
+
+
+def test_info_reports_an_impure_model(capsys, tmp_path):
+    # d y7 = y3*y5 leaves the even subalgebra
+    path = tmp_path / "odd.model"
+    path.write_text(
+        "generator y3 3\ngenerator y5 5\ngenerator y7 7\nd y7 = y3*y5\n"
+    )
+    code, out, _ = _run(capsys, "info", path, "--format", "structured")
+    assert code == 0
+    assert "model.pure = false" in out.splitlines()
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["toomer", "--method", "bogus", str(FIXTURES / "pure_n37.model")])
@@ -179,6 +223,14 @@ def test_negative_cases_is_a_usage_error(capsys):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "error: argument --cases: must be nonnegative, got -1" in err
+
+
+def test_non_integer_cases_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest", "--cases", "abc"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error: argument --cases: invalid int value: 'abc'" in err
 
 
 OVERSIZED_MODEL = "".join(
@@ -387,6 +439,31 @@ def test_cohomology_range(capsys):
     assert code == 0
     assert "cohomology.dim.0 = 1" in out
     assert "cohomology.dim.4 = 1" in out
+
+
+def test_cohomology_human_lists_representatives(capsys):
+    code, out, _ = _run(
+        capsys, "cohomology", FIXTURES / "pure_n37.model", "--degree", "0", "--to", "4"
+    )
+    assert code == 0
+    assert out.splitlines()[1:-1] == [
+        "cohomology.dim.0 = 1",
+        "cohomology.rep.0.0 = 1",
+        "cohomology.dim.1 = 0",
+        "cohomology.dim.2 = 1",
+        "cohomology.rep.2.0 = x2",
+        "cohomology.dim.3 = 0",
+        "cohomology.dim.4 = 1",
+        "cohomology.rep.4.0 = x2^2",
+    ]
+
+
+def test_cohomology_reversed_range_exits_2(capsys):
+    code, out, err = _run(
+        capsys, "cohomology", FIXTURES / "pure_n37.model", "--degree", "5", "--to", "2"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: degree range must satisfy 0 <= degree <= to\n"
 
 
 def test_delta_cohomology_command(capsys):

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from sullivan import cli
 from sullivan.algebra import format_element, parse_element, wordlength
 from sullivan.cohomology import is_boundary, toomer_oracle
+from sullivan.differential import SullivanModel
 from sullivan.errors import PreconditionError
 from sullivan.models import (
     ELLIPTIC_K3_POOL,
@@ -14,6 +18,7 @@ from sullivan.models import (
     sphere_s2,
     tower_one_even,
 )
+from sullivan.selftest import random_pair
 from sullivan.spectral import (
     FilteredPair,
     delta_apply,
@@ -122,6 +127,46 @@ def test_delta_nonvanishing_probe_n37():
     image = delta_apply(_pair(model, 2, 37, "x2*x6^2*y23", "0"))
     assert image.u.is_zero
     assert format_element(image.v) == "x2*x6^6"
+
+
+def _pair_formula(pair):
+    """delta by the paper's pair formula (d3 u, d3 v + d4 u), the reference."""
+    model = pair.model
+    return FilteredPair(
+        model,
+        pair.p + 1,
+        pair.n + 1,
+        model.d3(pair.u),
+        model.d3(pair.v) + model.d4(pair.u),
+    )
+
+
+def test_delta_apply_matches_the_pair_formula():
+    rng = random.Random(7)
+    nonzero = 0
+    for name, build in ELLIPTIC_K3_POOL:
+        model = build()
+        for _ in range(60):
+            pair = random_pair(rng, model)
+            image = delta_apply(pair)
+            assert image == _pair_formula(pair), name
+            nonzero += not image.is_zero
+    assert nonzero > 100
+
+
+def test_selftest_catches_delta_applying_d4_on_odd_word_lengths(capsys, monkeypatch):
+    # the parity rule of the delta every matrix is built from, turned over
+    def odd_d4(self, mono, coeff, out):
+        self.d3.add_image(mono, coeff, out)
+        if sum(mono) % 2 == 1:
+            self.d4.add_image(mono, coeff, out)
+
+    monkeypatch.setattr(SullivanModel, "add_delta_image", odd_d4)
+    code = cli.main(["selftest", "--seed", "1", "--format", "structured"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert "selftest.delta_squared.ok = false" in out
+    assert "selftest.delta_derivation.ok = false" in out
 
 
 def test_delta_element_matches_pair_delta():
