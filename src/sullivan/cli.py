@@ -11,18 +11,19 @@ failure (non-elliptic model, wrong k), 3 internal inconsistency (method
 disagreement or a failed verification).
 
 Dispatch: each command is one row of `COMMANDS`, naming the builder that
-turns the parsed arguments and the model into pairs and an exit code,
-whether the model must first pass `require_elliptic`, and the command's
-extra arguments.  `main` parses the model file, checks ellipticity when the
-row asks for it, calls the builder and emits its pairs; a `toomer.agree =
-false` pair makes it exit 3 with an error line.  The argparse parser is
-generated from the same table, once per process, on the first call.
+turns the parsed arguments and the model into pairs and an exit code, and
+every argument but the shared `--format`.  `main` parses the model file
+when the command takes one (the engine checks ellipticity itself), calls the
+builder and emits its pairs; a `toomer.agree = false` pair makes it exit 3
+with an error line.  The argparse parser is generated from the same table,
+once per process, on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ from .cohomology import (
     cohomology_basis,
     formal_dimension,
     is_elliptic,
-    require_elliptic,
     toomer_oracle,
     top_class,
 )
@@ -59,7 +59,7 @@ class ModelFile:
 
 def parse_model_file(path: str) -> ModelFile:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             source = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ModelError(f"cannot read {path}: {exc}") from exc
@@ -145,6 +145,7 @@ def _emit(pairs: Pairs, header: str, fmt: str, started: float) -> None:
         print(f"{key} = {_fmt_value(value)}", file=out)
     if fmt == "human":
         print(f"elapsed_seconds = {time.perf_counter() - started:.3f}", file=out)
+    out.flush()  # a closed pipe raises here, not in the interpreter's exit flush
 
 
 def _info_pairs(path: str, model: SullivanModel) -> Pairs:
@@ -200,6 +201,8 @@ def _top_class_pairs(model: SullivanModel) -> Pairs:
 
 
 def _murillo_pairs(model: SullivanModel) -> Pairs:
+    # the class first: it checks ellipticity before the matrix checks purity
+    omega = murillo_fundamental_class(model)
     matrix = coefficient_matrix(model)
     pairs: Pairs = [
         ("murillo.rows", len(matrix.odd_gens)),
@@ -208,7 +211,6 @@ def _murillo_pairs(model: SullivanModel) -> Pairs:
     for j, row in enumerate(matrix.entries, start=1):
         for i, entry in enumerate(row, start=1):
             pairs.append((f"murillo.entry.{j}.{i}", format_element(entry)))
-    omega = murillo_fundamental_class(model)
     pairs.append(("murillo.class", format_element(omega)))
     return pairs
 
@@ -276,14 +278,24 @@ def _spectral_trace_pairs(run: SpectralRun) -> Pairs:
 # commands
 
 
-def _cohomology(args, model: SullivanModel) -> Tuple[Pairs, int]:
-    hi = args.degree if args.to is None else args.to
+def _top_degree(args) -> int:
+    hi = args.degree if getattr(args, "to", None) is None else args.to
     if args.degree < 0 or hi < args.degree:
         raise PreconditionError("degree range must satisfy 0 <= degree <= to")
+    return hi
+
+
+def _cohomology(args, model: SullivanModel) -> Tuple[Pairs, int]:
+    hi = _top_degree(args)
     # H^hi needs the degree-(hi + 1) basis: building it first stops a range
     # over MAX_DEGREE or MAX_BASIS before any degree is solved
     basis(model.algebra, hi + 1)
     return _cohomology_pairs(model, args.degree, hi, args.format == "human"), 0
+
+
+def _delta_cohomology(args, model: SullivanModel) -> Tuple[Pairs, int]:
+    n = _top_degree(args)
+    return _delta_pairs(n, delta_cohomology(model, n), True), 0
 
 
 def _report(args, model: SullivanModel) -> Tuple[Pairs, int]:
@@ -329,33 +341,31 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+_MODEL = ("model", dict(help="path to a model file"))
+_MAX_DEGREE = (
+    "--max-degree", dict(type=_nonnegative_int, help="override the ellipticity scan bound")
+)
 _DEGREE = ("--degree", dict(type=int, required=True))
 
-#: name -> (builder(args, model) -> (pairs, exit code), needs_elliptic,
-#: extra arguments as (flag, add_argument keywords)).  needs_elliptic is
-#: None for a command that reads no model file.
-COMMANDS: Dict[str, Tuple[Callable, Optional[bool], tuple]] = {
-    "info": (lambda a, m: (_info_pairs(a.model, m), 0), False, ()),
-    "validate": (lambda a, m: ([("validate.ok", True), ("model.k", m.k)], 0), False, ()),
+#: name -> (builder(args, model) -> (pairs, exit code), arguments as (flag
+#: or name, add_argument keywords)); model is None for a command without one
+COMMANDS: Dict[str, Tuple[Callable, tuple]] = {
+    "info": (lambda a, m: (_info_pairs(a.model, m), 0), (_MODEL,)),
+    "validate": (lambda a, m: ([("validate.ok", True), ("model.k", m.k)], 0), (_MODEL,)),
     "cohomology": (
-        _cohomology, False, (_DEGREE, ("--to", dict(type=int, default=None)))
+        _cohomology, (_MODEL, _DEGREE, ("--to", dict(type=int, default=None)))
     ),
-    "elliptic": (lambda a, m: (_elliptic_pairs(m, a.max_degree), 0), False, ()),
-    "top-class": (lambda a, m: (_top_class_pairs(m), 0), True, ()),
-    "murillo": (lambda a, m: (_murillo_pairs(m), 0), True, ()),
-    "delta-cohomology": (
-        lambda a, m: (_delta_pairs(a.degree, delta_cohomology(m, a.degree), True), 0),
-        False, (_DEGREE,),
-    ),
+    "elliptic": (lambda a, m: (_elliptic_pairs(m, a.max_degree), 0), (_MODEL, _MAX_DEGREE)),
+    "top-class": (lambda a, m: (_top_class_pairs(m), 0), (_MODEL,)),
+    "murillo": (lambda a, m: (_murillo_pairs(m), 0), (_MODEL,)),
+    "delta-cohomology": (_delta_cohomology, (_MODEL, _DEGREE)),
     "toomer": (
         lambda a, m: (_toomer_pairs(m, a.method), 0),
-        True,
-        (("--method", dict(choices=("oracle", "spectral", "both"), default="both")),),
+        (_MODEL, ("--method", dict(choices=("oracle", "spectral", "both"), default="both"))),
     ),
-    "report": (_report, False, ()),
+    "report": (_report, (_MODEL, _MAX_DEGREE)),
     "selftest": (
         _selftest,
-        None,
         (
             ("--seed", dict(type=int, default=0)),
             ("--cases", dict(type=_nonnegative_int, default=200)),
@@ -385,18 +395,10 @@ def _parser() -> _Parser:
     parser = _Parser(prog="sullivan", description=__doc__.partition("\nDispatch")[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, needs_elliptic, extra) in COMMANDS.items():
+    for name, (_, arguments) in COMMANDS.items():
         p = sub.add_parser(name)
-        if needs_elliptic is not None:
-            p.add_argument("model", help="path to a model file")
-            p.add_argument(
-                "--max-degree",
-                type=_nonnegative_int,
-                default=None,
-                help="override the ellipticity scan bound",
-            )
         p.add_argument("--format", choices=("human", "structured"), default="human")
-        for flag, options in extra:
+        for flag, options in arguments:
             p.add_argument(flag, **options)
     return parser
 
@@ -404,14 +406,12 @@ def _parser() -> _Parser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     started = time.perf_counter()
-    build, needs_elliptic, _ = COMMANDS[args.command]
+    build, _ = COMMANDS[args.command]
     header, model = args.command, None
     try:
-        if needs_elliptic is not None:
+        if "model" in args:
             header += f": {args.model}"
             model = parse_model_file(args.model).model
-            if needs_elliptic:
-                require_elliptic(model, args.max_degree)
         pairs, code = build(args, model)
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -422,7 +422,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InternalInconsistencyError as exc:
         print(f"error: internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    _emit(pairs, header, args.format, started)
+    try:
+        _emit(pairs, header, args.format, started)
+    except BrokenPipeError:  # with stdout on devnull the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if ("toomer.agree", False) in pairs:
         print("error: oracle and spectral methods disagree", file=sys.stderr)
         return 3

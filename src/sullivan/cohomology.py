@@ -256,20 +256,15 @@ def _pure_quotient_dim(model: SullivanModel, degree: int) -> int:
     return len(ambient) - space.rank
 
 
-def require_elliptic(model: SullivanModel, bound: Optional[int] = None) -> EllipticityResult:
-    res = is_elliptic(model, bound)
-    if res.status == "inconclusive":
-        raise PreconditionError(
-            f"ellipticity test inconclusive with scan bound {res.bound}; "
-            "raise the bound"
-        )
-    if res.status != "elliptic":
+def require_elliptic(model: SullivanModel) -> None:
+    """PreconditionError unless elliptic; the derived scan bound is conclusive."""
+    res = is_elliptic(model)
+    if not res.is_elliptic:
         degs = ", ".join(str(d) for d in res.nonvanishing_degrees[:8])
         raise PreconditionError(
             "model is not elliptic: the pure quotient survives in degrees "
             f"{degs}{'...' if len(res.nonvanishing_degrees) > 8 else ''}"
         )
-    return res
 
 
 def top_class(model: SullivanModel) -> Tuple[int, CohomologySpace]:

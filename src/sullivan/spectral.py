@@ -356,11 +356,11 @@ def spectral_run(model: SullivanModel) -> SpectralRun:
     e0; the result is cross-checked against the direct oracle and any
     disagreement is a hard error.
     """
+    require_elliptic(model)
     if model.k != 3:
         raise PreconditionError(
             f"spectral Toomer computation requires k = 3, found k = {model.k}"
         )
-    require_elliptic(model)
     n = formal_dimension(model)
     classes = delta_cohomology(model, n)
     if not classes:

@@ -114,6 +114,14 @@ def test_non_utf8_model_file_exits_1(capsys, tmp_path):
     assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
 
 
+def test_model_file_with_a_byte_order_mark_parses(capsys, tmp_path):
+    path = tmp_path / "bom.model"
+    path.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "pure_n37.model").read_bytes())
+    code, out, err = _run(capsys, "info", path, "--format", "structured")
+    assert (code, err) == (0, "")
+    assert "model.formal_dimension = 37" in out
+
+
 @pytest.mark.parametrize(
     "source, message",
     [
@@ -193,15 +201,54 @@ def test_spectral_on_k2_exits_2(capsys, tmp_path):
     assert "k = 3" in err or "k=3" in err
 
 
-def test_small_max_degree_is_inconclusive(capsys):
-    code, _, err = _run(
-        capsys, "toomer", FIXTURES / "pure_n37.model", "--max-degree", "10"
-    )
-    assert code == 2
-    assert "inconclusive" in err
+# the model commands that print no scan; each checks ellipticity, when it
+# needs it, at the scan's own conclusive bound
+NO_SCAN_COMMANDS = {
+    "info": (),
+    "validate": (),
+    "cohomology": ("--degree", "2"),
+    "top-class": (),
+    "murillo": (),
+    "delta-cohomology": ("--degree", "2"),
+    "toomer": (),
+}
 
 
-@pytest.mark.parametrize("command", ["elliptic", "report", "toomer"])
+@pytest.mark.parametrize("command", sorted(NO_SCAN_COMMANDS))
+def test_max_degree_is_an_option_of_the_scan_commands_only(capsys, command):
+    argv = [command, str(FIXTURES / "pure_n37.model"), *NO_SCAN_COMMANDS[command]]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--max-degree", "10"])
+    assert exc.value.code == 1
+    assert "error: unrecognized arguments: --max-degree 10" in capsys.readouterr().err
+
+
+# non-elliptic and non-pure; non-elliptic with k = 2
+NOT_ELLIPTIC_FIRST = {
+    "murillo": (
+        "generator x2 2\ngenerator x4 4\ngenerator y3 3\ngenerator x6 6\n"
+        "generator y5 5\nd x6 = x2^2*y3\nd y5 = x2*x4\n",
+        (),
+    ),
+    "toomer": (
+        "generator x2 2\ngenerator x4 4\ngenerator y5 5\nd y5 = x2*x4\n",
+        ("--method", "spectral"),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_ELLIPTIC_FIRST))
+def test_ellipticity_is_checked_before_the_other_preconditions(
+    capsys, tmp_path, command
+):
+    text, extra = NOT_ELLIPTIC_FIRST[command]
+    (tmp_path / "m.model").write_text(text)
+    code, out, err = _run(capsys, command, tmp_path / "m.model", *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: model is not elliptic: ")
+
+
+@pytest.mark.parametrize("command", ["elliptic", "report"])
 def test_negative_max_degree_is_a_usage_error(command):
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -458,6 +505,15 @@ def test_cohomology_human_lists_representatives(capsys):
     ]
 
 
+@pytest.mark.parametrize("command", ["cohomology", "delta-cohomology"])
+def test_negative_degree_exits_2(capsys, command):
+    code, out, err = _run(
+        capsys, command, FIXTURES / "pure_n35.model", "--degree", "-3"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: degree range must satisfy 0 <= degree <= to\n"
+
+
 def test_cohomology_reversed_range_exits_2(capsys):
     code, out, err = _run(
         capsys, "cohomology", FIXTURES / "pure_n37.model", "--degree", "5", "--to", "2"
@@ -515,9 +571,11 @@ def test_selftest_command(capsys):
 # the command table and its parser
 
 MODEL_ARGUMENTS = [
-    ("model", None, None, True, None),
-    ("--max-degree", None, None, False, "_nonnegative_int"),
     ("--format", "human", ("human", "structured"), False, None),
+    ("model", None, None, True, None),
+]
+SCAN_ARGUMENTS = MODEL_ARGUMENTS + [
+    ("--max-degree", None, None, False, "_nonnegative_int"),
 ]
 
 # subcommand: (option string or dest, default, choices, required, type name)
@@ -529,14 +587,14 @@ ARGUMENTS = {
         ("--degree", None, None, True, "int"),
         ("--to", None, None, False, "int"),
     ],
-    "elliptic": MODEL_ARGUMENTS,
+    "elliptic": SCAN_ARGUMENTS,
     "top-class": MODEL_ARGUMENTS,
     "murillo": MODEL_ARGUMENTS,
     "delta-cohomology": MODEL_ARGUMENTS + [("--degree", None, None, True, "int")],
     "toomer": MODEL_ARGUMENTS + [
         ("--method", "both", ("oracle", "spectral", "both"), False, None),
     ],
-    "report": MODEL_ARGUMENTS,
+    "report": SCAN_ARGUMENTS,
     "selftest": [
         ("--format", "human", ("human", "structured"), False, None),
         ("--seed", 0, None, False, "int"),
@@ -577,6 +635,28 @@ def _python(*args, **kwargs):
         [sys.executable, *args], capture_output=True, text=True, env=env, **kwargs
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
+    """Eleven degree-3 odd generators and d = 0: the human report of degrees
+    0..33 lists every representative, about 84 KB, more than a pipe holds."""
+    path = tmp_path / "odd.model"
+    path.write_text("".join(f"generator y{i} 3\n" for i in range(11)))
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sullivan.cli", "cohomology", str(path),
+         "--degree", "0", "--to", "33"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == f"== cohomology: {path} ==\n".encode()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=30) == 1
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
 
 
 def test_calls_in_one_process_match_separate_runs(capsys):
