@@ -47,7 +47,6 @@ from .spectral import (
     LiftTrace,
     delta_apply,
     delta_cohomology,
-    filtration_basis,
     lift_to_d_cocycle,
     pair_product,
     representative_depth,
@@ -92,7 +91,6 @@ __all__ = [
     "LiftTrace",
     "delta_apply",
     "delta_cohomology",
-    "filtration_basis",
     "lift_to_d_cocycle",
     "pair_product",
     "representative_depth",

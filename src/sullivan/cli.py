@@ -85,7 +85,10 @@ def parse_model_text(source: str) -> SullivanModel:
                 raise ParseError(
                     "expected `generator <name> <degree>`", line=lineno
                 )
+            # a polynomial's digits after an optional '-'; int() also takes '+', '_'
             try:
+                if not tokens[2].removeprefix("-").isdecimal():
+                    raise ValueError
                 degree = int(tokens[2])
             except ValueError:
                 raise ParseError(

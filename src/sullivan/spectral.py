@@ -8,7 +8,9 @@ Lambda^{2p} V + Lambda^{2p+1} V, with differential
 
 and product (u, v)(u', v') = (uu', uv' + vu').  Every word length belongs to
 one pair slot, so one map, ``SullivanModel.delta`` = d_3 + d_4 on even word
-lengths, is delta on plain elements and, read slot by slot, on pairs.
+lengths, is delta on plain elements and, read slot by slot, on pairs.  For
+k = 4 the stages are word-length triples and these pairs are not E_1, so
+every pair entry point checks k = 3 first (``PreconditionError`` otherwise).
 
 ``lift_to_d_cocycle`` turns a delta-cocycle of top degree into an honest
 d-cocycle when possible: the lowest pair component of d(w) is always a
@@ -47,27 +49,11 @@ from .linalg import RationalMatrix
 
 
 def _require_delta(model: SullivanModel) -> None:
-    if model.k is None:
-        raise PreconditionError("the differential is zero; no spectral sequence")
-    if model.k == 2:
+    if model.k != 3:
         raise PreconditionError(
-            "k = 2: the word-length pairs used here require k >= 3"
+            "the word-length pairs of the spectral method require k = 3, "
+            f"found k = {model.k}"
         )
-
-
-def filtration_basis(model: SullivanModel, p: int, n: int) -> List[Monomial]:
-    """Monomial basis of F^p/F^{p+1} in degree n, i.e. word lengths
-    p(k-1) .. p(k-1)+k-2.  Works for any k >= 2 (for k = 2 each stage is
-    the single word length p); the pair structure below needs k = 3."""
-    if model.k is None:
-        raise PreconditionError("the differential is zero; no spectral sequence")
-    if p < 0:
-        raise ValueError("filtration index must be nonnegative")
-    k = model.k
-    out: List[Monomial] = []
-    for s in range(p * (k - 1), p * (k - 1) + k - 1):
-        out.extend(basis(model.algebra, n, wordlength_exact=s))
-    return out
 
 
 @dataclass(eq=False)
@@ -154,12 +140,6 @@ def delta_apply(pair: FilteredPair) -> FilteredPair:
             f"delta of a slot-{pair.p} pair has terms outside slot {pair.p + 1}"
         )
     return out
-
-
-def delta_element(model: SullivanModel, e: Element) -> Element:
-    """delta on a raw element: d3 everywhere plus d4 on even word lengths."""
-    _require_delta(model)
-    return model.delta(e)
 
 
 def pair_basis(model: SullivanModel, p: int, n: int) -> Tuple[List[Monomial], List[Monomial]]:
@@ -281,7 +261,7 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
             iterations=0, final=start, iterates=[start],
         )
     n = start.degree()
-    if not delta_element(model, start).is_zero:
+    if not model.delta(start).is_zero:
         raise PreconditionError("start element is not a delta-cocycle")
     wls = start.wordlengths()
     p = wls[0] // 2
@@ -357,10 +337,7 @@ def spectral_run(model: SullivanModel) -> SpectralRun:
     disagreement is a hard error.
     """
     require_elliptic(model)
-    if model.k != 3:
-        raise PreconditionError(
-            f"spectral Toomer computation requires k = 3, found k = {model.k}"
-        )
+    _require_delta(model)
     n = formal_dimension(model)
     classes = delta_cohomology(model, n)
     if not classes:

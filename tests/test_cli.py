@@ -134,9 +134,14 @@ def test_model_file_with_a_byte_order_mark_parses(capsys, tmp_path):
         ("generator x2 2\ngenerator y5 5\nd y5 = 3/\n",
          "expected denominator after '/' (line 3, column 10)"),
         ("generator 2x 2\n", "invalid generator name '2x'"),
+        # a degree has the digits of a polynomial's numbers, not int()'s grammar
+        ("generator x2 1_0\ngenerator y 2_9\nd y = x2^3\n",
+         "degree '1_0' is not an integer (line 1)"),
+        ("generator x2 +2\n", "degree '+2' is not an integer (line 1)"),
+        ("generator x2 -2\n", "generator 'x2' has degree -2; degrees must be >= 2"),
     ],
     ids=["generator-tokens", "d-without-eq", "d-head", "statement", "denominator",
-         "name"],
+         "name", "degree-underscore", "degree-plus", "degree-negative"],
 )
 def test_malformed_model_file_exits_1_with_its_message(
     capsys, tmp_path, source, message
@@ -199,6 +204,18 @@ def test_spectral_on_k2_exits_2(capsys, tmp_path):
     code, _, err = _run(capsys, "toomer", path, "--method", "spectral")
     assert code == 2
     assert "k = 3" in err or "k=3" in err
+
+
+def test_delta_cohomology_on_k4_exits_2(capsys, tmp_path):
+    # for k = 4 the filtration stages are word-length triples, not pairs
+    path = tmp_path / "k4.model"
+    path.write_text("generator x2 2\ngenerator y7 7\nd y7 = x2^4\n")
+    code, out, err = _run(capsys, "delta-cohomology", path, "--degree", "6")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the word-length pairs of the spectral method require k = 3, "
+        "found k = 4\n"
+    )
 
 
 # the model commands that print no scan; each checks ellipticity, when it

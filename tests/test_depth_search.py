@@ -62,7 +62,6 @@ from sullivan.spectral import (
     FilteredPair,
     delta_apply,
     delta_cohomology,
-    delta_element,
     delta_matrix,
     lift_to_d_cocycle,
     pair_basis,
@@ -95,7 +94,7 @@ def _delta_boundary_columns(model: SullivanModel, n: int):
     alg = model.algebra
     bn = basis(alg, n)
     cols = [
-        coefficient_vector(delta_element(model, Element.from_monomial(alg, m)), bn)
+        coefficient_vector(model.delta(Element.from_monomial(alg, m)), bn)
         for m in basis(alg, n - 1)
     ]
     return bn, cols

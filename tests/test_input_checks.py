@@ -1,0 +1,143 @@
+"""Each input check of the engine's library surface rejects its bad input."""
+
+from __future__ import annotations
+
+import pytest
+
+from sullivan import linalg
+from sullivan.algebra import (
+    Generator,
+    basis,
+    build_algebra,
+    coefficient_vector,
+    parse_element,
+)
+from sullivan.cohomology import is_elliptic
+from sullivan.differential import build_differential, build_model, homogeneous_component
+from sullivan.errors import ModelError
+from sullivan.linalg import RationalMatrix, quotient_dim
+from sullivan.models import elliptic_pure_n35, elliptic_pure_n37, projective_plane
+from sullivan.spectral import (
+    DeltaClass,
+    FilteredPair,
+    lift_to_d_cocycle,
+    pair_product,
+    representative_depth,
+)
+
+
+def _pair(p, n, u, v, model=None):
+    model = model or elliptic_pure_n37()
+    alg = model.algebra
+    return FilteredPair(model, p, n, parse_element(u, alg), parse_element(v, alg))
+
+
+def _other_algebra():
+    return build_algebra([("z2", 2), ("w3", 3)])
+
+
+def _build_differential_generator_of_another_algebra():
+    alg = elliptic_pure_n37().algebra
+    build_differential(alg, {Generator("z2", 2, 0): alg.zero()})
+
+
+def _build_differential_two_images():
+    alg = elliptic_pure_n37().algebra
+    image = parse_element("x2^3", alg)
+    build_differential(alg, {"y5": image, alg.generator("y5"): image})
+
+
+def _build_differential_image_of_another_algebra():
+    alg = elliptic_pure_n37().algebra
+    build_differential(alg, {"y5": _other_algebra().zero()})
+
+
+def _build_model_differential_of_another_algebra():
+    model = elliptic_pure_n37()
+    build_model(_other_algebra(), model.differential)
+
+
+def _pair_component_of_another_algebra():
+    model = elliptic_pure_n37()
+    FilteredPair(model, 0, 0, _other_algebra().one(), model.algebra.zero())
+
+
+def _pair_sum_across_slots():
+    model = elliptic_pure_n37()
+    _pair(1, 4, "x2^2", "0", model) + _pair(1, 8, "x2*x6", "0", model)
+
+
+def _pair_product_across_models():
+    pair_product(
+        _pair(0, 0, "1", "0"), _pair(0, 0, "1", "0", projective_plane())
+    )
+
+
+def _depth_of_zero_class():
+    model = elliptic_pure_n35()
+    zero = FilteredPair(model, 0, 0, model.algebra.zero(), model.algebra.zero())
+    representative_depth(model, DeltaClass(0, 0, zero, 0))
+
+
+def _quotient_dim_with_a_rank_over_the_ambient():
+    # a rank above the column count would be a fault of the kernel
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "rank", lambda m: m.ncols + 1)
+        quotient_dim(RationalMatrix([[1, 0]]), 2)
+
+
+INPUT_CHECKS = {
+    "build_algebra-degree-not-int": (
+        lambda: build_algebra([("x2", 2.0)]), ModelError, "must be an integer"),
+    "leading_monomial-of-zero": (
+        lambda: elliptic_pure_n37().algebra.zero().leading_monomial(),
+        ValueError, "no leading monomial"),
+    "coefficient_vector-outside-basis": (
+        lambda: coefficient_vector(
+            elliptic_pure_n37().algebra.gen_element("x6"),
+            basis(elliptic_pure_n37().algebra, 2),
+        ),
+        ValueError, "outside the given basis"),
+    "is_elliptic-negative-bound": (
+        lambda: is_elliptic(elliptic_pure_n37(), -1), ValueError, "nonnegative"),
+    "build_differential-generator-of-another-algebra": (
+        _build_differential_generator_of_another_algebra, ModelError,
+        "does not belong to the algebra"),
+    "build_differential-two-images": (
+        _build_differential_two_images, ModelError, "two images given"),
+    "build_differential-image-of-another-algebra": (
+        _build_differential_image_of_another_algebra, ModelError,
+        "lives in a different algebra"),
+    "homogeneous_component-negative": (
+        lambda: homogeneous_component(elliptic_pure_n37().differential, -1),
+        ValueError, "nonnegative"),
+    "build_model-differential-of-another-algebra": (
+        _build_model_differential_of_another_algebra, ModelError,
+        "different algebra"),
+    "FilteredPair-negative-p": (
+        lambda: _pair(-1, 0, "0", "0"), ValueError, "nonnegative"),
+    "FilteredPair-component-of-another-algebra": (
+        _pair_component_of_another_algebra, ValueError, "different algebra"),
+    "FilteredPair-sum-across-slots": (
+        _pair_sum_across_slots, ValueError, "different bigraded slots"),
+    "pair_product-across-models": (
+        _pair_product_across_models, ValueError, "different models"),
+    "representative_depth-zero-class": (
+        _depth_of_zero_class, ValueError, "zero class has no depth"),
+    "lift_to_d_cocycle-start-of-another-algebra": (
+        lambda: lift_to_d_cocycle(elliptic_pure_n37(), _other_algebra().one()),
+        ValueError, "different algebra"),
+    "quotient_dim-ambient-mismatch": (
+        lambda: quotient_dim(RationalMatrix([[1, 0]]), 3),
+        ValueError, "ambient space"),
+    "quotient_dim-rank-over-ambient": (
+        _quotient_dim_with_a_rank_over_the_ambient, ValueError,
+        "rank exceeds ambient dimension"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_check_rejects_its_bad_input(case):
+    call, exc, message = INPUT_CHECKS[case]
+    with pytest.raises(exc, match=message):
+        call()

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from sullivan import cli
-from sullivan.algebra import format_element, parse_element, wordlength
+from sullivan.algebra import basis, build_algebra, format_element, parse_element
 from sullivan.cohomology import is_boundary, toomer_oracle
-from sullivan.differential import SullivanModel
+from sullivan.differential import SullivanModel, build_differential, build_model
 from sullivan.errors import PreconditionError
 from sullivan.models import (
     ELLIPTIC_K3_POOL,
@@ -23,8 +23,7 @@ from sullivan.spectral import (
     FilteredPair,
     delta_apply,
     delta_cohomology,
-    delta_element,
-    filtration_basis,
+    delta_matrix,
     lift_to_d_cocycle,
     pair_basis,
     pair_product,
@@ -45,21 +44,30 @@ def _pair(model, p, n, u_text, v_text):
 # filtration stages and pairs
 
 
-def test_filtration_basis_k3_pairs_word_lengths():
-    model = elliptic_pure_n37()
-    monos = filtration_basis(model, 1, 12)
-    assert monos and all(wordlength(m) in (2, 3) for m in monos)
+def _k4_model():
+    """(x2, y7; dy7 = x2^4): elliptic with k = 4, N = 6."""
+    alg = build_algebra([("x2", 2), ("y7", 7)])
+    return build_model(alg, build_differential(alg, {"y7": parse_element("x2^4", alg)}))
 
 
-def test_filtration_basis_k2_single_stage():
-    model = sphere_s2()
-    monos = filtration_basis(model, 2, 4)
-    assert monos == [(2, 0)]  # just x2^2 at word length exactly 2
+PAIR_ENTRY_POINTS = {
+    "FilteredPair": lambda m: FilteredPair(m, 0, 0, m.algebra.one(), m.algebra.zero()),
+    "pair_basis": lambda m: pair_basis(m, 1, 4),
+    "delta_matrix": lambda m: delta_matrix(m, 1, 4),
+    "delta_cohomology": lambda m: delta_cohomology(m, 6),
+    "lift_to_d_cocycle": lambda m: lift_to_d_cocycle(m, m.algebra.one()),
+    "spectral_run": spectral_run,
+}
 
 
-def test_filtration_basis_zero_differential_rejected():
-    with pytest.raises(PreconditionError):
-        filtration_basis(exterior_two_odd(), 1, 8)
+@pytest.mark.parametrize("k", [None, 2, 4])
+@pytest.mark.parametrize("entry", sorted(PAIR_ENTRY_POINTS))
+def test_every_pair_entry_point_requires_k3(entry, k):
+    # k = None and k = 2 have no pairs; for k = 4 the stages are triples
+    model = {None: exterior_two_odd, 2: sphere_s2, 4: _k4_model}[k]()
+    assert model.k == k
+    with pytest.raises(PreconditionError, match=f"require k = 3, found k = {k}$"):
+        PAIR_ENTRY_POINTS[entry](model)
 
 
 def test_pair_rejects_wrong_word_length():
@@ -173,9 +181,9 @@ def test_delta_element_matches_pair_delta():
     model = elliptic_pure_n35()
     alg = model.algebra
     e = parse_element("x6^2*y23", alg)
-    assert delta_element(model, e).is_zero
+    assert model.delta(e).is_zero
     f = parse_element("x2*x6^2*y23", alg)
-    d_f = delta_element(model, f)
+    d_f = model.delta(f)
     assert not d_f.is_zero
 
 
@@ -390,4 +398,7 @@ def test_pair_bases_partition_filtration_stage():
     model = elliptic_pure_n37()
     for (p, n) in ((1, 12), (2, 20), (3, 37)):
         ub, vb = pair_basis(model, p, n)
-        assert set(ub) | set(vb) == set(filtration_basis(model, p, n))
+        stage = basis(model.algebra, n, wordlength_exact=2 * p) + basis(
+            model.algebra, n, wordlength_exact=2 * p + 1
+        )
+        assert ub + vb == stage
