@@ -15,7 +15,6 @@ from .algebra import (
     parse_element,
 )
 from .cohomology import (
-    CohomologySpace,
     EllipticityResult,
     ToomerResult,
     cohomology_basis,
@@ -42,7 +41,6 @@ from .errors import (
 )
 from .murillo import CoefficientMatrix, coefficient_matrix, murillo_fundamental_class
 from .spectral import (
-    DeltaClass,
     FilteredPair,
     LiftTrace,
     delta_apply,
@@ -63,7 +61,6 @@ __all__ = [
     "build_algebra",
     "format_element",
     "parse_element",
-    "CohomologySpace",
     "EllipticityResult",
     "ToomerResult",
     "cohomology_basis",
@@ -86,7 +83,6 @@ __all__ = [
     "CoefficientMatrix",
     "coefficient_matrix",
     "murillo_fundamental_class",
-    "DeltaClass",
     "FilteredPair",
     "LiftTrace",
     "delta_apply",

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .algebra import basis, build_algebra, format_element, parse_element
+from .algebra import _int_token, basis, build_algebra, format_element, parse_element
 from .cohomology import (
     cohomology_basis,
     formal_dimension,
@@ -46,7 +46,7 @@ from .errors import (
     PreconditionError,
 )
 from .murillo import coefficient_matrix, murillo_fundamental_class
-from .spectral import DeltaClass, SpectralRun, delta_cohomology, spectral_run
+from .spectral import FilteredPair, SpectralRun, delta_cohomology, spectral_run
 from . import selftest as selftest_mod
 
 
@@ -86,14 +86,14 @@ def parse_model_text(source: str) -> SullivanModel:
                     "expected `generator <name> <degree>`", line=lineno
                 )
             # a polynomial's digits after an optional '-'; int() also takes '+', '_'
-            try:
-                if not tokens[2].removeprefix("-").isdecimal():
-                    raise ValueError
-                degree = int(tokens[2])
-            except ValueError:
+            if not tokens[2].removeprefix("-").isdecimal():
                 raise ParseError(
                     f"degree {tokens[2]!r} is not an integer", line=lineno
-                ) from None
+                )
+            try:  # the degree is the last token of the stripped line
+                degree = _int_token(tokens[2], len(line) - len(tokens[2]) + 1)
+            except ParseError as exc:
+                raise ParseError(exc.message, line=lineno, column=exc.column) from None
             gen_specs.append((tokens[1], degree))
         elif tokens[0] == "d":
             seen_d = True
@@ -187,19 +187,19 @@ def _cohomology_pairs(
 ) -> Pairs:
     pairs: Pairs = []
     for n in range(lo, hi + 1):
-        space = cohomology_basis(model, n)
-        pairs.append((f"cohomology.dim.{n}", space.dimension))
+        reps = cohomology_basis(model, n)
+        pairs.append((f"cohomology.dim.{n}", len(reps)))
         if with_reps:
-            for i, rep in enumerate(space.representatives):
+            for i, rep in enumerate(reps):
                 pairs.append((f"cohomology.rep.{n}.{i}", format_element(rep)))
     return pairs
 
 
 def _top_class_pairs(model: SullivanModel) -> Pairs:
-    degree, space = top_class(model)
+    degree, fundamental = top_class(model)
     return [
         ("top_class.degree", degree),
-        ("top_class.representative", format_element(space.representatives[0])),
+        ("top_class.representative", format_element(fundamental)),
     ]
 
 
@@ -218,7 +218,7 @@ def _murillo_pairs(model: SullivanModel) -> Pairs:
     return pairs
 
 
-def _delta_pairs(degree: int, classes: List[DeltaClass], with_reps: bool) -> Pairs:
+def _delta_pairs(degree: int, classes: List[FilteredPair], with_reps: bool) -> Pairs:
     by_p: Dict[int, int] = {}
     for cls in classes:
         by_p[cls.p] = by_p.get(cls.p, 0) + 1
@@ -231,8 +231,8 @@ def _delta_pairs(degree: int, classes: List[DeltaClass], with_reps: bool) -> Pai
     if with_reps:
         for i, cls in enumerate(classes):
             pairs.append((f"delta.class.{i}.p", cls.p))
-            pairs.append((f"delta.class.{i}.u", format_element(cls.representative.u)))
-            pairs.append((f"delta.class.{i}.v", format_element(cls.representative.v)))
+            pairs.append((f"delta.class.{i}.u", format_element(cls.u)))
+            pairs.append((f"delta.class.{i}.v", format_element(cls.v)))
     return pairs
 
 

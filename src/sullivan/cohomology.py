@@ -3,12 +3,14 @@
 Everything is computed one degree at a time with exact rational linear
 algebra.  The pieces provided here:
 
-* cochain maps and cohomology bases with deterministic representatives,
-  through one set of cached helpers that serve both d and the spectral
-  sequence's page-one differential delta,
+* cochain maps and cohomology bases, each basis a list of deterministic
+  representatives (so a dimension is a length), through one set of cached
+  helpers that serve both d and the spectral sequence's page-one
+  differential delta,
 * the formal dimension N read off the generator degrees,
 * an ellipticity decision procedure through the associated pure model,
-* the top cohomology class of an elliptic model,
+* the fundamental class of an elliptic model: N and the one representative
+  of H^N,
 * the Toomer invariant by direct word-length filtration membership, through
   a one-pass depth search that the spectral method shares: the normal form
   of a cocycle modulo the boundary echelon, over a basis ordered by word
@@ -36,19 +38,6 @@ from .algebra import (
 from .differential import SullivanModel, _cached, pure_projection
 from .errors import InternalInconsistencyError, PreconditionError
 from .linalg import ColumnFactorization, RationalMatrix, RowSpace, Vector
-
-
-@dataclass
-class CohomologySpace:
-    """H^degree of a model: dimension plus explicit cocycle representatives.
-
-    ``representatives`` extend a basis of the boundary space to a basis of the
-    cocycle space.
-    """
-
-    degree: int
-    dimension: int
-    representatives: List[Element]
 
 
 @dataclass
@@ -149,10 +138,11 @@ def _cohomology(model: SullivanModel, which: str, n: int) -> List[Element]:
     return _cached(model, (which, "H", n), produce)
 
 
-def cohomology_basis(model: SullivanModel, n: int) -> CohomologySpace:
-    """Compute H^n with deterministic representatives."""
-    reps = _cohomology(model, "d", n)
-    return CohomologySpace(n, len(reps), reps)
+def cohomology_basis(model: SullivanModel, n: int) -> List[Element]:
+    """Deterministic representatives of a basis of H^n: cocycles that extend
+    a basis of the boundaries to one of the cocycles, so dim H^n is their
+    number."""
+    return _cohomology(model, "d", n)
 
 
 def is_boundary(model: SullivanModel, e: Element) -> bool:
@@ -267,21 +257,22 @@ def require_elliptic(model: SullivanModel) -> None:
         )
 
 
-def top_class(model: SullivanModel) -> Tuple[int, CohomologySpace]:
-    """The fundamental-class line H^N of an elliptic model."""
+def top_class(model: SullivanModel) -> Tuple[int, Element]:
+    """N and the representative of the fundamental class, which spans the
+    line H^N of an elliptic model."""
     require_elliptic(model)
     n = formal_dimension(model)
     if n < 0:
         raise InternalInconsistencyError(
             f"elliptic model with negative formal dimension {n}"
         )
-    space = cohomology_basis(model, n)
-    if space.dimension != 1:
+    reps = cohomology_basis(model, n)
+    if len(reps) != 1:
         raise InternalInconsistencyError(
-            f"H^{n} has dimension {space.dimension}, expected 1 for an "
+            f"H^{n} has dimension {len(reps)}, expected 1 for an "
             "elliptic model"
         )
-    return n, space
+    return n, reps[0]
 
 
 def _deepest_representative(
@@ -352,8 +343,8 @@ def toomer_oracle(model: SullivanModel) -> ToomerResult:
     """
 
     def produce():
-        n, space = top_class(model)
-        found = _deepest_representative(model, "d", n, space.representatives[0])
+        n, fundamental = top_class(model)
+        found = _deepest_representative(model, "d", n, fundamental)
         if found is None:
             raise InternalInconsistencyError(
                 "top class representative reduced to zero"

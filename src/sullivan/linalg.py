@@ -255,7 +255,4 @@ def quotient_dim(subspace_gens: RationalMatrix, ambient_dim: int) -> int:
     """Dimension of ambient / span(rows of subspace_gens)."""
     if subspace_gens.ncols != ambient_dim:
         raise ValueError("generator rows must live in the ambient space")
-    r = rank(subspace_gens) if subspace_gens.nrows else 0
-    if r > ambient_dim:
-        raise ValueError("rank exceeds ambient dimension")
-    return ambient_dim - r
+    return ambient_dim - (rank(subspace_gens) if subspace_gens.nrows else 0)

@@ -11,6 +11,8 @@ one pair slot, so one map, ``SullivanModel.delta`` = d_3 + d_4 on even word
 lengths, is delta on plain elements and, read slot by slot, on pairs.  For
 k = 4 the stages are word-length triples and these pairs are not E_1, so
 every pair entry point checks k = 3 first (``PreconditionError`` otherwise).
+A delta-class is handled as its representative ``FilteredPair``, which
+carries its filtration p and degree n.
 
 ``lift_to_d_cocycle`` turns a delta-cocycle of top degree into an honest
 d-cocycle when possible: the lowest pair component of d(w) is always a
@@ -166,28 +168,17 @@ def delta_matrix(model: SullivanModel, p: int, n: int) -> RationalMatrix:
     return _cached(model, ("delta_matrix", p, n), produce)
 
 
-@dataclass
-class DeltaClass:
-    """A nonzero class of H^{p, n-p}(delta) with its chosen representative."""
-
-    p: int
-    n: int
-    representative: FilteredPair
-    index: int
-
-
-def delta_cohomology(model: SullivanModel, n: int) -> List[DeltaClass]:
-    """All of H^n(Lambda V, delta), grouped by filtration index.
+def delta_cohomology(model: SullivanModel, n: int) -> List[FilteredPair]:
+    """Representatives of a basis of H^n(Lambda V, delta), one pair each.
 
     Solved once over the whole degree basis, which is the concatenation of
     the pair slots (p, n) in order; delta maps slot (p, n) into slot
     (p + 1, n + 1), so its matrix is the block sum of the slot matrices and
     each representative, exactly as in ordinary cohomology, is the per-slot
-    one.  A class sits at p = its lowest word length // 2, and its index
-    counts the earlier classes at the same p.
+    one.  A class sits at p = its lowest word length // 2.
     """
     _require_delta(model)
-    classes: List[DeltaClass] = []
+    classes: List[FilteredPair] = []
     for e in _cohomology(model, "delta", n):
         p = e.min_wordlength() // 2
         rep = FilteredPair.slot(model, p, n, e)
@@ -195,26 +186,26 @@ def delta_cohomology(model: SullivanModel, n: int) -> List[DeltaClass]:
             raise InternalInconsistencyError(
                 f"delta-class in degree {n} has terms outside its pair slot {p}"
             )
-        index = sum(1 for c in classes if c.p == p)
-        classes.append(DeltaClass(p, n, rep, index))
+        classes.append(rep)
     return classes
 
 
 def representative_depth(
-    model: SullivanModel, cls: DeltaClass
+    model: SullivanModel, pair: FilteredPair
 ) -> Tuple[int, Element]:
-    """Greatest s such that the class has a delta-representative in
-    Lambda^{>=s} V, plus a representative realizing it.
+    """Greatest s such that the class of the delta-cocycle ``pair`` has a
+    delta-representative in Lambda^{>=s} V, plus a representative realizing
+    it.
 
     Works on the total delta complex in the class's degree with the depth
     search the Toomer oracle uses for d: the lowest word length of the
     class's normal form modulo the delta-boundary echelon, then one
     membership solve at that word length for the representative.
     """
-    z = cls.representative.as_element()
+    z = pair.as_element()
     if z.is_zero:
         raise ValueError("zero class has no depth")
-    found = _deepest_representative(model, "delta", cls.n, z)
+    found = _deepest_representative(model, "delta", pair.n, z)
     if found is None:
         raise ValueError("the given class is a delta-boundary")
     return found
@@ -231,7 +222,6 @@ class LiftTrace:
     outcome: str  # "success" | "died" | "collapsed"
     iterations: int
     final: Optional[Element] = None
-    iterates: List[Element] = field(default_factory=list)
     obstructions: List[FilteredPair] = field(default_factory=list)
     correctors: List[Element] = field(default_factory=list)
     died_obstruction: Optional[FilteredPair] = None
@@ -258,7 +248,7 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
     if start.is_zero:
         return LiftTrace(
             start=start, p=0, l=0, t_bound=0, outcome="collapsed",
-            iterations=0, final=start, iterates=[start],
+            iterations=0, final=start,
         )
     n = start.degree()
     if not model.delta(start).is_zero:
@@ -268,8 +258,7 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
     l = wls[-1] // 2 - p
     t_bound = (n - 4 * p - 4 * l - 1) // 4
     trace = LiftTrace(
-        start=start, p=p, l=l, t_bound=t_bound, outcome="",
-        iterations=0, iterates=[start],
+        start=start, p=p, l=l, t_bound=t_bound, outcome="", iterations=0
     )
     w = start
     last_obstruction_p = None
@@ -305,25 +294,24 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
         corrector = element_from_vector(model.algebra, basis(model.algebra, n), sol)
         trace.correctors.append(corrector)
         w = w - corrector
-        trace.iterates.append(w)
         trace.iterations += 1
     raise InternalInconsistencyError("lift exceeded its termination bound")
 
 
 @dataclass
 class ClassOutcome:
-    """What happened to one delta-class during the spectral Toomer run."""
+    """What happened to one delta-class during the spectral Toomer run: its
+    depth, and the lift of a representative at that depth (``trace.start``)."""
 
-    delta_class: DeltaClass
+    delta_class: FilteredPair
     depth: int
-    deep_representative: Element
     trace: LiftTrace
 
 
 @dataclass
 class SpectralRun:
-    model: SullivanModel
-    degree: int
+    """One outcome per class of H^N(delta), in class order, and e0."""
+
     outcomes: List[ClassOutcome]
     result: Optional[ToomerResult]
 
@@ -357,7 +345,7 @@ def spectral_run(model: SullivanModel) -> SpectralRun:
             raise InternalInconsistencyError(
                 "lift changed the depth of the lowest component"
             )
-        outcomes.append(ClassOutcome(cls, depth, deep, trace))
+        outcomes.append(ClassOutcome(cls, depth, trace))
     winners = [o for o in outcomes if o.trace.outcome == "success"]
     if not winners:
         raise InternalInconsistencyError(
@@ -378,7 +366,7 @@ def spectral_run(model: SullivanModel) -> SpectralRun:
         representative=best.trace.final,
         witness=(best.delta_class.p, parity),
     )
-    return SpectralRun(model, n, outcomes, result)
+    return SpectralRun(outcomes, result)
 
 
 def toomer_spectral(model: SullivanModel) -> ToomerResult:

@@ -53,8 +53,7 @@ def _matrix_text(model):
 
 def _matches_top_class_mod_boundaries(model, omega) -> bool:
     """omega == (nonzero scalar) * top representative + coboundary?"""
-    n, space = top_class(model)
-    rep = space.representatives[0]
+    n, rep = top_class(model)
     ambient = basis(model.algebra, n)
     _, incoming = cochain_maps(model, n)
     cols = incoming.columns()

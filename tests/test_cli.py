@@ -139,9 +139,14 @@ def test_model_file_with_a_byte_order_mark_parses(capsys, tmp_path):
          "degree '1_0' is not an integer (line 1)"),
         ("generator x2 +2\n", "degree '+2' is not an integer (line 1)"),
         ("generator x2 -2\n", "generator 'x2' has degree -2; degrees must be >= 2"),
+        # too many digits for int(): not echoed, as for a number in a polynomial
+        ("generator x2 2\ngenerator y " + "9" * 5000 + "\n",
+         f"number of 5000 digits exceeds the limit of {sys.get_int_max_str_digits()} "
+         "digits (line 2, column 13)"),
     ],
     ids=["generator-tokens", "d-without-eq", "d-head", "statement", "denominator",
-         "name", "degree-underscore", "degree-plus", "degree-negative"],
+         "name", "degree-underscore", "degree-plus", "degree-negative",
+         "degree-5000-digits"],
 )
 def test_malformed_model_file_exits_1_with_its_message(
     capsys, tmp_path, source, message

@@ -58,7 +58,6 @@ from sullivan.linalg import (
 )
 from sullivan.models import ALL_MODELS, elliptic_pure_n37, tower_one_even
 from sullivan.spectral import (
-    DeltaClass,
     FilteredPair,
     delta_apply,
     delta_cohomology,
@@ -103,19 +102,19 @@ def _delta_boundary_columns(model: SullivanModel, n: int):
 def _assert_same_searches(name: str, model: SullivanModel) -> int:
     """Compare both searches on one elliptic model; returns the number of
     delta-classes compared."""
-    n, space = top_class(model)
+    n, fundamental = top_class(model)
     bn = basis(model.algebra, n)
     _, in_m = cochain_maps(model, n)
-    old = _descending_search(bn, in_m.columns(), space.representatives[0])
+    old = _descending_search(bn, in_m.columns(), fundamental)
     new = toomer_oracle(model)
     assert (new.e0, new.representative) == old, name
     if model.k != 3:
         return 0
     bn, cols = _delta_boundary_columns(model, n)
     classes = delta_cohomology(model, n)
-    for cls in classes:
-        old = _descending_search(bn, cols, cls.representative.as_element())
-        assert representative_depth(model, cls) == old, (name, cls.p, cls.index)
+    for i, cls in enumerate(classes):
+        old = _descending_search(bn, cols, cls.as_element())
+        assert representative_depth(model, cls) == old, (name, i)
     return len(classes)
 
 
@@ -217,9 +216,8 @@ def test_boundary_has_no_depth():
         for m in pair_basis(model, 2, 36)[0]
     )
     source = next(pair for pair in pairs if not delta_apply(pair).is_zero)
-    fake = DeltaClass(3, 37, delta_apply(source), 0)
     with pytest.raises(ValueError, match="delta-boundary"):
-        representative_depth(model, fake)
+        representative_depth(model, delta_apply(source))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +259,7 @@ def test_report_runs_each_depth_search_once(capsys, monkeypatch):
 
 
 def _per_slot_delta_cohomology(model: SullivanModel, n: int):
-    """(p, index, u, v) of every delta-class, by the earlier loop over the
+    """(p, u, v) of every delta-class in class order, by the earlier loop over the
     pair slots: kernel of delta out of (p, n) modulo the image of delta from
     (p - 1, n - 1), each slot on its own."""
     out = []
@@ -276,11 +274,9 @@ def _per_slot_delta_cohomology(model: SullivanModel, n: int):
             echelon = reduced.rows[:r]
         space = RowSpace(len(ub) + len(vb), echelon)
         cocycles = kernel_basis(delta_matrix(model, p, n))
-        for index, z in enumerate([z for z in cocycles if space.add(z)]):
+        for z in [z for z in cocycles if space.add(z)]:
             e = element_from_vector(model.algebra, ub + vb, z)
-            out.append(
-                (p, index, e.wordlength_component(2 * p), e.wordlength_component(2 * p + 1))
-            )
+            out.append((p, e.wordlength_component(2 * p), e.wordlength_component(2 * p + 1)))
     return out
 
 
@@ -294,10 +290,7 @@ def test_delta_cohomology_matches_the_per_slot_loop():
     compared = 0
     for name, model in _k3_models():
         for n in range(0, formal_dimension(model) + 2):
-            got = [
-                (c.p, c.index, c.representative.u, c.representative.v)
-                for c in delta_cohomology(model, n)
-            ]
+            got = [(c.p, c.u, c.v) for c in delta_cohomology(model, n)]
             assert got == _per_slot_delta_cohomology(model, n), (name, n)
             assert all(c.n == n for c in delta_cohomology(model, n))
             compared += len(got)
@@ -314,7 +307,7 @@ def test_is_boundary_agrees_with_a_membership_solve():
         for n in range(0, formal_dimension(model) + 1):
             bn = basis(alg, n)
             _, incoming = cochain_maps(model, n)
-            reps = cohomology_basis(model, n).representatives
+            reps = cohomology_basis(model, n)
             images = [
                 model.d(Element.from_monomial(alg, m)) for m in basis(alg, n - 1)
             ]
@@ -338,9 +331,7 @@ def test_second_delta_cohomology_runs_no_elimination(monkeypatch):
     monkeypatch.setattr(cohomology, "ColumnFactorization", fail)
     monkeypatch.setattr(cohomology, "RowSpace", fail)
     second = delta_cohomology(model, 37)
-    assert [(c.p, c.index, c.representative) for c in second] == [
-        (c.p, c.index, c.representative) for c in first
-    ]
+    assert second == first
 
 
 def test_delta_class_outside_one_pair_slot_is_an_inconsistency(monkeypatch):
@@ -431,7 +422,7 @@ def test_depth_searches_of_one_depth_share_a_factorization(monkeypatch):
         patch.setattr(cohomology, "_cached", uncached_truncations)
         fresh = {
             name: [
-                (c.p, c.index, representative_depth(model, c))
+                (c.p, representative_depth(model, c))
                 for n in range(formal_dimension(model) + 1)
                 for c in delta_cohomology(model, n)
             ]
@@ -444,7 +435,7 @@ def test_depth_searches_of_one_depth_share_a_factorization(monkeypatch):
         for n in range(formal_dimension(model) + 1):
             for c in delta_cohomology(model, n):
                 s, rep = representative_depth(model, c)
-                got.append((c.p, c.index, (s, rep)))
+                got.append((c.p, (s, rep)))
                 depths[(n, s)] += 1
         assert got == fresh[name], name
         keys = {key for (mid, key) in built if mid == id(model) and len(key) == 4}
@@ -460,15 +451,11 @@ def test_lifts_boundaries_and_cached_cohomology_build_no_factorization(monkeypat
     degrees = range(0, formal_dimension(model) + 1)
 
     def classes():
-        return [
-            (c.p, c.index, c.representative)
-            for n in degrees
-            for c in delta_cohomology(model, n)
-        ]
+        return [c for n in degrees for c in delta_cohomology(model, n)]
 
     first = classes()
-    starts = [pair.as_element() for _, _, pair in first]
-    reps = [r for n in degrees for r in cohomology_basis(model, n).representatives]
+    starts = [pair.as_element() for pair in first]
+    reps = [r for n in degrees for r in cohomology_basis(model, n)]
     lifts = [lift_to_d_cocycle(model, z) for z in starts]
     assert any(trace.correctors for trace in lifts)
 
@@ -531,8 +518,8 @@ def test_lifts_match_a_dense_reference_lift():
     lifts = corrected = 0
     for name, model in _k3_models():
         for n in range(0, formal_dimension(model) + 1):
-            for cls in delta_cohomology(model, n):
-                start = cls.representative.as_element()
+            for i, cls in enumerate(delta_cohomology(model, n)):
+                start = cls.as_element()
                 trace = lift_to_d_cocycle(model, start)
                 got = (
                     trace.outcome,
@@ -540,7 +527,7 @@ def test_lifts_match_a_dense_reference_lift():
                     trace.correctors,
                     trace.final,
                 )
-                assert got == _reference_lift(model, start), (name, n, cls.index)
+                assert got == _reference_lift(model, start), (name, n, i)
                 assert trace.iterations == len(trace.correctors)
                 lifts += 1
                 corrected += len(trace.correctors)

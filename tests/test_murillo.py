@@ -110,8 +110,7 @@ def test_fundamental_class_matches_top_class_up_to_scalar_mod_boundaries():
     ):
         model = build()
         omega = murillo_fundamental_class(model)
-        n, space = top_class(model)
-        rep = space.representatives[0]
+        n, rep = top_class(model)
         ambient = basis(model.algebra, n)
         _, incoming = cochain_maps(model, n)
         cols = incoming.columns()

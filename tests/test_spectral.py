@@ -197,15 +197,15 @@ def test_delta_cohomology_degree_zero():
     assert len(classes) == 1
     cls = classes[0]
     assert cls.p == 0
-    assert format_element(cls.representative.u) == "1"
-    assert cls.representative.v.is_zero
+    assert format_element(cls.u) == "1"
+    assert cls.v.is_zero
 
 
 def test_delta_cohomology_n35_top_degree():
     model = elliptic_pure_n35()
     classes = delta_cohomology(model, 35)
     summary = [
-        (c.p, format_element(c.representative.u), format_element(c.representative.v))
+        (c.p, format_element(c.u), format_element(c.v))
         for c in classes
     ]
     assert summary == [
@@ -219,14 +219,14 @@ def test_delta_cohomology_n37_top_degree():
     # cocycle, so nothing survives at p = 2
     model = elliptic_pure_n37()
     classes = delta_cohomology(model, 37)
-    assert [(c.p, c.index) for c in classes] == [(3, 0)]
+    assert [c.p for c in classes] == [3]
 
 
 def test_delta_classes_are_cocycles():
     for build in (elliptic_pure_n37, elliptic_pure_n35):
         model = build()
         for cls in delta_cohomology(model, 20):
-            assert delta_apply(cls.representative).is_zero
+            assert delta_apply(cls).is_zero
 
 
 def test_delta_cohomology_rejects_k2():
@@ -347,7 +347,7 @@ def test_first_obstruction_is_two_pairs_up():
         model = build()
         n = {elliptic_pure_n37: 37, elliptic_pure_n35: 35, tower_one_even: 13}[build]
         for cls in delta_cohomology(model, n):
-            start = cls.representative.as_element()
+            start = cls.as_element()
             dw = model.d(start)
             if dw.is_zero:
                 continue
