@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ModelError, ParseError, PreconditionError
+from .errors import ModelError, ParseError, PreconditionError, quoted
 
 #: A monomial is an exponent vector, one entry per generator.
 Monomial = Tuple[int, ...]
@@ -58,7 +58,7 @@ class Algebra:
         try:
             return self._by_name[name]
         except KeyError:
-            raise ModelError(f"unknown generator {name!r}") from None
+            raise ModelError(f"unknown generator {quoted(name)}") from None
 
     def has_generator(self, name: str) -> bool:
         return name in self._by_name
@@ -96,15 +96,15 @@ def build_algebra(specs: Iterable[Tuple[str, int]]) -> Algebra:
     seen = set()
     for name, degree in specs:
         if not isinstance(degree, int):
-            raise ModelError(f"degree of {name!r} must be an integer")
+            raise ModelError(f"degree of {quoted(name)} must be an integer")
         if degree < 2:
             raise ModelError(
-                f"generator {name!r} has degree {degree}; degrees must be >= 2"
+                f"generator {quoted(name)} has degree {degree}; degrees must be >= 2"
             )
         if name in seen:
-            raise ModelError(f"duplicate generator name {name!r}")
+            raise ModelError(f"duplicate generator name {quoted(name)}")
         if not _valid_name(name):
-            raise ModelError(f"invalid generator name {name!r}")
+            raise ModelError(f"invalid generator name {quoted(name)}")
         seen.add(name)
         gens.append(Generator(name, degree, len(gens)))
     return Algebra(gens)
@@ -412,7 +412,7 @@ def parse_element(text: str, algebra: Algebra) -> Element:
         if kind == "eof":
             return Element(algebra, terms)
         if kind != "op" or value not in "+-":
-            raise ParseError(f"expected '+' or '-', found {value!r}", column=pos)
+            raise ParseError(f"expected '+' or '-', found {quoted(value)}", column=pos)
         i, sign = i + 1, (-1 if value == "-" else 1)
 
 
@@ -457,7 +457,7 @@ def _parse_term(
         if kind != "name":
             raise ParseError("expected a generator name", column=pos)
         if not algebra.has_generator(value):
-            raise ParseError(f"unknown generator {value!r}", column=pos)
+            raise ParseError(f"unknown generator {quoted(value)}", column=pos)
         gen = algebra.generator(value)
         exponent = 1
         if tokens[i + 1][:2] == ("op", "^"):
@@ -468,7 +468,7 @@ def _parse_term(
             i += 2
         if gen.is_odd and exponent:
             if exponent >= 2 or exps[gen.index]:
-                raise ParseError(f"odd generator {value!r} squared", column=pos)
+                raise ParseError(f"odd generator {quoted(value)} squared", column=pos)
             if sum(exps[j] for j in algebra.odd_indices if j > gen.index) % 2:
                 coeff = -coeff
         exps[gen.index] += exponent

@@ -44,6 +44,7 @@ from .errors import (
     ModelError,
     ParseError,
     PreconditionError,
+    quoted,
 )
 from .murillo import coefficient_matrix, murillo_fundamental_class
 from .spectral import FilteredPair, SpectralRun, delta_cohomology, spectral_run
@@ -88,7 +89,7 @@ def parse_model_text(source: str) -> SullivanModel:
             # a polynomial's digits after an optional '-'; int() also takes '+', '_'
             if not tokens[2].removeprefix("-").isdecimal():
                 raise ParseError(
-                    f"degree {tokens[2]!r} is not an integer", line=lineno
+                    f"degree {quoted(tokens[2])} is not an integer", line=lineno
                 )
             try:  # the degree is the last token of the stripped line
                 degree = _int_token(tokens[2], len(line) - len(tokens[2]) + 1)
@@ -106,7 +107,7 @@ def parse_model_text(source: str) -> SullivanModel:
             d_lines.append((lineno, head_tokens[1], poly, line.index("=") + 2))
         else:
             raise ParseError(
-                f"unrecognized statement {tokens[0]!r}", line=lineno
+                f"unrecognized statement {quoted(tokens[0])}", line=lineno
             )
     if not gen_specs:
         raise ParseError("model file declares no generators")
@@ -114,9 +115,11 @@ def parse_model_text(source: str) -> SullivanModel:
     images = {}
     for lineno, name, poly, col0 in d_lines:
         if not algebra.has_generator(name):
-            raise ParseError(f"d-line for unknown generator {name!r}", line=lineno)
+            raise ParseError(
+                f"d-line for unknown generator {quoted(name)}", line=lineno
+            )
         if name in images:
-            raise ParseError(f"duplicate d-line for {name!r}", line=lineno)
+            raise ParseError(f"duplicate d-line for {quoted(name)}", line=lineno)
         try:
             images[name] = parse_element(poly, algebra)
         except ParseError as exc:
@@ -264,11 +267,10 @@ def _toomer_pairs(
 
 def _spectral_trace_pairs(run: SpectralRun) -> Pairs:
     pairs: Pairs = []
-    for i, outcome in enumerate(run.outcomes):
-        trace = outcome.trace
+    for i, trace in enumerate(run.outcomes):
         prefix = f"delta.class.{i}"
-        pairs.append((f"{prefix}.p", outcome.delta_class.p))
-        pairs.append((f"{prefix}.depth", outcome.depth))
+        pairs.append((f"{prefix}.p", trace.p))
+        pairs.append((f"{prefix}.depth", trace.start.min_wordlength()))
         pairs.append((f"{prefix}.lift.outcome", trace.outcome))
         pairs.append((f"{prefix}.lift.iterations", trace.iterations))
         pairs.append((f"{prefix}.lift.t_bound", trace.t_bound))
@@ -314,7 +316,7 @@ def _report(args, model: SullivanModel) -> Tuple[Pairs, int]:
         if model.k == 3:
             run = spectral_run(model)
             pairs += _toomer_pairs(model, "both", run)
-            pairs += _delta_pairs(n, [o.delta_class for o in run.outcomes], False)
+            pairs += _delta_pairs(n, delta_cohomology(model, n), False)
             pairs += _spectral_trace_pairs(run)
         else:
             pairs += _toomer_pairs(model, "oracle")

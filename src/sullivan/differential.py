@@ -27,7 +27,7 @@ from operator import add
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .algebra import Algebra, Element, Generator, Monomial, format_element, koszul_sign
-from .errors import ModelError
+from .errors import ModelError, quoted
 
 
 class Derivation:
@@ -127,27 +127,32 @@ def build_differential(
     for key, img in images.items():
         gen = algebra.generator(key) if isinstance(key, str) else key
         if isinstance(key, Generator) and algebra.generators[key.index] != key:
-            raise ModelError(f"generator {key.name!r} does not belong to the algebra")
+            raise ModelError(
+                f"generator {quoted(key.name)} does not belong to the algebra"
+            )
         if gen.index in by_index:
-            raise ModelError(f"two images given for generator {gen.name!r}")
+            raise ModelError(f"two images given for generator {quoted(gen.name)}")
         if img.algebra != algebra:
-            raise ModelError(f"image of {gen.name!r} lives in a different algebra")
+            raise ModelError(
+                f"image of {quoted(gen.name)} lives in a different algebra"
+            )
         if img.is_zero:
             continue
         try:
             deg = img.degree()
         except ValueError:
             raise ModelError(
-                f"image of {gen.name!r} is not degree-homogeneous"
+                f"image of {quoted(gen.name)} is not degree-homogeneous"
             ) from None
         if deg != gen.degree + 1:
             raise ModelError(
-                f"image of {gen.name!r} has degree {deg}, expected {gen.degree + 1}"
+                f"image of {quoted(gen.name)} has degree {deg}, "
+                f"expected {gen.degree + 1}"
             )
         wl = img.min_wordlength()
         if wl is not None and wl < 2:
             raise ModelError(
-                f"image of {gen.name!r} has a word-length {wl} term; "
+                f"image of {quoted(gen.name)} has a word-length {wl} term; "
                 "minimality requires word length >= 2"
             )
         by_index[gen.index] = img
@@ -156,7 +161,7 @@ def build_differential(
         sq = d(d.image_of(g))
         if not sq.is_zero:
             raise ModelError(
-                f"d^2 != 0 on generator {g.name!r}: d(d({g.name})) = "
+                f"d^2 != 0 on generator {quoted(g.name)}: d(d({g.name})) = "
                 f"{format_element(sq)}"
             )
     return d

@@ -6,6 +6,12 @@ contradicting itself are three different kinds of failure.
 """
 
 
+def quoted(token: str) -> str:
+    """``repr(token)`` for an error message, cut to its first 40 characters
+    and ``...`` when longer, so a rejected token never fills the line."""
+    return repr(token) if len(token) <= 40 else f"{token[:40]!r}..."
+
+
 class EngineError(Exception):
     """Base class for all errors raised deliberately by this package."""
 

@@ -157,20 +157,16 @@ class RowSpace:
                         del row[j]
         self._rows[lead] = v
 
-    def _insert(self, v: Vector) -> bool:
-        """Insert a fresh vector v; True if it enlarged the space."""
-        v = self._reduce(v)
-        if v:
-            self._store(v)
-        return bool(v)
-
     def reduce(self, v) -> Vector:
         """Normal form of v modulo the space."""
         return self._reduce(_vector(v, self.ncols))
 
     def add(self, v) -> bool:
         """Insert v; True if it enlarged the space."""
-        return self._insert(_vector(v, self.ncols))
+        v = self._reduce(_vector(v, self.ncols))
+        if v:
+            self._store(v)
+        return bool(v)
 
     @property
     def rank(self) -> int:
@@ -227,7 +223,7 @@ def rref(m: RationalMatrix) -> Tuple[RationalMatrix, Tuple[int, ...], int]:
     """
     space = RowSpace(m.ncols)
     for r in m.rows:
-        space._insert(dict(r))
+        space.add(r)
     rows = space.echelon()
     pivots = tuple(min(r) for r in rows)
     rows.extend({} for _ in range(m.nrows - len(rows)))

@@ -30,34 +30,16 @@ from .errors import InternalInconsistencyError, PreconditionError
 class CoefficientMatrix:
     """Rows indexed by odd generators, columns by even generators."""
 
-    model: SullivanModel
     even_gens: Tuple[Generator, ...]
     odd_gens: Tuple[Generator, ...]
     entries: List[List[Element]]  # entries[j][i], m rows by n columns
 
-    def row_identity_holds(self, j: int) -> bool:
-        """Check d(y_j) = sum_i entries[j][i] * x_i."""
-        alg = self.model.algebra
-        total = alg.zero()
-        for i, x in enumerate(self.even_gens):
-            total = total + self.entries[j][i] * alg.gen_element(x.name)
-        return total == self.model.differential.image_of(self.odd_gens[j])
-
-    def is_triangular(self) -> bool:
-        """entries[j][i] may only involve even generators x_i, ..., x_n."""
-        earlier: set = set()
-        for i, x in enumerate(self.even_gens):
-            for row in self.entries:
-                for mono in row[i].terms:
-                    if any(mono[e] for e in earlier):
-                        return False
-            earlier.add(x.index)
-        return True
-
 
 def coefficient_matrix(model: SullivanModel) -> CoefficientMatrix:
     """Greedy left-to-right extraction of the triangular coefficient matrix,
-    kept in the model's cache."""
+    kept in the model's cache.  Each row is checked to reassemble d(y_j) as
+    sum_i entries[j][i] * x_i, and entries[j][i] to involve only the even
+    generators x_i, ..., x_n."""
     if not is_pure(model):
         raise PreconditionError(
             "coefficient matrix requires a pure differential; apply "
@@ -68,12 +50,14 @@ def coefficient_matrix(model: SullivanModel) -> CoefficientMatrix:
         alg = model.algebra
         evens = tuple(g for g in alg.generators if not g.is_odd)
         odds = tuple(g for g in alg.generators if g.is_odd)
+        xs = [alg.gen_element(x.name) for x in evens]
         entries: List[List[Element]] = []
         for y in odds:
+            image = model.differential.image_of(y)
             # each term goes to the column of the first even generator in it
             row = [{} for _ in evens]
             remainder = {}
-            for mono, c in model.differential.image_of(y).terms.items():
+            for mono, c in image.terms.items():
                 col = next((i for i, x in enumerate(evens) if mono[x.index]), None)
                 if col is None:
                     remainder[mono] = c
@@ -86,19 +70,17 @@ def coefficient_matrix(model: SullivanModel) -> CoefficientMatrix:
                     f"generators: {format_element(Element(alg, remainder))}"
                 )
             entries.append([Element(alg, quotient) for quotient in row])
-        matrix = CoefficientMatrix(model, evens, odds, entries)
-        for j in range(len(odds)):
-            if not matrix.row_identity_holds(j):
+            if sum((e * x for e, x in zip(entries[-1], xs)), alg.zero()) != image:
                 raise InternalInconsistencyError(
-                    f"coefficient row for {odds[j].name!r} does not reassemble d"
+                    f"coefficient row for {y.name!r} does not reassemble d"
                 )
-        if not matrix.is_triangular():
-            raise InternalInconsistencyError("coefficient matrix is not triangular")
-        # cached without the model itself, so that the model's cache holds
-        # no reference cycle and the model is freed as soon as it is unused
-        return evens, odds, entries
+        for i in range(len(evens)):
+            earlier = [x.index for x in evens[:i]]
+            if any(m[e] for row in entries for m in row[i].terms for e in earlier):
+                raise InternalInconsistencyError("coefficient matrix is not triangular")
+        return CoefficientMatrix(evens, odds, entries)
 
-    return CoefficientMatrix(model, *_cached(model, ("coefficient_matrix",), produce))
+    return _cached(model, ("coefficient_matrix",), produce)
 
 
 # The determinant and the exact division below are not on the engine's path:

@@ -9,10 +9,11 @@ verify Poincare duality degree by degree on the elliptic fixtures.
 
 Everything is driven by an explicit seed so failures reproduce.
 
-`run_all` builds the fixture zoo once and hands the same models to every
-check, so each model's bases, pair slots and cohomology are computed once per
-run.  Those caches live on the models, which `run_all` builds afresh: nothing
-is kept from one run to the next.
+Every check takes the zoo it is given.  `run_all` builds the fixture zoo
+once and hands the same models to every check, so each model's bases, pair
+slots and cohomology are computed once per run.  Those caches live on the
+models, which `run_all` builds afresh: nothing is kept from one run to the
+next.
 """
 
 from __future__ import annotations
@@ -33,10 +34,8 @@ from .spectral import FilteredPair, delta_apply, pair_basis, pair_product
 #: The fixture zoo as `all_models` builds it: (name, model) pairs.
 Models = Sequence[Tuple[str, SullivanModel]]
 
-
-def _zoo(models: Optional[Models]) -> Models:
-    """`models`, or a freshly built fixture zoo when none is given."""
-    return all_models() if models is None else models
+#: `check_basis_counts` compares the bases of degrees 0 to this.
+BASIS_COUNT_DEGREE = 40
 
 
 @dataclass
@@ -48,20 +47,14 @@ class CheckResult:
 
 
 def random_element(
-    rng: random.Random,
-    algebra: Algebra,
-    max_degree: int = 16,
-    max_terms: int = 3,
-    degree: Optional[int] = None,
+    rng: random.Random, algebra: Algebra, max_degree: int = 16, max_terms: int = 3
 ) -> Element:
-    """A small random element, degree-homogeneous when `degree` is given
-    (or chosen at random), with small rational coefficients."""
-    if degree is None:
-        # read the populated degrees off the basis cache: basis() copies each one
-        _fill_bases(algebra, max_degree)
-        bases = algebra._basis_cache[: max_degree + 1]
-        degree = rng.choice([n for n, monos in enumerate(bases) if monos])
-    monos = basis(algebra, degree)
+    """A small random element of one degree, drawn from the populated
+    degrees up to `max_degree`, with small rational coefficients."""
+    # read the populated degrees off the basis cache: basis() copies each one
+    _fill_bases(algebra, max_degree)
+    bases = algebra._basis_cache[: max_degree + 1]
+    monos = rng.choice([monos for monos in bases if monos])
     return _random_sum(rng, algebra, monos, rng.randint(1, max_terms), 4, 3)
 
 
@@ -115,10 +108,7 @@ def _scaled(pair: FilteredPair, s: int) -> FilteredPair:
     return FilteredPair(pair.model, pair.p, pair.n, s * pair.u, s * pair.v)
 
 
-def check_graded_commutativity(
-    rng: random.Random, cases: int, models: Optional[Models] = None
-) -> int:
-    models = _zoo(models)
+def check_graded_commutativity(rng: random.Random, cases: int, models: Models) -> int:
     for i in range(cases):
         _, model = models[i % len(models)]
         alg = model.algebra
@@ -134,10 +124,7 @@ def check_graded_commutativity(
     return cases
 
 
-def check_leibniz(
-    rng: random.Random, cases: int, models: Optional[Models] = None
-) -> int:
-    models = _zoo(models)
+def check_leibniz(rng: random.Random, cases: int, models: Models) -> int:
     for i in range(cases):
         _, model = models[i % len(models)]
         alg = model.algebra
@@ -154,10 +141,7 @@ def check_leibniz(
     return cases
 
 
-def check_d_squared(
-    rng: random.Random, cases: int, models: Optional[Models] = None
-) -> int:
-    models = _zoo(models)
+def check_d_squared(rng: random.Random, cases: int, models: Models) -> int:
     for i in range(cases):
         _, model = models[i % len(models)]
         e = random_element(rng, model.algebra, max_terms=4)
@@ -167,15 +151,13 @@ def check_d_squared(
     return cases
 
 
-def _k3_models(models: Optional[Models]) -> List[Tuple[str, SullivanModel]]:
+def _k3_models(models: Models) -> List[Tuple[str, SullivanModel]]:
     """The `ELLIPTIC_K3_POOL` fixtures of the zoo, in pool order."""
-    by_name = dict(_zoo(models))
+    by_name = dict(models)
     return [(name, by_name[name]) for name, _ in ELLIPTIC_K3_POOL]
 
 
-def check_delta_squared(
-    rng: random.Random, cases: int, models: Optional[Models] = None
-) -> int:
+def check_delta_squared(rng: random.Random, cases: int, models: Models) -> int:
     models = _k3_models(models)
     done = 0
     for i in range(cases):
@@ -192,9 +174,7 @@ def check_delta_squared(
     return done
 
 
-def check_delta_derivation(
-    rng: random.Random, cases: int, models: Optional[Models] = None
-) -> int:
+def check_delta_derivation(rng: random.Random, cases: int, models: Models) -> int:
     """delta(a b) = delta(a) b + (-1)^{deg a} a delta(b) for the pair product."""
     models = _k3_models(models)
     done = 0
@@ -217,11 +197,13 @@ def check_delta_derivation(
     return done
 
 
-def check_basis_counts(max_degree: int = 40, models: Optional[Models] = None) -> int:
-    """Basis cardinalities against the Poincare series
-    prod_even 1/(1 - t^d) * prod_odd (1 + t^d), expanded independently."""
+def check_basis_counts(models: Models) -> int:
+    """Basis cardinalities up to `BASIS_COUNT_DEGREE` against the Poincare
+    series prod_even 1/(1 - t^d) * prod_odd (1 + t^d), expanded
+    independently."""
+    max_degree = BASIS_COUNT_DEGREE
     checked = 0
-    for name, model in _zoo(models):
+    for name, model in models:
         alg = model.algebra
         series = [0] * (max_degree + 1)
         series[0] = 1
@@ -247,11 +229,11 @@ def check_basis_counts(max_degree: int = 40, models: Optional[Models] = None) ->
     return checked
 
 
-def check_poincare_duality(models: Optional[Models] = None) -> int:
+def check_poincare_duality(models: Models) -> int:
     """dim H^n = dim H^{N-n} on every elliptic fixture, plus a vanishing
     window above N."""
     checked = 0
-    for name, model in _zoo(models):
+    for name, model in models:
         if not is_elliptic(model).is_elliptic:
             continue
         n_top = formal_dimension(model)
@@ -298,7 +280,7 @@ def run_all(seed: int = 0, cases: int = 200) -> List[CheckResult]:
         ("poincare_duality", check_poincare_duality),
     ):
         try:
-            done = fn0(models=models)
+            done = fn0(models)
             results.append(CheckResult(name, done, True))
         except InternalInconsistencyError as exc:
             results.append(CheckResult(name, 0, False, str(exc)))

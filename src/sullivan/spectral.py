@@ -19,7 +19,9 @@ d-cocycle when possible: the lowest pair component of d(w) is always a
 delta-cocycle one filtration step up, and if it is a delta-boundary the
 preimage is subtracted from w, strictly raising the obstruction filtration.
 A class whose obstruction is not a boundary dies; a lift whose final cocycle
-bounds has collapsed.
+bounds has collapsed.  ``spectral_run`` records one ``LiftTrace`` per class
+of top degree, and the trace is the whole record: it holds the class's
+filtration p and, in its starting representative, the class's depth.
 """
 
 from __future__ import annotations
@@ -213,7 +215,8 @@ def representative_depth(
 
 @dataclass
 class LiftTrace:
-    """Full record of one run of the lifting algorithm."""
+    """Full record of one run of the lifting algorithm.  When it "died",
+    ``obstructions[-1]`` is the obstruction that is not a delta-boundary."""
 
     start: Element
     p: int
@@ -224,7 +227,6 @@ class LiftTrace:
     final: Optional[Element] = None
     obstructions: List[FilteredPair] = field(default_factory=list)
     correctors: List[Element] = field(default_factory=list)
-    died_obstruction: Optional[FilteredPair] = None
 
 
 def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
@@ -288,8 +290,6 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
         sol = _factor(model, "delta", n).solve(rhs)
         if sol is None:
             trace.outcome = "died"
-            trace.died_obstruction = obstruction
-            trace.final = None
             return trace
         corrector = element_from_vector(model.algebra, basis(model.algebra, n), sol)
         trace.correctors.append(corrector)
@@ -299,30 +299,22 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
 
 
 @dataclass
-class ClassOutcome:
-    """What happened to one delta-class during the spectral Toomer run: its
-    depth, and the lift of a representative at that depth (``trace.start``)."""
-
-    delta_class: FilteredPair
-    depth: int
-    trace: LiftTrace
-
-
-@dataclass
 class SpectralRun:
-    """One outcome per class of H^N(delta), in class order, and e0."""
+    """The lift of each class of H^N(delta), in class order, and e0."""
 
-    outcomes: List[ClassOutcome]
+    outcomes: List[LiftTrace]
     result: Optional[ToomerResult]
 
 
 def spectral_run(model: SullivanModel) -> SpectralRun:
     """Toomer invariant through the spectral sequence, with full records.
 
-    Every class of H^N(delta) is lifted from a depth-maximal representative.
-    Among the lifts that end in a d-nontrivial cocycle the maximal depth is
-    e0; the result is cross-checked against the direct oracle and any
-    disagreement is a hard error.
+    Every class of H^N(delta) is lifted from a depth-maximal representative,
+    so a class's depth is the lowest word length of its trace's ``start``
+    and its filtration is the trace's ``p``.  Among the lifts that end in a
+    d-nontrivial cocycle the maximal depth is e0; the result is
+    cross-checked against the direct oracle and any disagreement is a hard
+    error.
     """
     require_elliptic(model)
     _require_delta(model)
@@ -332,9 +324,10 @@ def spectral_run(model: SullivanModel) -> SpectralRun:
         raise InternalInconsistencyError(
             f"H^{n}(delta) is zero on an elliptic model"
         )
-    outcomes: List[ClassOutcome] = []
+    outcomes: List[LiftTrace] = []
     for cls in classes:
-        depth, deep = representative_depth(model, cls)
+        _, deep = representative_depth(model, cls)
+        depth = deep.min_wordlength()
         if depth not in (2 * cls.p, 2 * cls.p + 1):
             raise InternalInconsistencyError(
                 f"class at filtration {cls.p} has depth {depth}; expected "
@@ -345,26 +338,25 @@ def spectral_run(model: SullivanModel) -> SpectralRun:
             raise InternalInconsistencyError(
                 "lift changed the depth of the lowest component"
             )
-        outcomes.append(ClassOutcome(cls, depth, trace))
-    winners = [o for o in outcomes if o.trace.outcome == "success"]
+        outcomes.append(trace)
+    winners = [t for t in outcomes if t.outcome == "success"]
     if not winners:
         raise InternalInconsistencyError(
             "no delta-class survives to a d-cocycle; inconsistent with "
             "ellipticity"
         )
-    best = max(winners, key=lambda o: o.depth)
+    best = max(winners, key=lambda t: t.start.min_wordlength())
+    e0 = best.start.min_wordlength()
     oracle = toomer_oracle(model)
-    if oracle.e0 != best.depth:
+    if oracle.e0 != e0:
         raise InternalInconsistencyError(
-            f"spectral method found e0 = {best.depth} but the oracle found "
-            f"{oracle.e0}"
+            f"spectral method found e0 = {e0} but the oracle found {oracle.e0}"
         )
-    parity = "even" if best.depth == 2 * best.delta_class.p else "odd"
     result = ToomerResult(
-        e0=best.depth,
+        e0=e0,
         method="spectral",
-        representative=best.trace.final,
-        witness=(best.delta_class.p, parity),
+        representative=best.final,
+        witness=(best.p, "even" if e0 == 2 * best.p else "odd"),
     )
     return SpectralRun(outcomes, result)
 

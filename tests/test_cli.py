@@ -143,10 +143,24 @@ def test_model_file_with_a_byte_order_mark_parses(capsys, tmp_path):
         ("generator x2 2\ngenerator y " + "9" * 5000 + "\n",
          f"number of 5000 digits exceeds the limit of {sys.get_int_max_str_digits()} "
          "digits (line 2, column 13)"),
+        # a longer rejected token is quoted up to its first 40 characters
+        ("generator x2 " + "9" * 5000 + "x\n",
+         f"degree '{'9' * 40}'... is not an integer (line 1)"),
+        ("z" * 5000 + " x2 2\n", f"unrecognized statement '{'z' * 40}'... (line 1)"),
+        ("generator x2 2\ngenerator y5 5\nd y5 = " + "z" * 5000 + "\n",
+         f"unknown generator '{'z' * 40}'... (line 3, column 8)"),
+        ("generator x2 2\ngenerator y5 5\nd " + "z" * 5000 + " = x2^2\n",
+         f"d-line for unknown generator '{'z' * 40}'... (line 3)"),
+        ("generator " + "x" * 5000 + "- 2\n",
+         f"invalid generator name '{'x' * 40}'..."),
+        (f"generator x2 2\ngenerator {'y' * 5000} 5\nd {'y' * 5000} = x2^2\n",
+         f"image of '{'y' * 40}'... has degree 4, expected 6"),
     ],
     ids=["generator-tokens", "d-without-eq", "d-head", "statement", "denominator",
          "name", "degree-underscore", "degree-plus", "degree-negative",
-         "degree-5000-digits"],
+         "degree-5000-digits", "long-degree", "long-statement",
+         "long-unknown-generator", "long-d-line-name", "long-name",
+         "long-name-image"],
 )
 def test_malformed_model_file_exits_1_with_its_message(
     capsys, tmp_path, source, message

@@ -68,10 +68,19 @@ def test_coefficient_matrix_single_column():
 
 def test_row_identity_and_triangularity():
     for build in (elliptic_pure_n37, elliptic_pure_n35, tower_two_even_mixed):
-        matrix = coefficient_matrix(build())
-        for j in range(len(matrix.odd_gens)):
-            assert matrix.row_identity_holds(j)
-        assert matrix.is_triangular()
+        model = build()
+        alg = model.algebra
+        matrix = coefficient_matrix(model)
+        for y, row in zip(matrix.odd_gens, matrix.entries):
+            # d(y_j) = sum_i entries[j][i] * x_i
+            total = alg.zero()
+            for x, entry in zip(matrix.even_gens, row):
+                total = total + entry * alg.gen_element(x.name)
+            assert total == model.differential.image_of(y)
+            # entries[j][i] involves only x_i, ..., x_n
+            for i, entry in enumerate(row):
+                for mono in entry.terms:
+                    assert not any(mono[x.index] for x in matrix.even_gens[:i])
 
 
 def test_coefficient_matrix_rejects_nonpure():

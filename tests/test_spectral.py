@@ -6,7 +6,7 @@ import pytest
 
 from sullivan import cli
 from sullivan.algebra import basis, build_algebra, format_element, parse_element
-from sullivan.cohomology import is_boundary, toomer_oracle
+from sullivan.cohomology import formal_dimension, is_boundary, toomer_oracle
 from sullivan.differential import SullivanModel, build_differential, build_model
 from sullivan.errors import PreconditionError
 from sullivan.models import (
@@ -323,7 +323,7 @@ def test_lift_dies_on_shallow_class_of_n35():
     start = parse_element("x6^2*y23", model.algebra)
     trace = lift_to_d_cocycle(model, start)
     assert trace.outcome == "died"
-    assert trace.died_obstruction is not None
+    assert trace.obstructions
     assert trace.final is None
 
 
@@ -331,8 +331,7 @@ def test_successful_lift_contract_over_pool():
     for name, build in ELLIPTIC_K3_POOL:
         model = build()
         run = spectral_run(model)
-        for outcome in run.outcomes:
-            trace = outcome.trace
+        for trace in run.outcomes:
             if trace.outcome != "success":
                 continue
             final = trace.final
@@ -387,11 +386,15 @@ def test_spectral_agrees_with_oracle_over_pool():
 
 
 def test_spectral_run_records_depths_consistent_with_pairs():
-    for build in (elliptic_pure_n35, elliptic_pure_n37):
-        run = spectral_run(build())
-        for outcome in run.outcomes:
-            p = outcome.delta_class.p
-            assert outcome.depth in (2 * p, 2 * p + 1)
+    for name, build in ELLIPTIC_K3_POOL:
+        model = build()
+        run = spectral_run(model)
+        for trace in run.outcomes:
+            p = trace.p
+            assert trace.start.min_wordlength() in (2 * p, 2 * p + 1), name
+        # report's delta.class.* and delta.dim.* lines count the same classes
+        classes = delta_cohomology(model, formal_dimension(model))
+        assert [t.p for t in run.outcomes] == [c.p for c in classes], name
 
 
 def test_pair_bases_partition_filtration_stage():
