@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .murillo import CoefficientMatrix, coefficient_matrix, murillo_fundamental_class
+from .murillo import coefficient_matrix, murillo_fundamental_class
 from .spectral import (
     FilteredPair,
     LiftTrace,
@@ -80,7 +80,6 @@ __all__ = [
     "ModelError",
     "ParseError",
     "PreconditionError",
-    "CoefficientMatrix",
     "coefficient_matrix",
     "murillo_fundamental_class",
     "FilteredPair",

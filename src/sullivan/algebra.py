@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ModelError, ParseError, PreconditionError, quoted
+from .errors import ModelError, ParseError, PreconditionError, clipped, quoted
 
 #: A monomial is an exponent vector, one entry per generator.
 Monomial = Tuple[int, ...]
@@ -99,7 +99,8 @@ def build_algebra(specs: Iterable[Tuple[str, int]]) -> Algebra:
             raise ModelError(f"degree of {quoted(name)} must be an integer")
         if degree < 2:
             raise ModelError(
-                f"generator {quoted(name)} has degree {degree}; degrees must be >= 2"
+                f"generator {quoted(name)} has degree {clipped(degree)}; "
+                "degrees must be >= 2"
             )
         if name in seen:
             raise ModelError(f"duplicate generator name {quoted(name)}")
@@ -305,7 +306,8 @@ def _fill_bases(algebra: Algebra, degree: int) -> None:
     cache, counts = algebra._basis_cache, algebra._basis_counts
     if degree > MAX_DEGREE:
         raise PreconditionError(
-            f"the degree-{degree} basis is above the degree limit of {MAX_DEGREE}"
+            f"the degree-{clipped(degree)} basis is above the degree limit of "
+            f"{MAX_DEGREE}"
         )
     n = algebra.ngens
     while len(cache) <= degree:

@@ -44,6 +44,7 @@ from .errors import (
     ModelError,
     ParseError,
     PreconditionError,
+    clipped,
     quoted,
 )
 from .murillo import coefficient_matrix, murillo_fundamental_class
@@ -53,9 +54,7 @@ from . import selftest as selftest_mod
 
 @dataclass
 class ModelFile:
-    path: str
     model: SullivanModel
-    source: str
 
 
 def parse_model_file(path: str) -> ModelFile:
@@ -64,8 +63,7 @@ def parse_model_file(path: str) -> ModelFile:
             source = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ModelError(f"cannot read {path}: {exc}") from exc
-    model = parse_model_text(source)
-    return ModelFile(path=path, model=model, source=source)
+    return ModelFile(parse_model_text(source))
 
 
 def parse_model_text(source: str) -> SullivanModel:
@@ -209,12 +207,12 @@ def _top_class_pairs(model: SullivanModel) -> Pairs:
 def _murillo_pairs(model: SullivanModel) -> Pairs:
     # the class first: it checks ellipticity before the matrix checks purity
     omega = murillo_fundamental_class(model)
-    matrix = coefficient_matrix(model)
+    alg = model.algebra
     pairs: Pairs = [
-        ("murillo.rows", len(matrix.odd_gens)),
-        ("murillo.cols", len(matrix.even_gens)),
+        ("murillo.rows", len(alg.odd_indices)),
+        ("murillo.cols", len(alg.even_indices)),
     ]
-    for j, row in enumerate(matrix.entries, start=1):
+    for j, row in enumerate(coefficient_matrix(model), start=1):
         for i, entry in enumerate(row, start=1):
             pairs.append((f"murillo.entry.{j}.{i}", format_element(entry)))
     pairs.append(("murillo.class", format_element(omega)))
@@ -340,9 +338,9 @@ def _nonnegative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {clipped(value)}")
     return value
 
 

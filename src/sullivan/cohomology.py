@@ -66,7 +66,6 @@ class ToomerResult:
     """
 
     e0: int
-    method: str
     representative: Element
     witness: Optional[Tuple[int, str]] = None
 
@@ -350,7 +349,6 @@ def toomer_oracle(model: SullivanModel) -> ToomerResult:
                 "top class representative reduced to zero"
             )
         e0, rep = found
-        return ToomerResult(e0=e0, method="oracle", representative=rep)
+        return ToomerResult(e0=e0, representative=rep)
 
-    require_elliptic(model)
     return _cached(model, ("toomer_oracle",), produce)

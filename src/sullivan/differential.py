@@ -27,7 +27,7 @@ from operator import add
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .algebra import Algebra, Element, Generator, Monomial, format_element, koszul_sign
-from .errors import ModelError, quoted
+from .errors import ModelError, clipped, quoted
 
 
 class Derivation:
@@ -146,8 +146,8 @@ def build_differential(
             ) from None
         if deg != gen.degree + 1:
             raise ModelError(
-                f"image of {quoted(gen.name)} has degree {deg}, "
-                f"expected {gen.degree + 1}"
+                f"image of {quoted(gen.name)} has degree {clipped(deg)}, "
+                f"expected {clipped(gen.degree + 1)}"
             )
         wl = img.min_wordlength()
         if wl is not None and wl < 2:
@@ -161,8 +161,8 @@ def build_differential(
         sq = d(d.image_of(g))
         if not sq.is_zero:
             raise ModelError(
-                f"d^2 != 0 on generator {quoted(g.name)}: d(d({g.name})) = "
-                f"{format_element(sq)}"
+                f"d^2 != 0 on generator {quoted(g.name)}: d(d({clipped(g.name)})) = "
+                f"{clipped(format_element(sq))}"
             )
     return d
 
@@ -194,7 +194,7 @@ def _cached(model: SullivanModel, key, producer):
     return model._cache[key]
 
 
-@dataclass(eq=False)
+@dataclass
 class SullivanModel:
     """A free minimal algebra together with a validated differential.
 
@@ -205,8 +205,8 @@ class SullivanModel:
 
     algebra: Algebra
     differential: Derivation
-    k: Optional[int]
-    _cache: dict = field(default_factory=dict, repr=False)
+    k: Optional[int] = field(compare=False)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def d(self, e: Element) -> Element:
         return self.differential(e)
@@ -238,15 +238,6 @@ class SullivanModel:
         self.d3.add_image(mono, coeff, out)
         if sum(mono) % 2 == 0:
             self.d4.add_image(mono, coeff, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SullivanModel)
-            and self.algebra == other.algebra
-            and self.differential == other.differential
-        )
-
-    __hash__ = None
 
 
 def build_model(algebra: Algebra, differential: Derivation) -> SullivanModel:

@@ -12,6 +12,13 @@ def quoted(token: str) -> str:
     return repr(token) if len(token) <= 40 else f"{token[:40]!r}..."
 
 
+def clipped(value: object) -> str:
+    """``str(value)`` for an error message, cut like :func:`quoted`, so a
+    long number or element never fills the line."""
+    text = str(value)
+    return text if len(text) <= 40 else f"{text[:40]}..."
+
+
 class EngineError(Exception):
     """Base class for all errors raised deliberately by this package."""
 

@@ -17,29 +17,20 @@ after the normalization the two agree term for term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
-from .algebra import Algebra, Element, Generator, format_element, grlex_key
+from .algebra import Algebra, Element, format_element, grlex_key
 from .cohomology import formal_dimension, is_boundary, require_elliptic
 from .differential import Derivation, SullivanModel, _cached, is_pure
 from .errors import InternalInconsistencyError, PreconditionError
 
 
-@dataclass
-class CoefficientMatrix:
-    """Rows indexed by odd generators, columns by even generators."""
-
-    even_gens: Tuple[Generator, ...]
-    odd_gens: Tuple[Generator, ...]
-    entries: List[List[Element]]  # entries[j][i], m rows by n columns
-
-
-def coefficient_matrix(model: SullivanModel) -> CoefficientMatrix:
-    """Greedy left-to-right extraction of the triangular coefficient matrix,
-    kept in the model's cache.  Each row is checked to reassemble d(y_j) as
-    sum_i entries[j][i] * x_i, and entries[j][i] to involve only the even
-    generators x_i, ..., x_n."""
+def coefficient_matrix(model: SullivanModel) -> List[List[Element]]:
+    """The rows ``entries[j][i]`` of the triangular coefficient matrix, for
+    odd generator y_j and even generator x_i: greedy left-to-right
+    extraction, kept in the model's cache.  Each row is checked to reassemble
+    d(y_j) as sum_i entries[j][i] * x_i, and entries[j][i] to involve only
+    the even generators x_i, ..., x_n."""
     if not is_pure(model):
         raise PreconditionError(
             "coefficient matrix requires a pure differential; apply "
@@ -48,11 +39,10 @@ def coefficient_matrix(model: SullivanModel) -> CoefficientMatrix:
 
     def produce():
         alg = model.algebra
-        evens = tuple(g for g in alg.generators if not g.is_odd)
-        odds = tuple(g for g in alg.generators if g.is_odd)
+        evens = [alg.generators[i] for i in alg.even_indices]
         xs = [alg.gen_element(x.name) for x in evens]
         entries: List[List[Element]] = []
-        for y in odds:
+        for y in (alg.generators[j] for j in alg.odd_indices):
             image = model.differential.image_of(y)
             # each term goes to the column of the first even generator in it
             row = [{} for _ in evens]
@@ -78,7 +68,7 @@ def coefficient_matrix(model: SullivanModel) -> CoefficientMatrix:
             earlier = [x.index for x in evens[:i]]
             if any(m[e] for row in entries for m in row[i].terms for e in earlier):
                 raise InternalInconsistencyError("coefficient matrix is not triangular")
-        return CoefficientMatrix(evens, odds, entries)
+        return entries
 
     return _cached(model, ("coefficient_matrix",), produce)
 
@@ -158,20 +148,18 @@ def murillo_fundamental_class(model: SullivanModel) -> Element:
     that is not a boundary.
     """
     require_elliptic(model)
-    matrix = coefficient_matrix(model)
-    n = len(matrix.even_gens)
-    m = len(matrix.odd_gens)
+    entries = coefficient_matrix(model)
+    alg = model.algebra
+    n = len(alg.even_indices)
+    m = len(alg.odd_indices)
     if m < n:
         raise PreconditionError(
             f"{m} odd generators but {n} even ones: no square minors exist"
         )
-    alg = model.algebra
     # y_1 * ... * y_m in declaration order, then iota_n first and iota_1 last
     omega = Element.from_monomial(alg, [int(g.is_odd) for g in alg.generators])
     for i in reversed(range(n)):
-        iota = Derivation(
-            alg, {y.index: row[i] for y, row in zip(matrix.odd_gens, matrix.entries)}
-        )
+        iota = Derivation(alg, {j: row[i] for j, row in zip(alg.odd_indices, entries)})
         omega = iota(omega)
     if omega.is_zero:
         raise InternalInconsistencyError(

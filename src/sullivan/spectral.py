@@ -60,7 +60,7 @@ def _require_delta(model: SullivanModel) -> None:
         )
 
 
-@dataclass(eq=False)
+@dataclass
 class FilteredPair:
     """An element of E_1^{p, n-p} for k = 3: u in Lambda^{2p}, v in
     Lambda^{2p+1}, both degree-homogeneous of total degree n."""
@@ -102,17 +102,6 @@ class FilteredPair:
         if (self.model, self.p, self.n) != (other.model, other.p, other.n):
             raise ValueError("pairs live on different bigraded slots")
         return FilteredPair(self.model, self.p, self.n, self.u + other.u, self.v + other.v)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FilteredPair)
-            and self.model == other.model
-            and (self.p, self.n) == (other.p, other.n)
-            and self.u == other.u
-            and self.v == other.v
-        )
-
-    __hash__ = None
 
     @classmethod
     def slot(cls, model: SullivanModel, p: int, n: int, e: Element) -> "FilteredPair":
@@ -223,10 +212,13 @@ class LiftTrace:
     l: int
     t_bound: int
     outcome: str  # "success" | "died" | "collapsed"
-    iterations: int
     final: Optional[Element] = None
     obstructions: List[FilteredPair] = field(default_factory=list)
     correctors: List[Element] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.correctors)
 
 
 def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
@@ -237,8 +229,7 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
     delta(b) = obstruction one filtration step below on the cached factorization
     of delta out of the whole degree; delta is a block sum over the pair slots,
     so with free variables zero it returns the solution on that one slot.
-    Subtracting b strictly raises the lowest obstruction, so the loop
-    terminates within ceil(degree/2) - p rounds.
+    Subtracting b strictly raises the lowest obstruction, so the loop ends.
 
     Outcomes: "died" when some obstruction is not a delta-boundary,
     "collapsed" when d(w) reaches zero but w bounds (or started as zero),
@@ -249,8 +240,7 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
         raise ValueError("start element lives in a different algebra")
     if start.is_zero:
         return LiftTrace(
-            start=start, p=0, l=0, t_bound=0, outcome="collapsed",
-            iterations=0, final=start,
+            start=start, p=0, l=0, t_bound=0, outcome="collapsed", final=start
         )
     n = start.degree()
     if not model.delta(start).is_zero:
@@ -259,13 +249,11 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
     p = wls[0] // 2
     l = wls[-1] // 2 - p
     t_bound = (n - 4 * p - 4 * l - 1) // 4
-    trace = LiftTrace(
-        start=start, p=p, l=l, t_bound=t_bound, outcome="", iterations=0
-    )
+    trace = LiftTrace(start=start, p=p, l=l, t_bound=t_bound, outcome="")
     w = start
     last_obstruction_p = None
-    max_rounds = max((n + 1) // 2 - p + 2, 4)
-    for _ in range(max_rounds):
+    # p_obs rises from >= p + 1 and is <= (n + 1) // 4, as every degree is >= 2
+    while True:
         dw = model.d(w)
         if dw.is_zero:
             if w.is_zero or is_boundary(model, w):
@@ -294,8 +282,6 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
         corrector = element_from_vector(model.algebra, basis(model.algebra, n), sol)
         trace.correctors.append(corrector)
         w = w - corrector
-        trace.iterations += 1
-    raise InternalInconsistencyError("lift exceeded its termination bound")
 
 
 @dataclass
@@ -303,7 +289,7 @@ class SpectralRun:
     """The lift of each class of H^N(delta), in class order, and e0."""
 
     outcomes: List[LiftTrace]
-    result: Optional[ToomerResult]
+    result: ToomerResult
 
 
 def spectral_run(model: SullivanModel) -> SpectralRun:
@@ -354,7 +340,6 @@ def spectral_run(model: SullivanModel) -> SpectralRun:
         )
     result = ToomerResult(
         e0=e0,
-        method="spectral",
         representative=best.final,
         witness=(best.p, "even" if e0 == 2 * best.p else "odd"),
     )

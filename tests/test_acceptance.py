@@ -47,7 +47,7 @@ def _check(num: int, description: str, subchecks: dict) -> None:
 def _matrix_text(model):
     return [
         [format_element(entry) for entry in row]
-        for row in coefficient_matrix(model).entries
+        for row in coefficient_matrix(model)
     ]
 
 
@@ -207,7 +207,7 @@ def test_criterion_09_pool_agreement_and_disagreement_exit(capsys, monkeypatch):
         )
 
     def broken_oracle(model):
-        return ToomerResult(e0=99, method="oracle", representative=model.algebra.one())
+        return ToomerResult(e0=99, representative=model.algebra.one())
 
     monkeypatch.setattr(cli, "toomer_oracle", broken_oracle)
     code = cli.main(

@@ -155,12 +155,23 @@ def test_model_file_with_a_byte_order_mark_parses(capsys, tmp_path):
          f"invalid generator name '{'x' * 40}'..."),
         (f"generator x2 2\ngenerator {'y' * 5000} 5\nd {'y' * 5000} = x2^2\n",
          f"image of '{'y' * 40}'... has degree 4, expected 6"),
+        # a long number or element is cut to its first 40 characters too
+        ("generator x2 -" + "9" * 4000 + "\n",
+         f"generator 'x2' has degree -{'9' * 39}...; degrees must be >= 2"),
+        ("generator x2 2\ngenerator y " + "9" * 4000 + "\nd y = x2^2\n",
+         f"image of 'y' has degree 4, expected 1{'0' * 39}..."),
+        ("generator x2 2\ngenerator y5 5\nd y5 = x2^" + "9" * 4000 + "\n",
+         f"image of 'y5' has degree 1{'9' * 39}..., expected 6"),
+        ("generator x2 2\ngenerator y3 3\ngenerator z 4\nd y3 = x2^2\n"
+         "d z = " + "9" * 4000 + "*x2*y3\n",
+         f"d^2 != 0 on generator 'z': d(d(z)) = {'9' * 40}..."),
     ],
     ids=["generator-tokens", "d-without-eq", "d-head", "statement", "denominator",
          "name", "degree-underscore", "degree-plus", "degree-negative",
          "degree-5000-digits", "long-degree", "long-statement",
          "long-unknown-generator", "long-d-line-name", "long-name",
-         "long-name-image"],
+         "long-name-image", "long-negative-degree", "long-expected-degree",
+         "long-image-degree", "long-dd-element"],
 )
 def test_malformed_model_file_exits_1_with_its_message(
     capsys, tmp_path, source, message
@@ -373,6 +384,17 @@ def test_oversized_degree_fails_fast_with_exit_2(case, tmp_path):
     assert "Traceback" not in err
 
 
+def test_a_long_degree_range_is_cut_in_its_message(capsys):
+    code, out, err = _run(
+        capsys, "cohomology", FIXTURES / "pure_n35.model",
+        "--degree", "0", "--to", "9" * 4000,
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: the degree-1{'0' * 39}... basis is above the degree limit of 1000\n"
+    )
+
+
 def test_a_long_d_line_validates_fast(tmp_path):
     """Every one of the 12,376 degree-12 monomials in 12 degree-2
     generators on one d-line (260 KB): the terms are summed in one pass."""
@@ -466,7 +488,7 @@ def test_toomer_both_agree(capsys):
 def test_method_disagreement_exits_3(capsys, monkeypatch):
     # fake an oracle that disagrees with the spectral answer
     def broken_oracle(model):
-        return ToomerResult(e0=99, method="oracle", representative=model.algebra.one())
+        return ToomerResult(e0=99, representative=model.algebra.one())
 
     monkeypatch.setattr(cli, "toomer_oracle", broken_oracle)
     code, out, err = _run(
@@ -483,7 +505,7 @@ def test_method_disagreement_exits_3(capsys, monkeypatch):
 
 def test_report_disagreement_exits_3_with_an_error_line(capsys, monkeypatch):
     def broken_oracle(model):
-        return ToomerResult(e0=99, method="oracle", representative=model.algebra.one())
+        return ToomerResult(e0=99, representative=model.algebra.one())
 
     monkeypatch.setattr(cli, "toomer_oracle", broken_oracle)
     code, out, err = _run(

@@ -39,8 +39,8 @@ from sullivan.murillo import (
 )
 
 
-def _entries_as_text(matrix):
-    return [[format_element(e) for e in row] for row in matrix.entries]
+def _entries_as_text(entries):
+    return [[format_element(e) for e in row] for row in entries]
 
 
 def test_coefficient_matrix_n37():
@@ -70,17 +70,21 @@ def test_row_identity_and_triangularity():
     for build in (elliptic_pure_n37, elliptic_pure_n35, tower_two_even_mixed):
         model = build()
         alg = model.algebra
-        matrix = coefficient_matrix(model)
-        for y, row in zip(matrix.odd_gens, matrix.entries):
+        evens = [alg.generators[i] for i in alg.even_indices]
+        odds = [alg.generators[j] for j in alg.odd_indices]
+        entries = coefficient_matrix(model)
+        assert len(entries) == len(odds)
+        for y, row in zip(odds, entries):
             # d(y_j) = sum_i entries[j][i] * x_i
+            assert len(row) == len(evens)
             total = alg.zero()
-            for x, entry in zip(matrix.even_gens, row):
+            for x, entry in zip(evens, row):
                 total = total + entry * alg.gen_element(x.name)
             assert total == model.differential.image_of(y)
             # entries[j][i] involves only x_i, ..., x_n
             for i, entry in enumerate(row):
                 for mono in entry.terms:
-                    assert not any(mono[x.index] for x in matrix.even_gens[:i])
+                    assert not any(mono[x.index] for x in evens[:i])
 
 
 def test_coefficient_matrix_rejects_nonpure():
@@ -207,16 +211,16 @@ def _minors_class(model, det):
     """The determinant formula: the sum over n-subsets J of rows of
     (-1)^{sum J} det(A_J) times the odd generators left out, normalized to a
     positive leading coefficient like ``murillo_fundamental_class``."""
-    matrix = coefficient_matrix(model)
+    entries = coefficient_matrix(model)
     alg = model.algebra
     omega = alg.zero()
-    for rows in combinations(range(len(matrix.odd_gens)), len(matrix.even_gens)):
+    for rows in combinations(range(len(alg.odd_indices)), len(alg.even_indices)):
         sign = -1 if sum(j + 1 for j in rows) % 2 else 1
         rest = [0] * alg.ngens
-        for j, y in enumerate(matrix.odd_gens):
+        for j, y in enumerate(alg.odd_indices):
             if j not in rows:
-                rest[y.index] = 1
-        sub = [matrix.entries[j] for j in rows]
+                rest[y] = 1
+        sub = [entries[j] for j in rows]
         omega = omega + det(sub, alg) * Element.from_monomial(alg, rest, sign)
     if omega.terms[omega.leading_monomial()] < 0:
         omega = -omega
@@ -279,7 +283,7 @@ def test_contraction_equals_the_minors_formula():
         omega = murillo_fundamental_class(model)
         assert omega == _minors_class(model, _det_cofactor)
         assert omega == _minors_class(model, _det_bareiss)
-        entries = coefficient_matrix(model).entries
+        entries = coefficient_matrix(model)
         several_columns += any(sum(not e.is_zero for e in row) > 1 for row in entries)
         checked += 1
     assert checked >= 30 and several_columns >= 10

@@ -60,6 +60,20 @@ PAIR_ENTRY_POINTS = {
 }
 
 
+def test_models_and_pairs_compare_by_their_fields():
+    model = elliptic_pure_n37()
+    toomer_oracle(model)  # fills the cache, which equality ignores
+    assert model._cache and model == elliptic_pure_n37()
+    assert elliptic_pure_n37() != elliptic_pure_n35()
+    pair = _pair(model, 3, 37, "x2^2*x6^3*y15", "0")
+    assert pair == _pair(elliptic_pure_n37(), 3, 37, "x2^2*x6^3*y15", "0")
+    assert pair != _pair(model, 3, 37, "x2^2*x6^3*y15", "x2*x6^5*y5")
+    assert _pair(model, 2, 37, "0", "0") != _pair(model, 3, 37, "0", "0")
+    for unhashable in (model, pair):
+        with pytest.raises(TypeError):
+            hash(unhashable)
+
+
 @pytest.mark.parametrize("k", [None, 2, 4])
 @pytest.mark.parametrize("entry", sorted(PAIR_ENTRY_POINTS))
 def test_every_pair_entry_point_requires_k3(entry, k):
@@ -365,7 +379,6 @@ def test_toomer_spectral_reference_values():
 def test_toomer_spectral_witness():
     res = toomer_spectral(elliptic_pure_n37())
     assert res.witness == (3, "even")
-    assert res.method == "spectral"
 
 
 def test_toomer_spectral_simplest_k3():
