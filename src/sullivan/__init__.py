@@ -18,6 +18,7 @@ from .cohomology import (
     EllipticityResult,
     ToomerResult,
     cohomology_basis,
+    cohomology_dim,
     formal_dimension,
     is_elliptic,
     require_elliptic,
@@ -64,6 +65,7 @@ __all__ = [
     "EllipticityResult",
     "ToomerResult",
     "cohomology_basis",
+    "cohomology_dim",
     "formal_dimension",
     "is_elliptic",
     "require_elliptic",

@@ -33,6 +33,7 @@ from . import __version__
 from .algebra import _int_token, basis, build_algebra, format_element, parse_element
 from .cohomology import (
     cohomology_basis,
+    cohomology_dim,
     formal_dimension,
     is_elliptic,
     toomer_oracle,
@@ -186,13 +187,17 @@ def _elliptic_pairs(model: SullivanModel, bound: Optional[int]) -> Pairs:
 def _cohomology_pairs(
     model: SullivanModel, lo: int, hi: int, with_reps: bool
 ) -> Pairs:
+    """The dimension of each degree's cohomology, from ranks alone unless
+    its representatives are printed too."""
     pairs: Pairs = []
     for n in range(lo, hi + 1):
+        if not with_reps:
+            pairs.append((f"cohomology.dim.{n}", cohomology_dim(model, n)))
+            continue
         reps = cohomology_basis(model, n)
         pairs.append((f"cohomology.dim.{n}", len(reps)))
-        if with_reps:
-            for i, rep in enumerate(reps):
-                pairs.append((f"cohomology.rep.{n}.{i}", format_element(rep)))
+        for i, rep in enumerate(reps):
+            pairs.append((f"cohomology.rep.{n}.{i}", format_element(rep)))
     return pairs
 
 
@@ -202,6 +207,21 @@ def _top_class_pairs(model: SullivanModel) -> Pairs:
         ("top_class.degree", degree),
         ("top_class.representative", format_element(fundamental)),
     ]
+
+
+def _check_duality(n: int, dims: List[int]) -> None:
+    """InternalInconsistencyError unless dims, the dimensions of H^0 .. H^N
+    of an elliptic model, satisfy Poincare duality with dim H^N = 1."""
+    if dims[n] != 1:
+        raise InternalInconsistencyError(
+            f"H^{n} has dimension {dims[n]}, expected 1 for an elliptic model"
+        )
+    for i, dim in enumerate(dims):
+        if dim != dims[n - i]:
+            raise InternalInconsistencyError(
+                f"dim H^{i} = {dim} but dim H^{n - i} = {dims[n - i]}: "
+                "Poincare duality fails"
+            )
 
 
 def _murillo_pairs(model: SullivanModel) -> Pairs:
@@ -307,8 +327,12 @@ def _report(args, model: SullivanModel) -> Tuple[Pairs, int]:
     pairs += _elliptic_pairs(model, args.max_degree)
     if is_elliptic(model, args.max_degree).is_elliptic:
         n = formal_dimension(model)
-        pairs += _cohomology_pairs(model, 0, n, with_reps=False)
-        pairs += _top_class_pairs(model)
+        # the top class first: the ranks at N - 1 and N are then read off
+        # the factorizations it builds, which the depth searches reuse
+        top = _top_class_pairs(model)
+        dims = _cohomology_pairs(model, 0, n, with_reps=False)
+        _check_duality(n, [dim for _, dim in dims])
+        pairs += dims + top
         if is_pure(model):
             pairs += _murillo_pairs(model)
         if model.k == 3:
@@ -333,12 +357,18 @@ def _selftest(args, model) -> Tuple[Pairs, int]:
     return pairs, code
 
 
-def _nonnegative_int(text: str) -> int:
-    """A ``--max-degree`` or ``--cases`` value: a nonnegative integer."""
+def _int(text: str) -> int:
+    """A ``--degree``, ``--to`` or ``--seed`` value: an integer.  argparse's
+    own ``type=int`` would echo a rejected value whole."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
+
+
+def _nonnegative_int(text: str) -> int:
+    """A ``--max-degree`` or ``--cases`` value: a nonnegative integer."""
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {clipped(value)}")
     return value
@@ -348,7 +378,7 @@ _MODEL = ("model", dict(help="path to a model file"))
 _MAX_DEGREE = (
     "--max-degree", dict(type=_nonnegative_int, help="override the ellipticity scan bound")
 )
-_DEGREE = ("--degree", dict(type=int, required=True))
+_DEGREE = ("--degree", dict(type=_int, required=True))
 
 #: name -> (builder(args, model) -> (pairs, exit code), arguments as (flag
 #: or name, add_argument keywords)); model is None for a command without one
@@ -356,7 +386,7 @@ COMMANDS: Dict[str, Tuple[Callable, tuple]] = {
     "info": (lambda a, m: (_info_pairs(a.model, m), 0), (_MODEL,)),
     "validate": (lambda a, m: ([("validate.ok", True), ("model.k", m.k)], 0), (_MODEL,)),
     "cohomology": (
-        _cohomology, (_MODEL, _DEGREE, ("--to", dict(type=int, default=None)))
+        _cohomology, (_MODEL, _DEGREE, ("--to", dict(type=_int, default=None)))
     ),
     "elliptic": (lambda a, m: (_elliptic_pairs(m, a.max_degree), 0), (_MODEL, _MAX_DEGREE)),
     "top-class": (lambda a, m: (_top_class_pairs(m), 0), (_MODEL,)),
@@ -370,7 +400,7 @@ COMMANDS: Dict[str, Tuple[Callable, tuple]] = {
     "selftest": (
         _selftest,
         (
-            ("--seed", dict(type=int, default=0)),
+            ("--seed", dict(type=_int, default=0)),
             ("--cases", dict(type=_nonnegative_int, default=200)),
         ),
     ),

@@ -4,9 +4,11 @@ Everything is computed one degree at a time with exact rational linear
 algebra.  The pieces provided here:
 
 * cochain maps and cohomology bases, each basis a list of deterministic
-  representatives (so a dimension is a length), through one set of cached
-  helpers that serve both d and the spectral sequence's page-one
-  differential delta,
+  representatives read off the factorizations of d into and out of its
+  degree, through one set of cached helpers that serve both d and the
+  spectral sequence's page-one differential delta,
+* cohomology dimensions from two ranks, dim H^n = |B_n| - rank d_n -
+  rank d_{n-1}, with no representatives built,
 * the formal dimension N read off the generator degrees,
 * an ellipticity decision procedure through the associated pure model,
 * the fundamental class of an elliptic model: N and the one representative
@@ -142,6 +144,32 @@ def cohomology_basis(model: SullivanModel, n: int) -> List[Element]:
     a basis of the boundaries to one of the cocycles, so dim H^n is their
     number."""
     return _cohomology(model, "d", n)
+
+
+def _rank(model: SullivanModel, n: int) -> int:
+    """The rank of d out of degree n: read off its factorization when one is
+    cached, or else eliminated once as a plain row space of the image
+    columns, with no unit coordinates, and cached."""
+    factor = model._cache.get(("d", "factor", n))
+    if factor is not None:
+        return len(factor.columns) - len(factor.kernel)
+
+    def produce():
+        src, dst = basis(model.algebra, n), basis(model.algebra, n + 1)
+        space = RowSpace(len(dst))
+        for column in _images(model, "d", src, dst):
+            space.add(column)
+        return space.rank
+
+    return _cached(model, ("d", "rank", n), produce)
+
+
+def cohomology_dim(model: SullivanModel, n: int) -> int:
+    """dim H^n = |B_n| - rank d_n - rank d_{n-1}, from the two ranks alone,
+    with rank d_{-1} = 0; :func:`cohomology_basis` has this many
+    representatives."""
+    below = _rank(model, n - 1) if n > 0 else 0
+    return len(basis(model.algebra, n)) - _rank(model, n) - below
 
 
 def is_boundary(model: SullivanModel, e: Element) -> bool:

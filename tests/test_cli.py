@@ -327,6 +327,33 @@ def test_non_integer_cases_is_a_usage_error(capsys):
     assert "error: argument --cases: invalid int value: 'abc'" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", str(FIXTURES / "pure_n35.model"), "--degree", "0", "--to"],
+        ["cohomology", str(FIXTURES / "pure_n35.model"), "--degree"],
+        ["delta-cohomology", str(FIXTURES / "pure_n35.model"), "--degree"],
+        ["selftest", "--seed"],
+    ],
+    ids=["to", "degree", "delta-degree", "seed"],
+)
+def test_a_long_non_integer_value_is_cut_in_its_usage_error(capsys, argv):
+    option = argv[-1]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["x"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: argument {option}: invalid int value: 'x'"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["x" + "9" * 4000])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"error: argument {option}: invalid int value: {'x' + '9' * 39!r}..."
+    )
+    assert len(err.encode()) < 400
+
+
 OVERSIZED_MODEL = "".join(
     [f"generator x{i} 2\n" for i in range(1, 7)]
     + [f"generator y{i} 39\n" for i in range(1, 7)]
@@ -517,6 +544,24 @@ def test_report_disagreement_exits_3_with_an_error_line(capsys, monkeypatch):
     assert err == "error: oracle and spectral methods disagree\n"
 
 
+@pytest.mark.parametrize("degree", [5, 35])
+def test_report_checks_poincare_duality_of_its_dimensions(capsys, monkeypatch, degree):
+    """A dimension off by one at one degree, below the top or at N = 35,
+    breaks duality: exit 3 with one error line and no report."""
+    ranked = cli.cohomology_dim
+
+    def off_by_one(model, n):
+        return ranked(model, n) + (n == degree)
+
+    monkeypatch.setattr(cli, "cohomology_dim", off_by_one)
+    code, out, err = _run(
+        capsys, "report", FIXTURES / "pure_n35.model", "--format", "structured"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: internal inconsistency: ")
+    assert err.count("\n") == 1
+
+
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):
     from sullivan.errors import InternalInconsistencyError
 
@@ -642,20 +687,20 @@ ARGUMENTS = {
     "info": MODEL_ARGUMENTS,
     "validate": MODEL_ARGUMENTS,
     "cohomology": MODEL_ARGUMENTS + [
-        ("--degree", None, None, True, "int"),
-        ("--to", None, None, False, "int"),
+        ("--degree", None, None, True, "_int"),
+        ("--to", None, None, False, "_int"),
     ],
     "elliptic": SCAN_ARGUMENTS,
     "top-class": MODEL_ARGUMENTS,
     "murillo": MODEL_ARGUMENTS,
-    "delta-cohomology": MODEL_ARGUMENTS + [("--degree", None, None, True, "int")],
+    "delta-cohomology": MODEL_ARGUMENTS + [("--degree", None, None, True, "_int")],
     "toomer": MODEL_ARGUMENTS + [
         ("--method", "both", ("oracle", "spectral", "both"), False, None),
     ],
     "report": SCAN_ARGUMENTS,
     "selftest": [
         ("--format", "human", ("human", "structured"), False, None),
-        ("--seed", 0, None, False, "int"),
+        ("--seed", 0, None, False, "_int"),
         ("--cases", 200, None, False, "_nonnegative_int"),
     ],
 }

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+import argparse
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from sullivan.algebra import basis, coefficient_vector, format_element, parse_el
 from sullivan.cohomology import (
     cochain_maps,
     cohomology_basis,
+    cohomology_dim,
     formal_dimension,
     is_boundary,
     is_elliptic,
@@ -20,6 +22,7 @@ from sullivan.cohomology import (
 from sullivan.errors import PreconditionError
 from sullivan.linalg import RationalMatrix, solve_membership
 from sullivan.models import (
+    ALL_MODELS,
     elliptic_pure_n35,
     elliptic_pure_n37,
     exterior_two_odd,
@@ -27,6 +30,7 @@ from sullivan.models import (
     projective_plane,
     sphere_s2,
 )
+from test_depth_search import _random_models
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -180,3 +184,44 @@ def test_cohomology_dims_of_n37_sample():
 def test_negative_degree_is_empty():
     model = sphere_s2()
     assert cohomology_basis(model, -1) == []
+
+
+def _check_dims_from_ranks(model):
+    """On a fresh model, dim H^n from two ranks equals the number of
+    representatives at every degree 0 .. N + the top generator degree, and
+    reads the same once the ranks come off the factorizations."""
+    top = max(formal_dimension(model), 0)
+    top += max(g.degree for g in model.algebra.generators)
+    ranked = [cohomology_dim(model, n) for n in range(top + 1)]
+    assert ranked == [len(cohomology_basis(model, n)) for n in range(top + 1)]
+    assert [cohomology_dim(model, n) for n in range(top + 1)] == ranked
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build for _, build in ALL_MODELS]
+    + [
+        lambda f=f: cli.parse_model_file(str(FIXTURES / f"{f}.model")).model
+        for f in ("five_even_k2", "truncated_n37")
+    ],
+    ids=[name for name, _ in ALL_MODELS] + ["five_even_k2", "truncated_n37"],
+)
+def test_dimensions_from_ranks_count_the_representatives(build):
+    _check_dims_from_ranks(build())
+
+
+def test_dimensions_from_ranks_on_random_pure_models():
+    for model in _random_models(19, 20):
+        _check_dims_from_ranks(model)
+
+
+def test_report_factors_d_only_in_the_top_two_degrees():
+    """The dimensions of H^0 .. H^N come from ranks; the whole factorizations
+    of d are those of the top class and the depth searches."""
+    path = str(FIXTURES / "pure_n37.model")
+    model = cli.parse_model_file(path).model
+    cli._report(argparse.Namespace(model=path, max_degree=None), model)
+    factored = {
+        key[2] for key in model._cache if len(key) == 3 and key[:2] == ("d", "factor")
+    }
+    assert factored == {36, 37}
