@@ -7,11 +7,16 @@ quotient) are almost all zeros, so vectors and matrix rows are sparse:
 sequence, wherever one is passed in.
 
 All elimination is done by one kernel, :class:`RowSpace`, which keeps a row
-space as its reduced row echelon basis: every pivot is 1 and is the only
-nonzero entry of its column.  That basis is unique for a fixed column order,
-whatever order the rows arrive in, and so is the normal form of a vector
-modulo the space (zero at every pivot column).  ``rref`` picks the first
-nonzero column as the next pivot and scales every pivot to 1.
+space as a row echelon basis: one row per pivot column, 1 there and 0 to
+its left.  The basis is not kept reduced, so a new row is eliminated against
+the stored ones and stored, and no stored row changes.  The normal form of a
+vector modulo the space (zero at every pivot column) is unique all the same:
+two of them differ by a vector of the space that is zero at every pivot
+column, and a nonzero vector of the space is not, since its first nonzero
+column is a pivot column.  So is the reduced row echelon basis (every pivot
+the only nonzero entry of its column), which is formed by back-substitution
+only when it is read.  ``rref`` picks the first nonzero column as the next
+pivot and scales every pivot to 1.
 
 A map m: Q^ncols -> Q^nrows is eliminated once, as a
 :class:`ColumnFactorization`: column j goes into a ``RowSpace`` with one
@@ -23,8 +28,8 @@ read off the factorization is unique, and ``kernel_basis`` and
 
 * a column that is not stored leaves only its unit part: the kernel vector
   with that free variable 1 and the others 0, free columns ascending;
-* the stored rows, cut to the first nrows coordinates, are the reduced row
-  echelon basis of the image;
+* the stored rows, cut to the first nrows coordinates, are an echelon basis
+  of the image, and back-substitution makes it the reduced one;
 * b is in the image exactly when its normal form vanishes on the first
   nrows coordinates; minus its unit part is then the solution of m x = b
   with every free variable 0.
@@ -32,6 +37,7 @@ read off the factorization is unique, and ``kernel_basis`` and
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -108,12 +114,15 @@ class RationalMatrix:
 
 
 class RowSpace:
-    """A subspace of Q^ncols kept as its reduced row echelon basis.
+    """A subspace of Q^ncols kept as a row echelon basis that is not
+    reduced: no stored row changes when another is added.  Normal forms are
+    unique all the same, and :meth:`echelon` forms the reduced basis when
+    it is read (see the module docstring).
 
     This is the package's one elimination kernel.  ``echelon`` seeds the
-    space with rows that are already in reduced row echelon form, such as
-    the first ``rank`` rows of an :func:`rref` result; they are taken as
-    they are, without elimination.
+    space with echelon rows whose leads are 1, reduced or not, such as the
+    first ``rank`` rows of an :func:`rref` result; they are taken as they
+    are, without elimination.
     """
 
     def __init__(self, ncols: int, echelon: Iterable[Vector] = ()):
@@ -123,15 +132,29 @@ class RowSpace:
     def _reduce(self, v: Vector) -> Vector:
         """Reduce v in place to its normal form, zero at every pivot column.
 
-        The other rows vanish at a row's pivot, so each pivot is cleared by
-        subtracting its row once, with v's own coefficient there.
+        Pivots are cleared in ascending order: a row is zero left of its
+        pivot, so subtracting it only touches later columns, and a pivot
+        column it fills is queued in order.
         """
         rows = self._rows
-        for p in [j for j in v if j in rows]:
-            f = v.pop(p)
+        pending = sorted(j for j in v if j in rows)
+        i = 0
+        while i < len(pending):
+            p = pending[i]
+            i += 1
+            f = v.pop(p, None)
+            if f is None:  # cancelled, or queued twice
+                continue
             for j, x in rows[p].items():
-                if j != p:
-                    y = v.get(j, ZERO) - f * x
+                if j == p:
+                    continue
+                y = v.get(j)
+                if y is None:
+                    v[j] = -f * x
+                    if j in rows:
+                        insort(pending, j, i)
+                else:
+                    y -= f * x
                     if y:
                         v[j] = y
                     else:
@@ -139,22 +162,12 @@ class RowSpace:
         return v
 
     def _store(self, v: Vector) -> None:
-        """Add a nonzero normal form v as a basis row: scale its lead to 1
-        and clear that column from the other rows."""
+        """Add a nonzero normal form v as a basis row, its lead scaled to 1."""
         lead = min(v)
         if v[lead] != 1:
             inv = ONE / v[lead]
             for j in v:
                 v[j] *= inv
-        for row in self._rows.values():
-            f = row.get(lead)
-            if f:
-                for j, x in v.items():
-                    y = row.get(j, ZERO) - f * x
-                    if y:
-                        row[j] = y
-                    else:
-                        del row[j]
         self._rows[lead] = v
 
     def reduce(self, v) -> Vector:
@@ -174,7 +187,22 @@ class RowSpace:
 
     def echelon(self) -> List[Vector]:
         """The reduced row echelon basis, by ascending pivot column."""
-        return [self._rows[p] for p in sorted(self._rows)]
+        return _back_substitute(self._rows, self.ncols)
+
+
+def _back_substitute(rows: Dict[int, Vector], ncols: int) -> List[Vector]:
+    """The reduced row echelon basis of echelon rows {pivot: row}, cut to
+    their first ncols coordinates, by ascending pivot.
+
+    Rows are reduced by descending pivot: the part of a row right of its
+    pivot is reduced against the later rows, which are reduced by then, so
+    each is the only one nonzero at its pivot column.
+    """
+    done = RowSpace(ncols)
+    for p in sorted(rows, reverse=True):
+        tail = {j: x for j, x in rows[p].items() if p < j < ncols}
+        done._rows[p] = {p: ONE, **done._reduce(tail)}
+    return [done._rows[p] for p in sorted(done._rows)]
 
 
 class ColumnFactorization:
@@ -211,8 +239,7 @@ class ColumnFactorization:
 
     def echelon(self) -> List[Vector]:
         """Reduced row echelon basis of the image, by ascending pivot."""
-        n = self.nrows
-        return [{i: x for i, x in r.items() if i < n} for r in self._space.echelon()]
+        return _back_substitute(self._space._rows, self.nrows)
 
 
 def rref(m: RationalMatrix) -> Tuple[RationalMatrix, Tuple[int, ...], int]:

@@ -818,3 +818,13 @@ def test_golden_report(capsys, stem):
             assert g_line.endswith(f"{stem}.model")
         else:
             assert g_line == e_line
+
+
+def test_golden_report_of_a_larger_model(capsys, monkeypatch):
+    # n37 x CP^2 x CP^2, N = 45: its golden was recorded before the echelon
+    # basis of the elimination kernel was kept unreduced
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    model = "tests/large/n37_cp2_cp2.model"
+    code, out, _ = _run(capsys, "report", model, "--format", "structured")
+    assert code == 0
+    assert out == (GOLDEN / "report_n37_cp2_cp2.txt").read_text()

@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from sullivan import cohomology
+from sullivan.algebra import basis
+from sullivan.cli import parse_model_file
+from sullivan.cohomology import formal_dimension
 from sullivan.linalg import (
     ColumnFactorization,
     RationalMatrix,
@@ -15,6 +20,7 @@ from sullivan.linalg import (
     rref,
     solve_membership,
 )
+from sullivan.models import ALL_MODELS, ELLIPTIC_K3_POOL
 
 
 def _mat(rows):
@@ -304,3 +310,101 @@ def test_row_space_seeded_from_an_echelon_matches_one_filled_row_by_row():
             assert seeded.add(w) == filled.add(w)
         assert seeded.echelon() == filled.echelon()
         assert rref(m)[0] == reduced  # seeding copied the rows it was given
+
+
+# ---------------------------------------------------------------------------
+# the echelon basis is kept unreduced: stored rows never change
+
+
+def test_adding_a_row_never_changes_a_stored_row():
+    for rows, ncols in _cases():
+        space, stored = RowSpace(ncols), {}
+        for v in rows:
+            space.add(v)
+            for p, r in space._rows.items():
+                stored.setdefault(p, dict(r))
+                assert r == stored[p]
+                assert min(r) == p and r[p] == 1
+        assert len(stored) == space.rank
+
+
+def test_row_space_matches_dense_row_space_in_any_row_order():
+    rng = random.Random(23)
+    for rows, ncols in _cases():
+        probes = _random_rows(rng, 4, ncols, 0.5, False)
+        for _ in range(3):
+            order = rows[:]
+            rng.shuffle(order)
+            space, oracle = RowSpace(ncols), _DenseRowSpace(ncols)
+            for v in order:
+                assert space.add(v) == oracle.add(v)
+            assert space.rank == len(oracle.rows)
+            for w in probes + rows:
+                assert _dense(space.reduce(w), ncols) == oracle.reduce(w)
+            want = [r for _, r in oracle.rows]
+            assert [_dense(r, ncols) for r in space.echelon()] == want
+
+
+def test_row_space_seeded_from_an_unreduced_echelon_matches_one_seeded_from_rref():
+    rng = random.Random(29)
+    unreduced_seeds = 0
+    for rows, ncols in _cases():
+        m = RationalMatrix(rows, ncols=ncols)
+        reduced, _, rk = rref(m)
+        echelon = [dict(r) for r in reduced.rows[:rk]]
+        for i in range(rk):  # add multiples of later rows: leads stay 1
+            for later in echelon[i + 1 :]:
+                f = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                for j, x in later.items():
+                    echelon[i][j] = echelon[i].get(j, Fraction(0)) + f * x
+            echelon[i] = {j: x for j, x in echelon[i].items() if x}
+        unreduced_seeds += echelon != reduced.rows[:rk]
+        unreduced, seeded = RowSpace(ncols, echelon), RowSpace(ncols, reduced.rows[:rk])
+        assert unreduced.rank == seeded.rank == rk
+        assert unreduced.echelon() == seeded.echelon() == reduced.rows[:rk]
+        for w in _random_rows(rng, 6, ncols, 0.5, False) + rows:
+            assert unreduced.reduce(w) == seeded.reduce(w)
+            assert unreduced.add(w) == seeded.add(w)
+        assert unreduced.echelon() == seeded.echelon()
+    assert unreduced_seeds > 10
+
+
+# ---------------------------------------------------------------------------
+# the engine's own matrices against dense Gauss-Jordan elimination
+
+
+def _engine_models():
+    models = [(name, build()) for name, build in ALL_MODELS]
+    five = Path(__file__).parent / "fixtures" / "five_even_k2.model"
+    return models + [("five_even_k2", parse_model_file(str(five)).model)]
+
+
+def _assert_factor_matches_dense(factor, nrows):
+    columns = [_dense(c, nrows) for c in factor.columns]
+    rows = [list(r) for r in zip(*columns)]
+    ncols = len(columns)
+    assert [_dense(v, ncols) for v in factor.kernel] == _dense_kernel(rows, ncols)
+    want, pivots = _dense_rref(columns, nrows)
+    assert [_dense(r, nrows) for r in factor.echelon()] == want[: len(pivots)]
+    return len(pivots)
+
+
+def test_d_factorizations_and_ranks_match_dense_gauss_jordan():
+    for name, model in _engine_models():
+        for n in range(formal_dimension(model) + 1):
+            # the rank first, while no factorization of degree n is cached,
+            # so that it comes from the plain row space
+            rk = cohomology._rank(model, n)
+            factor = cohomology._factor(model, "d", n)
+            nrows = len(basis(model.algebra, n + 1))
+            assert _assert_factor_matches_dense(factor, nrows) == rk, (name, n)
+
+
+def test_delta_factorizations_match_dense_gauss_jordan():
+    for _, build in ELLIPTIC_K3_POOL:
+        model = build()
+        n = formal_dimension(model)
+        for degree in (n - 1, n):
+            nrows = len(basis(model.algebra, degree + 1))
+            factor = cohomology._factor(model, "delta", degree)
+            _assert_factor_matches_dense(factor, nrows)
