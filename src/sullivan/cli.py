@@ -32,6 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import __version__
 from .algebra import _int_token, basis, build_algebra, format_element, parse_element
 from .cohomology import (
+    check_duality,
     cohomology_basis,
     cohomology_dim,
     formal_dimension,
@@ -209,21 +210,6 @@ def _top_class_pairs(model: SullivanModel) -> Pairs:
     ]
 
 
-def _check_duality(n: int, dims: List[int]) -> None:
-    """InternalInconsistencyError unless dims, the dimensions of H^0 .. H^N
-    of an elliptic model, satisfy Poincare duality with dim H^N = 1."""
-    if dims[n] != 1:
-        raise InternalInconsistencyError(
-            f"H^{n} has dimension {dims[n]}, expected 1 for an elliptic model"
-        )
-    for i, dim in enumerate(dims):
-        if dim != dims[n - i]:
-            raise InternalInconsistencyError(
-                f"dim H^{i} = {dim} but dim H^{n - i} = {dims[n - i]}: "
-                "Poincare duality fails"
-            )
-
-
 def _murillo_pairs(model: SullivanModel) -> Pairs:
     # the class first: it checks ellipticity before the matrix checks purity
     omega = murillo_fundamental_class(model)
@@ -331,14 +317,14 @@ def _report(args, model: SullivanModel) -> Tuple[Pairs, int]:
         # the factorizations it builds, which the depth searches reuse
         top = _top_class_pairs(model)
         dims = _cohomology_pairs(model, 0, n, with_reps=False)
-        _check_duality(n, [dim for _, dim in dims])
+        check_duality([dim for _, dim in dims])
         pairs += dims + top
         if is_pure(model):
             pairs += _murillo_pairs(model)
         if model.k == 3:
             run = spectral_run(model)
             pairs += _toomer_pairs(model, "both", run)
-            pairs += _delta_pairs(n, delta_cohomology(model, n), False)
+            pairs += _delta_pairs(n, run.classes, False)
             pairs += _spectral_trace_pairs(run)
         else:
             pairs += _toomer_pairs(model, "oracle")

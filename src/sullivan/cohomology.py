@@ -6,9 +6,10 @@ algebra.  The pieces provided here:
 * cochain maps and cohomology bases, each basis a list of deterministic
   representatives read off the factorizations of d into and out of its
   degree, through one set of cached helpers that serve both d and the
-  spectral sequence's page-one differential delta,
+  spectral sequence's page-one differential delta; the unreduced image rows
+  of the map into the degree seed the boundaries, with no back-substitution,
 * cohomology dimensions from two ranks, dim H^n = |B_n| - rank d_n -
-  rank d_{n-1}, with no representatives built,
+  rank d_{n-1}, with no representatives built, and their duality check,
 * the formal dimension N read off the generator degrees,
 * an ellipticity decision procedure through the associated pure model,
 * the fundamental class of an elliptic model: N and the one representative
@@ -25,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
     Algebra,
@@ -109,7 +110,7 @@ def _images(
 
 def _factor(model: SullivanModel, which: str, n: int) -> ColumnFactorization:
     """The differential ``which`` out of degree n, eliminated once: its
-    kernel holds the degree-n cocycles, its echelon spans the degree-(n+1)
+    kernel holds the degree-n cocycles, its image rows span the degree-(n+1)
     boundaries, and it solves ``which``(x) = b."""
 
     def produce():
@@ -121,15 +122,16 @@ def _factor(model: SullivanModel, which: str, n: int) -> ColumnFactorization:
 
 def _cohomology(model: SullivanModel, which: str, n: int) -> List[Element]:
     """Representatives of the degree-n cohomology of ``which``: the kernel
-    basis vectors that extend the boundary echelon to a cocycle basis."""
+    basis vectors that extend the boundary echelon (the unreduced
+    ``image_rows`` out of degree n - 1) to a cocycle basis."""
 
     def produce():
         cocycles = _factor(model, which, n).kernel
-        echelon = _factor(model, which, n - 1).echelon()
+        boundaries = _factor(model, which, n - 1).image_rows()
         bn = basis(model.algebra, n)
-        space = RowSpace(len(bn), echelon)
+        space = RowSpace(len(bn), boundaries)
         reps = [element_from_vector(model.algebra, bn, z) for z in cocycles if space.add(z)]
-        dim = len(cocycles) - len(echelon)
+        dim = len(cocycles) - len(boundaries)
         if dim != len(reps):
             raise InternalInconsistencyError(
                 f"H^{n}({which}): dimension {dim} but {len(reps)} representatives"
@@ -170,6 +172,23 @@ def cohomology_dim(model: SullivanModel, n: int) -> int:
     representatives."""
     below = _rank(model, n - 1) if n > 0 else 0
     return len(basis(model.algebra, n)) - _rank(model, n) - below
+
+
+def check_duality(dims: Sequence[int]) -> None:
+    """InternalInconsistencyError unless dims, the dimensions of H^0 .. H^N
+    of an elliptic model (N = len(dims) - 1), satisfy Poincare duality with
+    dim H^N = 1; ``report`` and ``selftest`` both check through it."""
+    n = len(dims) - 1
+    if dims[n] != 1:
+        raise InternalInconsistencyError(
+            f"H^{n} has dimension {dims[n]}, expected 1 for an elliptic model"
+        )
+    for i, dim in enumerate(dims):
+        if dim != dims[n - i]:
+            raise InternalInconsistencyError(
+                f"dim H^{i} = {dim} but dim H^{n - i} = {dims[n - i]}: "
+                "Poincare duality fails"
+            )
 
 
 def is_boundary(model: SullivanModel, e: Element) -> bool:

@@ -14,9 +14,9 @@ vector modulo the space (zero at every pivot column) is unique all the same:
 two of them differ by a vector of the space that is zero at every pivot
 column, and a nonzero vector of the space is not, since its first nonzero
 column is a pivot column.  So is the reduced row echelon basis (every pivot
-the only nonzero entry of its column), which is formed by back-substitution
-only when it is read.  ``rref`` picks the first nonzero column as the next
-pivot and scales every pivot to 1.
+the only nonzero entry of its column), formed only when it is read, by the
+one back-substitution, :meth:`RowSpace.echelon`.  ``rref`` picks the first
+nonzero column as the next pivot and scales every pivot to 1.
 
 A map m: Q^ncols -> Q^nrows is eliminated once, as a
 :class:`ColumnFactorization`: column j goes into a ``RowSpace`` with one
@@ -29,7 +29,7 @@ read off the factorization is unique, and ``kernel_basis`` and
 * a column that is not stored leaves only its unit part: the kernel vector
   with that free variable 1 and the others 0, free columns ascending;
 * the stored rows, cut to the first nrows coordinates, are an echelon basis
-  of the image, and back-substitution makes it the reduced one;
+  of the image with leads 1, not reduced: ``image_rows``;
 * b is in the image exactly when its normal form vanishes on the first
   nrows coordinates; minus its unit part is then the solution of m x = b
   with every free variable 0.
@@ -120,9 +120,9 @@ class RowSpace:
     it is read (see the module docstring).
 
     This is the package's one elimination kernel.  ``echelon`` seeds the
-    space with echelon rows whose leads are 1, reduced or not, such as the
-    first ``rank`` rows of an :func:`rref` result; they are taken as they
-    are, without elimination.
+    space with echelon rows whose leads are 1, reduced or not, such as a
+    factorization's ``image_rows``; they are taken as they are, without
+    elimination.
     """
 
     def __init__(self, ncols: int, echelon: Iterable[Vector] = ()):
@@ -186,23 +186,15 @@ class RowSpace:
         return len(self._rows)
 
     def echelon(self) -> List[Vector]:
-        """The reduced row echelon basis, by ascending pivot column."""
-        return _back_substitute(self._rows, self.ncols)
-
-
-def _back_substitute(rows: Dict[int, Vector], ncols: int) -> List[Vector]:
-    """The reduced row echelon basis of echelon rows {pivot: row}, cut to
-    their first ncols coordinates, by ascending pivot.
-
-    Rows are reduced by descending pivot: the part of a row right of its
-    pivot is reduced against the later rows, which are reduced by then, so
-    each is the only one nonzero at its pivot column.
-    """
-    done = RowSpace(ncols)
-    for p in sorted(rows, reverse=True):
-        tail = {j: x for j, x in rows[p].items() if p < j < ncols}
-        done._rows[p] = {p: ONE, **done._reduce(tail)}
-    return [done._rows[p] for p in sorted(done._rows)]
+        """The reduced row echelon basis, by ascending pivot column: the
+        package's one back-substitution.  Rows are reduced by descending
+        pivot, each one's part right of its pivot against the later rows,
+        which are reduced by then."""
+        done = RowSpace(self.ncols)
+        for p in sorted(self._rows, reverse=True):
+            tail = {j: x for j, x in self._rows[p].items() if j != p}
+            done._rows[p] = {p: ONE, **done._reduce(tail)}
+        return [done._rows[p] for p in sorted(done._rows)]
 
 
 class ColumnFactorization:
@@ -237,9 +229,11 @@ class ColumnFactorization:
         rest, x = self._split(b)
         return None if rest else x
 
-    def echelon(self) -> List[Vector]:
-        """Reduced row echelon basis of the image, by ascending pivot."""
-        return _back_substitute(self._space._rows, self.nrows)
+    def image_rows(self) -> List[Vector]:
+        """An echelon basis of the image, by ascending pivot: the stored rows
+        cut to the first nrows coordinates, leads 1, not reduced."""
+        rows, n = self._space._rows, self.nrows
+        return [{j: x for j, x in rows[p].items() if j < n} for p in sorted(rows)]
 
 
 def rref(m: RationalMatrix) -> Tuple[RationalMatrix, Tuple[int, ...], int]:

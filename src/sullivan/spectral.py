@@ -286,8 +286,9 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
 
 @dataclass
 class SpectralRun:
-    """The lift of each class of H^N(delta), in class order, and e0."""
+    """The classes of H^N(delta), the lift of each, in class order, and e0."""
 
+    classes: List[FilteredPair]
     outcomes: List[LiftTrace]
     result: ToomerResult
 
@@ -343,7 +344,7 @@ def spectral_run(model: SullivanModel) -> SpectralRun:
         representative=best.final,
         witness=(best.p, "even" if e0 == 2 * best.p else "odd"),
     )
-    return SpectralRun(outcomes, result)
+    return SpectralRun(classes, outcomes, result)
 
 
 def toomer_spectral(model: SullivanModel) -> ToomerResult:

@@ -670,6 +670,41 @@ def test_selftest_command(capsys):
     assert "selftest.poincare_duality.ok = true" in out
 
 
+def test_selftest_checks_duality_of_the_dimensions_from_ranks(capsys, monkeypatch):
+    """A rank off by one at one degree shifts the dimensions `report` would
+    print: `selftest` sees it through the same duality check and exits 3."""
+    from sullivan import cohomology
+
+    rank = cohomology._rank
+    monkeypatch.setattr(cohomology, "_rank", lambda model, n: rank(model, n) + (n == 2))
+    code, out, _ = _run(
+        capsys, "selftest", "--seed", "1", "--cases", "5", "--format", "structured"
+    )
+    assert code == 3
+    lines = out.splitlines()
+    assert "selftest.poincare_duality.ok = false" in lines
+    assert "selftest.basis_counts.ok = true" in lines
+    # the first elliptic fixture, S^2 (N = 2), has lost its top class
+    assert (
+        "selftest.poincare_duality.detail = sphere_s2: H^2 has dimension 0, "
+        "expected 1 for an elliptic model"
+    ) in lines
+
+
+def test_report_reads_the_delta_classes_off_its_spectral_run(capsys, monkeypatch):
+    def refuse(model, n):
+        raise AssertionError("report solved H^N(delta) a second time")
+
+    monkeypatch.setattr(cli, "delta_cohomology", refuse)
+    code, out, _ = _run(
+        capsys, "report", FIXTURES / "pure_n37.model", "--format", "structured"
+    )
+    assert code == 0
+    delta = [x for x in out.splitlines() if x.startswith("delta.")]
+    golden = (GOLDEN / "report_n37.txt").read_text().splitlines()
+    assert delta == [x for x in golden if x.startswith("delta.")]
+
+
 # ---------------------------------------------------------------------------
 # the command table and its parser
 

@@ -265,16 +265,26 @@ def test_kernel_matches_dense_gauss_jordan():
         assert solve_membership(m, inside) is not None
 
 
+def _assert_image_rows_are_echelon(factor):
+    """Each image row holds 1 at its lowest column, and the pivots ascend."""
+    rows = factor.image_rows()
+    pivots = [min(r) for r in rows]
+    assert all(r[p] == 1 for r, p in zip(rows, pivots))
+    assert pivots == sorted(set(pivots))
+    assert all(j < factor.nrows for r in rows for j in r)
+
+
 def test_factorization_image_matches_dense_gauss_jordan():
-    """The echelon and the normal forms of a factorization against the dense
-    reduced row echelon form of the transposed matrix."""
+    """The image rows and the normal forms of a factorization against the
+    dense reduced row echelon form of the transposed matrix."""
     rng = random.Random(13)
     for rows, ncols in _cases():
         m = RationalMatrix(rows, ncols=ncols)
         factor = ColumnFactorization(m.columns(), m.nrows)
-        image = RowSpace(m.nrows, factor.echelon())
+        _assert_image_rows_are_echelon(factor)
+        image = RowSpace(m.nrows, factor.image_rows())
         want, pivots = _dense_rref([list(c) for c in zip(*rows)] if ncols else [], m.nrows)
-        assert [_dense(r, m.nrows) for r in factor.echelon()] == want[: len(pivots)]
+        assert [_dense(r, m.nrows) for r in image.echelon()] == want[: len(pivots)]
         for b in _random_rows(rng, 4, m.nrows, 0.5, False) + [list(c) for c in zip(*rows)]:
             assert factor.reduce(b) == image.reduce(b)
             assert (factor.solve(b) is None) == bool(factor.reduce(b))
@@ -385,7 +395,9 @@ def _assert_factor_matches_dense(factor, nrows):
     ncols = len(columns)
     assert [_dense(v, ncols) for v in factor.kernel] == _dense_kernel(rows, ncols)
     want, pivots = _dense_rref(columns, nrows)
-    assert [_dense(r, nrows) for r in factor.echelon()] == want[: len(pivots)]
+    _assert_image_rows_are_echelon(factor)
+    reduced = RowSpace(nrows, factor.image_rows()).echelon()
+    assert [_dense(r, nrows) for r in reduced] == want[: len(pivots)]
     return len(pivots)
 
 

@@ -92,6 +92,14 @@ def test_elliptic_fixtures_satisfy_poincare_duality():
     assert check_poincare_duality(models.all_models()) > 0
 
 
+def test_poincare_duality_check_reads_ranks_only():
+    """The check builds no factorization of d and no representative."""
+    zoo = models.all_models()
+    check_poincare_duality(zoo)
+    for name, model in zoo:
+        assert not [k for k in model._cache if k[:2] in (("d", "factor"), ("d", "H"))], name
+
+
 def test_run_all_is_green():
     results = run_all(seed=7, cases=50)
     assert all(res.ok for res in results), [

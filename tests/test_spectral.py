@@ -408,6 +408,7 @@ def test_spectral_run_records_depths_consistent_with_pairs():
         # report's delta.class.* and delta.dim.* lines count the same classes
         classes = delta_cohomology(model, formal_dimension(model))
         assert [t.p for t in run.outcomes] == [c.p for c in classes], name
+        assert run.classes == classes, name
 
 
 def test_pair_bases_partition_filtration_stage():
