@@ -115,7 +115,7 @@ def _factor(model: SullivanModel, which: str, n: int) -> ColumnFactorization:
 
     def produce():
         src, dst = basis(model.algebra, n), basis(model.algebra, n + 1)
-        return ColumnFactorization(_images(model, which, src, dst), len(dst))
+        return ColumnFactorization._of(_images(model, which, src, dst), len(dst))
 
     return _cached(model, (which, "factor", n), produce)
 
@@ -130,7 +130,11 @@ def _cohomology(model: SullivanModel, which: str, n: int) -> List[Element]:
         boundaries = _factor(model, which, n - 1).image_rows()
         bn = basis(model.algebra, n)
         space = RowSpace(len(bn), boundaries)
-        reps = [element_from_vector(model.algebra, bn, z) for z in cocycles if space.add(z)]
+        reps = [
+            element_from_vector(model.algebra, bn, z)
+            for z in cocycles
+            if space._add(dict(z))
+        ]
         dim = len(cocycles) - len(boundaries)
         if dim != len(reps):
             raise InternalInconsistencyError(
@@ -160,7 +164,7 @@ def _rank(model: SullivanModel, n: int) -> int:
         src, dst = basis(model.algebra, n), basis(model.algebra, n + 1)
         space = RowSpace(len(dst))
         for column in _images(model, "d", src, dst):
-            space.add(column)
+            space._add(column)
         return space.rank
 
     return _cached(model, ("d", "rank", n), produce)
@@ -267,12 +271,14 @@ def _scan_pure_quotient(model: SullivanModel, bound: Optional[int]) -> Elliptici
 
 def _pure_ideal(model: SullivanModel) -> Tuple[Algebra, List[Tuple[int, Dict]]]:
     """The even generators' own algebra Lambda(V^even), and the pure images
-    of the odd generators in it as (degree, {exponent tuple: coefficient})."""
+    of the odd generators in it as (degree, {exponent tuple: coefficient}),
+    an integer coefficient as an ``int``, as the derivation holds it."""
     alg = model.algebra
     even = build_algebra((g.name, g.degree) for g in alg.generators if not g.is_odd)
+    sigma = pure_projection(model).differential
     ideal = []
-    for img in pure_projection(model).differential.images.values():
-        f = {tuple(m[i] for i in alg.even_indices): c for m, c in img.terms.items()}
+    for i, img in sigma.images.items():
+        f = {tuple(m[j] for j in alg.even_indices): c for m, c, _ in sigma._terms[i]}
         ideal.append((img.degree(), f))
     return even, ideal
 
@@ -288,7 +294,7 @@ def _pure_quotient_dim(model: SullivanModel, degree: int) -> int:
     space = RowSpace(len(ambient))
     for f_degree, f in ideal:
         for m in basis(even, degree - f_degree):
-            space.add({index[tuple(map(add, m, t))]: c for t, c in f.items()})
+            space._add({index[tuple(map(add, m, t))]: c for t, c in f.items()})
     return len(ambient) - space.rank
 
 
@@ -347,7 +353,7 @@ def _deepest_representative(
     bn = basis(model.algebra, n)
     boundaries = _factor(model, which, n - 1)
     zvec = coefficient_vector(z, bn)
-    normal = boundaries.reduce(zvec)
+    normal = boundaries._split(dict(zvec))[0]
     if not normal:
         return None
     s = wordlength(bn[min(normal)])
@@ -357,11 +363,11 @@ def _deepest_representative(
         cut = [
             {i: x for i, x in col.items() if i < shallow} for col in boundaries.columns
         ]
-        return ColumnFactorization(cut, shallow)
+        return ColumnFactorization._of(cut, shallow)
 
     truncated = _cached(model, (which, "factor", n - 1, s), produce)
-    sol = truncated.solve({i: c for i, c in zvec.items() if i < shallow})
-    if sol is None:
+    rest, sol = truncated._split({i: c for i, c in zvec.items() if i < shallow})
+    if rest:
         raise InternalInconsistencyError(
             f"no representative at word length >= {s}, the depth of its own "
             "normal form"

@@ -17,6 +17,11 @@ those of the rest of the monomial, its sign is the Koszul sign of moving t
 into place, and a term that repeats an odd factor drops out.  No
 ``Element`` product is formed and nothing is kept per monomial.  The
 matrices of d, d3, d4 and delta are written column by column this way.
+
+A coefficient of a generator image that is an integer is kept as an ``int``
+for this, so a model with integer coefficients has matrices of ``int``
+entries, and ``int`` arithmetic is exact as well.  The images themselves,
+like every ``Element`` a user builds, keep their ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -30,18 +35,29 @@ from .algebra import Algebra, Element, Generator, Monomial, format_element, kosz
 from .errors import ModelError, clipped, quoted
 
 
+def _exact(a) -> Union[int, Fraction]:
+    """The coefficient a as an ``int`` when it is an integer, else a ``Fraction``."""
+    a = Fraction(a)
+    return a.numerator if a.denominator == 1 else a
+
+
 class Derivation:
-    """An odd-degree derivation given by generator images (not validated)."""
+    """An odd-degree derivation given by generator images (not validated).
+
+    ``images`` are kept as given; the terms that :meth:`add_image` reads
+    hold each integer coefficient as an ``int``.
+    """
 
     def __init__(self, algebra: Algebra, images: Mapping[int, Element]):
         self.algebra = algebra
         self.images: Dict[int, Element] = {
             i: img for i, img in images.items() if not img.is_zero
         }
-        # the terms of each image, each flagged when it has an odd factor
+        # the terms of each image, an integer coefficient as an int, each
+        # flagged when it has an odd factor
         odd = algebra.odd_indices
-        self._terms: Dict[int, List[Tuple[Monomial, Fraction, bool]]] = {
-            i: [(t, a, any(t[j] for j in odd)) for t, a in img.terms.items()]
+        self._terms: Dict[int, List[Tuple[Monomial, Union[int, Fraction], bool]]] = {
+            i: [(t, _exact(a), any(t[j] for j in odd)) for t, a in img.terms.items()]
             for i, img in self.images.items()
         }
 

@@ -1,10 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Entries are fractions.Fraction, so there is no rounding anywhere.  The
-engine's matrices (cochain maps of one degree, the ideal of the pure
-quotient) are almost all zeros, so vectors and matrix rows are sparse:
-``{index: nonzero value}``.  A vector may also be given densely, as a
-sequence, wherever one is passed in.
+Entries are ``int`` or ``fractions.Fraction``, so there is no rounding
+anywhere: a model with integer coefficients is eliminated in ``int``, and a
+row turns to ``Fraction`` only when its lead is not 1 or -1.  The only
+division is ``ONE / lead``, by a ``Fraction`` numerator, so ``int / int``
+(a float) never occurs.  The engine's matrices (cochain maps of one degree,
+the ideal of the pure quotient) are almost all zeros, so vectors and matrix
+rows are sparse: ``{index: nonzero value}``.  A vector may also be given
+densely, as a sequence, wherever one is passed in.
+
+Every public entry point checks its vectors (:func:`_vector`).  The engine
+hands over the vectors it has just built itself, fresh sparse dicts of
+nonzero ``int`` or ``Fraction`` entries within range, without that check,
+through the private :meth:`RowSpace._add`, :meth:`ColumnFactorization._of`
+and :meth:`ColumnFactorization._split`.
 
 All elimination is done by one kernel, :class:`RowSpace`, which keeps a row
 space as a row echelon basis: one row per pivot column, 1 there and 0 to
@@ -41,17 +50,18 @@ from bisect import insort
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-Vector = Dict[int, Fraction]
+Vector = Dict[int, Union[int, Fraction]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 def _vector(v: Union[Vector, Sequence], n: int) -> Vector:
-    """v as a fresh sparse vector of length n: {index: nonzero Fraction}."""
+    """v as a fresh sparse vector of length n: {index: nonzero entry}, an
+    entry of type exactly ``int`` kept and any other made a ``Fraction``."""
     dense = not isinstance(v, dict)
     out = {
-        j: x if isinstance(x, Fraction) else Fraction(x)
+        j: x if type(x) is int or isinstance(x, Fraction) else Fraction(x)
         for j, x in (enumerate(v) if dense else v.items())
         if x
     }
@@ -162,13 +172,26 @@ class RowSpace:
         return v
 
     def _store(self, v: Vector) -> None:
-        """Add a nonzero normal form v as a basis row, its lead scaled to 1."""
+        """Add a nonzero normal form v as a basis row, its lead scaled to 1:
+        negated when the lead is -1, so an ``int`` row stays ``int``."""
         lead = min(v)
-        if v[lead] != 1:
-            inv = ONE / v[lead]
+        a = v[lead]
+        if a == -1:
+            for j in v:
+                v[j] = -v[j]
+        elif a != 1:
+            inv = ONE / a
             for j in v:
                 v[j] *= inv
         self._rows[lead] = v
+
+    def _add(self, v: Vector) -> bool:
+        """:meth:`add` of a vector the engine has just built, taken without
+        the check and reduced in place."""
+        v = self._reduce(v)
+        if v:
+            self._store(v)
+        return bool(v)
 
     def reduce(self, v) -> Vector:
         """Normal form of v modulo the space."""
@@ -176,10 +199,7 @@ class RowSpace:
 
     def add(self, v) -> bool:
         """Insert v; True if it enlarged the space."""
-        v = self._reduce(_vector(v, self.ncols))
-        if v:
-            self._store(v)
-        return bool(v)
+        return self._add(_vector(v, self.ncols))
 
     @property
     def rank(self) -> int:
@@ -202,31 +222,43 @@ class ColumnFactorization:
     (see the module docstring); ``kernel`` is its kernel basis."""
 
     def __init__(self, columns: Sequence, nrows: int):
+        self._eliminate([_vector(c, nrows) for c in columns], nrows)
+
+    @classmethod
+    def _of(cls, columns: List[Vector], nrows: int) -> "ColumnFactorization":
+        """The factorization of columns the engine has just built, taken as
+        they are, without the check, and kept as its ``columns``."""
+        factorization = cls.__new__(cls)
+        factorization._eliminate(columns, nrows)
+        return factorization
+
+    def _eliminate(self, columns: List[Vector], nrows: int) -> None:
         self.nrows = nrows
-        self.columns: List[Vector] = [_vector(c, nrows) for c in columns]
+        self.columns = columns
         self.kernel: List[Vector] = []
-        self._space = RowSpace(nrows + len(self.columns))
-        for j, col in enumerate(self.columns):
-            v = self._space._reduce({**col, nrows + j: ONE})
+        self._space = RowSpace(nrows + len(columns))
+        for j, col in enumerate(columns):
+            v = self._space._reduce({**col, nrows + j: 1})
             if min(v) < nrows:
                 self._space._store(v)
             else:
                 self.kernel.append({i - nrows: x for i, x in v.items()})
 
-    def _split(self, b) -> Tuple[Vector, Vector]:
-        """The normal form of b: its first nrows coordinates, and minus the rest."""
+    def _split(self, r: Vector) -> Tuple[Vector, Vector]:
+        """The normal form of r, reduced in place: its first nrows
+        coordinates, and minus the rest."""
         n = self.nrows
-        r = self._space._reduce(_vector(b, n))
+        r = self._space._reduce(r)
         rest = {i: x for i, x in r.items() if i < n}
         return rest, {i - n: -x for i, x in r.items() if i >= n}
 
     def reduce(self, b) -> Vector:
         """Normal form of b modulo the image; empty exactly when b is in it."""
-        return self._split(b)[0]
+        return self._split(_vector(b, self.nrows))[0]
 
     def solve(self, b) -> Optional[Vector]:
         """The solution of m x = b with free variables 0, or None if there is none."""
-        rest, x = self._split(b)
+        rest, x = self._split(_vector(b, self.nrows))
         return None if rest else x
 
     def image_rows(self) -> List[Vector]:

@@ -17,6 +17,7 @@ after the normalization the two agree term for term.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List
 
 from .algebra import Algebra, Element, format_element, grlex_key
@@ -112,7 +113,8 @@ def exact_divide(a: Element, b: Element) -> Element:
         mono = tuple(er - eb for er, eb in zip(lead_r, lead_b))
         if any(e < 0 for e in mono):
             raise InternalInconsistencyError("inexact division during elimination")
-        step = Element.from_monomial(alg, mono, remainder.terms[lead_r] / cb)
+        # a coefficient may be an int, and int / int is a float
+        step = Element.from_monomial(alg, mono, Fraction(remainder.terms[lead_r]) / cb)
         quotient = quotient + step
         remainder = remainder - step * b
     return quotient

@@ -863,3 +863,14 @@ def test_golden_report_of_a_larger_model(capsys, monkeypatch):
     code, out, _ = _run(capsys, "report", model, "--format", "structured")
     assert code == 0
     assert out == (GOLDEN / "report_n37_cp2_cp2.txt").read_text()
+
+
+def test_golden_report_of_a_model_with_rational_coefficients(capsys, monkeypatch):
+    # three_even with d y5 = 2*x2^3, d y11 = -3*x4^3, d y17 = 1/2*x6^3 and
+    # d u11 = 2/3*x2*x4*x6: leads that are not +-1 turn rows to Fraction;
+    # its golden was recorded while every coefficient was a Fraction
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    model = "tests/large/scaled_three_even.model"
+    code, out, _ = _run(capsys, "report", model, "--format", "structured")
+    assert code == 0
+    assert out == (GOLDEN / "report_scaled_three_even.txt").read_text()

@@ -7,6 +7,10 @@ k = 3 pool and two fixture files: the cohomology representatives, the
 cached d- and delta-factorizations and their solves, the Toomer
 representatives, the lift records, the determinant class, and d and delta
 of random elements with rational coefficients.
+
+A model with integer coefficients is assembled and eliminated in ``int``.
+The integer path is checked against the ``Fraction`` path, and the
+integer path is checked to be the one the engine takes.
 """
 
 import random
@@ -15,25 +19,42 @@ from pathlib import Path
 
 import pytest
 
-from sullivan.algebra import Element
+from sullivan.algebra import Element, parse_element
 from sullivan.cli import parse_model_file
-from sullivan.cohomology import cohomology_basis, formal_dimension, toomer_oracle
-from sullivan.differential import is_pure
-from sullivan.models import ELLIPTIC_K3_POOL
-from sullivan.murillo import murillo_fundamental_class
+from sullivan.cohomology import (
+    _pure_ideal,
+    cohomology_basis,
+    cohomology_dim,
+    formal_dimension,
+    is_elliptic,
+    toomer_oracle,
+)
+from sullivan.differential import _cached, is_pure
+from sullivan.linalg import RowSpace
+from sullivan.models import ALL_MODELS, ELLIPTIC_K3_POOL
+from sullivan.murillo import exact_divide, murillo_fundamental_class
 from sullivan.selftest import random_element
 from sullivan.spectral import spectral_run
 
-FIXTURES = Path(__file__).parent / "fixtures"
+TESTS = Path(__file__).parent
+FIXTURES = TESTS / "fixtures"
 EXACT = (int, Fraction)
 
 
+def _model_file(path):
+    return lambda: parse_model_file(str(path)).model
+
+
+FILES = [
+    (stem, _model_file(FIXTURES / f"{stem}.model"))
+    for stem in ("five_even_k2", "three_even")
+]
+# non-unit and rational coefficients: leads that are not +-1
+SCALED = ("scaled_three_even", _model_file(TESTS / "large" / "scaled_three_even.model"))
+
+
 def _models():
-    files = [
-        (stem, lambda stem=stem: parse_model_file(str(FIXTURES / f"{stem}.model")).model)
-        for stem in ("five_even_k2", "three_even")
-    ]
-    return ELLIPTIC_K3_POOL + files
+    return ELLIPTIC_K3_POOL + FILES
 
 
 def _check(values, what):
@@ -87,3 +108,131 @@ def test_every_coefficient_is_an_int_or_a_fraction(name, build):
         _check_element(model.d(e), "d of a random element")
         if model.k == 3:
             _check_element(model.delta(e), "delta of a random element")
+
+
+# ---------------------------------------------------------------------------
+# the integer path against the Fraction path
+
+
+def _oracle_models():
+    return ALL_MODELS + FILES + [SCALED]
+
+
+def _as_fractions(model):
+    """The model with every coefficient that assembly and the ellipticity
+    scan read held as a ``Fraction``: the terms of d and of its word-length
+    components 3 and 4 (delta's), and the cached pure ideal."""
+    for d in (model.differential, model.component(3), model.component(4)):
+        d._terms = {
+            i: [(t, Fraction(a), odd) for t, a, odd in terms]
+            for i, terms in d._terms.items()
+        }
+    even, ideal = _cached(model, ("pure_ideal",), lambda: _pure_ideal(model))
+    model._cache[("pure_ideal",)] = (
+        even,
+        [(degree, {t: Fraction(c) for t, c in f.items()}) for degree, f in ideal],
+    )
+    return model
+
+
+def _results(model):
+    n_top = formal_dimension(model)
+    out = {
+        "dims": [cohomology_dim(model, n) for n in range(n_top + 1)],
+        "top basis": cohomology_basis(model, n_top),
+        "elliptic": is_elliptic(model),
+    }
+    if not out["elliptic"].is_elliptic:
+        return out
+    oracle = toomer_oracle(model)
+    out["oracle"] = (oracle.e0, oracle.representative)
+    if model.k == 3:
+        run = spectral_run(model)
+        out["spectral"] = (run.result.e0, run.result.representative)
+        out["classes"] = [(c.p, c.n, c.u, c.v) for c in run.classes]
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,build", _oracle_models(), ids=[name for name, _ in _oracle_models()]
+)
+def test_integer_path_gives_the_results_of_the_fraction_path(name, build):
+    fractions = _as_fractions(build())
+    assert _results(build()) == _results(fractions)
+    # the Fraction copy did run on Fractions
+    columns = [
+        x
+        for key, factor in fractions._cache.items()
+        if key[:2] == ("d", "factor")
+        for column in factor.columns
+        for x in column.values()
+    ]
+    assert all(type(x) is Fraction for x in columns)
+
+
+# ---------------------------------------------------------------------------
+# the engine takes the integer path
+
+
+@pytest.mark.parametrize("stem", ["pure_n37", "pure_n35", "five_even_k2"])
+def test_integer_models_are_assembled_and_eliminated_in_int(stem):
+    model = parse_model_file(str(FIXTURES / f"{stem}.model")).model
+    assert is_elliptic(model).is_elliptic
+    toomer_oracle(model)
+    factors = [v for k, v in model._cache.items() if k[:2] == ("d", "factor")]
+    assert factors
+    for factor in factors:
+        for vectors in (factor.columns, factor.kernel, factor.image_rows()):
+            for vector in vectors:
+                assert all(type(x) is int for x in vector.values())
+    _, ideal = model._cache[("pure_ideal",)]
+    assert ideal
+    assert all(type(c) is int for _, f in ideal for c in f.values())
+
+
+def test_a_row_with_lead_minus_one_is_stored_negated_in_int():
+    space = RowSpace(3)
+    assert space.add({0: -1, 2: 3})
+    assert space._rows == {0: {0: 1, 2: -3}}
+    assert all(type(x) is int for x in space._rows[0].values())
+    assert space.reduce({0: 2, 1: 5}) == {1: 5, 2: 6}
+
+
+def test_a_row_with_another_lead_falls_back_to_fractions():
+    space = RowSpace(2)
+    assert space.add({0: 2, 1: 3})
+    assert space._rows == {0: {0: 1, 1: Fraction(3, 2)}}
+    _check(space._rows[0].values(), "stored row")
+
+
+def test_exact_divide_of_int_coefficients_never_makes_a_float(monkeypatch):
+    model = parse_model_file(str(FIXTURES / "three_even.model")).model
+    alg = model.algebra
+    # every step's coefficient, before from_monomial makes it a Fraction
+    steps = []
+    from_monomial = Element.from_monomial.__func__
+
+    def recorded(cls, algebra, mono, coeff=1):
+        steps.append(coeff)
+        return from_monomial(cls, algebra, mono, coeff)
+
+    monkeypatch.setattr(Element, "from_monomial", classmethod(recorded))
+
+    def scaled(text, c):
+        return Element(alg, {m: c for m in parse_element(text, alg).terms})
+
+    # d keeps the derivation's int coefficients on an image of coefficient 1
+    d_y5, d_y11 = (model.d(alg.gen_element(y)) for y in ("y5", "y11"))
+    assert all(type(c) is int for c in (d_y5 * d_y11).terms.values())
+    cases = [
+        (d_y5 * d_y11, d_y5, scaled("x4^3", 1)),
+        (scaled("x2^2*x4", 6), scaled("x2", 3), scaled("x2*x4", 2)),
+        (scaled("x2^2*x4", 3), scaled("x2", 2), scaled("x2*x4", Fraction(3, 2))),
+        # 1 / 3 as a float is not 1/3
+        (scaled("x2^2*x4", 1), scaled("x2", 3), scaled("x2*x4", Fraction(1, 3))),
+    ]
+    for a, b, expected in cases:
+        quotient = exact_divide(a, b)
+        assert quotient == expected
+        _check_element(quotient, "exact_divide quotient")
+    _check(steps, "exact_divide step")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from sullivan.algebra import (
@@ -14,7 +16,7 @@ from sullivan.algebra import (
 from sullivan.cohomology import is_elliptic
 from sullivan.differential import build_differential, build_model, homogeneous_component
 from sullivan.errors import ModelError
-from sullivan.linalg import RationalMatrix, quotient_dim
+from sullivan.linalg import ColumnFactorization, RationalMatrix, RowSpace, quotient_dim
 from sullivan.models import elliptic_pure_n35, elliptic_pure_n37, projective_plane
 from sullivan.spectral import (
     FilteredPair,
@@ -121,6 +123,10 @@ INPUT_CHECKS = {
     "quotient_dim-ambient-mismatch": (
         lambda: quotient_dim(RationalMatrix([[1, 0]]), 3),
         ValueError, "ambient space"),
+    "RowSpace.add-index-out-of-range": (
+        lambda: RowSpace(3).add({5: 1}), ValueError, "does not have length 3"),
+    "ColumnFactorization-column-of-another-length": (
+        lambda: ColumnFactorization([[1, 2]], 3), ValueError, "does not have length 3"),
 }
 
 
@@ -129,3 +135,12 @@ def test_input_check_rejects_its_bad_input(case):
     call, exc, message = INPUT_CHECKS[case]
     with pytest.raises(exc, match=message):
         call()
+
+
+def test_public_entries_make_every_entry_but_an_int_a_fraction():
+    (x,) = RowSpace(2).reduce([True, 0]).values()
+    assert type(x) is Fraction and x == 1
+    assert RowSpace(2).reduce([0.5, 0]) == {0: Fraction(1, 2)}
+    assert type(RowSpace(2).reduce([0.5, 0])[0]) is Fraction
+    (x,) = RowSpace(2).reduce([3, 0]).values()
+    assert type(x) is int
