@@ -16,7 +16,8 @@ sign * e_i * left * d(g_i) * right goes term by term into one
 those of the rest of the monomial, its sign is the Koszul sign of moving t
 into place, and a term that repeats an odd factor drops out.  No
 ``Element`` product is formed and nothing is kept per monomial.  The
-matrices of d, d3, d4 and delta are written column by column this way.
+matrices of d and of delta, d filtered by word length, are written column
+by column this way.
 
 A coefficient of a generator image that is an integer is kept as an ``int``
 for this, so a model with integer coefficients has matrices of ``int``
@@ -215,8 +216,9 @@ class SullivanModel:
     """A free minimal algebra together with a validated differential.
 
     ``k`` is None exactly when the differential is zero.  The ``_cache``
-    dictionary memoizes degreewise computations (bases, cochain maps,
-    cohomology); entries are write-once.
+    dictionary memoizes results derived from the model (factorizations,
+    ranks and classes of d and delta, the ellipticity scan, the oracle);
+    entries are write-once.
     """
 
     algebra: Algebra
@@ -227,33 +229,24 @@ class SullivanModel:
     def d(self, e: Element) -> Element:
         return self.differential(e)
 
-    def component(self, i: int) -> Derivation:
-        return _cached(
-            self, ("component", i), lambda: homogeneous_component(self.differential, i)
-        )
-
-    @property
-    def d3(self) -> Derivation:
-        return self.component(3)
-
-    @property
-    def d4(self) -> Derivation:
-        return self.component(4)
-
     def delta(self, e: Element) -> Element:
         """The page-one differential of the word-length spectral sequence
-        for k = 3 on a plain element: d3 everywhere plus d4 on even word
-        lengths."""
+        for k = 3 on a plain element (see :meth:`add_delta_image`)."""
         return _apply(self.algebra, self.add_delta_image, e)
 
     def add_delta_image(
         self, mono: Monomial, coeff, out: Dict[Monomial, Fraction]
     ) -> None:
-        """Add ``coeff * delta(mono)`` into ``out``: d3 of mono, and its d4
-        when its word length is even (see :meth:`Derivation.add_image`)."""
-        self.d3.add_image(mono, coeff, out)
-        if sum(mono) % 2 == 0:
-            self.d4.add_image(mono, coeff, out)
+        """Add ``coeff * delta(mono)`` into ``out``: the terms of d(mono) at
+        word length w + 2 and, if w = wl(mono) is even, w + 3.  These are
+        d3(mono) and d4(mono), as d_i adds i - 1 to the word length."""
+        w = sum(mono)
+        keep = (w + 2, w + 3) if w % 2 == 0 else (w + 2,)
+        image: Dict[Monomial, Fraction] = {}
+        self.differential.add_image(mono, coeff, image)
+        for m, c in image.items():
+            if sum(m) in keep:
+                out[m] = out.get(m, 0) + c
 
 
 def build_model(algebra: Algebra, differential: Derivation) -> SullivanModel:

@@ -7,8 +7,8 @@ Lambda^{2p} V + Lambda^{2p+1} V, with differential
     delta(u, v) = (d_3 u, d_3 v + d_4 u)
 
 and product (u, v)(u', v') = (uu', uv' + vu').  Every word length belongs to
-one pair slot, so one map, ``SullivanModel.delta`` = d_3 + d_4 on even word
-lengths, is delta on plain elements and, read slot by slot, on pairs.  For
+one pair slot, so one map, ``SullivanModel.delta``, d filtered by word
+length, is delta on plain elements and, read slot by slot, on pairs.  For
 k = 4 the stages are word-length triples and these pairs are not E_1, so
 every pair entry point checks k = 3 first (``PreconditionError`` otherwise).
 A delta-class is handled as its representative ``FilteredPair``, which
@@ -124,7 +124,7 @@ def pair_product(a: FilteredPair, b: FilteredPair) -> FilteredPair:
 
 
 def delta_apply(pair: FilteredPair) -> FilteredPair:
-    """(u, v) -> (d3 u, d3 v + d4 u): the slot-(p + 1, n + 1) part of
+    """(u, v) -> (d_3 u, d_3 v + d_4 u), the slot-(p + 1) part of d(u + v):
     ``model.delta``, the map every delta-matrix is built from."""
     image = pair.model.delta(pair.as_element())
     out = FilteredPair.slot(pair.model, pair.p + 1, pair.n + 1, image)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from sullivan import cli
+from sullivan import cli, differential
 from sullivan.cohomology import ToomerResult
 from sullivan.errors import ParseError
 
@@ -863,6 +863,28 @@ def test_golden_report_of_a_larger_model(capsys, monkeypatch):
     code, out, _ = _run(capsys, "report", model, "--format", "structured")
     assert code == 0
     assert out == (GOLDEN / "report_n37_cp2_cp2.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "model,golden",
+    [
+        ("tests/fixtures/pure_n37.model", "report_n37.txt"),
+        ("tests/fixtures/pure_n35.model", "report_n35.txt"),
+        ("tests/large/n37_cp2_cp2.model", "report_n37_cp2_cp2.txt"),
+    ],
+)
+def test_report_reads_delta_off_d_without_its_components(
+    capsys, monkeypatch, model, golden
+):
+    # delta is d filtered by word length: no engine path splits d into d_i
+    def refuse(d, i):
+        raise AssertionError(f"the engine built the word-length-{i} component of d")
+
+    monkeypatch.setattr(differential, "homogeneous_component", refuse)
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    code, out, _ = _run(capsys, "report", model, "--format", "structured")
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_golden_report_of_a_model_with_rational_coefficients(capsys, monkeypatch):

@@ -109,7 +109,7 @@ def test_component_sum_reconstructs_d_on_elements():
     e = parse_element("x8*y23 - 2*y3*y5*y23", alg)
     total = alg.zero()
     for i in range(2, 9):
-        total = total + model.component(i)(e)
+        total = total + homogeneous_component(model.differential, i)(e)
     assert total == model.d(e)
 
 

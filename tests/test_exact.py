@@ -120,13 +120,12 @@ def _oracle_models():
 
 def _as_fractions(model):
     """The model with every coefficient that assembly and the ellipticity
-    scan read held as a ``Fraction``: the terms of d and of its word-length
-    components 3 and 4 (delta's), and the cached pure ideal."""
-    for d in (model.differential, model.component(3), model.component(4)):
-        d._terms = {
-            i: [(t, Fraction(a), odd) for t, a, odd in terms]
-            for i, terms in d._terms.items()
-        }
+    scan read held as a ``Fraction``: the terms of d, which delta reads
+    too, and the cached pure ideal."""
+    d = model.differential
+    d._terms = {
+        i: [(t, Fraction(a), odd) for t, a, odd in terms] for i, terms in d._terms.items()
+    }
     even, ideal = _cached(model, ("pure_ideal",), lambda: _pure_ideal(model))
     model._cache[("pure_ideal",)] = (
         even,
@@ -159,11 +158,11 @@ def _results(model):
 def test_integer_path_gives_the_results_of_the_fraction_path(name, build):
     fractions = _as_fractions(build())
     assert _results(build()) == _results(fractions)
-    # the Fraction copy did run on Fractions
+    # the Fraction copy did run on Fractions, for delta as well as d
     columns = [
         x
         for key, factor in fractions._cache.items()
-        if key[:2] == ("d", "factor")
+        if key[1:2] == ("factor",)
         for column in factor.columns
         for x in column.values()
     ]
@@ -179,12 +178,18 @@ def test_integer_models_are_assembled_and_eliminated_in_int(stem):
     model = parse_model_file(str(FIXTURES / f"{stem}.model")).model
     assert is_elliptic(model).is_elliptic
     toomer_oracle(model)
-    factors = [v for k, v in model._cache.items() if k[:2] == ("d", "factor")]
-    assert factors
-    for factor in factors:
-        for vectors in (factor.columns, factor.kernel, factor.image_rows()):
-            for vector in vectors:
-                assert all(type(x) is int for x in vector.values())
+    # delta, read off d's int terms, is assembled and eliminated in int too
+    which = ["d"]
+    if model.k == 3:
+        spectral_run(model)
+        which.append("delta")
+    for w in which:
+        factors = [v for k, v in model._cache.items() if k[:2] == (w, "factor")]
+        assert factors, w
+        for factor in factors:
+            for vectors in (factor.columns, factor.kernel, factor.image_rows()):
+                for vector in vectors:
+                    assert all(type(x) is int for x in vector.values()), w
     _, ideal = model._cache[("pure_ideal",)]
     assert ideal
     assert all(type(c) is int for _, f in ideal for c in f.values())

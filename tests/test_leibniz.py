@@ -3,9 +3,11 @@
 ``Derivation.add_image`` merges each Leibniz summand straight into one
 ``{monomial: coefficient}`` dict.  Here it is compared with a plain copy of
 the rule it replaced, which built every summand from two full ``Element``
-products, on d, d3, d4 and delta of every fixture, on random derivations
-whose images carry odd factors, on the matrices the engine eliminates, and
-on the ellipticity scan's quotient dimensions.
+products, on d, its word-length components d3 and d4 and delta of every
+fixture, on random derivations whose images carry odd factors, on the
+matrices the engine eliminates, and on the ellipticity scan's quotient
+dimensions.  The engine reads delta off d by word length; the reference
+delta is built from the components.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from sullivan.differential import (
     SullivanModel,
     build_differential,
     build_model,
+    homogeneous_component,
     pure_projection,
 )
 from sullivan.linalg import RationalMatrix, quotient_dim
@@ -71,17 +74,20 @@ def _reference_apply(derivation: Derivation, e: Element) -> Element:
 
 
 def _reference_delta(model: SullivanModel, e: Element) -> Element:
-    """d3(e) + d4(even word-length part of e)."""
+    """d3(e) + d4(even word-length part of e), d3 and d4 being the
+    word-length components of d."""
+    d3, d4 = (homogeneous_component(model.differential, i) for i in (3, 4))
     even = Element(e.algebra, {m: c for m, c in e.terms.items() if sum(m) % 2 == 0})
-    return _reference_apply(model.d3, e) + _reference_apply(model.d4, even)
+    return _reference_apply(d3, e) + _reference_apply(d4, even)
 
 
 def _maps(model: SullivanModel):
     """(name, engine map, reference map) for d, d3, d4 and delta."""
+    d3, d4 = (homogeneous_component(model.differential, i) for i in (3, 4))
     return [
         ("d", model.d, lambda e: _reference_apply(model.differential, e)),
-        ("d3", model.d3, lambda e: _reference_apply(model.d3, e)),
-        ("d4", model.d4, lambda e: _reference_apply(model.d4, e)),
+        ("d3", d3, lambda e: _reference_apply(d3, e)),
+        ("d4", d4, lambda e: _reference_apply(d4, e)),
         ("delta", model.delta, lambda e: _reference_delta(model, e)),
     ]
 
@@ -321,6 +327,6 @@ def test_pure_quotient_dims_match_the_reference():
 def test_an_element_of_another_algebra_is_rejected():
     model = ALL_MODELS[-1][1]()
     other = build_algebra([("a", 2), ("b", 3)])
-    for f in (model.d, model.d3, model.delta):
+    for f in (model.d, homogeneous_component(model.differential, 3), model.delta):
         with pytest.raises(ValueError, match="derivation's algebra"):
             f(other.gen_element("a"))

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
 from sullivan import cli
 from sullivan.algebra import basis, build_algebra, format_element, parse_element
 from sullivan.cohomology import formal_dimension, is_boundary, toomer_oracle
-from sullivan.differential import SullivanModel, build_differential, build_model
+from sullivan.differential import (
+    SullivanModel,
+    build_differential,
+    build_model,
+    homogeneous_component,
+)
 from sullivan.errors import PreconditionError
 from sullivan.models import (
     ELLIPTIC_K3_POOL,
@@ -152,15 +158,11 @@ def test_delta_nonvanishing_probe_n37():
 
 
 def _pair_formula(pair):
-    """delta by the paper's pair formula (d3 u, d3 v + d4 u), the reference."""
+    """delta by the paper's pair formula (d3 u, d3 v + d4 u), with d3 and d4
+    the word-length components of d, the reference."""
     model = pair.model
-    return FilteredPair(
-        model,
-        pair.p + 1,
-        pair.n + 1,
-        model.d3(pair.u),
-        model.d3(pair.v) + model.d4(pair.u),
-    )
+    d3, d4 = (homogeneous_component(model.differential, i) for i in (3, 4))
+    return FilteredPair(model, pair.p + 1, pair.n + 1, d3(pair.u), d3(pair.v) + d4(pair.u))
 
 
 def test_delta_apply_matches_the_pair_formula():
@@ -177,11 +179,27 @@ def test_delta_apply_matches_the_pair_formula():
 
 
 def test_selftest_catches_delta_applying_d4_on_odd_word_lengths(capsys, monkeypatch):
-    # the parity rule of the delta every matrix is built from, turned over
+    # the parity rule of the delta every matrix is built from, turned over:
+    # d's terms three word lengths up are kept on odd word lengths
     def odd_d4(self, mono, coeff, out):
-        self.d3.add_image(mono, coeff, out)
-        if sum(mono) % 2 == 1:
-            self.d4.add_image(mono, coeff, out)
+        w = sum(mono)
+        keep = (w + 2, w + 3) if w % 2 == 1 else (w + 2,)
+        image = {}
+        self.differential.add_image(mono, coeff, image)
+        for m, c in image.items():
+            if sum(m) in keep:
+                out[m] = out.get(m, 0) + c
+
+    def delta_cohomology_n37():
+        model = Path(__file__).parent / "fixtures" / "pure_n37.model"
+        argv = ["delta-cohomology", str(model), "--degree", "37", "--format", "structured"]
+        code = cli.main(argv)
+        return code, capsys.readouterr().out.splitlines()
+
+    golden = (Path(__file__).parent / "golden" / "report_n37.txt").read_text().splitlines()
+    code, out = delta_cohomology_n37()
+    shared = [x for x in out if x.startswith("delta.") and x in golden]
+    assert code == 0 and len(shared) == 4
 
     monkeypatch.setattr(SullivanModel, "add_delta_image", odd_d4)
     code = cli.main(["selftest", "--seed", "1", "--format", "structured"])
@@ -189,6 +207,9 @@ def test_selftest_catches_delta_applying_d4_on_odd_word_lengths(capsys, monkeypa
     assert code == 3
     assert "selftest.delta_squared.ok = false" in out
     assert "selftest.delta_derivation.ok = false" in out
+    # the delta-matrices share the one map with the selftest laws
+    code, out = delta_cohomology_n37()
+    assert code == 3 or not set(shared) <= set(out)
 
 
 def test_delta_element_matches_pair_delta():
