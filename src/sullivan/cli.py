@@ -14,9 +14,9 @@ Dispatch: each command is one row of `COMMANDS`, naming the builder that
 turns the parsed arguments and the model into pairs and an exit code, and
 every argument but the shared `--format`.  `main` parses the model file
 when the command takes one (the engine checks ellipticity itself), calls the
-builder and emits its pairs; a `toomer.agree = false` pair makes it exit 3
-with an error line.  The argparse parser is generated from the same table,
-once per process, on the first call.
+builder and emits its pairs; the exit code comes from the builder or from
+the engine's exceptions.  The argparse parser is generated from the same
+table, once per process, on the first call.
 """
 
 from __future__ import annotations
@@ -446,9 +446,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError:  # with stdout on devnull the exit flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    if ("toomer.agree", False) in pairs:
-        print("error: oracle and spectral methods disagree", file=sys.stderr)
-        return 3
     return code
 
 

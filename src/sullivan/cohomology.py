@@ -200,7 +200,7 @@ def is_boundary(model: SullivanModel, e: Element) -> bool:
     if e.is_zero:
         return True
     bn = basis(model.algebra, e.degree())
-    return not _factor(model, "d", e.degree() - 1).reduce(coefficient_vector(e, bn))
+    return not _factor(model, "d", e.degree() - 1)._split(coefficient_vector(e, bn))[0]
 
 
 def formal_dimension(model: SullivanModel) -> int:

@@ -256,19 +256,10 @@ def build_model(algebra: Algebra, differential: Derivation) -> SullivanModel:
 
 
 def is_pure(model: SullivanModel) -> bool:
-    """Pure: d vanishes on even generators and sends odd ones into the even
-    subalgebra."""
-    alg = model.algebra
-    for g in alg.generators:
-        img = model.differential.image_of(g)
-        if img.is_zero:
-            continue
-        if not g.is_odd:
-            return False
-        for mono in img.terms:
-            if any(mono[i] for i in alg.odd_indices):
-                return False
-    return True
+    """Pure (Felix-Halperin-Thomas, GTM 205, section 32): d equals its
+    :func:`pure_projection`, so it vanishes on even generators and sends odd
+    ones into the even subalgebra."""
+    return pure_projection(model).differential.images == model.differential.images
 
 
 def pure_projection(model: SullivanModel) -> SullivanModel:
@@ -276,22 +267,25 @@ def pure_projection(model: SullivanModel) -> SullivanModel:
 
     Even generators are sent to zero; the image of an odd generator keeps the
     monomials built entirely from even generators.  The result is pure, and
-    the construction is idempotent.
+    the construction is idempotent.  It is built once per model and kept in
+    the model's cache, where :func:`is_pure`, the ellipticity scan and the
+    coefficient matrix read it.
     """
-    alg = model.algebra
-    images: Dict[str, Element] = {}
-    for g in alg.generators:
-        if not g.is_odd:
-            continue
-        img = model.differential.image_of(g)
-        if img.is_zero:
-            continue
-        kept = {
-            mono: c
-            for mono, c in img.terms.items()
-            if not any(mono[i] for i in alg.odd_indices)
-        }
-        if kept:
-            images[g.name] = Element(alg, kept)
-    sigma = build_differential(alg, images)  # also certifies d_sigma^2 = 0
-    return build_model(alg, sigma)
+
+    def produce():
+        alg = model.algebra
+        images: Dict[str, Element] = {}
+        for g in alg.generators:
+            if not g.is_odd:
+                continue
+            kept = {
+                mono: c
+                for mono, c in model.differential.image_of(g).terms.items()
+                if not any(mono[i] for i in alg.odd_indices)
+            }
+            if kept:
+                images[g.name] = Element(alg, kept)
+        sigma = build_differential(alg, images)  # also certifies d_sigma^2 = 0
+        return build_model(alg, sigma)
+
+    return _cached(model, ("pure_projection",), produce)

@@ -275,8 +275,8 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
             )
         trace.obstructions.append(obstruction)
         rhs = coefficient_vector(obstruction.as_element(), basis(model.algebra, n + 1))
-        sol = _factor(model, "delta", n).solve(rhs)
-        if sol is None:
+        rest, sol = _factor(model, "delta", n)._split(rhs)
+        if rest:
             trace.outcome = "died"
             return trace
         corrector = element_from_vector(model.algebra, basis(model.algebra, n), sol)

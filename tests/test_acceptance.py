@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from sullivan import cli
+from sullivan import cli, spectral
 from sullivan.algebra import basis, coefficient_vector, format_element, parse_element
 from sullivan.cohomology import (
     ToomerResult,
@@ -209,7 +209,7 @@ def test_criterion_09_pool_agreement_and_disagreement_exit(capsys, monkeypatch):
     def broken_oracle(model):
         return ToomerResult(e0=99, representative=model.algebra.one())
 
-    monkeypatch.setattr(cli, "toomer_oracle", broken_oracle)
+    monkeypatch.setattr(spectral, "toomer_oracle", broken_oracle)
     code = cli.main(
         ["toomer", str(FIXTURES / "pure_n35.model"), "--format", "structured"]
     )

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from sullivan import cli, differential
+from sullivan import cli, cohomology, differential, linalg, spectral
 from sullivan.cohomology import ToomerResult
+from sullivan.differential import build_model
 from sullivan.errors import ParseError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -512,36 +513,40 @@ def test_toomer_both_agree(capsys):
     assert "toomer.agree = true" in out
 
 
-def test_method_disagreement_exits_3(capsys, monkeypatch):
-    # fake an oracle that disagrees with the spectral answer
-    def broken_oracle(model):
-        return ToomerResult(e0=99, representative=model.algebra.one())
+_DISAGREEMENT = (
+    "error: internal inconsistency: "
+    "spectral method found e0 = 6 but the oracle found 99\n"
+)
 
-    monkeypatch.setattr(cli, "toomer_oracle", broken_oracle)
-    code, out, err = _run(
-        capsys,
-        "toomer",
-        FIXTURES / "pure_n35.model",
-        "--format",
-        "structured",
-    )
-    assert code == 3
-    assert "toomer.agree = false" in out
-    assert "disagree" in err
+
+def _broken_oracle(model):
+    return ToomerResult(e0=99, representative=model.algebra.one())
+
+
+def test_method_disagreement_exits_3(capsys, monkeypatch):
+    # the oracle that spectral_run cross-checks against disagrees with it
+    monkeypatch.setattr(spectral, "toomer_oracle", _broken_oracle)
+    for method in ("both", "spectral"):
+        code, out, err = _run(
+            capsys,
+            "toomer",
+            FIXTURES / "pure_n35.model",
+            "--method",
+            method,
+            "--format",
+            "structured",
+        )
+        assert (code, out, err) == (3, "", _DISAGREEMENT), method
 
 
 def test_report_disagreement_exits_3_with_an_error_line(capsys, monkeypatch):
-    def broken_oracle(model):
-        return ToomerResult(e0=99, representative=model.algebra.one())
-
-    monkeypatch.setattr(cli, "toomer_oracle", broken_oracle)
+    monkeypatch.setattr(spectral, "toomer_oracle", _broken_oracle)
     code, out, err = _run(
         capsys, "report", FIXTURES / "pure_n35.model", "--format", "structured"
     )
     assert code == 3
-    assert "toomer.oracle.e0 = 99" in out
-    assert "toomer.agree = false" in out
-    assert err == "error: oracle and spectral methods disagree\n"
+    assert out == ""
+    assert err == _DISAGREEMENT
 
 
 @pytest.mark.parametrize("degree", [5, 35])
@@ -865,14 +870,15 @@ def test_golden_report_of_a_larger_model(capsys, monkeypatch):
     assert out == (GOLDEN / "report_n37_cp2_cp2.txt").read_text()
 
 
-@pytest.mark.parametrize(
-    "model,golden",
-    [
-        ("tests/fixtures/pure_n37.model", "report_n37.txt"),
-        ("tests/fixtures/pure_n35.model", "report_n35.txt"),
-        ("tests/large/n37_cp2_cp2.model", "report_n37_cp2_cp2.txt"),
-    ],
-)
+#: the k = 3 models with a golden report, which reaches every stage
+_K3_REPORTS = [
+    ("tests/fixtures/pure_n37.model", "report_n37.txt"),
+    ("tests/fixtures/pure_n35.model", "report_n35.txt"),
+    ("tests/large/n37_cp2_cp2.model", "report_n37_cp2_cp2.txt"),
+]
+
+
+@pytest.mark.parametrize("model,golden", _K3_REPORTS)
 def test_report_reads_delta_off_d_without_its_components(
     capsys, monkeypatch, model, golden
 ):
@@ -896,3 +902,104 @@ def test_golden_report_of_a_model_with_rational_coefficients(capsys, monkeypatch
     code, out, _ = _run(capsys, "report", model, "--format", "structured")
     assert code == 0
     assert out == (GOLDEN / "report_scaled_three_even.txt").read_text()
+
+
+@pytest.mark.parametrize("model,golden", _K3_REPORTS)
+def test_report_hands_the_kernel_only_its_own_vectors(
+    capsys, monkeypatch, model, golden
+):
+    # the input check guards vectors from outside; the engine builds its own
+    def refuse(v, n):
+        raise AssertionError("the engine re-checked a vector it built itself")
+
+    monkeypatch.setattr(linalg, "_vector", refuse)
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    code, out, _ = _run(capsys, "report", model, "--format", "structured")
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_report_builds_one_pure_projection(capsys, monkeypatch):
+    # is_pure, the ellipticity scan and the coefficient matrix share it
+    built = []
+
+    def counted(algebra, d):
+        built.append(d)
+        return build_model(algebra, d)
+
+    monkeypatch.setattr(differential, "build_model", counted)
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    model = "tests/fixtures/pure_n35.model"
+    code, out, _ = _run(capsys, "report", model, "--format", "structured")
+    assert code == 0
+    assert out == (GOLDEN / "report_n35.txt").read_text()
+    assert len(built) == 1
+
+
+_real_lift = spectral.lift_to_d_cocycle
+
+
+def _lift_with(**fields):
+    """lift_to_d_cocycle with the given fields of its successful traces
+    (``final`` given as a function of the model) overwritten."""
+
+    def lift(model, start):
+        trace = _real_lift(model, start)
+        if trace.outcome == "success":
+            for name, value in fields.items():
+                setattr(trace, name, value(model) if callable(value) else value)
+        return trace
+
+    return lift
+
+
+class _NoCorrection:
+    """A delta-factorization whose every solve is zero, so a lift never
+    moves its obstruction."""
+
+    def _split(self, r):
+        return {}, {}
+
+
+@pytest.mark.parametrize(
+    "module,name,replacement,message",
+    [
+        (spectral, "delta_cohomology", lambda model, n: [],
+         "H^35(delta) is zero on an elliptic model"),
+        (spectral, "representative_depth", lambda m, pair: (0, m.algebra.one()),
+         "class at filtration 1 has depth 0; expected 2 or 3"),
+        (spectral, "lift_to_d_cocycle", _lift_with(final=lambda m: m.algebra.one()),
+         "lift changed the depth of the lowest component"),
+        (spectral, "lift_to_d_cocycle", _lift_with(outcome="died"),
+         "no delta-class survives to a d-cocycle; inconsistent with ellipticity"),
+        (spectral, "_factor", lambda model, which, n: _NoCorrection(),
+         "obstruction filtration failed to increase"),
+        (spectral, "delta_apply", lambda pair: pair,
+         "lowest obstruction pair is not a delta-cocycle"),
+        (cohomology, "cohomology_basis", lambda model, n: [],
+         "H^35 has dimension 0, expected 1 for an elliptic model"),
+        (cohomology, "_deepest_representative", lambda model, which, n, z: None,
+         "top class representative reduced to zero"),
+    ],
+    ids=[
+        "spectral_run-zero-delta-cohomology",
+        "spectral_run-depth-outside-slot",
+        "spectral_run-lift-changed-depth",
+        "spectral_run-no-survivor",
+        "lift-filtration-did-not-rise",
+        "lift-obstruction-not-a-delta-cocycle",
+        "top_class-not-a-line",
+        "toomer_oracle-reduced-to-zero",
+    ],
+)
+def test_spectral_path_checks_exit_3(
+    capsys, monkeypatch, module, name, replacement, message
+):
+    # each check of the spectral path, made to fail through the one
+    # collaborator it reads, stops the report with exit 3 and one error line
+    monkeypatch.setattr(module, name, replacement)
+    code, out, err = _run(
+        capsys, "report", FIXTURES / "pure_n35.model", "--format", "structured"
+    )
+    assert (code, out) == (3, "")
+    assert err == f"error: internal inconsistency: {message}\n"
