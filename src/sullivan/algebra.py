@@ -292,36 +292,57 @@ MAX_BASIS = 50_000
 MAX_DEGREE = 1_000
 
 
-def _fill_bases(algebra: Algebra, degree: int) -> None:
-    """Cache the bases of every degree up to ``degree``, lowest first.
-
-    A monomial of positive degree is m*g for exactly one generator g, its
-    last factor: m has degree |m*g| - |g|, no factor after g, and no factor
-    g when g is odd.  So each degree is built from the cached lower ones,
-    and its size is summed from their counts before any list is built.
-
-    Raises PreconditionError when a basis would exceed ``MAX_BASIS`` or
-    ``degree`` is above ``MAX_DEGREE``.
-    """
-    cache, counts = algebra._basis_cache, algebra._basis_counts
+def check_basis_limits(degree: int, size: int = 0) -> None:
+    """PreconditionError when a degree is above ``MAX_DEGREE`` or its basis,
+    of ``size`` monomials, would hold more than ``MAX_BASIS``: the one text
+    of both limits."""
     if degree > MAX_DEGREE:
         raise PreconditionError(
             f"the degree-{clipped(degree)} basis is above the degree limit of "
             f"{MAX_DEGREE}"
         )
+    if size > MAX_BASIS:
+        raise PreconditionError(
+            f"the degree-{degree} basis has {size} monomials, more than the "
+            f"limit of {MAX_BASIS}; the model is too large"
+        )
+
+
+def count_degree(counts: List[List[int]], degrees: Sequence[int], d: int) -> None:
+    """Append to ``counts`` the row of degree d, given the rows below it: for
+    each k, how many monomials of degree d have no factor of index >= k, in
+    generators of the given ``degrees``, an odd one at most once.  Its last
+    entry, the size of the degree-d basis, must pass
+    :func:`check_basis_limits` first.
+
+    A monomial of positive degree is m*g for exactly one generator g, its
+    last factor: m has degree d - |g|, no factor after g, and no factor g
+    when g is odd.
+    """
+    ends = [  # how many monomials of degree d have last factor k
+        counts[d - a][k + (a % 2 == 0)] if a <= d else 0 for k, a in enumerate(degrees)
+    ]
+    row = list(accumulate(ends, initial=int(d == 0)))
+    check_basis_limits(d, row[-1])
+    counts.append(row)
+
+
+def _fill_bases(algebra: Algebra, degree: int) -> None:
+    """Cache the bases of every degree up to ``degree``, lowest first.
+
+    Each degree is built from the cached lower ones, as m*g with g the last
+    factor (see :func:`count_degree`), and its size is summed from their
+    counts before any list is built.
+
+    Raises PreconditionError when a basis would exceed ``MAX_BASIS`` or
+    ``degree`` is above ``MAX_DEGREE`` (see :func:`check_basis_limits`).
+    """
+    cache, counts = algebra._basis_cache, algebra._basis_counts
+    check_basis_limits(degree)
     n = algebra.ngens
     while len(cache) <= degree:
         d = len(cache)
-        ends = [  # how many monomials of degree d have last factor g
-            counts[d - g.degree][g.index + (not g.is_odd)] if g.degree <= d else 0
-            for g in algebra.generators
-        ]
-        row = list(accumulate(ends, initial=int(d == 0)))
-        if row[-1] > MAX_BASIS:
-            raise PreconditionError(
-                f"the degree-{d} basis has {row[-1]} monomials, more than the "
-                f"limit of {MAX_BASIS}; the model is too large"
-            )
+        count_degree(counts, algebra.degrees, d)
         monos = [(0,) * n] if d == 0 else []
         for g in algebra.generators:
             if g.degree > d:
@@ -334,7 +355,6 @@ def _fill_bases(algebra: Algebra, degree: int) -> None:
                 if m[i + 1:] == tail and not (g.is_odd and m[i])
             )
         monos.sort(key=grlex_key)
-        counts.append(row)
         cache.append(monos)
 
 

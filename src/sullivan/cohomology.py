@@ -1,7 +1,7 @@
 """Degreewise cohomology and the invariants built directly on top of it.
 
-Everything is computed one degree at a time with exact rational linear
-algebra.  The pieces provided here:
+Everything is computed one degree at a time with exact rational
+arithmetic.  The pieces provided here:
 
 * cochain maps and cohomology bases, each basis a list of deterministic
   representatives read off the factorizations of d into and out of its
@@ -12,6 +12,9 @@ algebra.  The pieces provided here:
   rank d_{n-1}, with no representatives built, and their duality check,
 * the formal dimension N read off the generator degrees,
 * an ellipticity decision procedure through the associated pure model,
+  whose quotient dimensions are read off the Hilbert series of one
+  Groebner basis of its ideal, grown degree by degree, with no basis or
+  rank of the even generators' algebra,
 * the fundamental class of an elliptic model: N and the one representative
   of H^N,
 * the Toomer invariant by direct word-length filtration membership, through
@@ -25,15 +28,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, le, mul, neg, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
-    Algebra,
     Element,
     Monomial,
     basis,
-    build_algebra,
+    count_degree,
     coefficient_vector,
     element_from_vector,
     wordlength,
@@ -41,6 +43,9 @@ from .algebra import (
 from .differential import SullivanModel, _cached, pure_projection
 from .errors import InternalInconsistencyError, PreconditionError
 from .linalg import ColumnFactorization, RationalMatrix, RowSpace, Vector
+
+#: A polynomial in the even generators, {exponent tuple: coefficient}.
+Polynomial = Dict[Monomial, Fraction]
 
 
 @dataclass
@@ -219,12 +224,19 @@ def is_elliptic(model: SullivanModel, bound: Optional[int] = None) -> Ellipticit
     odd generators is finite dimensional exactly when the model is elliptic.
     The quotient is scanned degree by degree: once it vanishes on a window of
     ``max even generator degree`` consecutive degrees it vanishes forever
-    after, because any deeper monomial factors through the window.
+    after, because any deeper monomial factors through the window.  Each
+    dimension is read off the Hilbert series of the one Groebner basis of
+    the model's pure ideal (:class:`_PureQuotient`), grown only up to the
+    highest degree a scan reads.
 
     If no clean window exists below ``bound`` the answer is a definite "no"
     provided the scan reached N + 1 (an elliptic model's quotient vanishes
     above its formal dimension); with a user-supplied smaller bound the
-    result degrades to "inconclusive".
+    result degrades to "inconclusive".  A definite answer must agree with
+    the lead monomials: the quotient is finite exactly when each even
+    generator has a pure power among them (Cox-Little-O'Shea, *Ideals,
+    Varieties, and Algorithms*, ch. 5 section 3); InternalInconsistencyError
+    otherwise.
     """
     return _cached(model, ("elliptic", bound), lambda: _scan_pure_quotient(model, bound))
 
@@ -240,62 +252,239 @@ def _scan_pure_quotient(model: SullivanModel, bound: Optional[int]) -> Elliptici
     if bound < 0:
         raise ValueError("scan bound must be nonnegative")
 
-    # quotient dimensions are cached on the model, so every scan shares
-    # them; ``qdims`` records only the degrees this scan looked at
+    # the quotient is cached on the model, so every scan shares its
+    # dimensions; ``qdims`` records only the degrees this scan looked at
+    quotient = _cached(
+        model, ("pure_quotient",), lambda: _PureQuotient(*_pure_ideal(model))
+    )
     qdims: Dict[int, int] = {}
 
     def vanishes(degree: int) -> bool:
-        key = ("pure_quotient_dim", degree)
-        qdims[degree] = _cached(model, key, lambda: _pure_quotient_dim(model, degree))
+        qdims[degree] = quotient.dim(degree)
         return qdims[degree] == 0
 
     for b in range(bound + 1):
         if all(vanishes(d) for d in range(b, b + width)):
-            return EllipticityResult(
+            result = EllipticityResult(
                 status="elliptic",
                 formal_dimension=n_formal,
                 bound=bound,
                 window_width=width,
                 window_start=b,
             )
-    nonvanishing = tuple(sorted(d for d, q in qdims.items() if q > 0))
-    conclusive = bound >= max(n_formal + 1, 0)
-    return EllipticityResult(
-        status="not_elliptic" if conclusive else "inconclusive",
-        formal_dimension=n_formal,
-        bound=bound,
-        window_width=width,
-        nonvanishing_degrees=nonvanishing,
-    )
+            break
+    else:
+        nonvanishing = tuple(sorted(d for d, q in qdims.items() if q > 0))
+        conclusive = bound >= max(n_formal + 1, 0)
+        result = EllipticityResult(
+            status="not_elliptic" if conclusive else "inconclusive",
+            formal_dimension=n_formal,
+            bound=bound,
+            window_width=width,
+            nonvanishing_degrees=nonvanishing,
+        )
+    if result.status != "inconclusive" and result.is_elliptic != quotient.finite():
+        raise InternalInconsistencyError(
+            f"the scan says {result.status}, but the lead monomials of the pure "
+            f"ideal {'lack' if result.is_elliptic else 'hold'} a pure power of "
+            "every even generator"
+        )
+    return result
 
 
-def _pure_ideal(model: SullivanModel) -> Tuple[Algebra, List[Tuple[int, Dict]]]:
-    """The even generators' own algebra Lambda(V^even), and the pure images
-    of the odd generators in it as (degree, {exponent tuple: coefficient}),
-    an integer coefficient as an ``int``, as the derivation holds it."""
+def _pure_ideal(model: SullivanModel) -> Tuple[Tuple[int, ...], List[Polynomial]]:
+    """The degrees of the even generators, and the pure images of the odd
+    generators as polynomials in them, {exponent tuple over the even
+    generators: coefficient}, an integer coefficient as an ``int``, as the
+    derivation holds it."""
     alg = model.algebra
-    even = build_algebra((g.name, g.degree) for g in alg.generators if not g.is_odd)
     sigma = pure_projection(model).differential
-    ideal = []
-    for i, img in sigma.images.items():
-        f = {tuple(m[j] for j in alg.even_indices): c for m, c, _ in sigma._terms[i]}
-        ideal.append((img.degree(), f))
-    return even, ideal
+    ideal = [
+        {tuple(m[j] for j in alg.even_indices): c for m, c, _ in terms}
+        for terms in sigma._terms.values()
+    ]
+    return tuple(alg.degrees[j] for j in alg.even_indices), ideal
 
 
-def _pure_quotient_dim(model: SullivanModel, degree: int) -> int:
-    """Dimension of the degree part of Lambda(V^even) / (ideal), the ideal
-    of :func:`_pure_ideal`: the degree basis less the rank of the rows m * f,
-    m a monomial and f an ideal generator.  Both lie in the even algebra, so
-    m * f adds exponents: no signs, no cancelling."""
-    even, ideal = _cached(model, ("pure_ideal",), lambda: _pure_ideal(model))
-    ambient = basis(even, degree)
-    index = {m: i for i, m in enumerate(ambient)}
-    space = RowSpace(len(ambient))
-    for f_degree, f in ideal:
-        for m in basis(even, degree - f_degree):
-            space._add({index[tuple(map(add, m, t))]: c for t, c in f.items()})
-    return len(ambient) - space.rank
+class _PureQuotient:
+    """Q[x_1..x_n] / (f_1..f_r), |x_i| = ``weights[i]``, for weighted-
+    homogeneous polynomials f_j, extended one degree at a time.
+
+    A Groebner basis, in the order by weighted degree and then reverse lex,
+    is grown by Buchberger's algorithm, its generators and S-pairs taken by
+    ascending (lcm) degree: after degree D every element of degree <= D is
+    found, and a pair of lcm above the highest degree read is never reduced.
+    A pair whose S-polynomial is known to reduce to 0 is skipped: one of
+    coprime leads, and one whose lcm a third lead divides with smaller lcms
+    against both (Buchberger's two criteria; those pairs were done at lower
+    degrees).  Each element is reduced and monic, so its lead monomial is
+    not a multiple of an earlier one.  The quotient has the Hilbert series
+    of the lead-term ideal, K(t) / prod_i (1 - t^|x_i|), and each new lead
+    monomial m updates the numerator by K(L + (m)) = K(L) - t^|m| K(L : m)
+    (Bayer-Stillman 1992; Cox-Little-O'Shea, ch. 9 sections 2-3).  So a
+    degree's dimension is sum_e K_e * (the ambient count of the degree less
+    e), and the ambient counts, the coefficients of 1 / prod_i (1 - t^|x_i|),
+    are summed degree by degree as the algebra's basis sizes are
+    (:func:`algebra.count_degree`), so a degree over the basis limits raises
+    before any of its work.
+    """
+
+    def __init__(self, weights: Tuple[int, ...], ideal: List[Polynomial]):
+        self.weights = weights
+        self.basis: List[Tuple[Monomial, Polynomial]] = []  # (lead, f)
+        self.numerator: Dict[int, int] = {0: 1}
+        self.dims: List[int] = []  # the quotient's dimensions, from degree 0 up
+        # per degree, how many monomials have no factor of index >= k
+        self._counts: List[List[int]] = []
+        # per degree, the generators and the S-pairs (i, j) left to reduce
+        self._todo: Dict[int, List] = {}
+        for f in ideal:
+            self._todo.setdefault(_degree(next(iter(f)), weights), []).append(f)
+
+    def dim(self, degree: int) -> int:
+        while len(self.dims) <= degree:
+            self._extend()
+        return self.dims[degree]
+
+    def _extend(self) -> None:
+        d = len(self.dims)
+        count_degree(self._counts, self.weights, d)
+        for item in self._todo.pop(d, ()):
+            if type(item) is not tuple:
+                self._add(dict(item))
+            elif not self._chained(*item):
+                self._add(self._s_polynomial(*item))
+        counts = self._counts
+        self.dims.append(
+            sum(c * counts[d - e][-1] for e, c in self.numerator.items() if e <= d)
+        )
+
+    def _chained(self, i: int, j: int) -> bool:
+        (a, _), (b, _) = self.basis[i], self.basis[j]
+        lcm = _lcm(a, b)
+        return any(
+            all(map(le, lead, lcm)) and lcm not in (_lcm(lead, a), _lcm(lead, b))
+            for lead, _ in self.basis
+        )
+
+    def _s_polynomial(self, i: int, j: int) -> Polynomial:
+        (lead_i, f_i), (lead_j, f_j) = self.basis[i], self.basis[j]
+        lcm = _lcm(lead_i, lead_j)
+        h: Polynomial = {}
+        _subtract(h, -1, tuple(map(sub, lcm, lead_i)), f_i)
+        _subtract(h, 1, tuple(map(sub, lcm, lead_j)), f_j)
+        return h
+
+    def _add(self, h: Polynomial) -> None:
+        """Reduce h by the basis; a nonzero remainder joins it, monic."""
+        rest: Polynomial = {}  # the terms no lead divides, in descending order
+        while h:
+            top = max(h, key=_revlex)
+            for other, f in self.basis:
+                if all(map(le, other, top)):
+                    _subtract(h, h[top], tuple(map(sub, top, other)), f)
+                    break
+            else:
+                rest[top] = h.pop(top)
+        if not rest:
+            return
+        lead = next(iter(rest))
+        a = rest[lead]
+        if a != 1:
+            rest = {t: -c if a == -1 else Fraction(c) / a for t, c in rest.items()}
+        leads = [other for other, _ in self.basis]
+        for j, other in enumerate(leads):
+            if any(map(min, other, lead)):  # a coprime pair would reduce to 0
+                degree = _degree(_lcm(other, lead), self.weights)
+                self._todo.setdefault(degree, []).append((j, len(leads)))
+        colon = [tuple(max(x - y, 0) for x, y in zip(other, lead)) for other in leads]
+        self.numerator = _plus_shifted(
+            self.numerator, -1, _degree(lead, self.weights),
+            _hilbert_numerator(colon, self.weights),
+        )
+        self.basis.append((lead, rest))
+
+    def finite(self) -> bool:
+        """Whether every variable has a pure power among the lead monomials
+        found so far.  The quotient is finite exactly when the whole basis
+        has them.  A window of zero dimensions holds a power of every
+        variable, so a scan that finds one has found them; a finite quotient
+        vanishes above N, so a definite not-elliptic scan has not."""
+        powers = {
+            i for lead, _ in self.basis for i, e in enumerate(lead) if e == sum(lead)
+        }
+        return len(powers) == len(self.weights)
+
+
+def _degree(mono: Monomial, weights: Tuple[int, ...]) -> int:
+    return sum(map(mul, mono, weights))
+
+
+def _lcm(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(map(max, a, b))
+
+
+def _revlex(mono: Monomial) -> Monomial:
+    """Sort key of reverse lex, which orders the terms of a homogeneous
+    polynomial: the greater monomial has the smaller last exponent that
+    differs."""
+    return tuple(map(neg, reversed(mono)))
+
+
+def _subtract(h: Polynomial, c, shift: Monomial, f: Polynomial) -> None:
+    """h -= c * x^shift * f, in place, dropping the terms that cancel."""
+    for t, x in f.items():
+        m = tuple(map(add, t, shift))
+        v = h.get(m, 0) - c * x
+        if v:
+            h[m] = v
+        else:
+            del h[m]
+
+
+def _hilbert_numerator(
+    monos: List[Monomial], weights: Tuple[int, ...]
+) -> Dict[int, int]:
+    """K(t) with K(t) / prod_i (1 - t^weights[i]) the Hilbert series of
+    Q[x] / (monos), for monomials ``monos``.
+
+    Pairwise coprime generators form a regular sequence, K = prod (1 - t^|m|).
+    Otherwise a variable x_i divides two of them; with e its least exponent
+    there, p = x_i^e splits K(J) = K(J + (p)) + t^|p| K(J : p), and both
+    ideals are smaller: J + (p) has fewer generators, J : p a smaller sum of
+    exponents.
+    """
+    minimal: List[Monomial] = []
+    for m in sorted(set(monos), key=sum):  # a proper divisor has a smaller sum
+        if not any(all(map(le, k, m)) for k in minimal):
+            minimal.append(m)
+    if minimal and not any(minimal[0]):  # the unit ideal
+        return {}
+    for i, w in enumerate(weights):
+        exponents = [m[i] for m in minimal if m[i]]
+        if len(exponents) > 1:
+            break
+    else:
+        out = {0: 1}
+        for m in minimal:
+            out = _plus_shifted(out, -1, _degree(m, weights), out)
+        return out
+    e = min(exponents)
+    p = tuple(e if j == i else 0 for j in range(len(weights)))
+    plus = _hilbert_numerator([m for m in minimal if not m[i]] + [p], weights)
+    colon = [m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in minimal]
+    return _plus_shifted(plus, 1, e * w, _hilbert_numerator(colon, weights))
+
+
+def _plus_shifted(
+    p: Dict[int, int], c: int, shift: int, q: Dict[int, int]
+) -> Dict[int, int]:
+    """p + c * t^shift * q for polynomials {exponent: coefficient} in t,
+    without zero coefficients."""
+    out = dict(p)
+    for e, x in q.items():
+        out[e + shift] = out.get(e + shift, 0) + c * x
+    return {e: x for e, x in out.items() if x}
 
 
 def require_elliptic(model: SullivanModel) -> None:
@@ -321,7 +510,7 @@ def top_class(model: SullivanModel) -> Tuple[int, Element]:
     reps = cohomology_basis(model, n)
     if len(reps) != 1:
         raise InternalInconsistencyError(
-            f"H^{n} has dimension {len(reps)}, expected 1 for an "
+            f"H^{n} has {len(reps)} representatives, expected 1 for an "
             "elliptic model"
         )
     return n, reps[0]

@@ -453,6 +453,30 @@ def test_many_generators_fail_the_basis_limit_fast(tmp_path):
     assert "Traceback" not in err
 
 
+def test_a_non_elliptic_mutant_is_decided_fast(tmp_path):
+    """five_even_k2 with d yb = xb*xc: no power of xb lies in the pure
+    ideal, so its quotient survives in every even degree.  With
+    ``--max-degree 40`` the scan prints what it printed when it ranked every
+    degree (the first 16 hex digits of the SHA-256 of its structured
+    output); with ``--max-degree 64`` it stops at degree 62, whose count is
+    over the basis limit."""
+    text = (FIXTURES / "five_even_k2.model").read_text()
+    (tmp_path / "mutant.model").write_text(
+        text.replace("d yb = xb^2 + xb*xc", "d yb = xb*xc")
+    )
+    argv = ("-m", "sullivan.cli", "elliptic", "mutant.model", "--max-degree")
+    code, out, err = _python(
+        *argv, "40", "--format", "structured", timeout=10, cwd=tmp_path
+    )
+    assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == (
+        0, "b133475c396a43ca"
+    ), err
+    code, _, err = _python(*argv, "64", timeout=10, cwd=tmp_path)
+    assert code == 2
+    assert "the degree-62 basis has 52360 monomials" in err
+    assert "Traceback" not in err
+
+
 # (command, fixture, --max-degree): (exit code, first 16 hex digits of the
 # SHA-256 of the structured output without its model.path line), recorded
 # before the ellipticity scans shared their quotient dimensions
@@ -977,7 +1001,7 @@ class _NoCorrection:
         (spectral, "delta_apply", lambda pair: pair,
          "lowest obstruction pair is not a delta-cocycle"),
         (cohomology, "cohomology_basis", lambda model, n: [],
-         "H^35 has dimension 0, expected 1 for an elliptic model"),
+         "H^35 has 0 representatives, expected 1 for an elliptic model"),
         (cohomology, "_deepest_representative", lambda model, which, n, z: None,
          "top class representative reduced to zero"),
     ],

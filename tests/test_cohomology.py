@@ -19,6 +19,7 @@ from sullivan.cohomology import (
     toomer_oracle,
     top_class,
 )
+from sullivan.differential import is_pure
 from sullivan.errors import PreconditionError
 from sullivan.linalg import RationalMatrix, solve_membership
 from sullivan.models import (
@@ -32,7 +33,8 @@ from sullivan.models import (
 )
 from test_depth_search import _random_models
 
-FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).parents[1]
+FIXTURES = ROOT / "tests" / "fixtures"
 
 
 def test_sphere_cochain_map_is_one_by_one_identity():
@@ -102,23 +104,109 @@ def test_scans_share_quotient_dimensions_but_report_their_own_degrees():
 def test_report_with_a_scan_bound_computes_each_quotient_dimension_once(
     capsys, monkeypatch
 ):
-    calls = []
-    counted = cohomology._pure_quotient_dim
+    built, extended = [], []
 
-    def counting(*args):
-        calls.append(args)
-        return counted(*args)
+    class Counting(cohomology._PureQuotient):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
 
-    monkeypatch.setattr(cohomology, "_pure_quotient_dim", counting)
+        def _extend(self):
+            extended.append(len(self.dims))
+            super()._extend()
+
+    monkeypatch.setattr(cohomology, "_PureQuotient", Counting)
     counts = []
     for extra in ([], ["--max-degree", "60"]):
-        calls.clear()
+        built.clear()
+        extended.clear()
         path = str(FIXTURES / "pure_n37.model")
         assert cli.main(["report", path, "--format", "structured", *extra]) == 0
-        counts.append(len(calls))
+        counts.append((len(built), list(extended)))
     capsys.readouterr()
-    # the flag's scan and top_class's default-bound scan share their degrees
-    assert counts == [27, 27]
+    # the flag's scan and top_class's default-bound scan share one quotient,
+    # which computes each degree it is asked for once, lowest first
+    assert counts == [(1, list(range(27)))] * 2
+
+
+@pytest.mark.parametrize(
+    "stem,message",
+    [
+        ("pure_n35", "the scan says elliptic, but the lead monomials of the "
+         "pure ideal lack a pure power of every even generator"),
+        ("truncated_n37", "the scan says not_elliptic, but the lead monomials "
+         "of the pure ideal hold a pure power of every even generator"),
+    ],
+)
+def test_a_verdict_the_lead_monomials_contradict_exits_3(
+    capsys, monkeypatch, stem, message
+):
+    # the lead monomials the finiteness check reads, patched: every pure
+    # power dropped from an elliptic model's, one added per variable to a
+    # non-elliptic model's
+    class PatchedLeads(cohomology._PureQuotient):
+        def finite(self):
+            n = len(self.weights)
+            powers = [(tuple(int(i == j) for j in range(n)), {}) for i in range(n)]
+            kept = [(lead, f) for lead, f in self.basis if sum(map(bool, lead)) > 1]
+            self.basis = kept if stem == "pure_n35" else self.basis + powers
+            return super().finite()
+
+    monkeypatch.setattr(cohomology, "_PureQuotient", PatchedLeads)
+    code = cli.main(["elliptic", str(FIXTURES / f"{stem}.model")])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == f"error: internal inconsistency: {message}\n"
+
+
+def _pool_files():
+    return [
+        path
+        for folder in (ROOT / "bench" / "models", FIXTURES, ROOT / "tests" / "large")
+        for path in sorted(folder.glob("*.model"))
+        if path.stem != "bad_linear"
+    ]
+
+
+def _complete_intersection_series(model, top):
+    """The coefficients of prod_j (1 - t^|d y_j|) / prod_i (1 - t^|x_i|) in
+    degrees 0..top, the y_j odd and the x_i even generators."""
+    series = [1] + [0] * top
+    for g in model.algebra.generators:
+        if g.is_odd:
+            for d in range(top, g.degree, -1):
+                series[d] -= series[d - g.degree - 1]
+    for g in model.algebra.generators:
+        if not g.is_odd:
+            for d in range(g.degree, top + 1):
+                series[d] += series[d - g.degree]
+    return series
+
+
+def test_f0_pure_quotients_have_the_complete_intersection_series():
+    """An elliptic pure model with dim V^even = dim V^odd has the pure
+    quotient Q[x] / (d y_1, ..., d y_n), a complete intersection
+    (Felix-Halperin-Thomas, GTM 205, section 32), whose series is the
+    closed form."""
+    models = [(p.stem, cli.parse_model_file(str(p)).model) for p in _pool_files()]
+    randoms = [
+        m for m in _random_models(seed=1, count=40)
+        if 2 * len(m.algebra.even_indices) == m.algebra.ngens
+    ][:20]
+    assert len(randoms) == 20
+    models += [(f"random {i}", m) for i, m in enumerate(randoms)]
+    checked = []
+    for name, model in models:
+        alg = model.algebra
+        if not (2 * len(alg.even_indices) == alg.ngens and is_pure(model)
+                and is_elliptic(model).is_elliptic):
+            continue
+        quotient = model._cache[("pure_quotient",)]
+        top = 2 * formal_dimension(model) + 2 * max(alg.degrees) + 5
+        series = [quotient.dim(d) for d in range(top + 1)]
+        assert series == _complete_intersection_series(model, top), name
+        checked.append(name)
+    assert len(checked) >= 26, checked
 
 
 def test_require_elliptic_message_lists_degrees():

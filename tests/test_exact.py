@@ -3,10 +3,12 @@
 Arithmetic on ``int`` and ``Fraction`` is exact; a ``float`` anywhere would
 round, and a ``bool`` is an ``int`` only by accident.  So each coefficient
 is checked by its exact type, ``int`` or ``Fraction``, over the elliptic
-k = 3 pool and two fixture files: the cohomology representatives, the
-cached d- and delta-factorizations and their solves, the Toomer
-representatives, the lift records, the determinant class, and d and delta
-of random elements with rational coefficients.
+k = 3 pool and three model files, one with non-unit and rational
+coefficients: the cohomology representatives, the cached d- and
+delta-factorizations and their solves, the Toomer representatives, the lift
+records, the determinant class, the Groebner basis of the pure ideal and
+the series read off it, and d and delta of random elements with rational
+coefficients.
 
 A model with integer coefficients is assembled and eliminated in ``int``.
 The integer path is checked against the ``Fraction`` path, and the
@@ -23,13 +25,14 @@ from sullivan.algebra import Element, parse_element
 from sullivan.cli import parse_model_file
 from sullivan.cohomology import (
     _pure_ideal,
+    _PureQuotient,
     cohomology_basis,
     cohomology_dim,
     formal_dimension,
     is_elliptic,
     toomer_oracle,
 )
-from sullivan.differential import _cached, is_pure
+from sullivan.differential import is_pure
 from sullivan.linalg import RowSpace
 from sullivan.models import ALL_MODELS, ELLIPTIC_K3_POOL
 from sullivan.murillo import exact_divide, murillo_fundamental_class
@@ -54,7 +57,7 @@ SCALED = ("scaled_three_even", _model_file(TESTS / "large" / "scaled_three_even.
 
 
 def _models():
-    return ELLIPTIC_K3_POOL + FILES
+    return ELLIPTIC_K3_POOL + FILES + [SCALED]
 
 
 def _check(values, what):
@@ -101,6 +104,14 @@ def test_every_coefficient_is_an_int_or_a_fraction(name, build):
         for row in factor.image_rows():
             _check(row.values(), "image row")
 
+    # the Groebner basis of the pure ideal, made monic by division on the
+    # scaled model, and the series read off its lead monomials
+    quotient = model._cache[("pure_quotient",)]
+    for _, f in quotient.basis:
+        _check(f.values(), "Groebner basis coefficient")
+    _check(quotient.numerator.values(), "Hilbert numerator coefficient")
+    _check(quotient.dims, "pure quotient dimension")
+
     rng = random.Random(f"exact:{name}")
     for _ in range(20):
         e = random_element(rng, model.algebra)
@@ -121,15 +132,14 @@ def _oracle_models():
 def _as_fractions(model):
     """The model with every coefficient that assembly and the ellipticity
     scan read held as a ``Fraction``: the terms of d, which delta reads
-    too, and the cached pure ideal."""
+    too, and the generators of the cached pure quotient."""
     d = model.differential
     d._terms = {
         i: [(t, Fraction(a), odd) for t, a, odd in terms] for i, terms in d._terms.items()
     }
-    even, ideal = _cached(model, ("pure_ideal",), lambda: _pure_ideal(model))
-    model._cache[("pure_ideal",)] = (
-        even,
-        [(degree, {t: Fraction(c) for t, c in f.items()}) for degree, f in ideal],
+    weights, ideal = _pure_ideal(model)
+    model._cache[("pure_quotient",)] = _PureQuotient(
+        weights, [{t: Fraction(c) for t, c in f.items()} for f in ideal]
     )
     return model
 
@@ -167,6 +177,8 @@ def test_integer_path_gives_the_results_of_the_fraction_path(name, build):
         for x in column.values()
     ]
     assert all(type(x) is Fraction for x in columns)
+    groebner = fractions._cache[("pure_quotient",)].basis
+    assert all(type(c) is Fraction for _, f in groebner for c in f.values())
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +202,12 @@ def test_integer_models_are_assembled_and_eliminated_in_int(stem):
             for vectors in (factor.columns, factor.kernel, factor.image_rows()):
                 for vector in vectors:
                     assert all(type(x) is int for x in vector.values()), w
-    _, ideal = model._cache[("pure_ideal",)]
-    assert ideal
-    assert all(type(c) is int for _, f in ideal for c in f.values())
+    # the pure ideal and its Groebner basis, whose leads are all 1
+    ideal = _pure_ideal(model)[1]
+    groebner = model._cache[("pure_quotient",)].basis
+    assert ideal and groebner
+    assert all(type(c) is int for f in ideal for c in f.values())
+    assert all(type(c) is int for _, f in groebner for c in f.values())
 
 
 def test_a_row_with_lead_minus_one_is_stored_negated_in_int():
