@@ -458,8 +458,6 @@ def _hilbert_numerator(
     for m in sorted(set(monos), key=sum):  # a proper divisor has a smaller sum
         if not any(all(map(le, k, m)) for k in minimal):
             minimal.append(m)
-    if minimal and not any(minimal[0]):  # the unit ideal
-        return {}
     for i, w in enumerate(weights):
         exponents = [m[i] for m in minimal if m[i]]
         if len(exponents) > 1:
@@ -503,10 +501,6 @@ def top_class(model: SullivanModel) -> Tuple[int, Element]:
     line H^N of an elliptic model."""
     require_elliptic(model)
     n = formal_dimension(model)
-    if n < 0:
-        raise InternalInconsistencyError(
-            f"elliptic model with negative formal dimension {n}"
-        )
     reps = cohomology_basis(model, n)
     if len(reps) != 1:
         raise InternalInconsistencyError(

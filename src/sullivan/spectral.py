@@ -307,10 +307,6 @@ def spectral_run(model: SullivanModel) -> SpectralRun:
     _require_delta(model)
     n = formal_dimension(model)
     classes = delta_cohomology(model, n)
-    if not classes:
-        raise InternalInconsistencyError(
-            f"H^{n}(delta) is zero on an elliptic model"
-        )
     outcomes: List[LiftTrace] = []
     for cls in classes:
         _, deep = representative_depth(model, cls)

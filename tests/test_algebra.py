@@ -243,6 +243,17 @@ def test_mixed_algebra_operations_rejected():
 def test_structurally_equal_algebras_interoperate():
     a1, a2 = _alg_s2(), _alg_s2()
     assert a1.gen_element("x2") + a2.gen_element("x2") == 2 * a1.gen_element("x2")
+    assert hash(a1) == hash(a2) and {a1: "s2"}[a2] == "s2"
+    assert repr(a1) == "Algebra(x2:2, y3:3)"
+
+
+def test_element_repr_truth_and_hash():
+    alg = _alg_n37()
+    e = parse_element("x2^3 - 1/2*x6", alg)
+    assert repr(e) == "<x2^3 - 1/2*x6>"
+    assert e and not alg.zero()
+    with pytest.raises(TypeError):
+        hash(e)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -11,7 +12,16 @@ from pathlib import Path
 
 import pytest
 
-from sullivan import cli, cohomology, differential, linalg, spectral
+from sullivan import (
+    algebra,
+    cli,
+    cohomology,
+    differential,
+    linalg,
+    murillo,
+    selftest,
+    spectral,
+)
 from sullivan.cohomology import ToomerResult
 from sullivan.differential import build_model
 from sullivan.errors import ParseError
@@ -985,25 +995,68 @@ class _NoCorrection:
         return {}, {}
 
 
+class _KeepsEveryRow(linalg.RowSpace):
+    """A row space that calls every added row independent."""
+
+    def _add(self, row):
+        super()._add(row)
+        return True
+
+
+def _last_column(columns, default):
+    """``next`` over a column pick, taking the last column offered."""
+    picked = list(columns)
+    return picked[-1] if picked else default
+
+
+_N35 = (FIXTURES / "pure_n35.model").read_text()
+
+
 @pytest.mark.parametrize(
-    "module,name,replacement,message",
+    "module,name,replacement,command,text,message",
     [
-        (spectral, "delta_cohomology", lambda model, n: [],
-         "H^35(delta) is zero on an elliptic model"),
-        (spectral, "representative_depth", lambda m, pair: (0, m.algebra.one()),
-         "class at filtration 1 has depth 0; expected 2 or 3"),
-        (spectral, "lift_to_d_cocycle", _lift_with(final=lambda m: m.algebra.one()),
-         "lift changed the depth of the lowest component"),
-        (spectral, "lift_to_d_cocycle", _lift_with(outcome="died"),
+        (spectral, "delta_cohomology", lambda model, n: [], "report", _N35,
          "no delta-class survives to a d-cocycle; inconsistent with ellipticity"),
-        (spectral, "_factor", lambda model, which, n: _NoCorrection(),
+        (spectral, "representative_depth", lambda m, pair: (0, m.algebra.one()),
+         "report", _N35, "class at filtration 1 has depth 0; expected 2 or 3"),
+        (spectral, "lift_to_d_cocycle", _lift_with(final=lambda m: m.algebra.one()),
+         "report", _N35, "lift changed the depth of the lowest component"),
+        (spectral, "lift_to_d_cocycle", _lift_with(outcome="died"), "report", _N35,
+         "no delta-class survives to a d-cocycle; inconsistent with ellipticity"),
+        (spectral, "_factor", lambda model, which, n: _NoCorrection(), "report", _N35,
          "obstruction filtration failed to increase"),
-        (spectral, "delta_apply", lambda pair: pair,
+        (spectral, "delta_apply", lambda pair: pair, "report", _N35,
          "lowest obstruction pair is not a delta-cocycle"),
-        (cohomology, "cohomology_basis", lambda model, n: [],
+        (cohomology, "cohomology_basis", lambda model, n: [], "report", _N35,
          "H^35 has 0 representatives, expected 1 for an elliptic model"),
         (cohomology, "_deepest_representative", lambda model, which, n, z: None,
-         "top class representative reduced to zero"),
+         "report", _N35, "top class representative reduced to zero"),
+        # minimality gives every term of a pure image an even factor; on an
+        # impure model taken for pure, the row check reports the term left out
+        (murillo, "is_pure", lambda model: True, "murillo",
+         "generator y3 3\ngenerator y5 5\ngenerator u7 7\nd u7 = y3*y5\n",
+         "coefficient row for 'u7' does not reassemble d"),
+        # an elliptic model has dim V^odd >= dim V^even; with fewer odd
+        # generators the contractions give 0
+        (murillo, "require_elliptic", lambda model: None, "murillo",
+         "generator x2 2\n",
+         "determinant formula produced zero on an elliptic model"),
+        # an elliptic model has N >= 0; H^N of a negative N is zero
+        (cohomology, "require_elliptic", lambda model: None, "top-class",
+         "generator x2 2\n",
+         "H^-1 has 0 representatives, expected 1 for an elliptic model"),
+        (murillo, "next", _last_column, "murillo", _N35,
+         "coefficient matrix is not triangular"),
+        (murillo, "formal_dimension", lambda model: 99, "murillo", _N35,
+         "fundamental class has degree 35, expected 99"),
+        (differential.SullivanModel, "d", lambda self, e: self.algebra.one(),
+         "murillo", _N35, "fundamental class is not a cocycle"),
+        (murillo, "is_boundary", lambda model, e: True, "murillo", _N35,
+         "fundamental class is a boundary"),
+        (cohomology, "RowSpace", _KeepsEveryRow, "top-class", _N35,
+         "H^35(d): dimension 1 but 6 representatives"),
+        (cohomology, "bisect_left", lambda bn, s, key: len(bn), "toomer", _N35,
+         "no representative at word length >= 6, the depth of its own normal form"),
     ],
     ids=[
         "spectral_run-zero-delta-cohomology",
@@ -1014,16 +1067,101 @@ class _NoCorrection:
         "lift-obstruction-not-a-delta-cocycle",
         "top_class-not-a-line",
         "toomer_oracle-reduced-to-zero",
+        "coefficient_matrix-term-without-even-factor",
+        "murillo-fewer-odd-than-even",
+        "top_class-negative-formal-dimension",
+        "coefficient_matrix-not-triangular",
+        "murillo-degree",
+        "murillo-not-a-cocycle",
+        "murillo-a-boundary",
+        "cohomology-dimension-against-representatives",
+        "deepest_representative-none-at-its-depth",
     ],
 )
 def test_spectral_path_checks_exit_3(
-    capsys, monkeypatch, module, name, replacement, message
+    capsys, monkeypatch, tmp_path, module, name, replacement, command, text, message
 ):
-    # each check of the spectral path, made to fail through the one
-    # collaborator it reads, stops the report with exit 3 and one error line
-    monkeypatch.setattr(module, name, replacement)
-    code, out, err = _run(
-        capsys, "report", FIXTURES / "pure_n35.model", "--format", "structured"
-    )
+    # each check of the spectral, murillo and cohomology paths, made to fail
+    # through a collaborator it reads, stops the command with exit 3 and one
+    # error line; the is_pure and the two require_elliptic cases are faults
+    # no input can cause, and the check that fails there is the one left to
+    # report them
+    path = tmp_path / "m.model"
+    path.write_text(text)
+    monkeypatch.setattr(module, name, replacement, raising=False)
+    code, out, err = _run(capsys, command, path, "--format", "structured")
     assert (code, out) == (3, "")
     assert err == f"error: internal inconsistency: {message}\n"
+
+
+_real_koszul_sign = algebra.koszul_sign
+_real_d = differential.SullivanModel.d
+_real_basis = selftest.basis
+_real_scaled = selftest._scaled
+_real_cohomology_dim = selftest.cohomology_dim
+
+
+def _d_on_odd_degrees(self, e):
+    """d on odd degrees and 0 on even ones: it squares to 0 but is no
+    derivation."""
+    return _real_d(self, e) if (e.degree() or 0) % 2 else self.algebra.zero()
+
+
+@pytest.mark.parametrize(
+    "module,name,replacement,check",
+    [
+        (algebra, "koszul_sign", lambda alg, a, b: abs(_real_koszul_sign(alg, a, b)),
+         "graded_commutativity"),
+        (differential.SullivanModel, "d", _d_on_odd_degrees, "leibniz"),
+        (differential.SullivanModel, "d", lambda self, e: e, "d_squared"),
+        (selftest, "delta_apply", lambda pair: pair, "delta_squared"),
+        (selftest, "_scaled", lambda pair, s: _real_scaled(pair, -s), "delta_derivation"),
+        (selftest, "basis", lambda alg, n: _real_basis(alg, n)[1:], "basis_counts"),
+        (selftest, "cohomology_dim",
+         lambda model, n: _real_cohomology_dim(model, n)
+         + (n == cohomology.formal_dimension(model) + 1),
+         "poincare_duality"),
+    ],
+    ids=[
+        "graded_commutativity",
+        "leibniz",
+        "d_squared",
+        "delta_squared",
+        "delta_derivation",
+        "basis_counts",
+        "poincare_duality-above-n",
+    ],
+)
+def test_selftest_reports_each_broken_law(
+    capsys, monkeypatch, module, name, replacement, check
+):
+    """A law broken through a collaborator its check reads: the check
+    reports ok = false with a detail, and selftest exits 3."""
+    monkeypatch.setattr(module, name, replacement)
+    code, out, _ = _run(
+        capsys, "selftest", "--seed", "1", "--cases", "20", "--format", "structured"
+    )
+    assert code == 3
+    lines = out.splitlines()
+    assert f"selftest.{check}.ok = false" in lines
+    assert any(line.startswith(f"selftest.{check}.detail = ") for line in lines)
+
+
+def test_a_closed_stdout_in_process_exits_1_without_a_traceback(
+    capsys, monkeypatch, tmp_path
+):
+    """A stdout whose flush raises BrokenPipeError: main points the stdout
+    descriptor at devnull and returns 1."""
+    with open(tmp_path / "stdout", "w") as target:
+
+        class ClosedPipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return target.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = cli.main(["info", str(FIXTURES / "pure_n35.model")])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err

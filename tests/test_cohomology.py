@@ -209,6 +209,29 @@ def test_f0_pure_quotients_have_the_complete_intersection_series():
     assert len(checked) >= 26, checked
 
 
+def test_elliptic_models_satisfy_halperins_relations():
+    """On an elliptic model, dim V^odd >= dim V^even, N >= 0 and
+    chi(H) >= 0, with chi(H) > 0 exactly when dim V^odd = dim V^even
+    (Halperin 1977; Felix-Halperin-Thomas, GTM 205, section 32).  These
+    make a negative N and fewer odd than even generators unreachable for
+    ``top_class`` and the Murillo contraction."""
+    models = [(name, build()) for name, build in ALL_MODELS]
+    models += [(p.stem, cli.parse_model_file(str(p)).model) for p in _pool_files()]
+    models += [(f"random {i}", m) for i, m in enumerate(_random_models(seed=0, count=20))]
+    checked = []
+    for name, model in models:
+        if not is_elliptic(model).is_elliptic:
+            continue
+        alg = model.algebra
+        odd, even = len(alg.odd_indices), len(alg.even_indices)
+        n = formal_dimension(model)
+        chi = sum((-1) ** i * cohomology_dim(model, i) for i in range(n + 1))
+        assert odd >= even and n >= 0, name
+        assert chi >= 0 and (chi > 0) == (odd == even), (name, chi)
+        checked.append(name)
+    assert len(checked) >= 57, checked
+
+
 def test_require_elliptic_message_lists_degrees():
     with pytest.raises(PreconditionError) as err:
         require_elliptic(nonelliptic_truncation_n37())

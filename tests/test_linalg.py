@@ -127,6 +127,13 @@ def test_ragged_rows_rejected():
         RationalMatrix([])  # ncols unknown
 
 
+def test_matrix_repr_and_hash():
+    m = RationalMatrix([[0, Fraction(1, 2)], [3, 0]])
+    assert repr(m) == "RationalMatrix([{1: Fraction(1, 2)}, {0: 3}], ncols=2)"
+    with pytest.raises(TypeError):
+        hash(m)
+
+
 # ---------------------------------------------------------------------------
 # cross-check of the sparse kernel against dense Gauss-Jordan elimination
 #

@@ -17,7 +17,7 @@ from sullivan.algebra import (
 )
 from sullivan.cohomology import cochain_maps, is_elliptic, top_class
 from sullivan.differential import build_differential, build_model, is_pure
-from sullivan.errors import PreconditionError
+from sullivan.errors import InternalInconsistencyError, PreconditionError
 from sullivan.linalg import RationalMatrix, solve_membership
 from sullivan.models import (
     ALL_MODELS,
@@ -306,3 +306,5 @@ def test_exact_divide_roundtrip():
     assert q == a
     with pytest.raises(ZeroDivisionError):
         exact_divide(a, alg.zero())
+    with pytest.raises(InternalInconsistencyError, match="inexact division"):
+        exact_divide(a, parse_element("x4^2", alg))
