@@ -444,7 +444,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _emit(pairs, header, args.format, started)
     except BrokenPipeError:  # with stdout on devnull the exit flush cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     return code
 

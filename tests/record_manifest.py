@@ -59,8 +59,9 @@ FORMATS = ("human", "structured")
 def model_files(inline_dir: Path) -> List[Path]:
     """Every model the manifest covers; the inline ones are written to
     ``inline_dir`` first."""
-    files = sorted((ROOT / "bench" / "models").glob("*.model"))
-    files += sorted((ROOT / "tests" / "fixtures").glob("*.model"))
+    from zoo import BENCH, FIXTURES, model_files
+
+    files = model_files(BENCH, FIXTURES, parseable=False)
     for name, text in INLINE.items():
         (inline_dir / name).write_text(text, encoding="utf-8")
         files.append(inline_dir / name)

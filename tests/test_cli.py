@@ -36,6 +36,25 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _python_env():
+    """The environment of a fresh interpreter that imports the ``sullivan``
+    of this checkout."""
+    src = str(Path(__file__).parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+
+
+def _python(*args, **kwargs):
+    """(exit code, stdout, stderr) of a fresh interpreter run on `args`;
+    `kwargs` go to `subprocess.run`."""
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=_python_env(),
+        **kwargs,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # model file parsing
 
@@ -308,18 +327,13 @@ def test_ellipticity_is_checked_before_the_other_preconditions(
 
 @pytest.mark.parametrize("command", ["elliptic", "report"])
 def test_negative_max_degree_is_a_usage_error(command):
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sullivan.cli", command,
-         str(FIXTURES / "pure_n37.model"), "--max-degree", "-1"],
-        capture_output=True, text=True, env=env,
+    code, _, err = _python(
+        "-m", "sullivan.cli", command, str(FIXTURES / "pure_n37.model"),
+        "--max-degree", "-1",
     )
-    assert proc.returncode == 1
-    assert "error: argument --max-degree: must be nonnegative, got -1" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert code == 1
+    assert "error: argument --max-degree: must be nonnegative, got -1" in err
+    assert "Traceback" not in err
 
 
 def test_negative_cases_is_a_usage_error(capsys):
@@ -378,20 +392,13 @@ def test_oversized_basis_fails_fast_with_exit_2(command, tmp_path):
     monomials.  The run stops at the first degree basis over the limit."""
     path = tmp_path / "oversized.model"
     path.write_text(OVERSIZED_MODEL)
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sullivan.cli", command, str(path)],
-        capture_output=True, text=True, env=env, timeout=10,
-    )
-    assert proc.returncode == 2
+    code, _, err = _python("-m", "sullivan.cli", command, str(path), timeout=10)
+    assert code == 2
     assert (
         "error: the degree-40 basis has 53130 monomials, more than the limit "
-        "of 50000" in proc.stderr
+        "of 50000" in err
     )
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in err
 
 
 # without the degree limit each would run for 40 s or more: the scans
@@ -801,32 +808,15 @@ def test_parser_arguments_are_pinned():
         assert got == ARGUMENTS[name], name
 
 
-def _python(*args, **kwargs):
-    """(exit code, stdout, stderr) of a fresh interpreter run on `args`;
-    `kwargs` go to `subprocess.run`."""
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    proc = subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, **kwargs
-    )
-    return proc.returncode, proc.stdout, proc.stderr
-
-
 def test_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
     """Eleven degree-3 odd generators and d = 0: the human report of degrees
     0..33 lists every representative, about 84 KB, more than a pipe holds."""
     path = tmp_path / "odd.model"
     path.write_text("".join(f"generator y{i} 3\n" for i in range(11)))
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
     proc = subprocess.Popen(
         [sys.executable, "-m", "sullivan.cli", "cohomology", str(path),
          "--degree", "0", "--to", "33"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_python_env(),
     )
     assert proc.stdout.readline() == f"== cohomology: {path} ==\n".encode()
     proc.stdout.close()
@@ -1151,7 +1141,14 @@ def test_a_closed_stdout_in_process_exits_1_without_a_traceback(
     capsys, monkeypatch, tmp_path
 ):
     """A stdout whose flush raises BrokenPipeError: main points the stdout
-    descriptor at devnull and returns 1."""
+    descriptor at devnull, closes the devnull descriptor it opened, and
+    returns 1."""
+    os_open, opened = cli.os.open, []
+
+    def recording_open(*args, **kwargs):
+        opened.append(os_open(*args, **kwargs))
+        return opened[-1]
+
     with open(tmp_path / "stdout", "w") as target:
 
         class ClosedPipe(io.StringIO):
@@ -1162,6 +1159,10 @@ def test_a_closed_stdout_in_process_exits_1_without_a_traceback(
                 return target.fileno()
 
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(cli.os, "open", recording_open)
         code = cli.main(["info", str(FIXTURES / "pure_n35.model")])
     assert code == 1
     assert "Traceback" not in capsys.readouterr().err
+    assert len(opened) == 1
+    with pytest.raises(OSError):
+        os.fstat(opened[0])

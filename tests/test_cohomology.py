@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 import argparse
-from pathlib import Path
+from itertools import combinations
 
 import pytest
 
@@ -19,7 +19,7 @@ from sullivan.cohomology import (
     toomer_oracle,
     top_class,
 )
-from sullivan.differential import is_pure
+from sullivan.differential import build_model, homogeneous_component, is_pure
 from sullivan.errors import PreconditionError
 from sullivan.linalg import RationalMatrix, solve_membership
 from sullivan.models import (
@@ -28,13 +28,14 @@ from sullivan.models import (
     elliptic_pure_n37,
     exterior_two_odd,
     nonelliptic_truncation_n37,
+    nonpure_n23,
     projective_plane,
     sphere_s2,
+    tower_one_even,
+    tower_two_even_mixed,
 )
-from test_depth_search import _random_models
-
-ROOT = Path(__file__).parents[1]
-FIXTURES = ROOT / "tests" / "fixtures"
+from sullivan.spectral import spectral_run
+from zoo import FIXTURES, model_files, models, product, random_k3_models
 
 
 def test_sphere_cochain_map_is_one_by_one_identity():
@@ -159,15 +160,6 @@ def test_a_verdict_the_lead_monomials_contradict_exits_3(
     assert err == f"error: internal inconsistency: {message}\n"
 
 
-def _pool_files():
-    return [
-        path
-        for folder in (ROOT / "bench" / "models", FIXTURES, ROOT / "tests" / "large")
-        for path in sorted(folder.glob("*.model"))
-        if path.stem != "bad_linear"
-    ]
-
-
 def _complete_intersection_series(model, top):
     """The coefficients of prod_j (1 - t^|d y_j|) / prod_i (1 - t^|x_i|) in
     degrees 0..top, the y_j odd and the x_i even generators."""
@@ -188,15 +180,14 @@ def test_f0_pure_quotients_have_the_complete_intersection_series():
     quotient Q[x] / (d y_1, ..., d y_n), a complete intersection
     (Felix-Halperin-Thomas, GTM 205, section 32), whose series is the
     closed form."""
-    models = [(p.stem, cli.parse_model_file(str(p)).model) for p in _pool_files()]
+    files = [(p.stem, cli.parse_model_file(str(p)).model) for p in model_files()]
     randoms = [
-        m for m in _random_models(seed=1, count=40)
+        (name, m) for name, m in random_k3_models(seed=1, count=40)
         if 2 * len(m.algebra.even_indices) == m.algebra.ngens
     ][:20]
     assert len(randoms) == 20
-    models += [(f"random {i}", m) for i, m in enumerate(randoms)]
     checked = []
-    for name, model in models:
+    for name, model in files + randoms:
         alg = model.algebra
         if not (2 * len(alg.even_indices) == alg.ngens and is_pure(model)
                 and is_elliptic(model).is_elliptic):
@@ -214,12 +205,14 @@ def test_elliptic_models_satisfy_halperins_relations():
     chi(H) >= 0, with chi(H) > 0 exactly when dim V^odd = dim V^even
     (Halperin 1977; Felix-Halperin-Thomas, GTM 205, section 32).  These
     make a negative N and fewer odd than even generators unreachable for
-    ``top_class`` and the Murillo contraction."""
-    models = [(name, build()) for name, build in ALL_MODELS]
-    models += [(p.stem, cli.parse_model_file(str(p)).model) for p in _pool_files()]
-    models += [(f"random {i}", m) for i, m in enumerate(_random_models(seed=0, count=20))]
-    checked = []
-    for name, model in models:
+    ``top_class`` and the Murillo contraction.
+
+    The same models check e0 against the theory: dim V^odd <= e0
+    (Felix-Halperin 1982), and e0 = (k - 2) dim V^even + dim V^odd when the
+    lowest component d_k of d alone gives an elliptic model
+    (Lechuga-Murillo 2002)."""
+    checked, formula = [], []
+    for name, model in models(model_files(), randoms=20):
         if not is_elliptic(model).is_elliptic:
             continue
         alg = model.algebra
@@ -229,7 +222,47 @@ def test_elliptic_models_satisfy_halperins_relations():
         assert odd >= even and n >= 0, name
         assert chi >= 0 and (chi > 0) == (odd == even), (name, chi)
         checked.append(name)
+        e0 = toomer_oracle(model).e0
+        assert odd <= e0, (name, e0)
+        if model.k is None:
+            continue
+        lowest = build_model(alg, homogeneous_component(model.differential, model.k))
+        if is_elliptic(lowest).is_elliptic:
+            assert e0 == (model.k - 2) * even + odd, (name, e0)
+            formula.append(name)
     assert len(checked) >= 57, checked
+    assert len(formula) >= 31, formula
+
+
+def test_products_satisfy_kunneth_and_add_e0():
+    """The product of two elliptic models, on the ten pairs of five: dim H^n
+    is the convolution of the factors' dimensions (Kunneth), and e0 adds
+    (Felix-Halperin-Lemaire, Topology 37, 1998).  e0(A x B) >= e0(A) + e0(B)
+    by the product of deepest representatives; <= because e0 <= cat0, cat0
+    is subadditive, and cat0 = e0 on Poincare-duality complexes.  On a
+    k = 3 product the spectral method finds the same e0."""
+    builders = [sphere_s2, projective_plane, tower_one_even, tower_two_even_mixed,
+                nonpure_n23]
+    spectral = 0
+    for first, second in combinations(builders, 2):
+        a, b = first(), second()
+        ab = product(a, b)
+        name = (first.__name__, second.__name__)
+        na, nb = formal_dimension(a), formal_dimension(b)
+        assert formal_dimension(ab) == na + nb, name
+        dims_a = [cohomology_dim(a, i) for i in range(na + 1)]
+        dims_b = [cohomology_dim(b, j) for j in range(nb + 1)]
+        for n in range(na + nb + 1):
+            kunneth = sum(
+                dims_a[i] * dims_b[n - i] for i in range(max(0, n - nb), min(n, na) + 1)
+            )
+            assert cohomology_dim(ab, n) == kunneth, (name, n)
+        e0 = toomer_oracle(a).e0 + toomer_oracle(b).e0
+        assert toomer_oracle(ab).e0 == e0, name
+        if ab.k == 3:
+            assert spectral_run(ab).result.e0 == e0, name
+            spectral += 1
+    assert spectral == 6
 
 
 def test_require_elliptic_message_lists_degrees():
@@ -322,7 +355,7 @@ def test_dimensions_from_ranks_count_the_representatives(build):
 
 
 def test_dimensions_from_ranks_on_random_pure_models():
-    for model in _random_models(19, 20):
+    for _, model in random_k3_models(19, 20):
         _check_dims_from_ranks(model)
 
 

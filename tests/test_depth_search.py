@@ -18,12 +18,9 @@ elimination.
 
 from __future__ import annotations
 
-import itertools
-import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
-from typing import List
 
 import pytest
 
@@ -31,7 +28,6 @@ from sullivan import cli, cohomology, spectral
 from sullivan.algebra import (
     Element,
     basis,
-    build_algebra,
     coefficient_vector,
     element_from_vector,
     parse_element,
@@ -46,7 +42,7 @@ from sullivan.cohomology import (
     top_class,
     toomer_oracle,
 )
-from sullivan.differential import SullivanModel, build_differential, build_model, is_pure
+from sullivan.differential import SullivanModel, is_pure
 from sullivan.errors import InternalInconsistencyError
 from sullivan.linalg import (
     ColumnFactorization,
@@ -56,7 +52,7 @@ from sullivan.linalg import (
     rref,
     solve_membership,
 )
-from sullivan.models import ALL_MODELS, elliptic_pure_n37, tower_one_even
+from sullivan.models import elliptic_pure_n37, tower_one_even
 from sullivan.spectral import (
     FilteredPair,
     delta_apply,
@@ -67,6 +63,7 @@ from sullivan.spectral import (
     representative_depth,
 )
 from test_linalg import _dense_solve
+from zoo import models, random_k3_models
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -120,8 +117,7 @@ def _assert_same_searches(name: str, model: SullivanModel) -> int:
 
 def test_depth_search_matches_descending_search_on_the_zoo():
     elliptic = 0
-    for name, build in ALL_MODELS:
-        model = build()
+    for name, model in models():
         if not is_elliptic(model).is_elliptic:
             continue
         elliptic += 1
@@ -129,80 +125,11 @@ def test_depth_search_matches_descending_search_on_the_zoo():
     assert elliptic >= 12
 
 
-# ---------------------------------------------------------------------------
-# seeded random pure k = 3 models
-
-
-def random_pure_k3_model(rng: random.Random) -> SullivanModel:
-    """A random pure model with k = 3, elliptic by construction.
-
-    Even generators x_1..x_m (m = 2 or 3) of degree 2 or 4, one odd y_j per
-    even one with ``d y_j = x_j^(a_j) + (random terms in x_(j+1)..x_m)``,
-    a_1 = 3 and a_j in {3, 4}, every term of word length >= 3.  The images
-    are triangular, so the pure quotient is finite dimensional.  Half the
-    models get one more odd generator whose image is a random combination of
-    word length >= 3 (possibly zero), which keeps the model elliptic.
-    """
-    m = rng.choice((2, 3))
-    degrees = sorted(rng.choice((2, 4)) for _ in range(m))
-    powers = [3] + [rng.choice((3, 4)) for _ in range(m - 1)]
-    names = [f"x{j}" for j in range(m)]
-    gens = [(names[j], degrees[j]) for j in range(m)]
-    gens += [(f"y{j}", powers[j] * degrees[j] - 1) for j in range(m)]
-    extra = rng.random() < 0.5
-    if extra:
-        target = rng.choice((6, 8, 10))
-        gens.append(("z", target - 1))
-    alg = build_algebra(gens)
-
-    def random_terms(target: int, among: List[int], count: int) -> Element:
-        monos = []
-        for exps in itertools.product(
-            *[range(target // degrees[i] + 1) for i in among]
-        ):
-            if (
-                sum(e * degrees[i] for e, i in zip(exps, among)) == target
-                and sum(exps) >= 3
-            ):
-                monos.append(exps)
-        total = alg.zero()
-        for exps in rng.sample(monos, min(len(monos), count)):
-            mono = [0] * alg.ngens
-            for e, i in zip(exps, among):
-                mono[i] = e
-            total = total + Element.from_monomial(
-                alg, tuple(mono), rng.choice((-2, -1, 1, 2, 3))
-            )
-        return total
-
-    images = {}
-    for j in range(m):
-        lead = parse_element(f"{names[j]}^{powers[j]}", alg)
-        later = list(range(j + 1, m))
-        images[f"y{j}"] = lead + random_terms(
-            powers[j] * degrees[j], later, rng.randint(0, 2)
-        )
-    if extra:
-        images["z"] = random_terms(target, list(range(m)), rng.randint(0, 3))
-    return build_model(alg, build_differential(alg, images))
-
-
-def _random_models(seed: int, count: int, max_top_basis: int = 120):
-    rng = random.Random(f"{seed}:depth_search")
-    out = []
-    while len(out) < count:
-        model = random_pure_k3_model(rng)
-        n = formal_dimension(model)
-        if model.k == 3 and len(basis(model.algebra, n)) <= max_top_basis:
-            out.append(model)
-    return out
-
-
 def test_depth_search_matches_descending_search_on_random_models():
     compared = 0
-    for i, model in enumerate(_random_models(seed=0, count=8)):
+    for name, model in random_k3_models(seed=0, count=8):
         assert is_pure(model) and model.k == 3
-        compared += _assert_same_searches(f"random {i}", model)
+        compared += _assert_same_searches(name, model)
     assert compared >= 8
 
 
@@ -280,15 +207,11 @@ def _per_slot_delta_cohomology(model: SullivanModel, n: int):
     return out
 
 
-def _k3_models():
-    models = [(name, build()) for name, build in ALL_MODELS]
-    models += [(f"random {i}", m) for i, m in enumerate(_random_models(seed=0, count=8))]
-    return [(name, m) for name, m in models if m.k == 3]
-
-
 def test_delta_cohomology_matches_the_per_slot_loop():
     compared = 0
-    for name, model in _k3_models():
+    for name, model in models(randoms=8):
+        if model.k != 3:
+            continue
         for n in range(0, formal_dimension(model) + 2):
             got = [(c.p, c.u, c.v) for c in delta_cohomology(model, n)]
             assert got == _per_slot_delta_cohomology(model, n), (name, n)
@@ -299,8 +222,7 @@ def test_delta_cohomology_matches_the_per_slot_loop():
 
 def test_is_boundary_agrees_with_a_membership_solve():
     checked = {True: 0, False: 0}
-    for name, build in ALL_MODELS:
-        model = build()
+    for name, model in models():
         if not is_elliptic(model).is_elliptic:
             continue
         alg = model.algebra
@@ -428,11 +350,14 @@ def test_depth_searches_of_one_depth_share_a_factorization(monkeypatch):
                 for n in range(formal_dimension(model) + 1)
                 for c in delta_cohomology(model, n)
             ]
-            for name, model in _k3_models()
+            for name, model in models(randoms=8)
+            if model.k == 3
         }
     built, constructed = _count_factorizations(monkeypatch)
     shared = 0
-    for name, model in _k3_models():
+    for name, model in models(randoms=8):
+        if model.k != 3:
+            continue
         got, depths = [], Counter()
         for n in range(formal_dimension(model) + 1):
             for c in delta_cohomology(model, n):
@@ -518,7 +443,9 @@ def _reference_lift(model: SullivanModel, start: Element):
 
 def test_lifts_match_a_dense_reference_lift():
     lifts = corrected = 0
-    for name, model in _k3_models():
+    for name, model in models(randoms=8):
+        if model.k != 3:
+            continue
         for n in range(0, formal_dimension(model) + 1):
             for i, cls in enumerate(delta_cohomology(model, n)):
                 start = cls.as_element()

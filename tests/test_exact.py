@@ -17,7 +17,6 @@ integer path is checked to be the one the engine takes.
 
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -38,26 +37,17 @@ from sullivan.models import ALL_MODELS, ELLIPTIC_K3_POOL
 from sullivan.murillo import exact_divide, murillo_fundamental_class
 from sullivan.selftest import random_element
 from sullivan.spectral import spectral_run
+from zoo import FIXTURES, LARGE, model_files
 
-TESTS = Path(__file__).parent
-FIXTURES = TESTS / "fixtures"
 EXACT = (int, Fraction)
 
-
-def _model_file(path):
-    return lambda: parse_model_file(str(path)).model
-
-
-FILES = [
-    (stem, _model_file(FIXTURES / f"{stem}.model"))
-    for stem in ("five_even_k2", "three_even")
+#: (name, builder) of three model files; scaled_three_even has non-unit and
+#: rational coefficients: leads that are not +-1
+FILE_MODELS = [
+    (path.stem, lambda path=path: parse_model_file(str(path)).model)
+    for path in model_files(FIXTURES, LARGE)
+    if path.stem in ("five_even_k2", "three_even", "scaled_three_even")
 ]
-# non-unit and rational coefficients: leads that are not +-1
-SCALED = ("scaled_three_even", _model_file(TESTS / "large" / "scaled_three_even.model"))
-
-
-def _models():
-    return ELLIPTIC_K3_POOL + FILES + [SCALED]
 
 
 def _check(values, what):
@@ -69,7 +59,11 @@ def _check_element(e: Element, what):
     _check(e.terms.values(), what)
 
 
-@pytest.mark.parametrize("name,build", _models(), ids=[name for name, _ in _models()])
+@pytest.mark.parametrize(
+    "name,build",
+    ELLIPTIC_K3_POOL + FILE_MODELS,
+    ids=[name for name, _ in ELLIPTIC_K3_POOL + FILE_MODELS],
+)
 def test_every_coefficient_is_an_int_or_a_fraction(name, build):
     model = build()
     n_top = formal_dimension(model)
@@ -125,10 +119,6 @@ def test_every_coefficient_is_an_int_or_a_fraction(name, build):
 # the integer path against the Fraction path
 
 
-def _oracle_models():
-    return ALL_MODELS + FILES + [SCALED]
-
-
 def _as_fractions(model):
     """The model with every coefficient that assembly and the ellipticity
     scan read held as a ``Fraction``: the terms of d, which delta reads
@@ -163,7 +153,9 @@ def _results(model):
 
 
 @pytest.mark.parametrize(
-    "name,build", _oracle_models(), ids=[name for name, _ in _oracle_models()]
+    "name,build",
+    ALL_MODELS + FILE_MODELS,
+    ids=[name for name, _ in ALL_MODELS + FILE_MODELS],
 )
 def test_integer_path_gives_the_results_of_the_fraction_path(name, build):
     fractions = _as_fractions(build())

@@ -10,15 +10,13 @@ short ``error:`` line.  The seed is fixed, so a failure reproduces.
 from __future__ import annotations
 
 import random
-from pathlib import Path
 
 from sullivan import cli
+from zoo import BENCH, FIXTURES, model_files
 
-ROOT = Path(__file__).resolve().parent.parent
 POOL = [
     path.read_text(encoding="utf-8")
-    for folder in (ROOT / "bench" / "models", ROOT / "tests" / "fixtures")
-    for path in sorted(folder.glob("*.model"))
+    for path in model_files(BENCH, FIXTURES, parseable=False)
 ]
 
 #: what an insertion draws from: digits and operators, characters that look

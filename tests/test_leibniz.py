@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -40,9 +39,7 @@ from sullivan.linalg import RationalMatrix, quotient_dim
 from sullivan.models import ALL_MODELS
 from sullivan.selftest import random_element
 from sullivan.spectral import delta_matrix, pair_basis
-from test_depth_search import _random_models
-
-FIXTURES = Path(__file__).parent / "fixtures"
+from zoo import FIXTURES, model_files, models, random_pure_model
 
 
 def _reference_apply(derivation: Derivation, e: Element) -> Element:
@@ -92,20 +89,9 @@ def _maps(model: SullivanModel):
     ]
 
 
-def _fixture_models():
-    """Every ``ALL_MODELS`` model and every parseable model file of the
-    test fixtures."""
-    models = [(name, build()) for name, build in ALL_MODELS]
-    for path in sorted(FIXTURES.glob("*.model")):
-        if path.stem != "bad_linear":
-            models.append((path.stem, cli.parse_model_file(str(path)).model))
-    return models
-
-
 def test_every_basis_monomial_matches_the_reference():
     nonzero = 0
-    for name, build in ALL_MODELS:
-        model = build()
+    for name, model in models():
         alg = model.algebra
         for which, f, ref in _maps(model):
             for n in range(46):
@@ -120,8 +106,7 @@ def test_every_basis_monomial_matches_the_reference():
 def test_d_squared_cancels_term_by_term():
     """d(d(m)) = 0: every term of it cancels in the merged dict."""
     cancelled = 0
-    for name, build in ALL_MODELS:
-        model = build()
+    for name, model in models():
         alg = model.algebra
         for n in range(30):
             for m in basis(alg, n):
@@ -138,8 +123,7 @@ def test_d_squared_cancels_term_by_term():
 def test_random_elements_match_the_reference():
     rng = random.Random("leibniz")
     cases = 0
-    for name, build in ALL_MODELS:
-        model = build()
+    for name, model in models():
         alg = model.algebra
         degrees = [n for n in range(31) if basis(alg, n)]
         for _ in range(30):
@@ -224,7 +208,7 @@ def test_cochain_maps_and_delta_matrices_match_the_reference():
         return RationalMatrix.from_columns(cols, len(dst))
 
     blocks = 0
-    for name, model in _fixture_models():
+    for name, model in models(model_files(FIXTURES)):
         alg = model.algebra
         ref_d = lambda e: _reference_apply(model.differential, e)  # noqa: E731
         top = max(formal_dimension(model), 0) + 2
@@ -266,35 +250,17 @@ def _reference_quotient_dim(model: SullivanModel, degree: int) -> int:
     return quotient_dim(RationalMatrix(rows, ncols=len(ambient)), len(ambient))
 
 
-def _random_ideal_models(rng: random.Random, count: int):
-    """Pure models with 2 or 3 even generators and 1 or 2 odd ones, each odd
-    image a random sum of 2 or 3 monomials of word length >= 2.  Few are
-    elliptic, and their quotients depend on the coefficients, not only on
-    the degrees as they do for a regular sequence."""
-    models = []
-    while len(models) < count:
-        evens = rng.randint(2, 3)
-        specs = [(f"x{j}", rng.choice((2, 4))) for j in range(evens)]
-        targets = [rng.choice((6, 8, 10)) for _ in range(rng.randint(1, 2))]
-        specs += [(f"y{j}", t - 1) for j, t in enumerate(targets)]
-        alg = build_algebra(specs)
-        images = {}
-        for j, t in enumerate(targets):
-            monos = [m for m in basis(alg, t) if sum(m) >= 2]
-            img = alg.zero()
-            for m in rng.sample(monos, min(len(monos), rng.randint(2, 3))):
-                img = img + Element.from_monomial(alg, m, rng.choice((-2, -1, 1, 3)))
-            images[f"y{j}"] = img
-        model = build_model(alg, build_differential(alg, images))
-        if sum(len(img.terms) for img in model.differential.images.values()) > len(targets):
-            models.append((f"random ideal {len(models)}", model))
-    return models
-
-
 def test_pure_quotient_dims_match_the_reference():
-    models = _fixture_models()
-    models += [(f"random {i}", m) for i, m in enumerate(_random_models(seed=0, count=8))]
-    models += _random_ideal_models(random.Random("leibniz ideals"), 12)
+    # ideals with no lead term: few are elliptic, and their quotients depend
+    # on the coefficients, not only on the degrees as for a regular sequence
+    rng, ideals = random.Random("leibniz ideals"), []
+    while len(ideals) < 12:
+        degrees = [rng.choice((2, 4)) for _ in range(rng.randint(2, 3))]
+        targets = [rng.choice((6, 8, 10)) for _ in range(rng.randint(1, 2))]
+        model = random_pure_model(rng, degrees, targets=targets)
+        if sum(len(img.terms) for img in model.differential.images.values()) > len(targets):
+            ideals.append((f"random ideal {len(ideals)}", model))
+    zoo = models(model_files(FIXTURES), randoms=8) + ideals
     # d y = x z (x + z) and d u = x (x - z)(x + z) share the factor x (x + z);
     # with any one sign changed they share only x, and the quotient changes
     alg = build_algebra([("x", 2), ("z", 2), ("y", 5), ("u", 5)])
@@ -302,16 +268,16 @@ def test_pure_quotient_dims_match_the_reference():
         "y": parse_element("x^2*z + x*z^2", alg),
         "u": parse_element("x^3 - x*z^2", alg),
     }
-    models.append(("common factor", build_model(alg, build_differential(alg, images))))
+    zoo.append(("common factor", build_model(alg, build_differential(alg, images))))
     # n37 x CP^2: the even generator w2 follows the odd ones, so the scan's
     # projection onto the even exponents is not a prefix of the monomial
-    models.append(("n37_cp2", cli.parse_model_text(
+    zoo.append(("n37_cp2", cli.parse_model_text(
         "generator x2 2\ngenerator x6 6\ngenerator y5 5\ngenerator y15 15\n"
         "generator y23 23\ngenerator w2 2\ngenerator z5 5\n"
         "d y5 = x2^3\nd y15 = x2^2*x6^2\nd y23 = x6^4\nd z5 = w2^3\n"
     )))
     degrees = nonzero = 0
-    for name, model in models:
+    for name, model in zoo:
         is_elliptic(model)
         # the dimensions of every degree the scan read, from degree 0 up
         scanned = model._cache[("pure_quotient",)].dims

@@ -2,13 +2,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from sullivan import cohomology
 from sullivan.algebra import basis
-from sullivan.cli import parse_model_file
 from sullivan.cohomology import formal_dimension
 from sullivan.linalg import (
     ColumnFactorization,
@@ -20,7 +18,8 @@ from sullivan.linalg import (
     rref,
     solve_membership,
 )
-from sullivan.models import ALL_MODELS, ELLIPTIC_K3_POOL
+from sullivan.models import ELLIPTIC_K3_POOL
+from zoo import FIXTURES, models
 
 
 def _mat(rows):
@@ -390,12 +389,6 @@ def test_row_space_seeded_from_an_unreduced_echelon_matches_one_seeded_from_rref
 # the engine's own matrices against dense Gauss-Jordan elimination
 
 
-def _engine_models():
-    models = [(name, build()) for name, build in ALL_MODELS]
-    five = Path(__file__).parent / "fixtures" / "five_even_k2.model"
-    return models + [("five_even_k2", parse_model_file(str(five)).model)]
-
-
 def _assert_factor_matches_dense(factor, nrows):
     columns = [_dense(c, nrows) for c in factor.columns]
     rows = [list(r) for r in zip(*columns)]
@@ -409,7 +402,7 @@ def _assert_factor_matches_dense(factor, nrows):
 
 
 def test_d_factorizations_and_ranks_match_dense_gauss_jordan():
-    for name, model in _engine_models():
+    for name, model in models([FIXTURES / "five_even_k2.model"]):
         for n in range(formal_dimension(model) + 1):
             # the rank first, while no factorization of degree n is cached,
             # so that it comes from the plain row space

@@ -3,7 +3,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from pathlib import Path
 
 import pytest
 
@@ -16,11 +15,10 @@ from sullivan.algebra import (
     parse_element,
 )
 from sullivan.cohomology import cochain_maps, is_elliptic, top_class
-from sullivan.differential import build_differential, build_model, is_pure
+from sullivan.differential import is_pure
 from sullivan.errors import InternalInconsistencyError, PreconditionError
 from sullivan.linalg import RationalMatrix, solve_membership
 from sullivan.models import (
-    ALL_MODELS,
     elliptic_pure_n35,
     elliptic_pure_n37,
     nonpure_n23,
@@ -37,6 +35,7 @@ from sullivan.murillo import (
     exact_divide,
     murillo_fundamental_class,
 )
+from zoo import FIXTURES, model_files, models, random_pure_model
 
 
 def _entries_as_text(entries):
@@ -204,8 +203,6 @@ def test_empty_determinant_is_one():
     assert _det_bareiss([], alg) == alg.one()
 
 
-FIXTURES = Path(__file__).parent / "fixtures"
-
 
 def _minors_class(model, det):
     """The determinant formula: the sum over n-subsets J of rows of
@@ -227,57 +224,23 @@ def _minors_class(model, det):
     return omega
 
 
-def _random_pure_model(rng, n, m):
-    """A random pure model with n even and m odd generators, elliptic by
-    construction, whose coefficient rows touch several columns.
-
-    The even x_0..x_{n-1} have degree 2 or 4.  For j < n,
-    d y_j = x_j^a + (random terms in x_j..x_{n-1}): on the zero set of the
-    later images only x_j^a is left, so the pure quotient is finite.  The
-    m - n further odd generators get random images of word length >= 2 in
-    all the even generators, possibly zero.
-    """
-    degrees = [rng.choice((2, 4)) for _ in range(n)]
-    targets = [rng.choice((2, 3)) * deg for deg in degrees]
-    targets += [rng.choice((4, 6, 8)) for _ in range(m - n)]
-    alg = build_algebra(
-        [(f"x{i}", deg) for i, deg in enumerate(degrees)]
-        + [(f"y{j}", t - 1) for j, t in enumerate(targets)]
-    )
-    images = {}
-    for j, target in enumerate(targets):
-        first = j if j < n else 0
-        lead = [0] * alg.ngens
-        if j < n:
-            lead[j] = target // degrees[j]
-        monos = [
-            mono
-            for mono in basis(alg, target)
-            if sum(mono) >= 2
-            and list(mono) != lead
-            and not any(mono[:first]) and not any(mono[n:])
-        ]
-        image = Element.from_monomial(alg, lead) if j < n else alg.zero()
-        for mono in rng.sample(monos, min(len(monos), rng.randint(0, 3))):
-            image = image + Element.from_monomial(alg, mono, rng.choice((-2, -1, 1, 3)))
-        images[f"y{j}"] = image
-    return build_model(alg, build_differential(alg, images))
-
-
 def test_contraction_equals_the_minors_formula():
-    models = [build() for _, build in ALL_MODELS]
-    models += [
-        parse_model_file(str(path)).model
-        for path in sorted(FIXTURES.glob("*.model"))
-        if path.stem != "bad_linear"
-    ]
     rng = random.Random("contraction")
-    # up to nine generators: the engine's own checks (the non-boundary test
-    # at degree N) grow quickly with the size of the algebra
+    # n even and m odd generators, up to nine: the engine's own checks (the
+    # non-boundary test at degree N) grow quickly with the size of the algebra
     shapes = [(n, m) for n in (1, 2, 3, 4) for m in range(n, n + 3) if n + m <= 9]
-    models += [_random_pure_model(rng, n, m) for n, m in shapes for _ in range(2)]
+    drawn = [
+        random_pure_model(
+            rng,
+            degrees=[rng.choice((2, 4)) for _ in range(n)],
+            powers=[rng.choice((2, 3)) for _ in range(n)],
+            targets=[rng.choice((4, 6, 8)) for _ in range(m - n)],
+        )
+        for n, m in shapes
+        for _ in range(2)
+    ]
     several_columns = checked = 0
-    for model in models:
+    for model in [m for _, m in models(model_files(FIXTURES))] + drawn:
         if not is_pure(model) or is_elliptic(model).status != "elliptic":
             continue
         omega = murillo_fundamental_class(model)

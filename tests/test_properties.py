@@ -29,7 +29,7 @@ from sullivan.selftest import (
     run_all,
 )
 from sullivan.spectral import FilteredPair, pair_basis, toomer_spectral
-from test_depth_search import _random_models
+import zoo
 
 CASES = 200
 
@@ -94,9 +94,9 @@ def test_elliptic_fixtures_satisfy_poincare_duality():
 
 def test_poincare_duality_check_reads_ranks_only():
     """The check builds no factorization of d and no representative."""
-    zoo = models.all_models()
-    check_poincare_duality(zoo)
-    for name, model in zoo:
+    pool = models.all_models()
+    check_poincare_duality(pool)
+    for name, model in pool:
         assert not [k for k in model._cache if k[:2] in (("d", "factor"), ("d", "H"))], name
 
 
@@ -199,11 +199,10 @@ def test_e0_formula_when_the_lowest_component_is_elliptic():
     """The paper's formula: when (Lambda V, d_k) is elliptic, where d_k is the
     lowest word-length component of d, e0 = (k - 2) dim V^even + dim V^odd.
     Outside that hypothesis only the two methods are compared."""
-    zoo = [(name, build()) for name, build in models.ALL_MODELS]
-    zoo = [(n, m) for n, m in zoo if m.k is not None and is_elliptic(m).is_elliptic]
-    zoo += [(f"random {i}", m) for i, m in enumerate(_random_models(seed=0, count=8))]
     checked = 0
-    for name, model in zoo:
+    for name, model in zoo.models(randoms=8):
+        if model.k is None or not is_elliptic(model).is_elliptic:
+            continue
         alg = model.algebra
         oracle = toomer_oracle(model).e0
         lowest = homogeneous_component(model.differential, model.k)
