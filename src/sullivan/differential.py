@@ -217,8 +217,10 @@ class SullivanModel:
 
     ``k`` is None exactly when the differential is zero.  The ``_cache``
     dictionary memoizes results derived from the model (factorizations,
-    ranks and classes of d and delta, the ellipticity scan, the oracle);
-    entries are write-once.
+    ranks and classes of d and delta, the depth searches' truncated
+    factorizations, the pure projection, the Groebner basis of the pure
+    quotient, the ellipticity scan, the oracle, the coefficient matrix, the
+    selftest's pair slots); entries are write-once.
     """
 
     algebra: Algebra

@@ -4,9 +4,9 @@ Entries are ``int`` or ``fractions.Fraction``, so there is no rounding
 anywhere: a model with integer coefficients is eliminated in ``int``, and a
 row turns to ``Fraction`` only when its lead is not 1 or -1.  The only
 division is ``ONE / lead``, by a ``Fraction`` numerator, so ``int / int``
-(a float) never occurs.  The engine's matrices (cochain maps of one degree,
-the ideal of the pure quotient) are almost all zeros, so vectors and matrix
-rows are sparse: ``{index: nonzero value}``.  A vector may also be given
+(a float) never occurs.  The engine's matrices, the maps of d and of delta
+out of one degree, are almost all zeros, so vectors and matrix rows are
+sparse: ``{index: nonzero value}``.  A vector may also be given
 densely, as a sequence, wherever one is passed in.
 
 Every public entry point checks its vectors (:func:`_vector`).  The engine

@@ -68,9 +68,9 @@ def coefficient_matrix(model: SullivanModel) -> List[List[Element]]:
     return _cached(model, ("coefficient_matrix",), produce)
 
 
-# The determinant and the exact division below are not on the engine's path:
-# the tests evaluate the minors formula with them as the reference for the
-# contraction, and bench/spans.py traces the two determinants by name.
+# Not on the engine's path, and called only by their own unit tests:
+# bench/spans.py traces the two determinants below by name.  The tests
+# evaluate the minors formula with a determinant of their own.
 def _det_cofactor(entries: List[List[Element]], alg: Algebra) -> Element:
     n = len(entries)
     if n == 0:

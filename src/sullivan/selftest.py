@@ -253,7 +253,7 @@ RANDOM_CHECKS = [
 ]
 
 
-def run_all(seed: int = 0, cases: int = 200) -> List[CheckResult]:
+def run_all(seed: int, cases: int) -> List[CheckResult]:
     models = all_models()
     results: List[CheckResult] = []
     for name, fn in RANDOM_CHECKS:

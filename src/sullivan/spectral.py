@@ -47,7 +47,7 @@ from .cohomology import (
     require_elliptic,
     toomer_oracle,
 )
-from .differential import SullivanModel, _cached
+from .differential import SullivanModel
 from .errors import InternalInconsistencyError, PreconditionError
 from .linalg import RationalMatrix
 
@@ -149,14 +149,10 @@ def delta_matrix(model: SullivanModel, p: int, n: int) -> RationalMatrix:
     """Matrix of delta from the (p, n) pair slot to the (p+1, n+1) slot, in
     coordinates that list the u slot, then the v slot.  It is one diagonal
     block of the whole-degree matrix the engine solves with."""
-
-    def produce():
-        src_u, src_v = pair_basis(model, p, n)
-        dst_u, dst_v = pair_basis(model, p + 1, n + 1)
-        images = _images(model, "delta", src_u + src_v, dst_u + dst_v)
-        return RationalMatrix.from_columns(images, len(dst_u) + len(dst_v))
-
-    return _cached(model, ("delta_matrix", p, n), produce)
+    src_u, src_v = pair_basis(model, p, n)
+    dst_u, dst_v = pair_basis(model, p + 1, n + 1)
+    images = _images(model, "delta", src_u + src_v, dst_u + dst_v)
+    return RationalMatrix.from_columns(images, len(dst_u) + len(dst_v))
 
 
 def delta_cohomology(model: SullivanModel, n: int) -> List[FilteredPair]:

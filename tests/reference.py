@@ -1,0 +1,225 @@
+"""The references the tests compare the engine against, each written once
+(not a test module): dense Gauss-Jordan elimination and the random matrices
+it is compared on; the Leibniz rule by ``Element`` products and delta by the
+pair formula; the columns of a map between monomial bases; one boundary
+solve, through the kernel's checked public ``ColumnFactorization.solve``;
+and the determinant by its permutation expansion.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from itertools import permutations
+from typing import Callable, Dict, List, Optional, Sequence
+
+from sullivan.algebra import Algebra, Element, Monomial, basis, coefficient_vector
+from sullivan.cohomology import _images
+from sullivan.differential import Derivation, SullivanModel, homogeneous_component
+from sullivan.linalg import ColumnFactorization
+
+Vector = Dict[int, Fraction]
+
+
+def dense_rref(a, ncols):
+    """The reduced row echelon form of the rows a and its pivot columns."""
+    a = [list(r) for r in a]
+    nrows = len(a)
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row >= nrows:
+            break
+        sel = next((i for i in range(row, nrows) if a[i][col] != 0), None)
+        if sel is None:
+            continue
+        a[row], a[sel] = a[sel], a[row]
+        inv = Fraction(1) / a[row][col]
+        a[row] = [x * inv for x in a[row]]
+        for i in range(nrows):
+            if i != row and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+        pivots.append(col)
+        row += 1
+    return a, tuple(pivots)
+
+
+def dense_kernel(a, ncols):
+    """The kernel basis: one vector per free column, that variable 1."""
+    reduced, pivots = dense_rref(a, ncols)
+    out = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][f]
+        out.append(v)
+    return out
+
+
+def dense_solve(a, ncols, b):
+    """The solution of a x = b with free variables 0, or None."""
+    if ncols == 0:
+        return [] if all(x == 0 for x in b) else None
+    reduced, pivots = dense_rref([r + [x] for r, x in zip(a, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, p in enumerate(pivots):
+        x[p] = reduced[r][ncols]
+    return x
+
+
+class DenseRowSpace:
+    """A row space kept as a reduced row echelon basis of dense rows."""
+
+    def __init__(self, ncols):
+        self.rows = []  # (lead column, row), sorted
+
+    def reduce(self, v):
+        v = list(v)
+        for lead, row in self.rows:
+            if v[lead] != 0:
+                f = v[lead]
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    def add(self, v):
+        res = self.reduce(v)
+        lead = next((j for j, x in enumerate(res) if x != 0), None)
+        if lead is None:
+            return False
+        inv = Fraction(1) / res[lead]
+        res = [x * inv for x in res]
+        for i, (l, row) in enumerate(self.rows):
+            if row[lead] != 0:
+                f = row[lead]
+                self.rows[i] = (l, [a - f * b for a, b in zip(row, res)])
+        self.rows.append((lead, res))
+        self.rows.sort(key=lambda t: t[0])
+        return True
+
+
+def dense(v, n):
+    """The sparse vector v as a list of length n."""
+    return [v.get(j, Fraction(0)) for j in range(n)]
+
+
+def sparse(row):
+    """The dense row as a sparse vector: {index: nonzero entry}."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def random_rows(rng, nrows, ncols, density, integral):
+    def entry():
+        if rng.random() >= density:
+            return Fraction(0)
+        num = rng.choice([-3, -2, -1, 1, 2, 3, 7])
+        return Fraction(num) if integral else Fraction(num, rng.randint(1, 6))
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if rows and rng.random() < 0.5:  # duplicate rows and their multiples
+        for _ in range(rng.randint(1, 3)):
+            src = rng.choice(rows)
+            rows[rng.randrange(nrows)] = [Fraction(rng.randint(1, 3)) * x for x in src]
+    if rows and rng.random() < 0.5:
+        rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    return rows
+
+
+def matrix_cases():
+    """(rows, ncols) of 48 seeded matrices: empty shapes, sparse ones as
+    large as a cochain map, and small ones of every density."""
+    rng = random.Random(20261018)
+    shapes = [(0, 5), (5, 0), (0, 0), (1, 1), (3, 1), (1, 4)]
+    for nrows, ncols in shapes:
+        yield random_rows(rng, nrows, ncols, 0.6, False), ncols
+    for _ in range(12):  # about 1 % dense, as the cochain matrices are
+        nrows, ncols = rng.randint(20, 60), rng.randint(30, 90)
+        yield random_rows(rng, nrows, ncols, 0.01, rng.random() < 0.5), ncols
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        density = rng.choice([0.2, 0.5, 1.0])
+        yield random_rows(rng, nrows, ncols, density, rng.random() < 0.5), ncols
+
+
+def reference_apply(derivation: Derivation, e: Element) -> Element:
+    """d(e) by the Leibniz rule, each summand sign * left * d(g_i) * right
+    formed by two Element products."""
+    alg = derivation.algebra
+    n = alg.ngens
+    out = alg.zero()
+    for mono, coeff in e.terms.items():
+        prefix_degree = 0
+        for i, exp in enumerate(mono):
+            if exp:
+                img = derivation.images.get(i)
+                if img is not None:
+                    left = tuple(
+                        (mono[j] if j < i else (exp - 1 if j == i else 0))
+                        for j in range(n)
+                    )
+                    right = tuple((mono[j] if j > i else 0) for j in range(n))
+                    c = coeff * exp
+                    if prefix_degree % 2:
+                        c = -c
+                    term = Element.from_monomial(alg, left, c) * img
+                    if any(right):
+                        term = term * Element.from_monomial(alg, right)
+                    out = out + term
+                prefix_degree += exp * alg.degrees[i]
+    return out
+
+
+def reference_delta(model: SullivanModel, e: Element) -> Element:
+    """delta by the paper's pair formula, (u, v) -> (d3 u, d3 v + d4 u): d3 of
+    e plus d4 of its even word-length part, d3 and d4 being the word-length
+    components of d, each applied by :func:`reference_apply`."""
+    d3, d4 = (homogeneous_component(model.differential, i) for i in (3, 4))
+    even = Element(e.algebra, {m: c for m, c in e.terms.items() if sum(m) % 2 == 0})
+    return reference_apply(d3, e) + reference_apply(d4, even)
+
+
+def map_columns(
+    alg: Algebra, f: Callable[[Element], Element], src: Sequence[Monomial],
+    dst: Sequence[Monomial],
+) -> List[Vector]:
+    """Columns of the matrix of f from span(src) to span(dst): the
+    coordinates of f of each monomial of src."""
+    return [coefficient_vector(f(Element.from_monomial(alg, m)), dst) for m in src]
+
+
+def boundary_solve(
+    model: SullivanModel, which: str, n: int, target: Element,
+    extra: Sequence[Element] = (),
+) -> Optional[Vector]:
+    """The coefficients c_j with target = sum_j c_j extra_j + a boundary of
+    ``which`` ("d" or "delta") in degree n, solved with free variables 0 over
+    the columns of ``extra`` and then the engine's columns of ``which`` from
+    degree n - 1; None if there are none.  So target bounds exactly when
+    ``boundary_solve(model, which, n, target)`` is not None."""
+    alg = model.algebra
+    bn = basis(alg, n)
+    columns = [coefficient_vector(e, bn) for e in extra]
+    columns += _images(model, which, basis(alg, n - 1), bn)
+    sol = ColumnFactorization(columns, len(bn)).solve(coefficient_vector(target, bn))
+    return None if sol is None else {j: x for j, x in sol.items() if j < len(extra)}
+
+
+def naive_det(entries: Sequence[Sequence[Element]], alg: Algebra) -> Element:
+    """The determinant of a square matrix of elements, summed over the
+    permutations of its columns; 1 for the empty matrix."""
+    n = len(entries)
+    total = alg.zero()
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        prod = sign * alg.one()
+        for i in range(n):
+            prod = prod * entries[i][perm[i]]
+        total = total + prod
+    return total

@@ -10,18 +10,17 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from reference import boundary_solve
 from sullivan import cli, spectral
-from sullivan.algebra import basis, coefficient_vector, format_element, parse_element
+from sullivan.algebra import format_element, parse_element
 from sullivan.cohomology import (
     ToomerResult,
-    cochain_maps,
     formal_dimension,
     is_elliptic,
     toomer_oracle,
     top_class,
 )
 from sullivan.differential import is_pure
-from sullivan.linalg import RationalMatrix, solve_membership
 from sullivan.models import (
     ELLIPTIC_K3_POOL,
     elliptic_pure_n35,
@@ -54,13 +53,8 @@ def _matrix_text(model):
 def _matches_top_class_mod_boundaries(model, omega) -> bool:
     """omega == (nonzero scalar) * top representative + coboundary?"""
     n, rep = top_class(model)
-    ambient = basis(model.algebra, n)
-    _, incoming = cochain_maps(model, n)
-    cols = incoming.columns()
-    cols.append(coefficient_vector(rep, ambient))
-    stacked = RationalMatrix.from_columns(cols, len(ambient))
-    sol = solve_membership(stacked, coefficient_vector(omega, ambient))
-    return sol is not None and sol.get(len(cols) - 1, 0) != 0
+    sol = boundary_solve(model, "d", n, omega, [rep])
+    return sol is not None and sol.get(0, 0) != 0
 
 
 def test_criterion_01_n37_model_invariants():

@@ -654,6 +654,18 @@ def test_cohomology_human_lists_representatives(capsys):
     ]
 
 
+def test_cohomology_dimensions_from_ranks_match_the_representative_path(capsys):
+    # the human format lists representatives, the structured format reads
+    # the dimensions off ranks
+    argv = ("cohomology", FIXTURES / "pure_n35.model", "--degree", "0", "--to", "35")
+    dims = []
+    for extra in ((), ("--format", "structured")):
+        code, out, _ = _run(capsys, *argv, *extra)
+        assert code == 0
+        dims.append([l for l in out.splitlines() if l.startswith("cohomology.dim.")])
+    assert len(dims[1]) == 36 and dims[0] == dims[1]
+
+
 @pytest.mark.parametrize("command", ["cohomology", "delta-cohomology"])
 def test_negative_degree_exits_2(capsys, command):
     code, out, err = _run(
@@ -672,18 +684,25 @@ def test_cohomology_reversed_range_exits_2(capsys):
 
 
 def test_delta_cohomology_command(capsys):
-    code, out, _ = _run(
-        capsys,
-        "delta-cohomology",
-        FIXTURES / "pure_n35.model",
-        "--degree",
-        "35",
-        "--format",
-        "structured",
-    )
-    assert code == 0
-    assert "delta.dim_total = 2" in out
-    assert "delta.class.0.v = x6^2*y23" in out
+    """At the top degree of three models, the delta degree and dimensions of
+    the golden report."""
+
+    def dims(text):
+        return [l for l in text.splitlines() if l.startswith(("delta.degree", "delta.dim"))]
+
+    for model, degree, golden in (
+        (FIXTURES / "pure_n35.model", 35, "report_n35"),
+        (FIXTURES / "pure_n37.model", 37, "report_n37"),
+        (FIXTURES.parent / "large" / "n37_cp2_cp2.model", 45, "report_n37_cp2_cp2"),
+    ):
+        code, out, _ = _run(
+            capsys, "delta-cohomology", model, "--degree", degree, "--format", "structured"
+        )
+        assert code == 0, golden
+        want = dims((GOLDEN / f"{golden}.txt").read_text())
+        assert len(want) >= 3 and dims(out) == want, golden
+        if golden == "report_n35":
+            assert "delta.class.0.v = x6^2*y23" in out
 
 
 def test_top_class_command(capsys):

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from reference import boundary_solve, dense, dense_solve, map_columns, sparse
 from sullivan import cli, cohomology, spectral
 from sullivan.algebra import (
     Element,
@@ -34,7 +35,6 @@ from sullivan.algebra import (
     wordlength,
 )
 from sullivan.cohomology import (
-    cochain_maps,
     cohomology_basis,
     formal_dimension,
     is_boundary,
@@ -44,73 +44,48 @@ from sullivan.cohomology import (
 )
 from sullivan.differential import SullivanModel, is_pure
 from sullivan.errors import InternalInconsistencyError
-from sullivan.linalg import (
-    ColumnFactorization,
-    RationalMatrix,
-    RowSpace,
-    kernel_basis,
-    rref,
-    solve_membership,
-)
+from sullivan.linalg import ColumnFactorization, RowSpace
 from sullivan.models import elliptic_pure_n37, tower_one_even
 from sullivan.spectral import (
     FilteredPair,
     delta_apply,
     delta_cohomology,
-    delta_matrix,
     lift_to_d_cocycle,
     pair_basis,
     representative_depth,
 )
-from test_linalg import _dense_solve
 from zoo import models, random_k3_models
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _descending_search(bn, boundary_cols, z: Element):
-    zvec = coefficient_vector(z, bn)
-    s_max = max((wordlength(m) for m in bn), default=0)
-    for s in range(s_max, -1, -1):
-        deep = [i for i, m in enumerate(bn) if wordlength(m) >= s]
-        cols = []
-        for i in deep:
-            unit = [0] * len(bn)
-            unit[i] = 1
-            cols.append(unit)
-        cols.extend(boundary_cols)
-        sol = solve_membership(RationalMatrix.from_columns(cols, len(bn)), zvec)
-        if sol is not None:
-            rep_vec = {i: sol[slot] for slot, i in enumerate(deep) if slot in sol}
-            return s, element_from_vector(z.algebra, bn, rep_vec)
-    raise AssertionError("membership failed even at filtration 0")
-
-
-def _delta_boundary_columns(model: SullivanModel, n: int):
+def _descending_search(model: SullivanModel, which: str, n: int, z: Element):
+    """(s, representative) for the greatest s at which z is a sum of
+    monomials of word length >= s and a boundary of ``which``."""
     alg = model.algebra
     bn = basis(alg, n)
-    cols = [
-        coefficient_vector(model.delta(Element.from_monomial(alg, m)), bn)
-        for m in basis(alg, n - 1)
-    ]
-    return bn, cols
+    s_max = max((wordlength(m) for m in bn), default=0)
+    for s in range(s_max, -1, -1):
+        deep = [m for m in bn if wordlength(m) >= s]
+        units = [Element.from_monomial(alg, m) for m in deep]
+        sol = boundary_solve(model, which, n, z, units)
+        if sol is not None:
+            return s, element_from_vector(alg, deep, sol)
+    raise AssertionError("membership failed even at filtration 0")
 
 
 def _assert_same_searches(name: str, model: SullivanModel) -> int:
     """Compare both searches on one elliptic model; returns the number of
     delta-classes compared."""
     n, fundamental = top_class(model)
-    bn = basis(model.algebra, n)
-    _, in_m = cochain_maps(model, n)
-    old = _descending_search(bn, in_m.columns(), fundamental)
+    old = _descending_search(model, "d", n, fundamental)
     new = toomer_oracle(model)
     assert (new.e0, new.representative) == old, name
     if model.k != 3:
         return 0
-    bn, cols = _delta_boundary_columns(model, n)
     classes = delta_cohomology(model, n)
     for i, cls in enumerate(classes):
-        old = _descending_search(bn, cols, cls.as_element())
+        old = _descending_search(model, "delta", n, cls.as_element())
         assert representative_depth(model, cls) == old, (name, i)
     return len(classes)
 
@@ -185,6 +160,14 @@ def test_report_runs_each_depth_search_once(capsys, monkeypatch):
 # one cohomology path for d and delta
 
 
+def _slot_columns(model: SullivanModel, p: int, n: int):
+    """The engine's columns of delta from the (p, n) pair slot to the
+    (p + 1, n + 1) slot, each slot's basis listing u and then v."""
+    src_u, src_v = pair_basis(model, p, n)
+    dst_u, dst_v = pair_basis(model, p + 1, n + 1)
+    return cohomology._images(model, "delta", src_u + src_v, dst_u + dst_v)
+
+
 def _per_slot_delta_cohomology(model: SullivanModel, n: int):
     """(p, u, v) of every delta-class in class order, by the earlier loop over the
     pair slots: kernel of delta out of (p, n) modulo the image of delta from
@@ -194,13 +177,11 @@ def _per_slot_delta_cohomology(model: SullivanModel, n: int):
         ub, vb = pair_basis(model, p, n)
         if not ub and not vb:
             continue
-        echelon = []
-        if p > 0:
-            incoming = delta_matrix(model, p - 1, n - 1)
-            reduced, _, r = rref(RationalMatrix(incoming.columns(), ncols=incoming.nrows))
-            echelon = reduced.rows[:r]
-        space = RowSpace(len(ub) + len(vb), echelon)
-        cocycles = kernel_basis(delta_matrix(model, p, n))
+        space = RowSpace(len(ub) + len(vb))
+        for column in _slot_columns(model, p - 1, n - 1) if p > 0 else []:
+            space.add(column)
+        nrows = sum(map(len, pair_basis(model, p + 1, n + 1)))
+        cocycles = ColumnFactorization(_slot_columns(model, p, n), nrows).kernel
         for z in [z for z in cocycles if space.add(z)]:
             e = element_from_vector(model.algebra, ub + vb, z)
             out.append((p, e.wordlength_component(2 * p), e.wordlength_component(2 * p + 1)))
@@ -227,8 +208,6 @@ def test_is_boundary_agrees_with_a_membership_solve():
             continue
         alg = model.algebra
         for n in range(0, formal_dimension(model) + 1):
-            bn = basis(alg, n)
-            _, incoming = cochain_maps(model, n)
             reps = cohomology_basis(model, n)
             images = [
                 model.d(Element.from_monomial(alg, m)) for m in basis(alg, n - 1)
@@ -237,7 +216,7 @@ def test_is_boundary_agrees_with_a_membership_solve():
             sums = [a + b for a, b in zip(images, images[1:])]
             sums += [r + e for r, e in zip(reps, images)]
             for e in reps + images + sums:
-                expected = solve_membership(incoming, coefficient_vector(e, bn)) is not None
+                expected = boundary_solve(model, "d", n, e) is not None
                 assert is_boundary(model, e) == expected, (name, n, e)
                 checked[expected] += 1
     assert checked[True] >= 100 and checked[False] >= 50
@@ -399,26 +378,17 @@ def test_lifts_boundaries_and_cached_cohomology_build_no_factorization(monkeypat
     assert classes() == first
 
 
-def _dense_matrix(model: SullivanModel, f, n: int):
-    """Dense matrix of f from degree n to degree n + 1, as rows."""
-    alg = model.algebra
-    src, dst = basis(alg, n), basis(alg, n + 1)
-    cols = [coefficient_vector(f(Element.from_monomial(alg, m)), dst) for m in src]
-    return [[c.get(i, Fraction(0)) for c in cols] for i in range(len(dst))], len(src)
-
-
 def _dense_solution(model: SullivanModel, f, n: int, e: Element):
     """The free-variables-zero solution of f(x) = e, x in degree n, as an
     element, or None; solved by dense Gauss-Jordan elimination."""
-    rows, ncols = _dense_matrix(model, f, n)
-    dst = basis(model.algebra, n + 1)
-    b = coefficient_vector(e, dst)
-    x = _dense_solve(rows, ncols, [b.get(i, Fraction(0)) for i in range(len(dst))])
+    alg = model.algebra
+    src, dst = basis(alg, n), basis(alg, n + 1)
+    columns = map_columns(alg, f, src, dst)
+    rows = [[c.get(i, Fraction(0)) for c in columns] for i in range(len(dst))]
+    x = dense_solve(rows, len(src), dense(coefficient_vector(e, dst), len(dst)))
     if x is None:
         return None
-    return element_from_vector(
-        model.algebra, basis(model.algebra, n), {j: c for j, c in enumerate(x) if c}
-    )
+    return element_from_vector(alg, src, sparse(x))
 
 
 def _reference_lift(model: SullivanModel, start: Element):

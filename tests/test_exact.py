@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from sullivan.algebra import Element, parse_element
+from sullivan.algebra import Element
 from sullivan.cli import parse_model_file
 from sullivan.cohomology import (
     _pure_ideal,
@@ -34,7 +34,7 @@ from sullivan.cohomology import (
 from sullivan.differential import is_pure
 from sullivan.linalg import RowSpace
 from sullivan.models import ALL_MODELS, ELLIPTIC_K3_POOL
-from sullivan.murillo import exact_divide, murillo_fundamental_class
+from sullivan.murillo import murillo_fundamental_class
 from sullivan.selftest import random_element
 from sullivan.spectral import spectral_run
 from zoo import FIXTURES, LARGE, model_files
@@ -215,36 +215,3 @@ def test_a_row_with_another_lead_falls_back_to_fractions():
     assert space.add({0: 2, 1: 3})
     assert space._rows == {0: {0: 1, 1: Fraction(3, 2)}}
     _check(space._rows[0].values(), "stored row")
-
-
-def test_exact_divide_of_int_coefficients_never_makes_a_float(monkeypatch):
-    model = parse_model_file(str(FIXTURES / "three_even.model")).model
-    alg = model.algebra
-    # every step's coefficient, before from_monomial makes it a Fraction
-    steps = []
-    from_monomial = Element.from_monomial.__func__
-
-    def recorded(cls, algebra, mono, coeff=1):
-        steps.append(coeff)
-        return from_monomial(cls, algebra, mono, coeff)
-
-    monkeypatch.setattr(Element, "from_monomial", classmethod(recorded))
-
-    def scaled(text, c):
-        return Element(alg, {m: c for m in parse_element(text, alg).terms})
-
-    # d keeps the derivation's int coefficients on an image of coefficient 1
-    d_y5, d_y11 = (model.d(alg.gen_element(y)) for y in ("y5", "y11"))
-    assert all(type(c) is int for c in (d_y5 * d_y11).terms.values())
-    cases = [
-        (d_y5 * d_y11, d_y5, scaled("x4^3", 1)),
-        (scaled("x2^2*x4", 6), scaled("x2", 3), scaled("x2*x4", 2)),
-        (scaled("x2^2*x4", 3), scaled("x2", 2), scaled("x2*x4", Fraction(3, 2))),
-        # 1 / 3 as a float is not 1/3
-        (scaled("x2^2*x4", 1), scaled("x2", 3), scaled("x2*x4", Fraction(1, 3))),
-    ]
-    for a, b, expected in cases:
-        quotient = exact_divide(a, b)
-        assert quotient == expected
-        _check_element(quotient, "exact_divide quotient")
-    _check(steps, "exact_divide step")

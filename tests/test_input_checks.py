@@ -16,7 +16,7 @@ from sullivan.algebra import (
 from sullivan.cohomology import is_elliptic
 from sullivan.differential import build_differential, build_model, homogeneous_component
 from sullivan.errors import ModelError
-from sullivan.linalg import ColumnFactorization, RationalMatrix, RowSpace, quotient_dim
+from sullivan.linalg import ColumnFactorization, RowSpace
 from sullivan.models import elliptic_pure_n35, elliptic_pure_n37, projective_plane
 from sullivan.spectral import (
     FilteredPair,
@@ -120,9 +120,6 @@ INPUT_CHECKS = {
     "lift_to_d_cocycle-start-of-another-algebra": (
         lambda: lift_to_d_cocycle(elliptic_pure_n37(), _other_algebra().one()),
         ValueError, "different algebra"),
-    "quotient_dim-ambient-mismatch": (
-        lambda: quotient_dim(RationalMatrix([[1, 0]]), 3),
-        ValueError, "ambient space"),
     "RowSpace.add-index-out-of-range": (
         lambda: RowSpace(3).add({5: 1}), ValueError, "does not have length 3"),
     "ColumnFactorization-column-of-another-length": (

@@ -5,15 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from reference import reference_delta
 from sullivan import cli
-from sullivan.algebra import basis, build_algebra, format_element, parse_element
+from sullivan.algebra import basis, format_element, parse_element
 from sullivan.cohomology import formal_dimension, is_boundary, toomer_oracle
-from sullivan.differential import (
-    SullivanModel,
-    build_differential,
-    build_model,
-    homogeneous_component,
-)
+from sullivan.differential import SullivanModel
 from sullivan.errors import PreconditionError
 from sullivan.models import (
     ELLIPTIC_K3_POOL,
@@ -29,7 +25,6 @@ from sullivan.spectral import (
     FilteredPair,
     delta_apply,
     delta_cohomology,
-    delta_matrix,
     lift_to_d_cocycle,
     pair_basis,
     pair_product,
@@ -37,6 +32,7 @@ from sullivan.spectral import (
     spectral_run,
     toomer_spectral,
 )
+from zoo import k4_model
 
 
 def _pair(model, p, n, u_text, v_text):
@@ -50,16 +46,9 @@ def _pair(model, p, n, u_text, v_text):
 # filtration stages and pairs
 
 
-def _k4_model():
-    """(x2, y7; dy7 = x2^4): elliptic with k = 4, N = 6."""
-    alg = build_algebra([("x2", 2), ("y7", 7)])
-    return build_model(alg, build_differential(alg, {"y7": parse_element("x2^4", alg)}))
-
-
 PAIR_ENTRY_POINTS = {
     "FilteredPair": lambda m: FilteredPair(m, 0, 0, m.algebra.one(), m.algebra.zero()),
     "pair_basis": lambda m: pair_basis(m, 1, 4),
-    "delta_matrix": lambda m: delta_matrix(m, 1, 4),
     "delta_cohomology": lambda m: delta_cohomology(m, 6),
     "lift_to_d_cocycle": lambda m: lift_to_d_cocycle(m, m.algebra.one()),
     "spectral_run": spectral_run,
@@ -84,7 +73,7 @@ def test_models_and_pairs_compare_by_their_fields():
 @pytest.mark.parametrize("entry", sorted(PAIR_ENTRY_POINTS))
 def test_every_pair_entry_point_requires_k3(entry, k):
     # k = None and k = 2 have no pairs; for k = 4 the stages are triples
-    model = {None: exterior_two_odd, 2: sphere_s2, 4: _k4_model}[k]()
+    model = {None: exterior_two_odd, 2: sphere_s2, 4: k4_model}[k]()
     assert model.k == k
     with pytest.raises(PreconditionError, match=f"require k = 3, found k = {k}$"):
         PAIR_ENTRY_POINTS[entry](model)
@@ -157,14 +146,6 @@ def test_delta_nonvanishing_probe_n37():
     assert format_element(image.v) == "x2*x6^6"
 
 
-def _pair_formula(pair):
-    """delta by the paper's pair formula (d3 u, d3 v + d4 u), with d3 and d4
-    the word-length components of d, the reference."""
-    model = pair.model
-    d3, d4 = (homogeneous_component(model.differential, i) for i in (3, 4))
-    return FilteredPair(model, pair.p + 1, pair.n + 1, d3(pair.u), d3(pair.v) + d4(pair.u))
-
-
 def test_delta_apply_matches_the_pair_formula():
     rng = random.Random(7)
     nonzero = 0
@@ -173,7 +154,8 @@ def test_delta_apply_matches_the_pair_formula():
         for _ in range(60):
             pair = random_pair(rng, model)
             image = delta_apply(pair)
-            assert image == _pair_formula(pair), name
+            assert (image.p, image.n) == (pair.p + 1, pair.n + 1), name
+            assert image.as_element() == reference_delta(model, pair.as_element()), name
             nonzero += not image.is_zero
     assert nonzero > 100
 

@@ -9,7 +9,7 @@ import random
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
 
-from sullivan.algebra import Element, basis, build_algebra
+from sullivan.algebra import Element, basis, build_algebra, parse_element
 from sullivan.cli import parse_model_file
 from sullivan.cohomology import formal_dimension
 from sullivan.differential import SullivanModel, build_differential, build_model
@@ -106,6 +106,12 @@ def models(files: Iterable[Path] = (), randoms: int = 0) -> Named:
     out = [(name, build()) for name, build in ALL_MODELS]
     out += [(path.stem, parse_model_file(str(path)).model) for path in files]
     return out + random_k3_models(0, randoms)
+
+
+def k4_model() -> SullivanModel:
+    """(x2, y7; d y7 = x2^4): elliptic with k = 4, N = 6."""
+    alg = build_algebra([("x2", 2), ("y7", 7)])
+    return build_model(alg, build_differential(alg, {"y7": parse_element("x2^4", alg)}))
 
 
 def product(*factors: SullivanModel) -> SullivanModel:
