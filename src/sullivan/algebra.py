@@ -347,14 +347,15 @@ def _fill_bases(algebra: Algebra, degree: int) -> None:
         for g in algebra.generators:
             if g.degree > d:
                 continue
-            i = g.index
+            i, odd = g.index, g.is_odd
             tail = (0,) * (n - i - 1)
             monos.extend(
                 m[:i] + (m[i] + 1,) + tail
                 for m in cache[d - g.degree]
-                if m[i + 1:] == tail and not (g.is_odd and m[i])
+                if m[i + 1:] == tail and not (odd and m[i])
             )
-        monos.sort(key=grlex_key)
+        monos.sort()
+        monos.sort(key=sum)  # stable: graded-lex order, at C speed
         cache.append(monos)
 
 

@@ -6,10 +6,12 @@ arithmetic.  The pieces provided here:
 * cochain maps and cohomology bases, each basis a list of deterministic
   representatives read off the factorizations of d into and out of its
   degree, through one set of cached helpers that serve both d and the
-  spectral sequence's page-one differential delta; the unreduced image rows
-  of the map into the degree seed the boundaries, with no back-substitution,
+  spectral sequence's page-one differential delta, whose columns are d's
+  cut by word length; the unreduced image rows of the map into the degree
+  seed the boundaries, with no back-substitution,
 * cohomology dimensions from two ranks, dim H^n = |B_n| - rank d_n -
-  rank d_{n-1}, with no representatives built, and their duality check,
+  rank d_{n-1}, with no representatives built, each rank taken only off
+  the pivot columns of the boundaries below it, and their duality check,
 * the formal dimension N read off the generator degrees,
 * an ellipticity decision procedure through the associated pure model,
   whose quotient dimensions are read off the Hilbert series of one
@@ -116,11 +118,22 @@ def _images(
 def _factor(model: SullivanModel, which: str, n: int) -> ColumnFactorization:
     """The differential ``which`` out of degree n, eliminated once: its
     kernel holds the degree-n cocycles, its image rows span the degree-(n+1)
-    boundaries, and it solves ``which``(x) = b."""
+    boundaries, and it solves ``which``(x) = b.
+
+    delta's columns are d's, the cached factorization's when there is one:
+    column m keeps its rows at the word lengths ``model.delta_lengths(wl(m))``."""
 
     def produce():
         src, dst = basis(model.algebra, n), basis(model.algebra, n + 1)
-        return ColumnFactorization._of(_images(model, which, src, dst), len(dst))
+        d = model._cache.get(("d", "factor", n))
+        columns = d.columns if d is not None else _images(model, "d", src, dst)
+        if which == "delta":
+            lengths = list(map(sum, dst))
+            columns = [
+                {i: x for i, x in col.items() if lengths[i] in keep}
+                for col, keep in zip(columns, map(model.delta_lengths, map(sum, src)))
+            ]
+        return ColumnFactorization._of(columns, len(dst))
 
     return _cached(model, (which, "factor", n), produce)
 
@@ -160,16 +173,24 @@ def cohomology_basis(model: SullivanModel, n: int) -> List[Element]:
 def _rank(model: SullivanModel, n: int) -> int:
     """The rank of d out of degree n: read off its factorization when one is
     cached, or else eliminated once as a plain row space of the image
-    columns, with no unit coordinates, and cached."""
+    columns, with no unit coordinates, and cached.  B_n is im d_{n-1} plus
+    the unit vectors off its pivot columns P, and d vanishes on im d_{n-1},
+    so only the columns off P are built: P from a cached factorization of
+    degree n - 1, or the last rank's (the one set kept), or else empty."""
     factor = model._cache.get(("d", "factor", n))
     if factor is not None:
         return len(factor.columns) - len(factor.kernel)
 
     def produce():
         src, dst = basis(model.algebra, n), basis(model.algebra, n + 1)
+        last, pivots = model._cache.get(("d", "pivots"), (None, ()))
+        below = model._cache.get(("d", "factor", n - 1))
+        pivots = below._space._rows if below else pivots if last == n - 1 else ()
         space = RowSpace(len(dst))
-        for column in _images(model, "d", src, dst):
+        off = [m for j, m in enumerate(src) if j not in pivots]
+        for column in _images(model, "d", off, dst):
             space._add(column)
+        model._cache[("d", "pivots")] = (n, frozenset(space._rows))
         return space.rank
 
     return _cached(model, ("d", "rank", n), produce)

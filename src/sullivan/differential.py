@@ -220,7 +220,8 @@ class SullivanModel:
     ranks and classes of d and delta, the depth searches' truncated
     factorizations, the pure projection, the Groebner basis of the pure
     quotient, the ellipticity scan, the oracle, the coefficient matrix, the
-    selftest's pair slots); entries are write-once.
+    selftest's pair slots); entries are write-once, but for the one slot of
+    the last d-rank's pivot columns, ``("d", "pivots")``: (degree, frozenset).
     """
 
     algebra: Algebra
@@ -236,14 +237,19 @@ class SullivanModel:
         for k = 3 on a plain element (see :meth:`add_delta_image`)."""
         return _apply(self.algebra, self.add_delta_image, e)
 
+    @staticmethod
+    def delta_lengths(w: int) -> Tuple[int, ...]:
+        """The word lengths of d(m) that delta keeps for a monomial m of word
+        length w: w + 2 and, if w is even, w + 3.  These are d3(m) and d4(m),
+        as d_i adds i - 1 to the word length."""
+        return (w + 2, w + 3) if w % 2 == 0 else (w + 2,)
+
     def add_delta_image(
         self, mono: Monomial, coeff, out: Dict[Monomial, Fraction]
     ) -> None:
         """Add ``coeff * delta(mono)`` into ``out``: the terms of d(mono) at
-        word length w + 2 and, if w = wl(mono) is even, w + 3.  These are
-        d3(mono) and d4(mono), as d_i adds i - 1 to the word length."""
-        w = sum(mono)
-        keep = (w + 2, w + 3) if w % 2 == 0 else (w + 2,)
+        the word lengths :meth:`delta_lengths` keeps."""
+        keep = self.delta_lengths(sum(mono))
         image: Dict[Monomial, Fraction] = {}
         self.differential.add_image(mono, coeff, image)
         for m, c in image.items():

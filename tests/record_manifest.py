@@ -30,9 +30,9 @@ from typing import Dict, Iterator, List, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "golden" / "manifest.json"
 
-#: model files written at run time: name -> text
+#: model files written at run time besides ``k4.model`` (``zoo.K4_TEXT``):
+#: name -> text
 INLINE = {
-    "k4.model": "generator x2 2\ngenerator y7 7\nd y7 = x2^4\n",
     "degree_5000_digits.model": "generator x2 " + "9" * 5000 + "\n",
 }
 
@@ -59,10 +59,10 @@ FORMATS = ("human", "structured")
 def model_files(inline_dir: Path) -> List[Path]:
     """Every model the manifest covers; the inline ones are written to
     ``inline_dir`` first."""
-    from zoo import BENCH, FIXTURES, model_files
+    from zoo import BENCH, FIXTURES, K4_TEXT, model_files
 
     files = model_files(BENCH, FIXTURES, parseable=False)
-    for name, text in INLINE.items():
+    for name, text in {"k4.model": K4_TEXT, **INLINE}.items():
         (inline_dir / name).write_text(text, encoding="utf-8")
         files.append(inline_dir / name)
     return files

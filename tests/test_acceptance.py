@@ -8,7 +8,6 @@ then asserts, so a red run still shows the full scoreboard up to the failure.
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
 from reference import boundary_solve
 from sullivan import cli, spectral
@@ -32,8 +31,7 @@ from sullivan.models import (
 from sullivan.murillo import coefficient_matrix, murillo_fundamental_class
 from sullivan.selftest import RANDOM_CHECKS, run_all
 from sullivan.spectral import FilteredPair, delta_apply, toomer_spectral
-
-FIXTURES = Path(__file__).parent / "fixtures"
+from zoo import FIXTURES
 
 
 def _check(num: int, description: str, subchecks: dict) -> None:

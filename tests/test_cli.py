@@ -25,8 +25,8 @@ from sullivan import (
 from sullivan.cohomology import ToomerResult
 from sullivan.differential import build_model
 from sullivan.errors import ParseError
+from zoo import FIXTURES, K4_TEXT, LARGE
 
-FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -269,7 +269,7 @@ def test_spectral_on_k2_exits_2(capsys, tmp_path):
 def test_delta_cohomology_on_k4_exits_2(capsys, tmp_path):
     # for k = 4 the filtration stages are word-length triples, not pairs
     path = tmp_path / "k4.model"
-    path.write_text("generator x2 2\ngenerator y7 7\nd y7 = x2^4\n")
+    path.write_text(K4_TEXT)
     code, out, err = _run(capsys, "delta-cohomology", path, "--degree", "6")
     assert (code, out) == (2, "")
     assert err == (
@@ -693,7 +693,7 @@ def test_delta_cohomology_command(capsys):
     for model, degree, golden in (
         (FIXTURES / "pure_n35.model", 35, "report_n35"),
         (FIXTURES / "pure_n37.model", 37, "report_n37"),
-        (FIXTURES.parent / "large" / "n37_cp2_cp2.model", 45, "report_n37_cp2_cp2"),
+        (LARGE / "n37_cp2_cp2.model", 45, "report_n37_cp2_cp2"),
     ):
         code, out, _ = _run(
             capsys, "delta-cohomology", model, "--degree", degree, "--format", "structured"

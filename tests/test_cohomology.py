@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from reference import boundary_solve
+from reference import boundary_solve, dense, dense_rref
 from sullivan import cli, cohomology
 from sullivan.algebra import Element, basis, format_element
 from sullivan.cohomology import (
@@ -33,7 +33,7 @@ from sullivan.models import (
     tower_two_even_mixed,
 )
 from sullivan.spectral import spectral_run
-from zoo import FIXTURES, model_files, models, product, random_k3_models
+from zoo import FIXTURES, assorted, model_files, models, product, random_k3_models
 
 
 def test_sphere_cochain_map_is_one_by_one_identity():
@@ -350,6 +350,45 @@ def test_dimensions_from_ranks_count_the_representatives(build):
 def test_dimensions_from_ranks_on_random_pure_models():
     for _, model in random_k3_models(19, 20):
         _check_dims_from_ranks(model)
+
+
+def test_ranks_off_the_boundary_pivots_match_dense_ranks(monkeypatch):
+    """dim H^0 .. H^N on fresh models, cold from the top down, and from the
+    bottom up as ``report`` asks for them (the top class first), equal |B_n|
+    less two dense ranks.  Bottom up, each rank below N - 1 assembles only
+    the columns off the pivots of the boundaries below it, |B_n| -
+    rank d_{n-1} of them, and the model keeps one degree's pivots."""
+    images, assembled = cohomology._images, []
+
+    def counted(model, which, src, dst):
+        assembled.extend(src if which == "d" else ())
+        return images(model, which, src, dst)
+
+    checked = 0
+    for (name, cold), (_, warm) in zip(assorted(), assorted()):
+        if not is_elliptic(cold).is_elliptic:
+            continue
+        alg, n_top = cold.algebra, formal_dimension(cold)
+        ranks = [0]  # rank d_{-1}, then rank d_n for n = 0 .. N
+        for n in range(n_top + 1):
+            nrows = len(basis(alg, n + 1))
+            columns = images(cold, "d", basis(alg, n), basis(alg, n + 1))
+            ranks.append(len(dense_rref([dense(c, nrows) for c in columns], nrows)[1]))
+        want = [len(basis(alg, n)) - ranks[n + 1] - ranks[n] for n in range(n_top + 1)]
+        down = [cohomology_dim(cold, n) for n in range(n_top, -1, -1)]
+        assert down[::-1] == want, name
+
+        top_class(warm)
+        monkeypatch.setattr(cohomology, "_images", counted)
+        assembled.clear()
+        assert [cohomology_dim(warm, n) for n in range(n_top + 1)] == want, name
+        monkeypatch.setattr(cohomology, "_images", images)
+        off = sum(len(basis(alg, n)) - ranks[n] for n in range(n_top - 1))
+        assert len(assembled) == off, name
+        (last, pivots), = [v for k, v in warm._cache.items() if "pivots" in k]
+        assert last == n_top - 2 and type(pivots) is frozenset, name
+        checked += 1
+    assert checked >= 23
 
 
 def test_report_factors_d_only_in_the_top_two_degrees():

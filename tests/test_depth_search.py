@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -54,9 +53,7 @@ from sullivan.spectral import (
     pair_basis,
     representative_depth,
 )
-from zoo import models, random_k3_models
-
-FIXTURES = Path(__file__).parent / "fixtures"
+from zoo import FIXTURES, models, random_k3_models
 
 
 def _descending_search(model: SullivanModel, which: str, n: int, z: Element):

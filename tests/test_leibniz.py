@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from reference import map_columns, reference_apply, reference_delta
-from sullivan import cli
+from sullivan import cli, cohomology
 from sullivan.algebra import (
     Element,
     basis,
@@ -38,7 +38,7 @@ from sullivan.differential import (
 from sullivan.linalg import RowSpace
 from sullivan.models import ALL_MODELS
 from sullivan.selftest import random_element
-from zoo import FIXTURES, model_files, models, random_pure_model
+from zoo import FIXTURES, assorted, model_files, models, random_pure_model
 
 
 def _maps(model: SullivanModel):
@@ -180,6 +180,30 @@ def test_cochain_maps_and_delta_matrices_match_the_reference():
             if model.k == 3 and src and dst:
                 maps += 1
     assert maps >= 350
+
+
+def test_delta_columns_read_off_d_match_the_delta_rule():
+    """The whole-degree matrices of delta out of degrees 0 .. N, N - 1 and N
+    among them, are d's columns cut by word length, read off d's cached
+    factorization or assembled afresh; either way they equal the delta
+    rule's columns and the reference's."""
+    compared = 0
+    for d_first in (True, False):
+        for name, model in assorted():
+            if model.k != 3:
+                continue
+            alg, n_top = model.algebra, formal_dimension(model)
+            ref = lambda e: reference_delta(model, e)  # noqa: E731
+            for n in range(n_top + 1):
+                src, dst = basis(alg, n), basis(alg, n + 1)
+                if d_first:
+                    cohomology._factor(model, "d", n)
+                got = cohomology._factor(model, "delta", n).columns
+                assert got == _images(model, "delta", src, dst), (name, n, d_first)
+                assert got == map_columns(alg, ref, src, dst), (name, n, d_first)
+                compared += bool(got)
+            assert (("d", "factor", n_top) in model._cache) == d_first
+    assert compared >= 950
 
 
 def _reference_quotient_dim(model: SullivanModel, degree: int) -> int:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from pathlib import Path
 
 import pytest
 
@@ -32,7 +31,7 @@ from sullivan.spectral import (
     spectral_run,
     toomer_spectral,
 )
-from zoo import k4_model
+from zoo import FIXTURES, TESTS, k4_model
 
 
 def _pair(model, p, n, u_text, v_text):
@@ -163,27 +162,21 @@ def test_delta_apply_matches_the_pair_formula():
 def test_selftest_catches_delta_applying_d4_on_odd_word_lengths(capsys, monkeypatch):
     # the parity rule of the delta every matrix is built from, turned over:
     # d's terms three word lengths up are kept on odd word lengths
-    def odd_d4(self, mono, coeff, out):
-        w = sum(mono)
-        keep = (w + 2, w + 3) if w % 2 == 1 else (w + 2,)
-        image = {}
-        self.differential.add_image(mono, coeff, image)
-        for m, c in image.items():
-            if sum(m) in keep:
-                out[m] = out.get(m, 0) + c
+    def odd_d4(w):
+        return (w + 2, w + 3) if w % 2 == 1 else (w + 2,)
 
     def delta_cohomology_n37():
-        model = Path(__file__).parent / "fixtures" / "pure_n37.model"
+        model = FIXTURES / "pure_n37.model"
         argv = ["delta-cohomology", str(model), "--degree", "37", "--format", "structured"]
         code = cli.main(argv)
         return code, capsys.readouterr().out.splitlines()
 
-    golden = (Path(__file__).parent / "golden" / "report_n37.txt").read_text().splitlines()
+    golden = (TESTS / "golden" / "report_n37.txt").read_text().splitlines()
     code, out = delta_cohomology_n37()
     shared = [x for x in out if x.startswith("delta.") and x in golden]
     assert code == 0 and len(shared) == 4
 
-    monkeypatch.setattr(SullivanModel, "add_delta_image", odd_d4)
+    monkeypatch.setattr(SullivanModel, "delta_lengths", staticmethod(odd_d4))
     code = cli.main(["selftest", "--seed", "1", "--format", "structured"])
     out = capsys.readouterr().out.splitlines()
     assert code == 3

@@ -9,11 +9,11 @@ import random
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
 
-from sullivan.algebra import Element, basis, build_algebra, parse_element
-from sullivan.cli import parse_model_file
+from sullivan.algebra import Element, basis, build_algebra
+from sullivan.cli import parse_model_file, parse_model_text
 from sullivan.cohomology import formal_dimension
 from sullivan.differential import SullivanModel, build_differential, build_model
-from sullivan.models import ALL_MODELS
+from sullivan.models import ALL_MODELS, projective_plane, tower_one_even
 
 TESTS = Path(__file__).resolve().parent
 BENCH, FIXTURES, LARGE = TESTS.parent / "bench/models", TESTS / "fixtures", TESTS / "large"
@@ -108,10 +108,20 @@ def models(files: Iterable[Path] = (), randoms: int = 0) -> Named:
     return out + random_k3_models(0, randoms)
 
 
+def assorted() -> Named:
+    """Fresh models of every kind: ``models`` of the fixture files with four
+    random k = 3 models, and the product of CP^2 and ``tower_one_even``."""
+    pair = product(projective_plane(), tower_one_even())
+    return models(model_files(FIXTURES), randoms=4) + [("product", pair)]
+
+
+#: the text of a model file of (x2, y7; d y7 = x2^4): elliptic with k = 4, N = 6
+K4_TEXT = "generator x2 2\ngenerator y7 7\nd y7 = x2^4\n"
+
+
 def k4_model() -> SullivanModel:
-    """(x2, y7; d y7 = x2^4): elliptic with k = 4, N = 6."""
-    alg = build_algebra([("x2", 2), ("y7", 7)])
-    return build_model(alg, build_differential(alg, {"y7": parse_element("x2^4", alg)}))
+    """The model of ``K4_TEXT``."""
+    return parse_model_text(K4_TEXT)
 
 
 def product(*factors: SullivanModel) -> SullivanModel:
