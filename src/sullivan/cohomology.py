@@ -7,8 +7,9 @@ arithmetic.  The pieces provided here:
   representatives read off the factorizations of d into and out of its
   degree, through one set of cached helpers that serve both d and the
   spectral sequence's page-one differential delta, whose columns are d's
-  cut by word length; the unreduced image rows of the map into the degree
-  seed the boundaries, with no back-substitution,
+  cut one word-length pair slot up (:func:`_delta_slot`); the unreduced
+  image rows of the map into the degree seed the boundaries, with no
+  back-substitution,
 * cohomology dimensions from two ranks, dim H^n = |B_n| - rank d_n -
   rank d_{n-1}, with no representatives built, each rank taken only off
   the pivot columns of the boundaries below it, and their duality check,
@@ -92,12 +93,10 @@ def cochain_maps(model: SullivanModel, n: int) -> Tuple[RationalMatrix, Rational
     return tuple(RationalMatrix.from_columns(f.columns, f.nrows) for f in factors)
 
 
-def _images(
-    model: SullivanModel, which: str, src: List[Monomial], dst: List[Monomial]
-) -> List[Vector]:
-    """Columns of the matrix of the differential ``which`` from span(src) to
-    span(dst): the coordinates of its value on each monomial of src."""
-    add_image = model.differential.add_image if which == "d" else model.add_delta_image
+def _images(model: SullivanModel, src: List[Monomial], dst: List[Monomial]) -> List[Vector]:
+    """Columns of the matrix of d from span(src) to span(dst): the
+    coordinates of its value on each monomial of src."""
+    add_image = model.differential.add_image
     index = {m: i for i, m in enumerate(dst)}
     columns = []
     for mono in src:
@@ -107,12 +106,20 @@ def _images(
     return columns
 
 
-# The helpers below serve both differentials: ``which`` is "d" or "delta"
-# (``SullivanModel.delta``), and results are cached per differential and
-# degree.  A degree basis, in graded-lex order, is the delta pair slots one
-# after another, so the delta matrix of a whole degree is the block sum of
-# the slot matrices: its echelon, kernel basis and representatives are the
-# per-slot ones placed side by side.
+def _delta_slot(p: int) -> int:
+    """The one rule of delta: it keeps the terms of d one pair slot above
+    their source, slot p holding the word lengths 2p and 2p + 1.  For k = 3,
+    where d_i raises word length by i - 1, that is (u, v) -> (d_3 u, d_3 v +
+    d_4 u).  Pairs, whole-degree columns and slot matrices cut d by it."""
+    return p + 1
+
+
+# The helpers below serve both differentials: ``which`` is "d" or "delta",
+# and results are cached per differential and degree.  A degree basis, in
+# graded-lex order, is the delta pair slots one after another, so the delta
+# matrix of a whole degree is the block sum of the slot matrices: its
+# echelon, kernel basis and representatives are the per-slot ones placed
+# side by side.
 
 
 def _factor(model: SullivanModel, which: str, n: int) -> ColumnFactorization:
@@ -121,17 +128,17 @@ def _factor(model: SullivanModel, which: str, n: int) -> ColumnFactorization:
     boundaries, and it solves ``which``(x) = b.
 
     delta's columns are d's, the cached factorization's when there is one:
-    column m keeps its rows at the word lengths ``model.delta_lengths(wl(m))``."""
+    column m keeps its rows in the slot :func:`_delta_slot` maps m's into."""
 
     def produce():
         src, dst = basis(model.algebra, n), basis(model.algebra, n + 1)
         d = model._cache.get(("d", "factor", n))
-        columns = d.columns if d is not None else _images(model, "d", src, dst)
+        columns = d.columns if d is not None else _images(model, src, dst)
         if which == "delta":
-            lengths = list(map(sum, dst))
+            slots = [w // 2 for w in map(sum, dst)]
             columns = [
-                {i: x for i, x in col.items() if lengths[i] in keep}
-                for col, keep in zip(columns, map(model.delta_lengths, map(sum, src)))
+                {i: x for i, x in col.items() if slots[i] == up}
+                for col, up in zip(columns, [_delta_slot(w // 2) for w in map(sum, src)])
             ]
         return ColumnFactorization._of(columns, len(dst))
 
@@ -185,12 +192,12 @@ def _rank(model: SullivanModel, n: int) -> int:
         src, dst = basis(model.algebra, n), basis(model.algebra, n + 1)
         last, pivots = model._cache.get(("d", "pivots"), (None, ()))
         below = model._cache.get(("d", "factor", n - 1))
-        pivots = below._space._rows if below else pivots if last == n - 1 else ()
+        pivots = below._pivots if below else pivots if last == n - 1 else ()
         space = RowSpace(len(dst))
         off = [m for j, m in enumerate(src) if j not in pivots]
-        for column in _images(model, "d", off, dst):
+        for column in _images(model, off, dst):
             space._add(column)
-        model._cache[("d", "pivots")] = (n, frozenset(space._rows))
+        model._cache[("d", "pivots")] = (n, frozenset(space._pivots))
         return space.rank
 
     return _cached(model, ("d", "rank", n), produce)

@@ -16,8 +16,8 @@ sign * e_i * left * d(g_i) * right goes term by term into one
 those of the rest of the monomial, its sign is the Koszul sign of moving t
 into place, and a term that repeats an odd factor drops out.  No
 ``Element`` product is formed and nothing is kept per monomial.  The
-matrices of d and of delta, d filtered by word length, are written column
-by column this way.
+matrices of d are written column by column this way, and delta's are cut
+from them (``cohomology._delta_slot``).
 
 A coefficient of a generator image that is an integer is kept as an ``int``
 for this, so a model with integer coefficients has matrices of ``int``
@@ -73,7 +73,12 @@ class Derivation:
 
     def __call__(self, e: Element) -> Element:
         """Apply the derivation via the Leibniz rule, term by term."""
-        return _apply(self.algebra, self.add_image, e)
+        if e.algebra != self.algebra:
+            raise ValueError("element does not live in this derivation's algebra")
+        out: Dict[Monomial, Fraction] = {}
+        for mono, coeff in e.terms.items():
+            self.add_image(mono, coeff, out)
+        return Element(self.algebra, out)
 
     def add_image(self, mono: Monomial, coeff, out: Dict[Monomial, Fraction]) -> None:
         """Add ``coeff * d(mono)`` into the dict ``out``; terms that cancel
@@ -118,17 +123,6 @@ class Derivation:
         )
 
     __hash__ = None
-
-
-def _apply(algebra: Algebra, add_image, e: Element) -> Element:
-    """The map whose value on a monomial ``add_image`` adds into a dict,
-    applied to e term by term."""
-    if e.algebra != algebra:
-        raise ValueError("element does not live in this derivation's algebra")
-    out: Dict[Monomial, Fraction] = {}
-    for mono, coeff in e.terms.items():
-        add_image(mono, coeff, out)
-    return Element(algebra, out)
 
 
 def build_differential(
@@ -231,30 +225,6 @@ class SullivanModel:
 
     def d(self, e: Element) -> Element:
         return self.differential(e)
-
-    def delta(self, e: Element) -> Element:
-        """The page-one differential of the word-length spectral sequence
-        for k = 3 on a plain element (see :meth:`add_delta_image`)."""
-        return _apply(self.algebra, self.add_delta_image, e)
-
-    @staticmethod
-    def delta_lengths(w: int) -> Tuple[int, ...]:
-        """The word lengths of d(m) that delta keeps for a monomial m of word
-        length w: w + 2 and, if w is even, w + 3.  These are d3(m) and d4(m),
-        as d_i adds i - 1 to the word length."""
-        return (w + 2, w + 3) if w % 2 == 0 else (w + 2,)
-
-    def add_delta_image(
-        self, mono: Monomial, coeff, out: Dict[Monomial, Fraction]
-    ) -> None:
-        """Add ``coeff * delta(mono)`` into ``out``: the terms of d(mono) at
-        the word lengths :meth:`delta_lengths` keeps."""
-        keep = self.delta_lengths(sum(mono))
-        image: Dict[Monomial, Fraction] = {}
-        self.differential.add_image(mono, coeff, image)
-        for m, c in image.items():
-            if sum(m) in keep:
-                out[m] = out.get(m, 0) + c
 
 
 def build_model(algebra: Algebra, differential: Derivation) -> SullivanModel:

@@ -13,7 +13,8 @@ Every public entry point checks its vectors (:func:`_vector`).  The engine
 hands over the vectors it has just built itself, fresh sparse dicts of
 nonzero ``int`` or ``Fraction`` entries within range, without that check,
 through the private :meth:`RowSpace._add`, :meth:`ColumnFactorization._of`
-and :meth:`ColumnFactorization._split`.
+and :meth:`ColumnFactorization._split`, and reads pivot columns off either
+through the read-only view ``_pivots``.
 
 All elimination is done by one kernel, :class:`RowSpace`, which keeps a row
 space as a row echelon basis: one row per pivot column, 1 there and 0 to
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, KeysView, List, Optional, Sequence, Tuple, Union
 
 Vector = Dict[int, Union[int, Fraction]]
 
@@ -205,6 +206,11 @@ class RowSpace:
     def rank(self) -> int:
         return len(self._rows)
 
+    @property
+    def _pivots(self) -> KeysView[int]:
+        """The pivot columns, one per basis row, as a read-only view."""
+        return self._rows.keys()
+
     def echelon(self) -> List[Vector]:
         """The reduced row echelon basis, by ascending pivot column: the
         package's one back-substitution.  Rows are reduced by descending
@@ -243,6 +249,11 @@ class ColumnFactorization:
                 self._space._store(v)
             else:
                 self.kernel.append({i - nrows: x for i, x in v.items()})
+
+    @property
+    def _pivots(self) -> KeysView[int]:
+        """The pivot rows of the image, as a read-only view."""
+        return self._space._pivots
 
     def _split(self, r: Vector) -> Tuple[Vector, Vector]:
         """The normal form of r, reduced in place: its first nrows

@@ -6,11 +6,11 @@ Lambda^{2p} V + Lambda^{2p+1} V, with differential
 
     delta(u, v) = (d_3 u, d_3 v + d_4 u)
 
-and product (u, v)(u', v') = (uu', uv' + vu').  Every word length belongs to
-one pair slot, so one map, ``SullivanModel.delta``, d filtered by word
-length, is delta on plain elements and, read slot by slot, on pairs.  For
-k = 4 the stages are word-length triples and these pairs are not E_1, so
-every pair entry point checks k = 3 first (``PreconditionError`` otherwise).
+and product (u, v)(u', v') = (uu', uv' + vu').  That is the part of d one
+pair slot above its source, by the one rule of delta that cuts the matrices
+too (``cohomology._delta_slot``).  For k = 4 the stages are word-length
+triples and these pairs are not E_1, so every pair entry point checks k = 3
+first (``PreconditionError`` otherwise).
 A delta-class is handled as its representative ``FilteredPair``, which
 carries its filtration p and degree n.
 
@@ -26,6 +26,7 @@ filtration p and, in its starting representative, the class's depth.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -35,11 +36,13 @@ from .algebra import (
     basis,
     coefficient_vector,
     element_from_vector,
+    wordlength,
 )
 from .cohomology import (
     ToomerResult,
     _cohomology,
     _deepest_representative,
+    _delta_slot,
     _factor,
     _images,
     formal_dimension,
@@ -124,15 +127,11 @@ def pair_product(a: FilteredPair, b: FilteredPair) -> FilteredPair:
 
 
 def delta_apply(pair: FilteredPair) -> FilteredPair:
-    """(u, v) -> (d_3 u, d_3 v + d_4 u), the slot-(p + 1) part of d(u + v):
-    ``model.delta``, the map every delta-matrix is built from."""
-    image = pair.model.delta(pair.as_element())
-    out = FilteredPair.slot(pair.model, pair.p + 1, pair.n + 1, image)
-    if len(out.u.terms) + len(out.v.terms) != len(image.terms):
-        raise InternalInconsistencyError(
-            f"delta of a slot-{pair.p} pair has terms outside slot {pair.p + 1}"
-        )
-    return out
+    """(u, v) -> (d_3 u, d_3 v + d_4 u): the part of d(u + v) in the slot
+    the one rule of delta maps the pair's into, (p + 1, n + 1)."""
+    model = pair.model
+    image = model.d(pair.as_element())
+    return FilteredPair.slot(model, _delta_slot(pair.p), pair.n + 1, image)
 
 
 def pair_basis(model: SullivanModel, p: int, n: int) -> Tuple[List[Monomial], List[Monomial]]:
@@ -148,11 +147,17 @@ def pair_basis(model: SullivanModel, p: int, n: int) -> Tuple[List[Monomial], Li
 def delta_matrix(model: SullivanModel, p: int, n: int) -> RationalMatrix:
     """Matrix of delta from the (p, n) pair slot to the (p+1, n+1) slot, in
     coordinates that list the u slot, then the v slot.  It is one diagonal
-    block of the whole-degree matrix the engine solves with."""
-    src_u, src_v = pair_basis(model, p, n)
-    dst_u, dst_v = pair_basis(model, p + 1, n + 1)
-    images = _images(model, "delta", src_u + src_v, dst_u + dst_v)
-    return RationalMatrix.from_columns(images, len(dst_u) + len(dst_v))
+    block of the whole-degree matrix the engine solves with: d's columns
+    cut by the one rule of delta."""
+    src = sum(pair_basis(model, p, n), [])
+    dst = basis(model.algebra, n + 1)
+    q = _delta_slot(p)
+    first, end = (bisect_left(dst, w, key=wordlength) for w in (2 * q, 2 * q + 2))
+    columns = [
+        {i - first: x for i, x in col.items() if first <= i < end}
+        for col in _images(model, src, dst)
+    ]
+    return RationalMatrix.from_columns(columns, end - first)
 
 
 def delta_cohomology(model: SullivanModel, n: int) -> List[FilteredPair]:
@@ -218,7 +223,8 @@ class LiftTrace:
 
 
 def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
-    """Push a delta-cocycle to a d-cocycle by killing obstructions bottom up.
+    """Push a delta-cocycle to a d-cocycle by killing obstructions bottom up;
+    ``PreconditionError`` unless ``delta_apply`` kills each slot of start.
 
     Each round takes the lowest nonzero filtration pair of d(w) — always a
     delta-cocycle, by d^2 = 0 and word-length bookkeeping — and solves
@@ -239,11 +245,12 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
             start=start, p=0, l=0, t_bound=0, outcome="collapsed", final=start
         )
     n = start.degree()
-    if not model.delta(start).is_zero:
-        raise PreconditionError("start element is not a delta-cocycle")
     wls = start.wordlengths()
     p = wls[0] // 2
     l = wls[-1] // 2 - p
+    for q in range(p, p + l + 1):
+        if not delta_apply(FilteredPair.slot(model, q, n, start)).is_zero:
+            raise PreconditionError("start element is not a delta-cocycle")
     t_bound = (n - 4 * p - 4 * l - 1) // 4
     trace = LiftTrace(start=start, p=p, l=l, t_bound=t_bound, outcome="")
     w = start

@@ -14,7 +14,7 @@ from itertools import permutations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from sullivan.algebra import Algebra, Element, Monomial, basis, coefficient_vector
-from sullivan.cohomology import _images
+from sullivan.cohomology import _factor, _images
 from sullivan.differential import Derivation, SullivanModel, homogeneous_component
 from sullivan.linalg import ColumnFactorization
 
@@ -43,6 +43,14 @@ def dense_rref(a, ncols):
         pivots.append(col)
         row += 1
     return a, tuple(pivots)
+
+
+def dense_image_echelon(columns: Sequence[Vector], nrows: int):
+    """The reduced row echelon basis of the span of the sparse ``columns``
+    of length nrows, as sparse rows, and its pivot columns: :func:`dense_rref`
+    of the columns as dense rows, cut to its rank."""
+    reduced, pivots = dense_rref([dense(c, nrows) for c in columns], nrows)
+    return [sparse(r) for r in reduced[: len(pivots)]], pivots
 
 
 def dense_kernel(a, ncols):
@@ -197,12 +205,16 @@ def boundary_solve(
     """The coefficients c_j with target = sum_j c_j extra_j + a boundary of
     ``which`` ("d" or "delta") in degree n, solved with free variables 0 over
     the columns of ``extra`` and then the engine's columns of ``which`` from
-    degree n - 1; None if there are none.  So target bounds exactly when
+    degree n - 1, delta's read off its factorization; None if there are
+    none.  So target bounds exactly when
     ``boundary_solve(model, which, n, target)`` is not None."""
     alg = model.algebra
     bn = basis(alg, n)
     columns = [coefficient_vector(e, bn) for e in extra]
-    columns += _images(model, which, basis(alg, n - 1), bn)
+    if which == "d":
+        columns += _images(model, basis(alg, n - 1), bn)
+    else:
+        columns += _factor(model, which, n - 1).columns
     sol = ColumnFactorization(columns, len(bn)).solve(coefficient_vector(target, bn))
     return None if sol is None else {j: x for j, x in sol.items() if j < len(extra)}
 

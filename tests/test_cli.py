@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import sullivan
 from sullivan import (
     algebra,
     cli,
@@ -832,15 +833,15 @@ def test_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
     0..33 lists every representative, about 84 KB, more than a pipe holds."""
     path = tmp_path / "odd.model"
     path.write_text("".join(f"generator y{i} 3\n" for i in range(11)))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "sullivan.cli", "cohomology", str(path),
          "--degree", "0", "--to", "33"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_python_env(),
-    )
-    assert proc.stdout.readline() == f"== cohomology: {path} ==\n".encode()
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=30) == 1
+    ) as proc:
+        assert proc.stdout.readline() == f"== cohomology: {path} ==\n".encode()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=30) == 1
     assert "Traceback" not in err
     assert "Exception ignored" not in err
 
@@ -925,7 +926,7 @@ _K3_REPORTS = [
 def test_report_reads_delta_off_d_without_its_components(
     capsys, monkeypatch, model, golden
 ):
-    # delta is d filtered by word length: no engine path splits d into d_i
+    # delta is d cut one pair slot up: no engine path splits d into d_i
     def refuse(d, i):
         raise AssertionError(f"the engine built the word-length-{i} component of d")
 
@@ -1019,6 +1020,13 @@ def _last_column(columns, default):
 
 
 _N35 = (FIXTURES / "pure_n35.model").read_text()
+_real_delta_apply = spectral.delta_apply
+
+
+def _identity_above_35(pair):
+    """delta of a pair, but the identity on the obstructions of a lift in
+    pure_n35's top degree 35, which lie in degree 36."""
+    return pair if pair.n > 35 else _real_delta_apply(pair)
 
 
 @pytest.mark.parametrize(
@@ -1034,7 +1042,7 @@ _N35 = (FIXTURES / "pure_n35.model").read_text()
          "no delta-class survives to a d-cocycle; inconsistent with ellipticity"),
         (spectral, "_factor", lambda model, which, n: _NoCorrection(), "report", _N35,
          "obstruction filtration failed to increase"),
-        (spectral, "delta_apply", lambda pair: pair, "report", _N35,
+        (spectral, "delta_apply", _identity_above_35, "report", _N35,
          "lowest obstruction pair is not a delta-cocycle"),
         (cohomology, "cohomology_basis", lambda model, n: [], "report", _N35,
          "H^35 has 0 representatives, expected 1 for an elliptic model"),
@@ -1185,3 +1193,16 @@ def test_a_closed_stdout_in_process_exits_1_without_a_traceback(
     assert len(opened) == 1
     with pytest.raises(OSError):
         os.fstat(opened[0])
+
+
+def test_the_readme_library_surface_imports():
+    """The import block under README's "Library surface" runs, and every
+    name it imports is exported by ``sullivan``."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Library surface\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    names = set(namespace) - {"__builtins__"}
+    assert len(names) >= 19
+    assert names <= set(sullivan.__all__)

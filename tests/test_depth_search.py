@@ -23,7 +23,9 @@ from fractions import Fraction
 
 import pytest
 
-from reference import boundary_solve, dense, dense_solve, map_columns, sparse
+from reference import (
+    boundary_solve, dense, dense_solve, map_columns, reference_delta, sparse,
+)
 from sullivan import cli, cohomology, spectral
 from sullivan.algebra import (
     Element,
@@ -49,6 +51,7 @@ from sullivan.spectral import (
     FilteredPair,
     delta_apply,
     delta_cohomology,
+    delta_matrix,
     lift_to_d_cocycle,
     pair_basis,
     representative_depth,
@@ -160,9 +163,7 @@ def test_report_runs_each_depth_search_once(capsys, monkeypatch):
 def _slot_columns(model: SullivanModel, p: int, n: int):
     """The engine's columns of delta from the (p, n) pair slot to the
     (p + 1, n + 1) slot, each slot's basis listing u and then v."""
-    src_u, src_v = pair_basis(model, p, n)
-    dst_u, dst_v = pair_basis(model, p + 1, n + 1)
-    return cohomology._images(model, "delta", src_u + src_v, dst_u + dst_v)
+    return delta_matrix(model, p, n).columns()
 
 
 def _per_slot_delta_cohomology(model: SullivanModel, n: int):
@@ -390,8 +391,10 @@ def _dense_solution(model: SullivanModel, f, n: int, e: Element):
 
 def _reference_lift(model: SullivanModel, start: Element):
     """(outcome, obstructions, correctors, final) of the lift, each
-    delta(b) = obstruction and the final boundary test solved densely."""
+    delta(b) = obstruction, with the reference delta, and the final boundary
+    test solved densely."""
     n = start.degree()
+    delta = lambda e: reference_delta(model, e)  # noqa: E731
     w, obstructions, correctors = start, [], []
     while True:
         dw = model.d(w)
@@ -401,7 +404,7 @@ def _reference_lift(model: SullivanModel, start: Element):
         p = dw.min_wordlength() // 2
         obstruction = dw.wordlength_component(2 * p) + dw.wordlength_component(2 * p + 1)
         obstructions.append(obstruction)
-        corrector = _dense_solution(model, model.delta, n, obstruction)
+        corrector = _dense_solution(model, delta, n, obstruction)
         if corrector is None:
             return "died", obstructions, correctors, None
         correctors.append(corrector)

@@ -36,7 +36,7 @@ from sullivan.linalg import RowSpace
 from sullivan.models import ALL_MODELS, ELLIPTIC_K3_POOL
 from sullivan.murillo import murillo_fundamental_class
 from sullivan.selftest import random_element
-from sullivan.spectral import spectral_run
+from sullivan.spectral import FilteredPair, delta_apply, spectral_run
 from zoo import FIXTURES, LARGE, model_files
 
 EXACT = (int, Fraction)
@@ -111,8 +111,10 @@ def test_every_coefficient_is_an_int_or_a_fraction(name, build):
         e = random_element(rng, model.algebra)
         _check_element(e, "random element")
         _check_element(model.d(e), "d of a random element")
-        if model.k == 3:
-            _check_element(model.delta(e), "delta of a random element")
+        if model.k == 3:  # delta of e, one pair slot of it at a time
+            for q in {w // 2 for w in e.wordlengths()}:
+                pair = FilteredPair.slot(model, q, e.degree(), e)
+                _check_element(delta_apply(pair).as_element(), "delta of a random element")
 
 
 # ---------------------------------------------------------------------------

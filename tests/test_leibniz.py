@@ -3,11 +3,11 @@
 ``Derivation.add_image`` merges each Leibniz summand straight into one
 ``{monomial: coefficient}`` dict.  Here it is compared with a plain copy of
 the rule it replaced, which built every summand from two full ``Element``
-products, on d, its word-length components d3 and d4 and delta of every
-fixture, on random derivations whose images carry odd factors, on the
-matrices the engine eliminates, and on the ellipticity scan's quotient
-dimensions.  The engine reads delta off d by word length; the reference
-delta is built from the components.
+products, on d and its word-length components d3 and d4 of every fixture
+and delta of every k = 3 fixture, on random derivations whose images carry
+odd factors, on the matrices the engine eliminates, and on the ellipticity
+scan's quotient dimensions.  The engine cuts delta from d, one pair slot
+up; the reference delta is built from the components.
 """
 
 from __future__ import annotations
@@ -38,18 +38,36 @@ from sullivan.differential import (
 from sullivan.linalg import RowSpace
 from sullivan.models import ALL_MODELS
 from sullivan.selftest import random_element
+from sullivan.spectral import FilteredPair, delta_apply
 from zoo import FIXTURES, assorted, model_files, models, random_pure_model
 
 
+def _pair_delta(model: SullivanModel, e: Element) -> Element:
+    """The engine's delta of e, term by term: ``delta_apply`` of the pair
+    each term fills."""
+    alg = model.algebra
+    out = alg.zero()
+    for m, c in e.terms.items():
+        term = Element.from_monomial(alg, m, c)
+        pair = FilteredPair.slot(model, sum(m) // 2, alg.monomial_degree(m), term)
+        out = out + delta_apply(pair).as_element()
+    return out
+
+
 def _maps(model: SullivanModel):
-    """(name, engine map, reference map) for d, d3, d4 and delta."""
+    """(name, engine map, reference map) for d, d3, d4 and, where delta is
+    defined (k = 3), delta."""
     d3, d4 = (homogeneous_component(model.differential, i) for i in (3, 4))
-    return [
+    maps = [
         ("d", model.d, lambda e: reference_apply(model.differential, e)),
         ("d3", d3, lambda e: reference_apply(d3, e)),
         ("d4", d4, lambda e: reference_apply(d4, e)),
-        ("delta", model.delta, lambda e: reference_delta(model, e)),
     ]
+    if model.k == 3:
+        maps.append(
+            ("delta", lambda e: _pair_delta(model, e), lambda e: reference_delta(model, e))
+        )
+    return maps
 
 
 def test_every_basis_monomial_matches_the_reference():
@@ -175,7 +193,10 @@ def test_cochain_maps_and_delta_matrices_match_the_reference():
         for n in range(max(formal_dimension(model), 0) + 2):
             src, dst = basis(alg, n), basis(alg, n + 1)
             for which, ref in references:
-                got = _images(model, which, src, dst)
+                if which == "d":
+                    got = _images(model, src, dst)
+                else:
+                    got = cohomology._factor(model, which, n).columns
                 assert got == map_columns(alg, ref, src, dst), (name, which, n)
             if model.k == 3 and src and dst:
                 maps += 1
@@ -184,10 +205,10 @@ def test_cochain_maps_and_delta_matrices_match_the_reference():
 
 def test_delta_columns_read_off_d_match_the_delta_rule():
     """The whole-degree matrices of delta out of degrees 0 .. N, N - 1 and N
-    among them, are d's columns cut by word length, read off d's cached
-    factorization or assembled afresh; either way they equal the delta
-    rule's columns and the reference's."""
-    compared = 0
+    among them, are d's columns cut one pair slot up, read off d's cached
+    factorization or assembled afresh; either way they are the same columns,
+    and the reference's."""
+    compared, first = 0, {}
     for d_first in (True, False):
         for name, model in assorted():
             if model.k != 3:
@@ -199,7 +220,7 @@ def test_delta_columns_read_off_d_match_the_delta_rule():
                 if d_first:
                     cohomology._factor(model, "d", n)
                 got = cohomology._factor(model, "delta", n).columns
-                assert got == _images(model, "delta", src, dst), (name, n, d_first)
+                assert got == first.setdefault((name, n), got), (name, n, d_first)
                 assert got == map_columns(alg, ref, src, dst), (name, n, d_first)
                 compared += bool(got)
             assert (("d", "factor", n_top) in model._cache) == d_first
@@ -272,6 +293,6 @@ def test_pure_quotient_dims_match_the_reference():
 def test_an_element_of_another_algebra_is_rejected():
     model = ALL_MODELS[-1][1]()
     other = build_algebra([("a", 2), ("b", 3)])
-    for f in (model.d, homogeneous_component(model.differential, 3), model.delta):
+    for f in (model.d, homogeneous_component(model.differential, 3)):
         with pytest.raises(ValueError, match="derivation's algebra"):
             f(other.gen_element("a"))

@@ -5,10 +5,9 @@ import random
 import pytest
 
 from reference import reference_delta
-from sullivan import cli
+from sullivan import cli, cohomology, spectral
 from sullivan.algebra import basis, format_element, parse_element
 from sullivan.cohomology import formal_dimension, is_boundary, toomer_oracle
-from sullivan.differential import SullivanModel
 from sullivan.errors import PreconditionError
 from sullivan.models import (
     ELLIPTIC_K3_POOL,
@@ -159,11 +158,11 @@ def test_delta_apply_matches_the_pair_formula():
     assert nonzero > 100
 
 
-def test_selftest_catches_delta_applying_d4_on_odd_word_lengths(capsys, monkeypatch):
-    # the parity rule of the delta every matrix is built from, turned over:
-    # d's terms three word lengths up are kept on odd word lengths
-    def odd_d4(w):
-        return (w + 2, w + 3) if w % 2 == 1 else (w + 2,)
+def test_selftest_catches_delta_two_slots_up_from_odd_slots(capsys, monkeypatch):
+    # the one rule of delta, that every matrix is cut by, turned wrong: from
+    # an odd pair slot it keeps d's terms two slots up instead of one
+    def two_up_from_odd(p):
+        return p + 1 + p % 2
 
     def delta_cohomology_n37():
         model = FIXTURES / "pure_n37.model"
@@ -176,13 +175,15 @@ def test_selftest_catches_delta_applying_d4_on_odd_word_lengths(capsys, monkeypa
     shared = [x for x in out if x.startswith("delta.") and x in golden]
     assert code == 0 and len(shared) == 4
 
-    monkeypatch.setattr(SullivanModel, "delta_lengths", staticmethod(odd_d4))
+    # the rule is read where it is written and through spectral's binding
+    monkeypatch.setattr(cohomology, "_delta_slot", two_up_from_odd)
+    monkeypatch.setattr(spectral, "_delta_slot", two_up_from_odd)
     code = cli.main(["selftest", "--seed", "1", "--format", "structured"])
     out = capsys.readouterr().out.splitlines()
     assert code == 3
     assert "selftest.delta_squared.ok = false" in out
     assert "selftest.delta_derivation.ok = false" in out
-    # the delta-matrices share the one map with the selftest laws
+    # the delta-matrices share the one rule with the selftest laws
     code, out = delta_cohomology_n37()
     assert code == 3 or not set(shared) <= set(out)
 
@@ -191,10 +192,11 @@ def test_delta_element_matches_pair_delta():
     model = elliptic_pure_n35()
     alg = model.algebra
     e = parse_element("x6^2*y23", alg)
-    assert model.delta(e).is_zero
+    assert delta_apply(FilteredPair.slot(model, 1, 35, e)).is_zero
     f = parse_element("x2*x6^2*y23", alg)
-    d_f = model.delta(f)
+    d_f = delta_apply(FilteredPair.slot(model, 2, 37, f)).as_element()
     assert not d_f.is_zero
+    assert d_f == reference_delta(model, f)
 
 
 # ---------------------------------------------------------------------------
