@@ -23,7 +23,9 @@ arithmetic.  The pieces provided here:
 * the Toomer invariant by direct word-length filtration membership, through
   a one-pass depth search that the spectral method shares: the normal form
   of a cocycle modulo the boundary echelon, over a basis ordered by word
-  length, starts at the deepest filtration stage holding the class.
+  length, starts at the deepest filtration stage holding the class; that
+  reduction stopped at the stage is the witness the boundary columns cut
+  below it solve for, read off the one factorization of the boundaries.
 """
 
 from __future__ import annotations
@@ -551,13 +553,13 @@ def _deepest_representative(
     z in Lambda^{>=s}V: the lowest word length of the normal form is
     therefore exactly the greatest s.
 
-    The representative is the one the membership solve of z against the unit
-    vectors of word length >= s followed by the boundary columns picks (free
-    variables zero).  That solve takes a boundary column exactly when its
-    part below word length s is independent of the earlier columns' parts.
-    So it is read off a factorization of the columns cut below word length
-    s, which depends on (which, n, s) only and is cached on the model; the
-    representative is z minus that combination of the whole columns.
+    The witness is z reduced only at the pivots below ``shallow``, where
+    word length s starts: z - M x, M the columns of ``which``, zero below
+    ``shallow`` as the normal form is.  It is the membership solve of z
+    against the unit vectors of word length >= s and then M (free variables
+    0), by a lemma: a column is stored reduced only up to its lead, so by
+    induction over the columns the stored rows with leads below ``shallow``,
+    cut there, are those of the factorization of M cut below ``shallow``.
 
     Returns None when z is a boundary.
     """
@@ -569,28 +571,13 @@ def _deepest_representative(
         return None
     s = wordlength(bn[min(normal)])
     shallow = bisect_left(bn, s, key=wordlength)
-
-    def produce():
-        cut = [
-            {i: x for i, x in col.items() if i < shallow} for col in boundaries.columns
-        ]
-        return ColumnFactorization._of(cut, shallow)
-
-    truncated = _cached(model, (which, "factor", n - 1, s), produce)
-    rest, sol = truncated._split({i: c for i, c in zvec.items() if i < shallow})
-    if rest:
+    witness = boundaries._split(zvec, shallow)[0]
+    if min(witness) < shallow:
         raise InternalInconsistencyError(
             f"no representative at word length >= {s}, the depth of its own "
             "normal form"
         )
-    for j, x in sol.items():
-        for i, y in boundaries.columns[j].items():
-            c = zvec.get(i, 0) - x * y
-            if c:
-                zvec[i] = c
-            else:
-                del zvec[i]
-    return s, element_from_vector(z.algebra, bn, zvec)
+    return s, element_from_vector(z.algebra, bn, witness)
 
 
 def toomer_oracle(model: SullivanModel) -> ToomerResult:
@@ -599,7 +586,7 @@ def toomer_oracle(model: SullivanModel) -> ToomerResult:
 
     The fundamental cocycle is reduced modulo the boundaries of top degree,
     whose factorization :func:`cohomology_basis` already built; the lowest word
-    length left is e0, and one membership solve there gives the witness
+    length left is e0, and the reduction stopped there is the witness
     representative (see :func:`_deepest_representative`).  The result is
     kept in the model's cache, so the cross-check in the spectral method
     reuses it.

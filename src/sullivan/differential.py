@@ -178,18 +178,6 @@ def build_differential(
     return d
 
 
-def homogeneous_component(d: Derivation, i: int) -> Derivation:
-    """The derivation d_i whose generator images are the word-length-i parts."""
-    if i < 0:
-        raise ValueError("word length must be nonnegative")
-    images = {}
-    for idx, img in d.images.items():
-        comp = img.wordlength_component(i)
-        if not comp.is_zero:
-            images[idx] = comp
-    return Derivation(d.algebra, images)
-
-
 def detect_k(d: Derivation) -> Optional[int]:
     """Smallest word length occurring in any generator image; None if d = 0."""
     wls = [
@@ -211,11 +199,11 @@ class SullivanModel:
 
     ``k`` is None exactly when the differential is zero.  The ``_cache``
     dictionary memoizes results derived from the model (factorizations,
-    ranks and classes of d and delta, the depth searches' truncated
-    factorizations, the pure projection, the Groebner basis of the pure
-    quotient, the ellipticity scan, the oracle, the coefficient matrix, the
-    selftest's pair slots); entries are write-once, but for the one slot of
-    the last d-rank's pivot columns, ``("d", "pivots")``: (degree, frozenset).
+    ranks and classes of d and delta, the pure projection, the Groebner
+    basis of the pure quotient, the ellipticity scan, the oracle, the
+    coefficient matrix, the selftest's pair slots); entries are write-once,
+    but for the one slot of the last d-rank's pivot columns,
+    ``("d", "pivots")``: (degree, frozenset).
     """
 
     algebra: Algebra

@@ -30,19 +30,24 @@ nonzero column as the next pivot and scales every pivot to 1.
 
 A map m: Q^ncols -> Q^nrows is eliminated once, as a
 :class:`ColumnFactorization`: column j goes into a ``RowSpace`` with one
-extra unit coordinate, nrows + j, in column order.  A column is stored
-exactly when it is independent of the earlier ones, so the stored columns
-are the pivot columns of m, and they are independent.  Hence every answer
-read off the factorization is unique, and ``kernel_basis`` and
+extra unit coordinate, nrows + j, in column order, reduced only up to its
+lead (its first nonzero column that is not a pivot column).  A column is
+stored exactly when it is independent of the earlier ones, so the stored
+columns are the pivot columns of m, and they are independent.  Hence every
+answer read off the factorization is unique, and ``kernel_basis`` and
 ``solve_membership`` are views of it:
 
-* a column that is not stored leaves only its unit part: the kernel vector
-  with that free variable 1 and the others 0, free columns ascending;
+* a column that is not stored is reduced fully and leaves only its unit
+  part: the kernel vector with that free variable 1 and the others 0, free
+  columns ascending;
 * the stored rows, cut to the first nrows coordinates, are an echelon basis
   of the image with leads 1, not reduced: ``image_rows``;
 * b is in the image exactly when its normal form vanishes on the first
   nrows coordinates; minus its unit part is then the solution of m x = b
-  with every free variable 0.
+  with every free variable 0;
+* with its private ``stop`` = S, ``_split`` clears only the pivots below
+  row S, and its unit part is then the one the factorization of the
+  columns cut below S finds (``cohomology._deepest_representative``).
 """
 
 from __future__ import annotations
@@ -140,8 +145,10 @@ class RowSpace:
         self.ncols = ncols
         self._rows: Dict[int, Vector] = {min(r): dict(r) for r in echelon}
 
-    def _reduce(self, v: Vector) -> Vector:
-        """Reduce v in place to its normal form, zero at every pivot column.
+    def _reduce(self, v: Vector, stop: Optional[int] = None, lead: bool = False) -> Vector:
+        """Reduce v in place to its normal form, zero at every pivot column;
+        with ``stop``, only at those below ``stop``, and with ``lead``, only
+        at those below its lead, its first nonzero non-pivot column.
 
         Pivots are cleared in ascending order: a row is zero left of its
         pivot, so subtracting it only touches later columns, and a pivot
@@ -149,9 +156,15 @@ class RowSpace:
         """
         rows = self._rows
         pending = sorted(j for j in v if j in rows)
+        if lead:
+            stop = min((j for j in v if j not in rows), default=self.ncols)
+        elif stop is None:
+            stop = self.ncols
         i = 0
         while i < len(pending):
             p = pending[i]
+            if p >= stop:
+                break
             i += 1
             f = v.pop(p, None)
             if f is None:  # cancelled, or queued twice
@@ -164,12 +177,17 @@ class RowSpace:
                     v[j] = -f * x
                     if j in rows:
                         insort(pending, j, i)
+                    elif lead and j < stop:
+                        stop = j
                 else:
                     y -= f * x
                     if y:
                         v[j] = y
                     else:
                         del v[j]
+                        if lead and j == stop:  # the lead cancelled
+                            rest = (k for k in v if k not in rows)
+                            stop = min(rest, default=self.ncols)
         return v
 
     def _store(self, v: Vector) -> None:
@@ -244,7 +262,7 @@ class ColumnFactorization:
         self.kernel: List[Vector] = []
         self._space = RowSpace(nrows + len(columns))
         for j, col in enumerate(columns):
-            v = self._space._reduce({**col, nrows + j: 1})
+            v = self._space._reduce({**col, nrows + j: 1}, lead=True)
             if min(v) < nrows:
                 self._space._store(v)
             else:
@@ -255,11 +273,12 @@ class ColumnFactorization:
         """The pivot rows of the image, as a read-only view."""
         return self._space._pivots
 
-    def _split(self, r: Vector) -> Tuple[Vector, Vector]:
-        """The normal form of r, reduced in place: its first nrows
-        coordinates, and minus the rest."""
+    def _split(self, r: Vector, stop: Optional[int] = None) -> Tuple[Vector, Vector]:
+        """The normal form of r, reduced in place (with ``stop``, only at the
+        pivots below row ``stop``): its first nrows coordinates, and minus
+        the rest."""
         n = self.nrows
-        r = self._space._reduce(r)
+        r = self._space._reduce(r, stop)
         rest = {i: x for i, x in r.items() if i < n}
         return rest, {i - n: -x for i, x in r.items() if i >= n}
 

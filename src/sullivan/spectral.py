@@ -191,8 +191,8 @@ def representative_depth(
 
     Works on the total delta complex in the class's degree with the depth
     search the Toomer oracle uses for d: the lowest word length of the
-    class's normal form modulo the delta-boundary echelon, then one
-    membership solve at that word length for the representative.
+    class's normal form modulo the delta-boundary echelon, then the same
+    reduction stopped at that word length for the representative.
     """
     z = pair.as_element()
     if z.is_zero:

@@ -1,9 +1,11 @@
 """The references the tests compare the engine against, each written once
 (not a test module): dense Gauss-Jordan elimination and the random matrices
 it is compared on; the Leibniz rule by ``Element`` products and delta by the
-pair formula; the columns of a map between monomial bases; one boundary
-solve, through the kernel's checked public ``ColumnFactorization.solve``;
-and the determinant by its permutation expansion.
+pair formula, and the word-length components of d that it is made of; the
+columns of a map between monomial bases; one boundary solve, through the
+kernel's checked public ``ColumnFactorization.solve``, and the depth search
+by a solve over the boundary columns cut below its depth; and the
+determinant by its permutation expansion.
 """
 
 from __future__ import annotations
@@ -11,11 +13,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from sullivan.algebra import Algebra, Element, Monomial, basis, coefficient_vector
+from sullivan.algebra import (
+    Algebra, Element, Monomial, basis, coefficient_vector, element_from_vector, wordlength,
+)
 from sullivan.cohomology import _factor, _images
-from sullivan.differential import Derivation, SullivanModel, homogeneous_component
+from sullivan.differential import Derivation, SullivanModel
 from sullivan.linalg import ColumnFactorization
 
 Vector = Dict[int, Fraction]
@@ -180,6 +184,18 @@ def reference_apply(derivation: Derivation, e: Element) -> Element:
     return out
 
 
+def homogeneous_component(d: Derivation, i: int) -> Derivation:
+    """The derivation d_i whose generator images are the word-length-i parts."""
+    if i < 0:
+        raise ValueError("word length must be nonnegative")
+    images = {}
+    for idx, img in d.images.items():
+        comp = img.wordlength_component(i)
+        if not comp.is_zero:
+            images[idx] = comp
+    return Derivation(d.algebra, images)
+
+
 def reference_delta(model: SullivanModel, e: Element) -> Element:
     """delta by the paper's pair formula, (u, v) -> (d3 u, d3 v + d4 u): d3 of
     e plus d4 of its even word-length part, d3 and d4 being the word-length
@@ -198,25 +214,57 @@ def map_columns(
     return [coefficient_vector(f(Element.from_monomial(alg, m)), dst) for m in src]
 
 
+def boundary_columns(model: SullivanModel, which: str, n: int) -> List[Vector]:
+    """The engine's columns of ``which`` ("d" or "delta") from degree n - 1
+    into degree n: d's assembled afresh, delta's read off its factorization."""
+    alg = model.algebra
+    if which == "d":
+        return _images(model, basis(alg, n - 1), basis(alg, n))
+    return _factor(model, which, n - 1).columns
+
+
 def boundary_solve(
     model: SullivanModel, which: str, n: int, target: Element,
     extra: Sequence[Element] = (),
 ) -> Optional[Vector]:
     """The coefficients c_j with target = sum_j c_j extra_j + a boundary of
-    ``which`` ("d" or "delta") in degree n, solved with free variables 0 over
-    the columns of ``extra`` and then the engine's columns of ``which`` from
-    degree n - 1, delta's read off its factorization; None if there are
-    none.  So target bounds exactly when
-    ``boundary_solve(model, which, n, target)`` is not None."""
-    alg = model.algebra
-    bn = basis(alg, n)
+    ``which`` in degree n, solved with free variables 0 over the columns of
+    ``extra`` and then :func:`boundary_columns`; None if there are none.  So
+    target bounds exactly when ``boundary_solve(model, which, n, target)``
+    is not None."""
+    bn = basis(model.algebra, n)
     columns = [coefficient_vector(e, bn) for e in extra]
-    if which == "d":
-        columns += _images(model, basis(alg, n - 1), bn)
-    else:
-        columns += _factor(model, which, n - 1).columns
+    columns += boundary_columns(model, which, n)
     sol = ColumnFactorization(columns, len(bn)).solve(coefficient_vector(target, bn))
     return None if sol is None else {j: x for j, x in sol.items() if j < len(extra)}
+
+
+def cut_depth_search(
+    model: SullivanModel, which: str, n: int, z: Element
+) -> Optional[Tuple[int, Element]]:
+    """The depth search as it was first written, or None when z bounds: s
+    is the lowest word length of the normal form of z modulo the boundaries
+    of ``which``, and the witness is z minus the combination of the boundary
+    columns that a fresh factorization of those columns, cut below word
+    length s, solves for the part of z below s (free variables 0)."""
+    bn = basis(model.algebra, n)
+    columns = boundary_columns(model, which, n)
+    zvec = coefficient_vector(z, bn)
+    normal = ColumnFactorization(columns, len(bn)).reduce(zvec)
+    if not normal:
+        return None
+    s = wordlength(bn[min(normal)])
+    shallow = sum(wordlength(m) < s for m in bn)
+    cut = ColumnFactorization(
+        [{i: x for i, x in c.items() if i < shallow} for c in columns], shallow
+    )
+    x = cut.solve({i: c for i, c in zvec.items() if i < shallow})
+    if x is None:
+        raise AssertionError(f"no representative at word length >= {s}")
+    for j, xj in x.items():
+        for i, y in columns[j].items():
+            zvec[i] = zvec.get(i, 0) - xj * y
+    return s, element_from_vector(model.algebra, bn, zvec)
 
 
 def naive_det(entries: Sequence[Sequence[Element]], alg: Algebra) -> Element:

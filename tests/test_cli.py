@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import io
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -926,11 +928,15 @@ _K3_REPORTS = [
 def test_report_reads_delta_off_d_without_its_components(
     capsys, monkeypatch, model, golden
 ):
-    # delta is d cut one pair slot up: no engine path splits d into d_i
-    def refuse(d, i):
-        raise AssertionError(f"the engine built the word-length-{i} component of d")
-
-    monkeypatch.setattr(differential, "homogeneous_component", refuse)
+    # delta is d cut one pair slot up: no engine path splits d into d_i, and
+    # no engine module can, since the component builder is the tests' own
+    # (``reference.homogeneous_component``)
+    modules = [sullivan] + [
+        importlib.import_module(f"sullivan.{info.name}")
+        for info in pkgutil.iter_modules(sullivan.__path__)
+    ]
+    assert len(modules) >= 10
+    assert not [m.__name__ for m in modules if hasattr(m, "homogeneous_component")]
     monkeypatch.chdir(Path(__file__).parent.parent)
     code, out, _ = _run(capsys, "report", model, "--format", "structured")
     assert code == 0

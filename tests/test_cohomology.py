@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 from itertools import combinations
 
 import pytest
 
-from reference import boundary_solve
+from reference import boundary_solve, homogeneous_component
 from sullivan import cli, cohomology
 from sullivan.algebra import Element, basis, format_element
 from sullivan.cohomology import (
@@ -18,7 +19,7 @@ from sullivan.cohomology import (
     toomer_oracle,
     top_class,
 )
-from sullivan.differential import build_model, homogeneous_component, is_pure
+from sullivan.differential import build_model, is_pure
 from sullivan.errors import PreconditionError
 from sullivan.models import (
     ALL_MODELS,
@@ -261,6 +262,39 @@ def test_products_satisfy_kunneth_and_add_e0():
             assert spectral_run(ab).result.e0 == e0, name
             spectral += 1
     assert spectral == 6
+
+
+#: sha256 of the structured report of pure_n37 x pure_n35, its model.path
+#: line left out, recorded while the depth searches still factored the
+#: boundary columns cut below each depth
+N37_X_N35_REPORT_SHA256 = "e720192c1372b74fa90fa7d9f059ca288b60d6fa0340cdd043281dd34d3e5cac"
+
+
+def test_the_report_of_n37_times_n35(capsys, monkeypatch):
+    """pure_n37 x pure_n35 (N = 72), the suite's largest boundary
+    factorizations: its report's dimensions satisfy Kunneth, its e0 is
+    6 + 6 = 12 (Felix-Halperin-Lemaire, as in
+    :func:`test_products_satisfy_kunneth_and_add_e0`), and it is the report
+    recorded before the depth searches read their witnesses off the whole
+    boundary factorizations."""
+    a, b = (
+        cli.parse_model_file(str(FIXTURES / f"pure_n{n}.model")).model for n in (37, 35)
+    )
+    ab = product(a, b)
+    monkeypatch.setattr(cli, "parse_model_file", lambda path: cli.ModelFile(ab))
+    assert cli.main(["report", "n37xn35", "--format", "structured"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    pairs = dict(line.rstrip("\n").split(" = ", 1) for line in lines)
+    dims_a = [cohomology_dim(a, i) for i in range(38)]
+    dims_b = [cohomology_dim(b, j) for j in range(36)]
+    for n in range(73):
+        degrees = range(max(0, n - 35), min(n, 37) + 1)
+        kunneth = sum(dims_a[i] * dims_b[n - i] for i in degrees)
+        assert int(pairs[f"cohomology.dim.{n}"]) == kunneth, n
+    assert toomer_oracle(a).e0 == toomer_oracle(b).e0 == 6
+    assert pairs["toomer.oracle.e0"] == pairs["toomer.spectral.e0"] == "12"
+    body = "".join(line for line in lines if not line.startswith("model.path = "))
+    assert hashlib.sha256(body.encode()).hexdigest() == N37_X_N35_REPORT_SHA256
 
 
 def test_require_elliptic_message_lists_degrees():

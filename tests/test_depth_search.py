@@ -1,11 +1,13 @@
 """The one-pass depth search against the descending search it replaced.
 
 ``toomer_oracle`` and ``representative_depth`` find the deepest word-length
-filtration stage of a class with one reduction modulo the boundary echelon
-and one membership solve.  Here they are compared, in depth and in the exact
-representative, with a plain transcription of the earlier method: solve the
-membership problem for s = s_max, s_max - 1, ... and stop at the first
-success.  The comparison runs over the fixture zoo and over seeded random
+filtration stage of a class with one reduction modulo the boundary echelon,
+and the representative with the same reduction stopped at that stage.  Here
+they are compared, in depth and in the exact representative, with a plain
+transcription of the earlier method: solve the membership problem for
+s = s_max, s_max - 1, ... and stop at the first success; and with the solve
+over the boundary columns cut below the depth that the stopped reduction
+replaced.  The comparisons run over the fixture zoo and over seeded random
 pure k = 3 models.
 
 The same models check the cohomology helpers that d and delta share:
@@ -24,7 +26,8 @@ from fractions import Fraction
 import pytest
 
 from reference import (
-    boundary_solve, dense, dense_solve, map_columns, reference_delta, sparse,
+    boundary_solve, cut_depth_search, dense, dense_solve, map_columns, reference_delta,
+    sparse,
 )
 from sullivan import cli, cohomology, spectral
 from sullivan.algebra import (
@@ -274,80 +277,51 @@ def _count_factorizations(monkeypatch):
 
 
 def test_report_builds_each_factorization_once(capsys, monkeypatch):
-    """Every factorization comes from the model cache, once per key: the
-    whole differentials once per (differential, degree), and the depth
-    searches' factorizations of truncated boundary columns once per
-    (differential, degree, depth)."""
+    """Every factorization comes from the model cache, once per key, and
+    every key is a whole differential's, (differential, "factor", degree):
+    the depth searches build none of their own."""
     built, constructed = _count_factorizations(monkeypatch)
-    searches = []
-    search = cohomology._deepest_representative
-
-    def recorded_search(model, which, n, z):
-        found = search(model, which, n, z)
-        searches.append((which, n, found[0]))
-        return found
-
-    monkeypatch.setattr(cohomology, "_deepest_representative", recorded_search)
-    monkeypatch.setattr(spectral, "_deepest_representative", recorded_search)
     code = cli.main(
         ["report", str(FIXTURES / "pure_n35.model"), "--format", "structured"]
     )
-    out = capsys.readouterr().out
     assert code == 0
-    classes = int(
-        next(l for l in out.splitlines() if l.startswith("delta.dim_total = "))
-        .split(" = ")[1]
-    )
-    assert len(searches) == 1 + classes
+    keys = {key for _, key in built}
+    assert keys >= {(which, "factor", n) for which in ("d", "delta") for n in (34, 35)}
+    assert {key[:2] for key in keys} == {("d", "factor"), ("delta", "factor")}
+    assert {len(key) for key in keys} == {3}
     assert set(built.values()) == {1}
-    assert {key for _, key in built} >= {
-        (which, "factor", n) for which in ("d", "delta") for n in (34, 35)
-    }
-    truncated = {key for _, key in built if len(key) == 4}
-    assert truncated == {
-        (which, "factor", n - 1, s) for which, n, s in set(searches)
-    }
     assert constructed[0] == len(built)
 
 
-def test_depth_searches_of_one_depth_share_a_factorization(monkeypatch):
-    """Classes of one degree and depth are searched against one truncated
-    factorization, and the depths and witnesses are those of a fresh
-    factorization per class."""
-    cached = cohomology._cached
-
-    def uncached_truncations(model, key, producer):
-        return producer() if len(key) == 4 else cached(model, key, producer)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(cohomology, "_cached", uncached_truncations)
-        fresh = {
-            name: [
-                (c.p, representative_depth(model, c))
+def test_depth_searches_build_no_factorization(monkeypatch):
+    """Once a degree's cohomology is known, its depth searches build no
+    factorization: they read depth and witness off the cached one of the
+    boundaries.  Each (s, witness) is that of a solve on a fresh
+    factorization of the boundary columns cut below word length s
+    (``reference.cut_depth_search``), on the zoo and on eight random k = 3
+    models."""
+    built, constructed = _count_factorizations(monkeypatch)
+    searched = Counter()
+    for name, model in models(randoms=8):
+        searches = []  # (which, degree, class), each degree's cohomology known
+        if is_elliptic(model).is_elliptic:
+            searches.append(("d", *top_class(model)))
+        if model.k == 3:
+            searches += [
+                ("delta", n, c.as_element())
                 for n in range(formal_dimension(model) + 1)
                 for c in delta_cohomology(model, n)
             ]
-            for name, model in models(randoms=8)
-            if model.k == 3
-        }
-    built, constructed = _count_factorizations(monkeypatch)
-    shared = 0
-    for name, model in models(randoms=8):
-        if model.k != 3:
-            continue
-        got, depths = [], Counter()
-        for n in range(formal_dimension(model) + 1):
-            for c in delta_cohomology(model, n):
-                s, rep = representative_depth(model, c)
-                got.append((c.p, (s, rep)))
-                depths[(n, s)] += 1
-        assert got == fresh[name], name
-        keys = {key for (mid, key) in built if mid == id(model) and len(key) == 4}
-        assert keys == {("delta", "factor", n - 1, s) for n, s in depths}, name
-        shared += sum(count - 1 for count in depths.values())
+        before = constructed[0]
+        found = [cohomology._deepest_representative(model, *args) for args in searches]
+        assert constructed[0] == before, name
+        for args, got in zip(searches, found):
+            assert got == cut_depth_search(model, *args), (name, args[:2])
+            searched[args[0]] += 1
+    assert {len(key) for _, key in built} == {3}
     assert set(built.values()) == {1}
     assert constructed[0] == len(built)
-    assert shared >= 100
+    assert searched["d"] >= 22 and searched["delta"] >= 460, searched
 
 
 def test_lifts_boundaries_and_cached_cohomology_build_no_factorization(monkeypatch):

@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import pytest
 
+from reference import homogeneous_component
 from sullivan.algebra import build_algebra, format_element, parse_element
 from sullivan.differential import (
     build_differential,
     build_model,
     detect_k,
-    homogeneous_component,
     is_pure,
     pure_projection,
 )

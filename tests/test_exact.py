@@ -84,7 +84,7 @@ def test_every_coefficient_is_an_int_or_a_fraction(name, build):
             if trace.final is not None:
                 _check_element(trace.final, "lift final")
 
-    # every d- and delta-factorization the runs above cached, whole or cut
+    # every d- and delta-factorization the runs above cached
     factors = [v for k, v in model._cache.items() if k[1:2] == ("factor",)]
     assert factors
     for factor in factors:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference import homogeneous_component
 from sullivan.algebra import (
     Generator,
     basis,
@@ -14,7 +15,7 @@ from sullivan.algebra import (
     parse_element,
 )
 from sullivan.cohomology import is_elliptic
-from sullivan.differential import build_differential, build_model, homogeneous_component
+from sullivan.differential import build_differential, build_model
 from sullivan.errors import ModelError
 from sullivan.linalg import ColumnFactorization, RowSpace
 from sullivan.models import elliptic_pure_n35, elliptic_pure_n37, projective_plane
@@ -101,6 +102,7 @@ INPUT_CHECKS = {
     "build_differential-image-of-another-algebra": (
         _build_differential_image_of_another_algebra, ModelError,
         "lives in a different algebra"),
+    # the tests' word-length components (``reference``), kept with their check
     "homogeneous_component-negative": (
         lambda: homogeneous_component(elliptic_pure_n37().differential, -1),
         ValueError, "nonnegative"),

@@ -17,7 +17,9 @@ from fractions import Fraction
 
 import pytest
 
-from reference import map_columns, reference_apply, reference_delta
+from reference import (
+    homogeneous_component, map_columns, reference_apply, reference_delta,
+)
 from sullivan import cli, cohomology
 from sullivan.algebra import (
     Element,
@@ -32,7 +34,6 @@ from sullivan.differential import (
     SullivanModel,
     build_differential,
     build_model,
-    homogeneous_component,
     pure_projection,
 )
 from sullivan.linalg import RowSpace

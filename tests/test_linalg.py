@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from reference import (
@@ -90,6 +91,66 @@ def test_row_space_seeded_from_an_echelon_matches_one_filled_row_by_row():
         assert seeded.echelon() == filled.echelon()
         # seeding copied the rows it was given
         assert reduced == [sparse(r) for r in want[: len(pivots)]]
+
+
+def test_a_column_whose_lead_cancels_is_reduced_up_to_its_next_lead():
+    # the third column's lead, row 1, cancels against the first column's
+    # row; it is stored at row 3, its next lead, with pivot row 2 cleared
+    factor = ColumnFactorization([[1, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 1]], 4)
+    assert not factor.kernel
+    assert factor.image_rows() == [{0: 1, 1: 1}, {2: 1}, {3: 1}]
+    assert factor.solve([1, 1, 1, 1]) == {2: 1}
+
+
+def _minus_columns(b, columns, x):
+    """b - m x for the matrix m of ``columns``, without zero entries."""
+    out = dict(b)
+    for j, xj in x.items():
+        for i, y in columns[j].items():
+            out[i] = out.get(i, 0) - xj * y
+    return {i: v for i, v in out.items() if v}
+
+
+def test_split_stopped_at_a_row_solves_the_columns_cut_there():
+    """``_split(b, stop)`` clears only the pivots below row ``stop``: its
+    unit part is what a fresh factorization of the columns cut below
+    ``stop`` finds for b cut there, and its first nrows coordinates are
+    b - m x.  On int and Fraction matrices, for every stop in 0..nrows."""
+    rng = random.Random(31)
+    kinds, solved = Counter(), 0
+    for rows, ncols in matrix_cases():
+        nrows = len(rows)
+        if all(x.denominator == 1 for r in rows for x in r):
+            rows = [[int(x) for x in r] for r in rows]
+        columns = [sparse([r[j] for r in rows]) for j in range(ncols)]
+        kinds[type(next((x for c in columns for x in c.values()), 0))] += 1
+        factor = ColumnFactorization(columns, nrows)
+        for stop in range(nrows + 1):
+            cut_columns = [{i: x for i, x in c.items() if i < stop} for c in columns]
+            cut = ColumnFactorization(cut_columns, stop)
+            # b = m y + a tail from row stop on: in the image below stop
+            tail = {
+                i: Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                for i in range(stop, nrows) if rng.random() < 0.3
+            }
+            picked = rng.sample(range(ncols), min(ncols, 3))
+            minus_y = {j: rng.choice((-2, -1, 1, 3)) for j in picked}
+            inside = _minus_columns(tail, columns, minus_y)
+            rest, x = factor._split(dict(inside), stop)
+            assert x == cut.solve({i: v for i, v in inside.items() if i < stop})
+            assert rest == _minus_columns(inside, columns, x)
+            assert all(i >= stop for i in rest)
+            solved += 1
+            # any b: the cut factorization's own split, below stop
+            for b in random_rows(rng, 2, nrows, 0.4, rng.random() < 0.5):
+                rest, x = factor._split(sparse(b), stop)
+                below = {i: v for i, v in sparse(b).items() if i < stop}
+                cut_rest, cut_x = cut._split(below)
+                assert x == cut_x
+                assert {i: v for i, v in rest.items() if i < stop} == cut_rest
+                assert rest == _minus_columns(sparse(b), columns, x)
+    assert kinds[int] >= 5 and kinds[Fraction] >= 5, kinds
+    assert solved >= 500
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+from reference import homogeneous_component
 from sullivan import models, selftest
 from sullivan.algebra import Element, basis, parse_element
 from sullivan.cli import parse_model_text
 from sullivan.cohomology import is_elliptic, toomer_oracle
-from sullivan.differential import build_model, homogeneous_component
+from sullivan.differential import build_model
 from sullivan.selftest import (
     check_basis_counts,
     check_d_squared,
