@@ -7,9 +7,9 @@ arithmetic.  The pieces provided here:
   representatives read off the factorizations of d into and out of its
   degree, through one set of cached helpers that serve both d and the
   spectral sequence's page-one differential delta, whose columns are d's
-  cut one word-length pair slot up (:func:`_delta_slot`); the unreduced
-  image rows of the map into the degree seed the boundaries, with no
-  back-substitution,
+  cut one word-length pair slot up (:func:`_delta_slot`); the factorization
+  of the map into the degree hands over its unreduced image as the row
+  space of the boundaries, with no back-substitution,
 * cohomology dimensions from two ranks, dim H^n = |B_n| - rank d_n -
   rank d_{n-1}, with no representatives built, each rank taken only off
   the pivot columns of the boundaries below it, and their duality check,
@@ -149,20 +149,20 @@ def _factor(model: SullivanModel, which: str, n: int) -> ColumnFactorization:
 
 def _cohomology(model: SullivanModel, which: str, n: int) -> List[Element]:
     """Representatives of the degree-n cohomology of ``which``: the kernel
-    basis vectors that extend the boundary echelon (the unreduced
-    ``image_rows`` out of degree n - 1) to a cocycle basis."""
+    basis vectors that extend the boundary echelon, the unreduced image of
+    the factorization out of degree n - 1 handed over as a row space, to a
+    cocycle basis."""
 
     def produce():
         cocycles = _factor(model, which, n).kernel
-        boundaries = _factor(model, which, n - 1).image_rows()
+        space = _factor(model, which, n - 1)._image()
+        dim = len(cocycles) - space.rank
         bn = basis(model.algebra, n)
-        space = RowSpace(len(bn), boundaries)
         reps = [
             element_from_vector(model.algebra, bn, z)
             for z in cocycles
             if space._add(dict(z))
         ]
-        dim = len(cocycles) - len(boundaries)
         if dim != len(reps):
             raise InternalInconsistencyError(
                 f"H^{n}({which}): dimension {dim} but {len(reps)} representatives"

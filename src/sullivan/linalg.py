@@ -41,7 +41,8 @@ answer read off the factorization is unique, and ``kernel_basis`` and
   part: the kernel vector with that free variable 1 and the others 0, free
   columns ascending;
 * the stored rows, cut to the first nrows coordinates, are an echelon basis
-  of the image with leads 1, not reduced: ``image_rows``;
+  of the image with leads 1, not reduced, under their own pivots: the
+  private ``_image`` hands them over as a fresh ``RowSpace``;
 * b is in the image exactly when its normal form vanishes on the first
   nrows coordinates; minus its unit part is then the solution of m x = b
   with every free variable 0;
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from typing import Dict, Iterable, KeysView, List, Optional, Sequence, Tuple, Union
+from typing import Dict, KeysView, List, Optional, Sequence, Tuple, Union
 
 Vector = Dict[int, Union[int, Fraction]]
 
@@ -133,17 +134,13 @@ class RowSpace:
     """A subspace of Q^ncols kept as a row echelon basis that is not
     reduced: no stored row changes when another is added.  Normal forms are
     unique all the same, and :meth:`echelon` forms the reduced basis when
-    it is read (see the module docstring).
-
-    This is the package's one elimination kernel.  ``echelon`` seeds the
-    space with echelon rows whose leads are 1, reduced or not, such as a
-    factorization's ``image_rows``; they are taken as they are, without
-    elimination.
+    it is read (see the module docstring).  This is the package's one
+    elimination kernel; it starts empty.
     """
 
-    def __init__(self, ncols: int, echelon: Iterable[Vector] = ()):
+    def __init__(self, ncols: int):
         self.ncols = ncols
-        self._rows: Dict[int, Vector] = {min(r): dict(r) for r in echelon}
+        self._rows: Dict[int, Vector] = {}
 
     def _reduce(self, v: Vector, stop: Optional[int] = None, lead: bool = False) -> Vector:
         """Reduce v in place to its normal form, zero at every pivot column;
@@ -291,11 +288,13 @@ class ColumnFactorization:
         rest, x = self._split(_vector(b, self.nrows))
         return None if rest else x
 
-    def image_rows(self) -> List[Vector]:
-        """An echelon basis of the image, by ascending pivot: the stored rows
-        cut to the first nrows coordinates, leads 1, not reduced."""
+    def _image(self) -> RowSpace:
+        """The image as a fresh row space: the stored rows cut to the first
+        nrows coordinates, leads 1, not reduced, under their pivots."""
         rows, n = self._space._rows, self.nrows
-        return [{j: x for j, x in rows[p].items() if j < n} for p in sorted(rows)]
+        image = RowSpace(n)
+        image._rows = {p: {j: x for j, x in r.items() if j < n} for p, r in rows.items()}
+        return image
 
 
 def rref(m: RationalMatrix) -> Tuple[RationalMatrix, Tuple[int, ...], int]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .algebra import Algebra, Element, Monomial, _fill_bases, basis
 from .cohomology import check_duality, cohomology_dim, formal_dimension, is_elliptic
@@ -108,9 +108,13 @@ def _scaled(pair: FilteredPair, s: int) -> FilteredPair:
     return FilteredPair(pair.model, pair.p, pair.n, s * pair.u, s * pair.v)
 
 
+def _round_robin(cases: int, models: Models) -> Iterator[SullivanModel]:
+    """The model of each of `cases` law cases, taking the zoo in turn."""
+    return (models[i % len(models)][1] for i in range(cases))
+
+
 def check_graded_commutativity(rng: random.Random, cases: int, models: Models) -> int:
-    for i in range(cases):
-        _, model = models[i % len(models)]
+    for model in _round_robin(cases, models):
         alg = model.algebra
         a = random_element(rng, alg)
         b = random_element(rng, alg)
@@ -125,8 +129,7 @@ def check_graded_commutativity(rng: random.Random, cases: int, models: Models) -
 
 
 def check_leibniz(rng: random.Random, cases: int, models: Models) -> int:
-    for i in range(cases):
-        _, model = models[i % len(models)]
+    for model in _round_robin(cases, models):
         alg = model.algebra
         a = random_element(rng, alg)
         b = random_element(rng, alg)
@@ -142,8 +145,7 @@ def check_leibniz(rng: random.Random, cases: int, models: Models) -> int:
 
 
 def check_d_squared(rng: random.Random, cases: int, models: Models) -> int:
-    for i in range(cases):
-        _, model = models[i % len(models)]
+    for model in _round_robin(cases, models):
         e = random_element(rng, model.algebra, max_terms=4)
         dd = model.d(model.d(e))
         if not dd.is_zero:
@@ -158,9 +160,7 @@ def _k3_models(models: Models) -> List[Tuple[str, SullivanModel]]:
 
 
 def check_delta_squared(rng: random.Random, cases: int, models: Models) -> int:
-    models = _k3_models(models)
-    for i in range(cases):
-        _, model = models[i % len(models)]
+    for model in _round_robin(cases, _k3_models(models)):
         pair = random_pair(rng, model)
         dd = delta_apply(delta_apply(pair))
         if not dd.is_zero:
@@ -172,9 +172,7 @@ def check_delta_squared(rng: random.Random, cases: int, models: Models) -> int:
 
 def check_delta_derivation(rng: random.Random, cases: int, models: Models) -> int:
     """delta(a b) = delta(a) b + (-1)^{deg a} a delta(b) for the pair product."""
-    models = _k3_models(models)
-    for i in range(cases):
-        _, model = models[i % len(models)]
+    for model in _round_robin(cases, _k3_models(models)):
         a = random_pair(rng, model, max_degree=18)
         b = random_pair(rng, model, max_degree=18)
         lhs = delta_apply(pair_product(a, b))
@@ -254,22 +252,20 @@ RANDOM_CHECKS = [
 
 
 def run_all(seed: int, cases: int) -> List[CheckResult]:
+    """The seven checks on one fixture zoo, each law with its own seeded
+    generator.  `RANDOM_CHECKS` and `check_poincare_duality` are looked up
+    here, at call time, so a wrapper put in their place is the one run."""
     models = all_models()
+    checks = [
+        (name, fn, (random.Random(f"{seed}:{name}"), cases, models))
+        for name, fn in RANDOM_CHECKS
+    ]
+    checks.append(("basis_counts", check_basis_counts, (models,)))
+    checks.append(("poincare_duality", check_poincare_duality, (models,)))
     results: List[CheckResult] = []
-    for name, fn in RANDOM_CHECKS:
-        rng = random.Random(f"{seed}:{name}")
+    for name, fn, args in checks:
         try:
-            done = fn(rng, cases, models)
-            results.append(CheckResult(name, done, True))
-        except InternalInconsistencyError as exc:
-            results.append(CheckResult(name, 0, False, str(exc)))
-    for name, fn0 in (
-        ("basis_counts", check_basis_counts),
-        ("poincare_duality", check_poincare_duality),
-    ):
-        try:
-            done = fn0(models)
-            results.append(CheckResult(name, done, True))
+            results.append(CheckResult(name, fn(*args), True))
         except InternalInconsistencyError as exc:
             results.append(CheckResult(name, 0, False, str(exc)))
     return results

@@ -1019,6 +1019,17 @@ class _KeepsEveryRow(linalg.RowSpace):
         return True
 
 
+_real_image = linalg.ColumnFactorization._image
+
+
+def _image_keeping_every_row(factor):
+    """The factorization's real image rows, in a row space that calls every
+    row added to it independent."""
+    image = _KeepsEveryRow(factor.nrows)
+    image._rows = _real_image(factor)._rows
+    return image
+
+
 def _last_column(columns, default):
     """``next`` over a column pick, taking the last column offered."""
     picked = list(columns)
@@ -1076,8 +1087,8 @@ def _identity_above_35(pair):
          "murillo", _N35, "fundamental class is not a cocycle"),
         (murillo, "is_boundary", lambda model, e: True, "murillo", _N35,
          "fundamental class is a boundary"),
-        (cohomology, "RowSpace", _KeepsEveryRow, "top-class", _N35,
-         "H^35(d): dimension 1 but 6 representatives"),
+        (linalg.ColumnFactorization, "_image", _image_keeping_every_row, "top-class",
+         _N35, "H^35(d): dimension 1 but 6 representatives"),
         (cohomology, "bisect_left", lambda bn, s, key: len(bn), "toomer", _N35,
          "no representative at word length >= 6, the depth of its own normal form"),
     ],

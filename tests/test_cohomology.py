@@ -297,6 +297,28 @@ def test_the_report_of_n37_times_n35(capsys, monkeypatch):
     assert hashlib.sha256(body.encode()).hexdigest() == N37_X_N35_REPORT_SHA256
 
 
+def test_n37_times_two_projective_planes_satisfies_kunneth_and_adds_e0():
+    """pure_n37 x CP^2 x CP^2 (N = 45): dim H^n is the convolution of the
+    three factors' dimensions (Kunneth), and e0 is 6 + 2 + 2 = 10
+    (Felix-Halperin-Lemaire, as in
+    :func:`test_products_satisfy_kunneth_and_add_e0`) for the oracle and the
+    spectral method alike."""
+    factors = [elliptic_pure_n37(), projective_plane(), projective_plane()]
+    dims = [1]
+    for factor in factors:
+        top = formal_dimension(factor)
+        own = [cohomology_dim(factor, i) for i in range(top + 1)]
+        dims = [
+            sum(dims[i] * own[n - i] for i in range(max(0, n - top), min(n, len(dims) - 1) + 1))
+            for n in range(len(dims) + top)
+        ]
+    model = product(*factors)
+    assert formal_dimension(model) == len(dims) - 1 == 45
+    assert [cohomology_dim(model, n) for n in range(46)] == dims
+    assert [toomer_oracle(factor).e0 for factor in factors] == [6, 2, 2]
+    assert toomer_oracle(model).e0 == spectral_run(model).result.e0 == 10
+
+
 def test_require_elliptic_message_lists_degrees():
     with pytest.raises(PreconditionError) as err:
         require_elliptic(nonelliptic_truncation_n37())

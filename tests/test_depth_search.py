@@ -12,10 +12,10 @@ pure k = 3 models.
 
 The same models check the cohomology helpers that d and delta share:
 delta-cohomology solved over the whole degree basis against the earlier
-loop over pair slots, ``is_boundary`` on the cached boundary echelon
-against a membership solve, and the lift, which solves on the cached
-factorization of delta, against a lift that solves by dense Gauss-Jordan
-elimination.
+loop over pair slots, on the pair formula's slot matrices, ``is_boundary``
+on the cached boundary echelon against a membership solve, and the lift,
+which solves on the cached factorization of delta, against a lift that
+solves by dense Gauss-Jordan elimination.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from sullivan.spectral import (
     FilteredPair,
     delta_apply,
     delta_cohomology,
-    delta_matrix,
     lift_to_d_cocycle,
     pair_basis,
     representative_depth,
@@ -164,9 +163,11 @@ def test_report_runs_each_depth_search_once(capsys, monkeypatch):
 
 
 def _slot_columns(model: SullivanModel, p: int, n: int):
-    """The engine's columns of delta from the (p, n) pair slot to the
-    (p + 1, n + 1) slot, each slot's basis listing u and then v."""
-    return delta_matrix(model, p, n).columns()
+    """The columns of delta from the (p, n) pair slot to the (p + 1, n + 1)
+    slot, each slot's basis listing u and then v, by the paper's pair
+    formula."""
+    src, dst = (sum(pair_basis(model, q, m), []) for q, m in ((p, n), (p + 1, n + 1)))
+    return map_columns(model.algebra, lambda e: reference_delta(model, e), src, dst)
 
 
 def _per_slot_delta_cohomology(model: SullivanModel, n: int):

@@ -95,7 +95,7 @@ def test_every_coefficient_is_an_int_or_a_fraction(name, build):
             _check(solution.values(), "solve result")
         for vector in factor.kernel:
             _check(vector.values(), "kernel vector")
-        for row in factor.image_rows():
+        for row in factor._image()._rows.values():
             _check(row.values(), "image row")
 
     # the Groebner basis of the pure ideal, made monic by division on the
@@ -193,7 +193,8 @@ def test_integer_models_are_assembled_and_eliminated_in_int(stem):
         factors = [v for k, v in model._cache.items() if k[:2] == (w, "factor")]
         assert factors, w
         for factor in factors:
-            for vectors in (factor.columns, factor.kernel, factor.image_rows()):
+            image = factor._image()._rows.values()
+            for vectors in (factor.columns, factor.kernel, image):
                 for vector in vectors:
                     assert all(type(x) is int for x in vector.values()), w
     # the pure ideal and its Groebner basis, whose leads are all 1

@@ -4,6 +4,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from reference import (
     DenseRowSpace,
     dense,
@@ -32,32 +34,59 @@ def test_row_space_extension():
     assert space.reduce([Fraction(1), Fraction(0), Fraction(0)])
 
 
-def _assert_image_rows_are_echelon(factor):
-    """Each image row holds 1 at its lowest column, and the pivots ascend."""
-    rows = factor.image_rows()
-    pivots = [min(r) for r in rows]
-    assert all(r[p] == 1 for r, p in zip(rows, pivots))
-    assert pivots == sorted(set(pivots))
-    assert all(j < factor.nrows for r in rows for j in r)
+def test_a_row_space_has_one_constructor_and_starts_empty():
+    # no seed: every row enters through add, checked and eliminated
+    with pytest.raises(TypeError):
+        RowSpace(2, [{0: 1}, {0: 1, 1: 1}])
+    assert RowSpace(2).rank == 0 and RowSpace(2).echelon() == []
+
+
+def _image_of(factor):
+    """factor._image(), checked to be an echelon basis of leads 1 under their
+    own pivots, within the first nrows coordinates."""
+    image = factor._image()
+    assert image.ncols == factor.nrows
+    for p, r in image._rows.items():
+        assert min(r) == p and r[p] == 1
+        assert all(j < factor.nrows for j in r)
+    return image
 
 
 def test_factorization_image_matches_dense_gauss_jordan():
-    """The kernel, the image rows, the normal forms and the solutions of a
-    factorization against dense Gauss-Jordan elimination."""
+    """The kernel, the image, the normal forms and the solutions of a
+    factorization against dense Gauss-Jordan elimination.  Its image, handed
+    over unreduced, agrees with a space filled with the columns one by one,
+    also after rows are added to both, and adding to it changes neither a
+    second image nor the factorization."""
     rng = random.Random(13)
+    unreduced_images = 0
     for rows, ncols in matrix_cases():
         nrows = len(rows)
-        factor = ColumnFactorization([[r[j] for r in rows] for j in range(ncols)], nrows)
+        columns = [[r[j] for r in rows] for j in range(ncols)]
+        factor = ColumnFactorization(columns, nrows)
         assert [dense(v, ncols) for v in factor.kernel] == dense_kernel(rows, ncols)
-        _assert_image_rows_are_echelon(factor)
-        image = RowSpace(nrows, factor.image_rows())
-        want, pivots = dense_rref([list(c) for c in zip(*rows)], nrows)
+        image, second, filled = _image_of(factor), factor._image(), RowSpace(nrows)
+        for c in columns:
+            filled.add(c)
+        want, pivots = dense_rref(columns, nrows)
+        assert image.rank == filled.rank == len(pivots)
         assert [dense(r, nrows) for r in image.echelon()] == want[: len(pivots)]
-        for b in random_rows(rng, 4, nrows, 0.5, False) + [list(c) for c in zip(*rows)]:
-            assert factor.reduce(b) == image.reduce(b)
-            assert (factor.solve(b) is None) == bool(factor.reduce(b))
+        assert image.echelon() == filled.echelon()
+        unreduced_images += sorted(image._rows.values(), key=min) != image.echelon()
+        probes = random_rows(rng, 4, nrows, 0.5, False) + columns
+        forms = [factor.reduce(b) for b in probes]
+        for b, form in zip(probes, forms):
+            assert image.reduce(b) == filled.reduce(b) == form
+            assert (factor.solve(b) is None) == bool(form)
         inside = [sum(r, Fraction(0)) for r in rows]  # the sum of the columns
         assert dense(factor.solve(inside), ncols) == dense_solve(rows, ncols, inside)
+        kept = {p: dict(r) for p, r in second._rows.items()}
+        for b in random_rows(rng, 6, nrows, 0.5, False) + columns:
+            assert image.add(b) == filled.add(b)
+        assert image.echelon() == filled.echelon()
+        assert second._rows == kept and second.rank == len(pivots)
+        assert [factor.reduce(b) for b in probes] == forms
+    assert unreduced_images > 10, unreduced_images
 
 
 def test_row_space_matches_dense_row_space():
@@ -75,30 +104,12 @@ def test_row_space_matches_dense_row_space():
         assert [dense(r, ncols) for r in space.echelon()] == [r for _, r in oracle.rows]
 
 
-def test_row_space_seeded_from_an_echelon_matches_one_filled_row_by_row():
-    rng = random.Random(17)
-    for rows, ncols in matrix_cases():
-        want, pivots = dense_rref(rows, ncols)
-        reduced = [sparse(r) for r in want[: len(pivots)]]
-        seeded, filled = RowSpace(ncols, reduced), RowSpace(ncols)
-        for v in rows:
-            filled.add(v)
-        assert seeded.rank == filled.rank == len(pivots)
-        assert seeded.echelon() == filled.echelon() == reduced
-        for w in random_rows(rng, 6, ncols, 0.5, False) + rows:
-            assert seeded.reduce(w) == filled.reduce(w)
-            assert seeded.add(w) == filled.add(w)
-        assert seeded.echelon() == filled.echelon()
-        # seeding copied the rows it was given
-        assert reduced == [sparse(r) for r in want[: len(pivots)]]
-
-
 def test_a_column_whose_lead_cancels_is_reduced_up_to_its_next_lead():
     # the third column's lead, row 1, cancels against the first column's
     # row; it is stored at row 3, its next lead, with pivot row 2 cleared
     factor = ColumnFactorization([[1, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 1]], 4)
     assert not factor.kernel
-    assert factor.image_rows() == [{0: 1, 1: 1}, {2: 1}, {3: 1}]
+    assert _image_of(factor)._rows == {0: {0: 1, 1: 1}, 2: {2: 1}, 3: {3: 1}}
     assert factor.solve([1, 1, 1, 1]) == {2: 1}
 
 
@@ -186,30 +197,6 @@ def test_row_space_matches_dense_row_space_in_any_row_order():
             assert [dense(r, ncols) for r in space.echelon()] == want
 
 
-def test_row_space_seeded_from_an_unreduced_echelon_matches_one_seeded_from_rref():
-    rng = random.Random(29)
-    unreduced_seeds = 0
-    for rows, ncols in matrix_cases():
-        want, pivots = dense_rref(rows, ncols)
-        reduced, rk = [sparse(r) for r in want[: len(pivots)]], len(pivots)
-        echelon = [dict(r) for r in reduced]
-        for i in range(rk):  # add multiples of later rows: leads stay 1
-            for later in echelon[i + 1 :]:
-                f = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                for j, x in later.items():
-                    echelon[i][j] = echelon[i].get(j, Fraction(0)) + f * x
-            echelon[i] = {j: x for j, x in echelon[i].items() if x}
-        unreduced_seeds += echelon != reduced
-        unreduced, seeded = RowSpace(ncols, echelon), RowSpace(ncols, reduced)
-        assert unreduced.rank == seeded.rank == rk
-        assert unreduced.echelon() == seeded.echelon() == reduced
-        for w in random_rows(rng, 6, ncols, 0.5, False) + rows:
-            assert unreduced.reduce(w) == seeded.reduce(w)
-            assert unreduced.add(w) == seeded.add(w)
-        assert unreduced.echelon() == seeded.echelon()
-    assert unreduced_seeds > 10
-
-
 # ---------------------------------------------------------------------------
 # the engine's own matrices against dense Gauss-Jordan elimination
 
@@ -220,8 +207,7 @@ def _assert_factor_matches_dense(factor, nrows, dense_images):
     ncols = len(columns)
     assert [dense(v, ncols) for v in factor.kernel] == dense_kernel(rows, ncols)
     want, pivots = dense_images(factor.columns, nrows)
-    _assert_image_rows_are_echelon(factor)
-    assert RowSpace(nrows, factor.image_rows()).echelon() == want
+    assert _image_of(factor).echelon() == want
     return len(pivots)
 
 

@@ -159,10 +159,11 @@ def test_delta_apply_matches_the_pair_formula():
 
 
 def test_selftest_catches_delta_two_slots_up_from_odd_slots(capsys, monkeypatch):
-    # the one rule of delta, that every matrix is cut by, turned wrong: from
-    # an odd pair slot it keeps d's terms two slots up instead of one
-    def two_up_from_odd(p):
-        return p + 1 + p % 2
+    """The one rule of delta, that every matrix is cut by, turned wrong: it
+    keeps d's terms two pair slots up instead of one, from the odd slots or,
+    as the second input, from every slot.  The uniform shift p + 2 still
+    squares to zero, so ``delta_squared`` stays true under it;
+    ``delta_derivation`` catches both."""
 
     def delta_cohomology_n37():
         model = FIXTURES / "pure_n37.model"
@@ -175,17 +176,20 @@ def test_selftest_catches_delta_two_slots_up_from_odd_slots(capsys, monkeypatch)
     shared = [x for x in out if x.startswith("delta.") and x in golden]
     assert code == 0 and len(shared) == 4
 
-    # the rule is read where it is written and through spectral's binding
-    monkeypatch.setattr(cohomology, "_delta_slot", two_up_from_odd)
-    monkeypatch.setattr(spectral, "_delta_slot", two_up_from_odd)
-    code = cli.main(["selftest", "--seed", "1", "--format", "structured"])
-    out = capsys.readouterr().out.splitlines()
-    assert code == 3
-    assert "selftest.delta_squared.ok = false" in out
-    assert "selftest.delta_derivation.ok = false" in out
-    # the delta-matrices share the one rule with the selftest laws
-    code, out = delta_cohomology_n37()
-    assert code == 3 or not set(shared) <= set(out)
+    # each rule with the delta_squared verdict it leaves
+    rules = ((lambda p: p + 1 + p % 2, "false"), (lambda p: p + 2, "true"))
+    for rule, squares_to_zero in rules:
+        # the rule is read where it is written and through spectral's binding
+        monkeypatch.setattr(cohomology, "_delta_slot", rule)
+        monkeypatch.setattr(spectral, "_delta_slot", rule)
+        code = cli.main(["selftest", "--seed", "1", "--format", "structured"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 3
+        assert f"selftest.delta_squared.ok = {squares_to_zero}" in out
+        assert "selftest.delta_derivation.ok = false" in out
+        # the delta-matrices share the one rule with the selftest laws
+        code, out = delta_cohomology_n37()
+        assert code == 3 or not set(shared) <= set(out)
 
 
 def test_delta_element_matches_pair_delta():
