@@ -7,6 +7,10 @@ an exponent above 1.  All sign bookkeeping lives in the coefficients: the
 monomial itself is the canonical sorted word, and reordering costs are paid
 when two monomials are multiplied.
 
+The degree bases are sorted lists of integer *keys* (:meth:`Algebra.encode`):
+key order is graded-lex order, and multiplying by a generator adds its key,
+so bases are built, and d is applied to them, by integer addition.
+
 Every generator must have degree >= 2 (the algebras model simply connected
 spaces), so each fixed degree contains only finitely many monomials.
 """
@@ -47,10 +51,18 @@ class Algebra:
         self.odd_indices = tuple(g.index for g in self.generators if g.is_odd)
         self.even_indices = tuple(g.index for g in self.generators if not g.is_odd)
         self._by_name = {g.name: g for g in self.generators}
-        # the degree bases, filled from degree 0 up (see `basis`), and for each
+        # the degree bases as sorted keys, filled from degree 0 up, and for each
         # degree and k how many of its monomials have no factor of index >= k
-        self._basis_cache: List[List[Monomial]] = []
+        self._basis_cache: List[List[int]] = []
         self._basis_counts: List[List[int]] = []
+        self._monomials: Dict[int, List[Monomial]] = {}  # those decoded by `basis`
+        # a key's fields (see `encode`) fit the exponents of every degree up to
+        # MAX_DEGREE, as it is now; g_i's field is at bit _offsets[i], the word
+        # length at _shift, and the odd fields' lowest bits are _odd
+        self._width = width = (MAX_DEGREE // 2).bit_length()
+        self._shift = width * self.ngens
+        self._offsets = tuple(range(self._shift - width, -1, -width))
+        self._odd = sum(1 << self._offsets[i] for i in self.odd_indices)
         self._signature = tuple((g.name, g.degree) for g in self.generators)
         self._hash = hash(self._signature)
 
@@ -65,6 +77,19 @@ class Algebra:
 
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(e * d for e, d in zip(mono, self.degrees))
+
+    def encode(self, mono: Monomial) -> int:
+        """The key of a monomial: its word length, then its exponents, the first
+        generator's highest, in fixed-width fields.  Keys compare as graded-lex
+        order does, and key(m * g_i) = key(m) + key(g_i).  Above the degree
+        limit a field may carry, and the key is then no monomial's."""
+        fields = sum(e << off for e, off in zip(mono, self._offsets))
+        return fields | sum(mono) << self._shift
+
+    def decode(self, key: int) -> Monomial:
+        """The monomial of a key: the inverse of :meth:`encode`."""
+        mask = (1 << self._width) - 1
+        return tuple([key >> off & mask for off in self._offsets])
 
     def gen_element(self, name: str) -> "Element":
         g = self.generator(name)
@@ -264,22 +289,29 @@ class Element:
 def basis(
     algebra: Algebra, degree: int, wordlength_exact: Optional[int] = None
 ) -> List[Monomial]:
-    """All monomials of the given degree, in graded-lex order.
+    """All monomials of the given degree, in graded-lex order: the keys of
+    :func:`basis_keys` decoded, once per degree, and handed out as a fresh
+    list; changing it does not change the cache.  ``wordlength_exact``
+    restricts to one word length, found by bisection on the keys, which sort
+    by word length first."""
+    keys = basis_keys(algebra, degree)
+    monos = algebra._monomials.get(degree)
+    if monos is None:
+        monos = algebra._monomials[degree] = list(map(algebra.decode, keys))
+    if wordlength_exact is None:
+        return list(monos)
+    lo = bisect_left(keys, wordlength_exact << algebra._shift)
+    return monos[lo:bisect_left(keys, wordlength_exact + 1 << algebra._shift, lo)]
 
-    ``wordlength_exact`` restricts to a single word length.  Graded-lex
-    order sorts by word length first, so within a degree the word lengths
-    ascend and the filter is a slice of the cached degree basis, found by
-    bisection.  Negative degrees give the empty list.  The result is a
-    fresh list; changing it does not change the cache.
-    """
+
+def basis_keys(algebra: Algebra, degree: int) -> List[int]:
+    """The keys of the degree basis (see :meth:`Algebra.encode`), ascending,
+    which is graded-lex order: the cached list itself, to be read and not
+    changed.  Negative degrees give the empty list."""
     if degree < 0:
         return []
     _fill_bases(algebra, degree)
-    full = algebra._basis_cache[degree]
-    if wordlength_exact is None:
-        return list(full)
-    lo = bisect_left(full, wordlength_exact, key=wordlength)
-    return full[lo:bisect_left(full, wordlength_exact + 1, lo, key=wordlength)]
+    return algebra._basis_cache[degree]
 
 
 #: The most monomials one degree basis may hold.  Far above every model in
@@ -317,7 +349,8 @@ def count_degree(counts: List[List[int]], degrees: Sequence[int], d: int) -> Non
 
     A monomial of positive degree is m*g for exactly one generator g, its
     last factor: m has degree d - |g|, no factor after g, and no factor g
-    when g is odd.
+    when g is odd.  :func:`_fill_bases` builds the keys of a basis by the
+    same rule, so a basis is as long as its count.
     """
     ends = [  # how many monomials of degree d have last factor k
         counts[d - a][k + (a % 2 == 0)] if a <= d else 0 for k, a in enumerate(degrees)
@@ -328,52 +361,47 @@ def count_degree(counts: List[List[int]], degrees: Sequence[int], d: int) -> Non
 
 
 def _fill_bases(algebra: Algebra, degree: int) -> None:
-    """Cache the bases of every degree up to ``degree``, lowest first.
-
-    Each degree is built from the cached lower ones, as m*g with g the last
-    factor (see :func:`count_degree`), and its size is summed from their
-    counts before any list is built.
+    """Cache the keys of the bases of every degree up to ``degree``, lowest
+    first: a monomial of degree d is m*g for its last factor g (see
+    :func:`count_degree`), so its keys are those of degree d - |g| with no bit
+    set after g's field (nor in it, for an odd g) plus g's, sorted, and its
+    size is summed from the counts below before any key is built.
 
     Raises PreconditionError when a basis would exceed ``MAX_BASIS`` or
     ``degree`` is above ``MAX_DEGREE`` (see :func:`check_basis_limits`).
     """
-    cache, counts = algebra._basis_cache, algebra._basis_counts
+    cache, counts, width = algebra._basis_cache, algebra._basis_counts, algebra._width
     check_basis_limits(degree)
-    n = algebra.ngens
     while len(cache) <= degree:
         d = len(cache)
         count_degree(counts, algebra.degrees, d)
-        monos = [(0,) * n] if d == 0 else []
-        for g in algebra.generators:
-            if g.degree > d:
-                continue
-            i, odd = g.index, g.is_odd
-            tail = (0,) * (n - i - 1)
-            monos.extend(
-                m[:i] + (m[i] + 1,) + tail
-                for m in cache[d - g.degree]
-                if m[i + 1:] == tail and not (odd and m[i])
-            )
-        monos.sort()
-        monos.sort(key=sum)  # stable: graded-lex order, at C speed
-        cache.append(monos)
+        keys = [0] if d == 0 else []
+        for a, off in zip(algebra.degrees, algebra._offsets):
+            if a <= d:
+                unit = 1 << algebra._shift | 1 << off
+                after = (1 << off + width * (a % 2)) - 1
+                keys += [k + unit for k in cache[d - a] if not k & after]
+        keys.sort()
+        cache.append(keys)
 
 
-def coefficient_vector(e: Element, basis_list: Sequence[Monomial]) -> Dict[int, Fraction]:
-    """Sparse coordinates {position: coefficient} of e in an explicit
-    monomial basis."""
-    index = {m: i for i, m in enumerate(basis_list)}
-    try:
-        return {index[m]: c for m, c in e.terms.items()}
-    except KeyError as exc:
-        raise ValueError(f"monomial {exc.args[0]} outside the given basis") from None
+def coefficient_vector(e: Element, keys: Sequence[int]) -> Dict[int, Fraction]:
+    """Sparse coordinates {position: coefficient} of e in the basis of the
+    sorted ``keys``, each position found by bisection."""
+    out = {}
+    for m, c in e.terms.items():
+        i = bisect_left(keys, key := e.algebra.encode(m))
+        if keys[i:i + 1] != [key]:
+            raise ValueError(f"monomial {m} outside the given basis")
+        out[i] = c
+    return out
 
 
 def element_from_vector(
-    algebra: Algebra, basis_list: Sequence[Monomial], vec: Dict[int, Fraction]
+    algebra: Algebra, keys: Sequence[int], vec: Dict[int, Fraction]
 ) -> Element:
-    """The element with sparse coordinates vec in an explicit monomial basis."""
-    return Element(algebra, {basis_list[i]: c for i, c in vec.items()})
+    """The element with sparse coordinates vec in the basis of ``keys``."""
+    return Element(algebra, {algebra.decode(keys[i]): c for i, c in vec.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .algebra import _int_token, basis, build_algebra, format_element, parse_element
+from .algebra import _int_token, basis_keys, build_algebra, format_element, parse_element
 from .cohomology import (
     check_duality,
     cohomology_basis,
@@ -298,7 +298,7 @@ def _cohomology(args, model: SullivanModel) -> Tuple[Pairs, int]:
     hi = _top_degree(args)
     # H^hi needs the degree-(hi + 1) basis: building it first stops a range
     # over MAX_DEGREE or MAX_BASIS before any degree is solved
-    basis(model.algebra, hi + 1)
+    basis_keys(model.algebra, hi + 1)
     return _cohomology_pairs(model, args.degree, hi, args.format == "human"), 0
 
 

@@ -39,11 +39,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import (
     Element,
     Monomial,
-    basis,
+    basis_keys,
     count_degree,
     coefficient_vector,
     element_from_vector,
-    wordlength,
 )
 from .differential import SullivanModel, _cached, pure_projection
 from .errors import InternalInconsistencyError, PreconditionError
@@ -95,17 +94,14 @@ def cochain_maps(model: SullivanModel, n: int) -> Tuple[RationalMatrix, Rational
     return tuple(RationalMatrix.from_columns(f.columns, f.nrows) for f in factors)
 
 
-def _images(model: SullivanModel, src: List[Monomial], dst: List[Monomial]) -> List[Vector]:
-    """Columns of the matrix of d from span(src) to span(dst): the
-    coordinates of its value on each monomial of src."""
-    add_image = model.differential.add_image
-    index = {m: i for i, m in enumerate(dst)}
-    columns = []
-    for mono in src:
-        image: Dict[Monomial, Fraction] = {}
-        add_image(mono, 1, image)
-        columns.append({index[m]: c for m, c in image.items() if c})
-    return columns
+def _images(model: SullivanModel, src: List[int], dst: List[int]) -> List[Vector]:
+    """Columns of the matrix of d from span(src) to span(dst), both lists
+    of monomial keys: the coordinates of its value on each monomial of src."""
+    key_image = model.differential.key_image
+    index = {k: i for i, k in enumerate(dst)}
+    return [
+        {index[m]: c for m, c in key_image(key).items() if c} for key in src
+    ]
 
 
 def _delta_slot(p: int) -> int:
@@ -130,17 +126,19 @@ def _factor(model: SullivanModel, which: str, n: int) -> ColumnFactorization:
     boundaries, and it solves ``which``(x) = b.
 
     delta's columns are d's, the cached factorization's when there is one:
-    column m keeps its rows in the slot :func:`_delta_slot` maps m's into."""
+    column m keeps its rows in the slot :func:`_delta_slot` maps m's into,
+    a key's slot being its word length, its top bits, halved."""
 
     def produce():
-        src, dst = basis(model.algebra, n), basis(model.algebra, n + 1)
+        src, dst = basis_keys(model.algebra, n), basis_keys(model.algebra, n + 1)
         d = model._cache.get(("d", "factor", n))
         columns = d.columns if d is not None else _images(model, src, dst)
         if which == "delta":
-            slots = [w // 2 for w in map(sum, dst)]
+            shift = model.algebra._shift + 1
+            slots = [k >> shift for k in dst]
             columns = [
                 {i: x for i, x in col.items() if slots[i] == up}
-                for col, up in zip(columns, [_delta_slot(w // 2) for w in map(sum, src)])
+                for col, up in zip(columns, [_delta_slot(k >> shift) for k in src])
             ]
         return ColumnFactorization._of(columns, len(dst))
 
@@ -157,7 +155,7 @@ def _cohomology(model: SullivanModel, which: str, n: int) -> List[Element]:
         cocycles = _factor(model, which, n).kernel
         space = _factor(model, which, n - 1)._image()
         dim = len(cocycles) - space.rank
-        bn = basis(model.algebra, n)
+        bn = basis_keys(model.algebra, n)
         reps = [
             element_from_vector(model.algebra, bn, z)
             for z in cocycles
@@ -191,7 +189,7 @@ def _rank(model: SullivanModel, n: int) -> int:
         return len(factor.columns) - len(factor.kernel)
 
     def produce():
-        src, dst = basis(model.algebra, n), basis(model.algebra, n + 1)
+        src, dst = basis_keys(model.algebra, n), basis_keys(model.algebra, n + 1)
         last, pivots = model._cache.get(("d", "pivots"), (None, ()))
         below = model._cache.get(("d", "factor", n - 1))
         pivots = below._pivots if below else pivots if last == n - 1 else ()
@@ -210,7 +208,7 @@ def cohomology_dim(model: SullivanModel, n: int) -> int:
     with rank d_{-1} = 0; :func:`cohomology_basis` has this many
     representatives."""
     below = _rank(model, n - 1) if n > 0 else 0
-    return len(basis(model.algebra, n)) - _rank(model, n) - below
+    return len(basis_keys(model.algebra, n)) - _rank(model, n) - below
 
 
 def check_duality(dims: Sequence[int]) -> None:
@@ -234,7 +232,7 @@ def is_boundary(model: SullivanModel, e: Element) -> bool:
     """Exact membership of a homogeneous element in the boundary space."""
     if e.is_zero:
         return True
-    bn = basis(model.algebra, e.degree())
+    bn = basis_keys(model.algebra, e.degree())
     return not _factor(model, "d", e.degree() - 1)._split(coefficient_vector(e, bn))[0]
 
 
@@ -563,14 +561,14 @@ def _deepest_representative(
 
     Returns None when z is a boundary.
     """
-    bn = basis(model.algebra, n)
+    bn, shift = basis_keys(model.algebra, n), model.algebra._shift
     boundaries = _factor(model, which, n - 1)
     zvec = coefficient_vector(z, bn)
     normal = boundaries._split(dict(zvec))[0]
     if not normal:
         return None
-    s = wordlength(bn[min(normal)])
-    shallow = bisect_left(bn, s, key=wordlength)
+    s = bn[min(normal)] >> shift
+    shallow = bisect_left(bn, s << shift)
     witness = boundaries._split(zvec, shallow)[0]
     if min(witness) < shallow:
         raise InternalInconsistencyError(

@@ -15,9 +15,12 @@ sign * e_i * left * d(g_i) * right goes term by term into one
 ``{monomial: coefficient}`` dict: a term t of d(g_i) adds its exponents to
 those of the rest of the monomial, its sign is the Koszul sign of moving t
 into place, and a term that repeats an odd factor drops out.  No
-``Element`` product is formed and nothing is kept per monomial.  The
-matrices of d are written column by column this way, and delta's are cut
-from them (``cohomology._delta_slot``).
+``Element`` product is formed.  The matrices of d are written column by
+column by the same rule on the integer keys of the degree bases
+(:meth:`Derivation.key_image`), and delta's are cut from them
+(``cohomology._delta_slot``).  A key's exponent fields are sized for the
+bases, up to ``MAX_DEGREE``, while an ``Element``, or a generator image, may
+have any degree, so ``Element``s keep the rule on tuples.
 
 A coefficient of a generator image that is an integer is kept as an ``int``
 for this, so a model with integer coefficients has matrices of ``int``
@@ -45,8 +48,8 @@ def _exact(a) -> Union[int, Fraction]:
 class Derivation:
     """An odd-degree derivation given by generator images (not validated).
 
-    ``images`` are kept as given; the terms that :meth:`add_image` reads
-    hold each integer coefficient as an ``int``.
+    ``images`` are kept as given; the terms that :meth:`add_image` and
+    :meth:`key_image` read hold each integer coefficient as an ``int``.
     """
 
     def __init__(self, algebra: Algebra, images: Mapping[int, Element]):
@@ -61,6 +64,26 @@ class Derivation:
             i: [(t, _exact(a), any(t[j] for j in odd)) for t, a in img.terms.items()]
             for i, img in self.images.items()
         }
+        # the same for key_image, per g_i: its field's offset, and per term t:
+        # key(t) - key(g_i), the coefficient, t's odd factors but g_i, and the
+        # odd fields whose factors in m flip t's sign: those before g_i, for
+        # (-1)^|L|, and for each odd factor y of t those between y and g_i
+        alg, width, n = algebra, algebra._width, algebra.ngens
+
+        def between(lo: int, hi: int) -> int:  # the odd fields j, lo < j < hi
+            return (1 << width * (n - 1 - lo)) - (1 << width * (n - hi)) & alg._odd
+
+        self._rule = []
+        for i in sorted(self._terms):
+            unit, terms = 1 << alg._shift | 1 << alg._offsets[i], []
+            for t, a, _ in self._terms[i]:
+                sign = between(-1, i)
+                for y in odd:
+                    if t[y] and y != i:
+                        sign ^= between(*sorted((y, i)))
+                key = alg.encode(t)
+                terms.append((key - unit, a, key & alg._odd & ~unit, sign))
+            self._rule.append((alg._offsets[i], terms))
 
     def image_of(self, gen: Union[Generator, str]) -> Element:
         if isinstance(gen, str):
@@ -114,6 +137,26 @@ class Derivation:
                     prev = out.get(m)
                     out[m] = v if prev is None else prev + v
             prefix_degree += e * alg.degrees[i]
+
+    def key_image(self, key: int) -> Dict[int, Union[int, Fraction]]:
+        """d(m) as {key: coefficient}, m the monomial of ``key``, by the rule
+        of :meth:`add_image` with cancelled terms left in: a term t of d(g_i)
+        enters at key(m) - key(g_i) + key(t), its sign the parity of m's odd
+        factors in the fields the rule marks, unless it shares one with m."""
+        out: Dict[int, Union[int, Fraction]] = {}
+        mask = (1 << self.algebra._width) - 1
+        for off, terms in self._rule:
+            e = key >> off & mask
+            if not e:
+                continue
+            for t, a, odd, sign in terms:
+                if key & odd:
+                    continue
+                v = a if e == 1 else a * e
+                m = key + t
+                prev = out.get(m, 0)
+                out[m] = prev - v if (key & sign).bit_count() & 1 else prev + v
+        return out
 
     def __eq__(self, other) -> bool:
         return (

@@ -152,6 +152,8 @@ class RowSpace:
         column it fills is queued in order.
         """
         rows = self._rows
+        if rows.keys().isdisjoint(v):  # no pivot to clear, the common case
+            return v
         pending = sorted(j for j in v if j in rows)
         if lead:
             stop = min((j for j in v if j not in rows), default=self.ncols)

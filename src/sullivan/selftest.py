@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .algebra import Algebra, Element, Monomial, _fill_bases, basis
+from .algebra import Algebra, Element, Monomial, _fill_bases, basis, basis_keys
 from .cohomology import check_duality, cohomology_dim, formal_dimension, is_elliptic
 from .differential import SullivanModel, _cached
 from .errors import InternalInconsistencyError
@@ -52,10 +52,12 @@ def random_element(
 ) -> Element:
     """A small random element of one degree, drawn from the populated
     degrees up to `max_degree`, with small rational coefficients."""
-    # read the populated degrees off the basis cache: basis() copies each one
+    # read the populated degrees off the cached keys, and the one drawn off
+    # the bases `basis` decoded, decoding it on first use
     _fill_bases(algebra, max_degree)
-    bases = algebra._basis_cache[: max_degree + 1]
-    monos = rng.choice([monos for monos in bases if monos])
+    degrees = [n for n, ks in enumerate(algebra._basis_cache[: max_degree + 1]) if ks]
+    n = rng.choice(degrees)
+    monos = algebra._monomials.get(n) or basis(algebra, n)
     return _random_sum(rng, algebra, monos, rng.randint(1, max_terms), 4, 3)
 
 
@@ -209,7 +211,7 @@ def check_basis_counts(models: Models) -> int:
                 for n in range(d, max_degree + 1):
                     series[n] += series[n - d]
         for n in range(0, max_degree + 1):
-            got = len(basis(alg, n))
+            got = len(basis_keys(alg, n))
             if got != series[n]:
                 raise InternalInconsistencyError(
                     f"{name}: basis count at degree {n} is {got}, series "

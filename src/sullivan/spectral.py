@@ -34,9 +34,9 @@ from .algebra import (
     Element,
     Monomial,
     basis,
+    basis_keys,
     coefficient_vector,
     element_from_vector,
-    wordlength,
 )
 from .cohomology import (
     ToomerResult,
@@ -149,10 +149,10 @@ def delta_matrix(model: SullivanModel, p: int, n: int) -> RationalMatrix:
     coordinates that list the u slot, then the v slot.  It is one diagonal
     block of the whole-degree matrix the engine solves with: d's columns
     cut by the one rule of delta."""
-    src = sum(pair_basis(model, p, n), [])
-    dst = basis(model.algebra, n + 1)
-    q = _delta_slot(p)
-    first, end = (bisect_left(dst, w, key=wordlength) for w in (2 * q, 2 * q + 2))
+    src = [model.algebra.encode(m) for m in sum(pair_basis(model, p, n), [])]
+    dst = basis_keys(model.algebra, n + 1)
+    q, shift = _delta_slot(p), model.algebra._shift
+    first, end = (bisect_left(dst, w << shift) for w in (2 * q, 2 * q + 2))
     columns = [
         {i - first: x for i, x in col.items() if first <= i < end}
         for col in _images(model, src, dst)
@@ -244,7 +244,7 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
         return LiftTrace(
             start=start, p=0, l=0, t_bound=0, outcome="collapsed", final=start
         )
-    n = start.degree()
+    n, alg = start.degree(), model.algebra
     wls = start.wordlengths()
     p = wls[0] // 2
     l = wls[-1] // 2 - p
@@ -277,12 +277,12 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
                 "lowest obstruction pair is not a delta-cocycle"
             )
         trace.obstructions.append(obstruction)
-        rhs = coefficient_vector(obstruction.as_element(), basis(model.algebra, n + 1))
+        rhs = coefficient_vector(obstruction.as_element(), basis_keys(alg, n + 1))
         rest, sol = _factor(model, "delta", n)._split(rhs)
         if rest:
             trace.outcome = "died"
             return trace
-        corrector = element_from_vector(model.algebra, basis(model.algebra, n), sol)
+        corrector = element_from_vector(alg, basis_keys(alg, n), sol)
         trace.correctors.append(corrector)
         w = w - corrector
 

@@ -2,7 +2,8 @@
 (not a test module): dense Gauss-Jordan elimination and the random matrices
 it is compared on; the Leibniz rule by ``Element`` products and delta by the
 pair formula, and the word-length components of d that it is made of; the
-columns of a map between monomial bases; one boundary solve, through the
+coordinates of an element in a basis of monomial tuples and the columns of
+a map between such bases; one boundary solve, through the
 kernel's checked public ``ColumnFactorization.solve``, and the depth search
 by a solve over the boundary columns cut below its depth; and the
 determinant by its permutation expansion.
@@ -15,9 +16,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from sullivan.algebra import (
-    Algebra, Element, Monomial, basis, coefficient_vector, element_from_vector, wordlength,
-)
+from sullivan.algebra import Algebra, Element, Monomial, basis, basis_keys, wordlength
 from sullivan.cohomology import _factor, _images
 from sullivan.differential import Derivation, SullivanModel
 from sullivan.linalg import ColumnFactorization
@@ -196,13 +195,30 @@ def homogeneous_component(d: Derivation, i: int) -> Derivation:
     return Derivation(d.algebra, images)
 
 
-def reference_delta(model: SullivanModel, e: Element) -> Element:
+def reference_delta(model: SullivanModel) -> Callable[[Element], Element]:
     """delta by the paper's pair formula, (u, v) -> (d3 u, d3 v + d4 u): d3 of
     e plus d4 of its even word-length part, d3 and d4 being the word-length
-    components of d, each applied by :func:`reference_apply`."""
+    components of d, built once here, each applied by
+    :func:`reference_apply`."""
     d3, d4 = (homogeneous_component(model.differential, i) for i in (3, 4))
-    even = Element(e.algebra, {m: c for m, c in e.terms.items() if sum(m) % 2 == 0})
-    return reference_apply(d3, e) + reference_apply(d4, even)
+
+    def delta(e: Element) -> Element:
+        even = Element(e.algebra, {m: c for m, c in e.terms.items() if sum(m) % 2 == 0})
+        return reference_apply(d3, e) + reference_apply(d4, even)
+
+    return delta
+
+
+def coordinates(e: Element, monos: Sequence[Monomial]) -> Vector:
+    """The sparse coordinates {position: coefficient} of e in the basis
+    ``monos`` of monomial tuples; KeyError for a monomial outside it."""
+    index = {m: i for i, m in enumerate(monos)}
+    return {index[m]: c for m, c in e.terms.items()}
+
+
+def element_of(alg: Algebra, monos: Sequence[Monomial], vec: Vector) -> Element:
+    """The element with sparse coordinates vec in the basis ``monos``."""
+    return Element(alg, {monos[i]: c for i, c in vec.items()})
 
 
 def map_columns(
@@ -211,7 +227,7 @@ def map_columns(
 ) -> List[Vector]:
     """Columns of the matrix of f from span(src) to span(dst): the
     coordinates of f of each monomial of src."""
-    return [coefficient_vector(f(Element.from_monomial(alg, m)), dst) for m in src]
+    return [coordinates(f(Element.from_monomial(alg, m)), dst) for m in src]
 
 
 def boundary_columns(model: SullivanModel, which: str, n: int) -> List[Vector]:
@@ -219,7 +235,7 @@ def boundary_columns(model: SullivanModel, which: str, n: int) -> List[Vector]:
     into degree n: d's assembled afresh, delta's read off its factorization."""
     alg = model.algebra
     if which == "d":
-        return _images(model, basis(alg, n - 1), basis(alg, n))
+        return _images(model, basis_keys(alg, n - 1), basis_keys(alg, n))
     return _factor(model, which, n - 1).columns
 
 
@@ -233,9 +249,9 @@ def boundary_solve(
     target bounds exactly when ``boundary_solve(model, which, n, target)``
     is not None."""
     bn = basis(model.algebra, n)
-    columns = [coefficient_vector(e, bn) for e in extra]
+    columns = [coordinates(e, bn) for e in extra]
     columns += boundary_columns(model, which, n)
-    sol = ColumnFactorization(columns, len(bn)).solve(coefficient_vector(target, bn))
+    sol = ColumnFactorization(columns, len(bn)).solve(coordinates(target, bn))
     return None if sol is None else {j: x for j, x in sol.items() if j < len(extra)}
 
 
@@ -249,7 +265,7 @@ def cut_depth_search(
     length s, solves for the part of z below s (free variables 0)."""
     bn = basis(model.algebra, n)
     columns = boundary_columns(model, which, n)
-    zvec = coefficient_vector(z, bn)
+    zvec = coordinates(z, bn)
     normal = ColumnFactorization(columns, len(bn)).reduce(zvec)
     if not normal:
         return None
@@ -264,7 +280,7 @@ def cut_depth_search(
     for j, xj in x.items():
         for i, y in columns[j].items():
             zvec[i] = zvec.get(i, 0) - xj * y
-    return s, element_from_vector(model.algebra, bn, zvec)
+    return s, element_of(model.algebra, bn, zvec)
 
 
 def naive_det(entries: Sequence[Sequence[Element]], alg: Algebra) -> Element:

@@ -9,15 +9,19 @@ from sullivan import algebra
 from sullivan.algebra import (
     Element,
     basis,
+    basis_keys,
     build_algebra,
+    coefficient_vector,
     format_element,
     grlex_key,
     koszul_sign,
     parse_element,
     wordlength,
 )
+from sullivan.cohomology import formal_dimension
 from sullivan.errors import ModelError, ParseError, PreconditionError
 from sullivan.models import ALL_MODELS
+from zoo import model_files, models
 
 
 def _alg_n37():
@@ -189,6 +193,49 @@ def test_basis_returns_a_fresh_list():
         again = basis(alg, 16, **kwargs)
         again.append((0, 0, 0, 0, 0))
         assert basis(alg, 16, **kwargs) == expected
+
+
+def test_keys_round_trip_and_sort_as_graded_lex():
+    """On every fixture's bases up to N + 1: decode(encode(m)) = m, each
+    degree's cached keys are its encoded basis in ascending order, and two
+    monomials of any degrees compare by key as they do by ``grlex_key``."""
+    checked = 0
+    for name, model in models(model_files()):
+        alg, monos = model.algebra, []
+        for n in range(max(formal_dimension(model), 0) + 2):
+            keys = basis_keys(alg, n)
+            assert keys == sorted(keys) == [alg.encode(m) for m in basis(alg, n)], name
+            monos += basis(alg, n)
+        assert [alg.decode(alg.encode(m)) for m in monos] == monos, name
+        assert sorted(monos, key=alg.encode) == sorted(monos, key=grlex_key), name
+        checked += len(monos)
+    assert checked > 10_000, checked
+
+
+def test_an_exponent_at_the_field_limit_round_trips():
+    # x2^500 in degree MAX_DEGREE: the largest exponent a key's field holds
+    alg = build_algebra([("x2", 2), ("x6", 6), ("y3", 3), ("y5", 5)])
+    top = basis(alg, algebra.MAX_DEGREE)
+    assert top[-1] == (algebra.MAX_DEGREE // 2, 0, 0, 0)
+    assert top == sorted(top, key=grlex_key) and len(top) == 333
+    assert [alg.decode(alg.encode(m)) for m in top] == top
+    assert [alg.encode(m) for m in top] == basis_keys(alg, algebra.MAX_DEGREE)
+    # past the limit a field carries, and the key is no monomial's
+    over = (algebra.MAX_DEGREE, 0, 0, 0)
+    assert alg.decode(alg.encode(over)) != over
+    with pytest.raises(ValueError, match="outside the given basis"):
+        coefficient_vector(Element.from_monomial(alg, over), basis_keys(alg, 2))
+
+
+def test_no_key_is_built_past_the_degree_limit():
+    alg, over = _alg_s2(), algebra.MAX_DEGREE + 1
+    message = f"^the degree-{over} basis is above the degree limit of {algebra.MAX_DEGREE}$"
+    for filled in (0, algebra.MAX_DEGREE + 1):
+        for build in (basis_keys, basis):
+            with pytest.raises(PreconditionError, match=message):
+                build(alg, over)
+            assert len(alg._basis_cache) == filled
+        basis_keys(alg, algebra.MAX_DEGREE)
 
 
 def test_basis_counts_match_series_for_small_algebra():

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import random
 from itertools import combinations
 
 import pytest
 
-from reference import boundary_solve, homogeneous_component
+from reference import boundary_solve, homogeneous_component, map_columns, reference_apply
 from sullivan import cli, cohomology
-from sullivan.algebra import Element, basis, format_element
+from sullivan.algebra import Element, basis, basis_keys, format_element
 from sullivan.cohomology import (
     cohomology_basis,
     cohomology_dim,
@@ -34,13 +35,15 @@ from sullivan.models import (
     tower_two_even_mixed,
 )
 from sullivan.spectral import spectral_run
-from zoo import FIXTURES, assorted, model_files, models, product, random_k3_models
+from zoo import (
+    FIXTURES, assorted, model_files, models, product, random_k3_models, random_nonpure_model,
+)
 
 
 def test_sphere_cochain_map_is_one_by_one_identity():
     model = sphere_s2()
     alg = model.algebra
-    assert cohomology._images(model, basis(alg, 3), basis(alg, 4)) == [{0: 1}]
+    assert cohomology._images(model, basis_keys(alg, 3), basis_keys(alg, 4)) == [{0: 1}]
 
 
 def test_sphere_cohomology_by_hand():
@@ -428,7 +431,7 @@ def test_ranks_off_the_boundary_pivots_match_dense_ranks(monkeypatch, dense_imag
         ranks = [0]  # rank d_{-1}, then rank d_n for n = 0 .. N
         for n in range(n_top + 1):
             nrows = len(basis(alg, n + 1))
-            columns = images(cold, basis(alg, n), basis(alg, n + 1))
+            columns = images(cold, basis_keys(alg, n), basis_keys(alg, n + 1))
             ranks.append(len(dense_images(columns, nrows)[1]))
         want = [len(basis(alg, n)) - ranks[n + 1] - ranks[n] for n in range(n_top + 1)]
         down = [cohomology_dim(cold, n) for n in range(n_top, -1, -1)]
@@ -449,11 +452,23 @@ def test_ranks_off_the_boundary_pivots_match_dense_ranks(monkeypatch, dense_imag
 
 def test_report_factors_d_only_in_the_top_two_degrees():
     """The dimensions of H^0 .. H^N come from ranks; the whole factorizations
-    of d are those of the top class and the depth searches."""
+    of d are those of the top class and the depth searches.  On seeded random
+    non-pure models, whose images carry odd factors in a random generator
+    order, their columns are those of the reference Leibniz rule."""
     path = str(FIXTURES / "pure_n37.model")
-    model = cli.parse_model_file(path).model
-    cli._report(argparse.Namespace(model=path, max_degree=None), model)
-    factored = {
-        key[2] for key in model._cache if len(key) == 3 and key[:2] == ("d", "factor")
-    }
-    assert factored == {36, 37}
+    rng = random.Random("non-pure reports")
+    zoo = [(path, cli.parse_model_file(path).model)]
+    zoo += [("random", random_nonpure_model(rng)) for _ in range(6)]
+    for path, model in zoo:
+        cli._report(argparse.Namespace(model=path, max_degree=None), model)
+        n, alg = formal_dimension(model), model.algebra
+        factored = {
+            key[2] for key in model._cache if len(key) == 3 and key[:2] == ("d", "factor")
+        }
+        assert factored == {n - 1, n}, path
+        if not is_pure(model):
+            d = lambda e: reference_apply(model.differential, e)  # noqa: E731
+            for m in factored:
+                want = map_columns(alg, d, basis(alg, m), basis(alg, m + 1))
+                assert model._cache[("d", "factor", m)].columns == want, m
+    assert sum(not is_pure(model) for _, model in zoo) == 6

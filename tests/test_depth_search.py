@@ -26,15 +26,13 @@ from fractions import Fraction
 import pytest
 
 from reference import (
-    boundary_solve, cut_depth_search, dense, dense_solve, map_columns, reference_delta,
-    sparse,
+    boundary_solve, coordinates, cut_depth_search, dense, dense_solve, element_of,
+    map_columns, reference_delta, sparse,
 )
 from sullivan import cli, cohomology, spectral
 from sullivan.algebra import (
     Element,
     basis,
-    coefficient_vector,
-    element_from_vector,
     parse_element,
     wordlength,
 )
@@ -72,7 +70,7 @@ def _descending_search(model: SullivanModel, which: str, n: int, z: Element):
         units = [Element.from_monomial(alg, m) for m in deep]
         sol = boundary_solve(model, which, n, z, units)
         if sol is not None:
-            return s, element_from_vector(alg, deep, sol)
+            return s, element_of(alg, deep, sol)
     raise AssertionError("membership failed even at filtration 0")
 
 
@@ -162,17 +160,17 @@ def test_report_runs_each_depth_search_once(capsys, monkeypatch):
 # one cohomology path for d and delta
 
 
-def _slot_columns(model: SullivanModel, p: int, n: int):
-    """The columns of delta from the (p, n) pair slot to the (p + 1, n + 1)
-    slot, each slot's basis listing u and then v, by the paper's pair
-    formula."""
+def _slot_columns(model: SullivanModel, delta, p: int, n: int):
+    """The columns of ``delta``, the model's :func:`reference_delta`, from the
+    (p, n) pair slot to the (p + 1, n + 1) slot, each slot's basis listing u
+    and then v."""
     src, dst = (sum(pair_basis(model, q, m), []) for q, m in ((p, n), (p + 1, n + 1)))
-    return map_columns(model.algebra, lambda e: reference_delta(model, e), src, dst)
+    return map_columns(model.algebra, delta, src, dst)
 
 
-def _per_slot_delta_cohomology(model: SullivanModel, n: int):
+def _per_slot_delta_cohomology(model: SullivanModel, delta, n: int):
     """(p, u, v) of every delta-class in class order, by the earlier loop over the
-    pair slots: kernel of delta out of (p, n) modulo the image of delta from
+    pair slots: kernel of ``delta`` out of (p, n) modulo its image from
     (p - 1, n - 1), each slot on its own."""
     out = []
     for p in range(0, n // 4 + 2 if n >= 0 else 0):
@@ -180,12 +178,12 @@ def _per_slot_delta_cohomology(model: SullivanModel, n: int):
         if not ub and not vb:
             continue
         space = RowSpace(len(ub) + len(vb))
-        for column in _slot_columns(model, p - 1, n - 1) if p > 0 else []:
+        for column in _slot_columns(model, delta, p - 1, n - 1) if p > 0 else []:
             space.add(column)
         nrows = sum(map(len, pair_basis(model, p + 1, n + 1)))
-        cocycles = ColumnFactorization(_slot_columns(model, p, n), nrows).kernel
+        cocycles = ColumnFactorization(_slot_columns(model, delta, p, n), nrows).kernel
         for z in [z for z in cocycles if space.add(z)]:
-            e = element_from_vector(model.algebra, ub + vb, z)
+            e = element_of(model.algebra, ub + vb, z)
             out.append((p, e.wordlength_component(2 * p), e.wordlength_component(2 * p + 1)))
     return out
 
@@ -195,9 +193,10 @@ def test_delta_cohomology_matches_the_per_slot_loop():
     for name, model in models(randoms=8):
         if model.k != 3:
             continue
+        delta = reference_delta(model)  # d3 and d4 built once per model
         for n in range(0, formal_dimension(model) + 2):
             got = [(c.p, c.u, c.v) for c in delta_cohomology(model, n)]
-            assert got == _per_slot_delta_cohomology(model, n), (name, n)
+            assert got == _per_slot_delta_cohomology(model, delta, n), (name, n)
             assert all(c.n == n for c in delta_cohomology(model, n))
             compared += len(got)
     assert compared >= 200
@@ -358,10 +357,10 @@ def _dense_solution(model: SullivanModel, f, n: int, e: Element):
     src, dst = basis(alg, n), basis(alg, n + 1)
     columns = map_columns(alg, f, src, dst)
     rows = [[c.get(i, Fraction(0)) for c in columns] for i in range(len(dst))]
-    x = dense_solve(rows, len(src), dense(coefficient_vector(e, dst), len(dst)))
+    x = dense_solve(rows, len(src), dense(coordinates(e, dst), len(dst)))
     if x is None:
         return None
-    return element_from_vector(alg, src, sparse(x))
+    return element_of(alg, src, sparse(x))
 
 
 def _reference_lift(model: SullivanModel, start: Element):
@@ -369,7 +368,7 @@ def _reference_lift(model: SullivanModel, start: Element):
     delta(b) = obstruction, with the reference delta, and the final boundary
     test solved densely."""
     n = start.degree()
-    delta = lambda e: reference_delta(model, e)  # noqa: E731
+    delta = reference_delta(model)
     w, obstructions, correctors = start, [], []
     while True:
         dw = model.d(w)

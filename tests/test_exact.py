@@ -123,12 +123,16 @@ def test_every_coefficient_is_an_int_or_a_fraction(name, build):
 
 def _as_fractions(model):
     """The model with every coefficient that assembly and the ellipticity
-    scan read held as a ``Fraction``: the terms of d, which delta reads
-    too, and the generators of the cached pure quotient."""
+    scan read held as a ``Fraction``: the terms of d, on tuples and on keys,
+    which delta reads too, and the generators of the cached pure quotient."""
     d = model.differential
     d._terms = {
         i: [(t, Fraction(a), odd) for t, a, odd in terms] for i, terms in d._terms.items()
     }
+    d._rule = [
+        (off, [(t, Fraction(a), odd, sign) for t, a, odd, sign in terms])
+        for off, terms in d._rule
+    ]
     weights, ideal = _pure_ideal(model)
     model._cache[("pure_quotient",)] = _PureQuotient(
         weights, [{t: Fraction(c) for t, c in f.items()} for f in ideal]

@@ -9,7 +9,7 @@ import pytest
 from reference import homogeneous_component
 from sullivan.algebra import (
     Generator,
-    basis,
+    basis_keys,
     build_algebra,
     coefficient_vector,
     parse_element,
@@ -89,7 +89,7 @@ INPUT_CHECKS = {
     "coefficient_vector-outside-basis": (
         lambda: coefficient_vector(
             elliptic_pure_n37().algebra.gen_element("x6"),
-            basis(elliptic_pure_n37().algebra, 2),
+            basis_keys(elliptic_pure_n37().algebra, 2),
         ),
         ValueError, "outside the given basis"),
     "is_elliptic-negative-bound": (

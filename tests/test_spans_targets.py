@@ -187,7 +187,7 @@ def test_cochain_maps_and_delta_matrix_match_the_reference():
         ), n
         for p in range(n // 2 + 2):
             src, dst = pair_basis(model, p, n), pair_basis(model, p + 1, n + 1)
-            ref = matrix(lambda e: reference_delta(model, e), sum(src, []), sum(dst, []))
+            ref = matrix(reference_delta(model), sum(src, []), sum(dst, []))
             assert delta_matrix(model, p, n) == ref, (p, n)
             blocks += bool(ref.nrows and ref.ncols)
     assert blocks >= 120

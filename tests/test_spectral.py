@@ -149,11 +149,12 @@ def test_delta_apply_matches_the_pair_formula():
     nonzero = 0
     for name, build in ELLIPTIC_K3_POOL:
         model = build()
+        delta = reference_delta(model)
         for _ in range(60):
             pair = random_pair(rng, model)
             image = delta_apply(pair)
             assert (image.p, image.n) == (pair.p + 1, pair.n + 1), name
-            assert image.as_element() == reference_delta(model, pair.as_element()), name
+            assert image.as_element() == delta(pair.as_element()), name
             nonzero += not image.is_zero
     assert nonzero > 100
 
@@ -200,7 +201,7 @@ def test_delta_element_matches_pair_delta():
     f = parse_element("x2*x6^2*y23", alg)
     d_f = delta_apply(FilteredPair.slot(model, 2, 37, f)).as_element()
     assert not d_f.is_zero
-    assert d_f == reference_delta(model, f)
+    assert d_f == reference_delta(model)(f)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,30 @@ def random_k3_models(seed: int, count: int, max_top_basis: int = 120) -> Named:
     return out
 
 
+def random_nonpure_model(rng: random.Random) -> SullivanModel:
+    """A random elliptic k = 3 model that is not pure, of the shape of
+    ``nonpure_n23``, its generators declared in a random order: x2; y3 with
+    d y3 = 0; u of degree 2a - 1 with d u = x2^a; x of degree e = 2a + 2 with
+    d x = c x2^a y3; and z of degree pe - 1 with d z the cocycle of x^p plus
+    0 to 2 random multiples of those of the other x2^m x^j of its degree and
+    word length >= 3, the cocycle of x2^m x^j being x2^m x^j + jc x2^m
+    x^(j-1) y3 u."""
+    a = rng.choice((3, 4))
+    p, c, e = 3 if a == 4 else rng.choice((3, 4)), rng.choice((1, 2, 3)), 2 * a + 2
+    specs = [("x2", 2), ("y3", 3), ("u", 2 * a - 1), ("x", e), ("z", p * e - 1)]
+    rng.shuffle(specs)
+    others = [((p - j) * e // 2, j) for j in range(p) if (p - j) * e // 2 + j >= 3]
+    picked = [(1, 0, p)] + [
+        (rng.choice((-2, -1, 1, 2, 3)), m, j)
+        for m, j in rng.sample(others, rng.randint(0, 2))
+    ]
+    terms = [f"{lam}*x2^{m}*x^{j}" for lam, m, j in picked]
+    terms += [f"{lam * j * c}*x2^{m}*x^{j - 1}*y3*u" for lam, m, j in picked if j]
+    text = "".join(f"generator {name} {degree}\n" for name, degree in specs)
+    text += f"d u = x2^{a}\nd x = {c}*x2^{a}*y3\nd z = " + " + ".join(terms)
+    return parse_model_text(text.replace("+ -", "- ") + "\n")
+
+
 def models(files: Iterable[Path] = (), randoms: int = 0) -> Named:
     """Fresh (name, model) pairs: every model of ``ALL_MODELS``, the model of
     each of ``files`` under its stem, and ``random_k3_models(0, randoms)``."""
