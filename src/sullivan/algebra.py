@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ModelError, ParseError, PreconditionError, clipped, quoted
 
@@ -30,8 +29,7 @@ from .errors import ModelError, ParseError, PreconditionError, clipped, quoted
 Monomial = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
     degree: int
     index: int

@@ -26,7 +26,6 @@ import functools
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -54,9 +53,11 @@ from .spectral import FilteredPair, SpectralRun, delta_cohomology, spectral_run
 from . import selftest as selftest_mod
 
 
-@dataclass
 class ModelFile:
-    model: SullivanModel
+    __slots__ = ("model",)
+
+    def __init__(self, model: SullivanModel):
+        self.model = model
 
 
 def parse_model_file(path: str) -> ModelFile:

@@ -31,10 +31,9 @@ arithmetic.  The pieces provided here:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, mul, neg, sub
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import (
     Element,
@@ -52,8 +51,7 @@ from .linalg import ColumnFactorization, RationalMatrix, RowSpace, Vector
 Polynomial = Dict[Monomial, Fraction]
 
 
-@dataclass
-class EllipticityResult:
+class EllipticityResult(NamedTuple):
     """Outcome of the finite-dimensionality test with its certificate."""
 
     status: str  # "elliptic" | "not_elliptic" | "inconclusive"
@@ -68,8 +66,7 @@ class EllipticityResult:
         return self.status == "elliptic"
 
 
-@dataclass
-class ToomerResult:
+class ToomerResult(NamedTuple):
     """The Toomer invariant with a witness cocycle.
 
     ``representative`` is a non-bounding cocycle of top degree whose terms all

@@ -30,7 +30,6 @@ like every ``Element`` a user builds, keep their ``Fraction``s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import Dict, List, Mapping, Optional, Tuple, Union
@@ -236,7 +235,6 @@ def _cached(model: SullivanModel, key, producer):
     return model._cache[key]
 
 
-@dataclass
 class SullivanModel:
     """A free minimal algebra together with a validated differential.
 
@@ -246,13 +244,24 @@ class SullivanModel:
     basis of the pure quotient, the ellipticity scan, the oracle, the
     coefficient matrix, the selftest's pair slots); entries are write-once,
     but for the one slot of the last d-rank's pivot columns,
-    ``("d", "pivots")``: (degree, frozenset).
+    ``("d", "pivots")``: (degree, frozenset).  Models compare by algebra
+    and differential, and are unhashable.
     """
 
-    algebra: Algebra
-    differential: Derivation
-    k: Optional[int] = field(compare=False)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("algebra", "differential", "k", "_cache")
+
+    def __init__(self, algebra: Algebra, differential: Derivation, k: Optional[int]):
+        self.algebra, self.differential, self.k = algebra, differential, k
+        self._cache: dict = {}
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SullivanModel)
+            and self.algebra == other.algebra
+            and self.differential == other.differential
+        )
+
+    __hash__ = None
 
     def d(self, e: Element) -> Element:
         return self.differential(e)

@@ -20,9 +20,8 @@ next.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .algebra import Algebra, Element, Monomial, _fill_bases, basis, basis_keys
 from .cohomology import check_duality, cohomology_dim, formal_dimension, is_elliptic
@@ -39,8 +38,7 @@ Models = Sequence[Tuple[str, SullivanModel]]
 BASIS_COUNT_DEGREE = 40
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     cases: int
     ok: bool

@@ -27,8 +27,7 @@ filtration p and, in its starting representative, the class's depth.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .algebra import (
     Element,
@@ -63,23 +62,19 @@ def _require_delta(model: SullivanModel) -> None:
         )
 
 
-@dataclass
 class FilteredPair:
     """An element of E_1^{p, n-p} for k = 3: u in Lambda^{2p}, v in
-    Lambda^{2p+1}, both degree-homogeneous of total degree n."""
+    Lambda^{2p+1}, both degree-homogeneous of total degree n.  Pairs
+    compare by all five fields, and are unhashable."""
 
-    model: SullivanModel
-    p: int
-    n: int
-    u: Element
-    v: Element
+    __slots__ = ("model", "p", "n", "u", "v")
 
-    def __post_init__(self):
-        _require_delta(self.model)
-        if self.p < 0:
+    def __init__(self, model: SullivanModel, p: int, n: int, u: Element, v: Element):
+        _require_delta(model)
+        if p < 0:
             raise ValueError("filtration index must be nonnegative")
-        for name, part, want_wl in (("u", self.u, 2 * self.p), ("v", self.v, 2 * self.p + 1)):
-            if part.algebra != self.model.algebra:
+        for name, part, want_wl in (("u", u, 2 * p), ("v", v, 2 * p + 1)):
+            if part.algebra != model.algebra:
                 raise ValueError(f"component {name} lives in a different algebra")
             if part.is_zero:
                 continue
@@ -89,10 +84,17 @@ class FilteredPair:
                     f"component {name} must have word length exactly {want_wl}, "
                     f"found {wls}"
                 )
-            if part.degree() != self.n:
-                raise ValueError(
-                    f"component {name} has degree {part.degree()}, expected {self.n}"
-                )
+            if part.degree() != n:
+                raise ValueError(f"component {name} has degree {part.degree()}, expected {n}")
+        self.model, self.p, self.n, self.u, self.v = model, p, n, u, v
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FilteredPair) and (
+            (self.model, self.p, self.n, self.u, self.v)
+            == (other.model, other.p, other.n, other.u, other.v)
+        )
+
+    __hash__ = None
 
     @property
     def is_zero(self) -> bool:
@@ -203,19 +205,20 @@ def representative_depth(
     return found
 
 
-@dataclass
 class LiftTrace:
     """Full record of one run of the lifting algorithm.  When it "died",
-    ``obstructions[-1]`` is the obstruction that is not a delta-boundary."""
+    ``obstructions[-1]`` is the obstruction that is not a delta-boundary.
+    ``outcome`` is "success", "died" or "collapsed"."""
 
-    start: Element
-    p: int
-    l: int
-    t_bound: int
-    outcome: str  # "success" | "died" | "collapsed"
-    final: Optional[Element] = None
-    obstructions: List[FilteredPair] = field(default_factory=list)
-    correctors: List[Element] = field(default_factory=list)
+    __slots__ = "start", "p", "l", "t_bound", "outcome", "final", "obstructions", "correctors"
+
+    def __init__(
+        self, start: Element, p: int, l: int, t_bound: int, outcome: str, final=None
+    ):
+        self.start, self.p, self.l, self.t_bound = start, p, l, t_bound
+        self.outcome, self.final = outcome, final
+        self.obstructions: List[FilteredPair] = []
+        self.correctors: List[Element] = []
 
     @property
     def iterations(self) -> int:
@@ -287,8 +290,7 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
         w = w - corrector
 
 
-@dataclass
-class SpectralRun:
+class SpectralRun(NamedTuple):
     """The classes of H^N(delta), the lift of each, in class order, and e0."""
 
     classes: List[FilteredPair]

@@ -37,12 +37,15 @@ def dense_rref(a, ncols):
         if sel is None:
             continue
         a[row], a[sel] = a[sel], a[row]
-        inv = Fraction(1) / a[row][col]
-        a[row] = [x * inv for x in a[row]]
+        # the pivot row is zero left of col, so every row changes from col on
+        pivot = a[row]
+        if pivot[col] != 1:
+            inv = Fraction(1) / pivot[col]
+            pivot[col:] = [x * inv for x in pivot[col:]]
         for i in range(nrows):
-            if i != row and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+            f = a[i][col]
+            if i != row and f != 0:
+                a[i][col:] = [x - f * y for x, y in zip(a[i][col:], pivot[col:])]
         pivots.append(col)
         row += 1
     return a, tuple(pivots)

@@ -8,6 +8,7 @@ import pytest
 from sullivan import algebra
 from sullivan.algebra import (
     Element,
+    Generator,
     basis,
     basis_keys,
     build_algebra,
@@ -53,6 +54,16 @@ def test_duplicate_names_rejected():
 def test_parity_follows_degree():
     alg = _alg_n37()
     assert [g.is_odd for g in alg.generators] == [False, False, True, True, True]
+
+
+def test_generators_compare_by_their_fields_hash_and_are_immutable():
+    g = _alg_n37().generator("x6")
+    assert g == _alg_n37().generator("x6") == Generator("x6", 6, 1)
+    assert g != Generator("x6", 6, 0) and g != _alg_n37().generator("x2")
+    assert hash(g) == hash(Generator("x6", 6, 1))
+    assert {g: "x6"}[Generator(name="x6", degree=6, index=1)] == "x6"
+    with pytest.raises(AttributeError):
+        g.degree = 4
 
 
 # ---------------------------------------------------------------------------

@@ -884,6 +884,19 @@ def test_parser_is_built_once_on_first_use(capsys, monkeypatch):
     assert (code, out) == (0, "0\n")
 
 
+def test_importing_the_cli_leaves_dataclasses_and_inspect_out():
+    """A bare interpreter (``-S``, no site packages) that imports the CLI
+    loads no ``dataclasses``, nor what it pulls in, but loads
+    ``sullivan.selftest``, whose checks a tracer wraps right after the import."""
+    code, out, err = _python(
+        "-S", "-c",
+        "import sys; import sullivan.cli; "
+        "print(*sorted(m for m in sys.argv[1:] if m in sys.modules))",
+        "dataclasses", "inspect", "ast", "dis", "tokenize", "sullivan.selftest",
+    )
+    assert (code, out, err) == (0, "sullivan.selftest\n", "")
+
+
 # ---------------------------------------------------------------------------
 # golden reports
 

@@ -11,6 +11,8 @@ from reference import boundary_solve, homogeneous_component, map_columns, refere
 from sullivan import cli, cohomology
 from sullivan.algebra import Element, basis, basis_keys, format_element
 from sullivan.cohomology import (
+    EllipticityResult,
+    ToomerResult,
     cohomology_basis,
     cohomology_dim,
     formal_dimension,
@@ -88,6 +90,20 @@ def test_not_elliptic_with_certificate():
     assert len(res.nonvanishing_degrees) > 0
     # powers of x6 survive the quotient by (x2^3) in every degree 6k
     assert 12 in res.nonvanishing_degrees and 18 in res.nonvanishing_degrees
+
+
+def test_results_compare_by_their_fields_and_are_immutable():
+    res = is_elliptic(elliptic_pure_n37())
+    assert res == is_elliptic(elliptic_pure_n37())
+    assert res != is_elliptic(nonelliptic_truncation_n37())
+    assert res == EllipticityResult(*res) and res._replace(bound=1) != res
+    one = sphere_s2().algebra.one()
+    toomer = ToomerResult(e0=1, representative=one)
+    assert toomer == ToomerResult(1, one, None) != ToomerResult(1, one, (0, "2p"))
+    assert toomer_oracle(elliptic_pure_n37()) == toomer_oracle(elliptic_pure_n37())
+    for result, field in ((res, "status"), (toomer, "e0")):
+        with pytest.raises(AttributeError):
+            setattr(result, field, getattr(result, field))
 
 
 def test_small_bound_is_inconclusive_not_false():

@@ -21,6 +21,7 @@ from sullivan.models import (
 from sullivan.selftest import random_pair
 from sullivan.spectral import (
     FilteredPair,
+    LiftTrace,
     delta_apply,
     delta_cohomology,
     lift_to_d_cocycle,
@@ -333,6 +334,18 @@ def test_lift_single_correction_trace():
     assert format_element(corrector) == "x2^4*y5"
     assert format_element(trace.final) == "-x2^4*y5 + x2^2*y9"
     assert model.d(trace.final).is_zero
+
+
+def test_lift_traces_do_not_share_their_lists():
+    model = tower_one_even()
+    lifted = lift_to_d_cocycle(model, parse_element("x2^2*y9", model.algebra))
+    collapsed = lift_to_d_cocycle(model, model.algebra.zero())
+    assert len(lifted.obstructions) == len(lifted.correctors) == 1
+    assert collapsed.obstructions == collapsed.correctors == []
+    first, second = (LiftTrace(model.algebra.zero(), 0, 0, 0, "died") for _ in range(2))
+    first.obstructions.append(lifted.obstructions[0])
+    first.correctors.append(lifted.correctors[0])
+    assert second.obstructions == second.correctors == []
 
 
 def test_lift_dies_on_shallow_class_of_n35():
