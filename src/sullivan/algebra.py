@@ -1,15 +1,16 @@
 """Free graded-commutative algebras over Q on a finite list of generators.
 
 A generator of odd degree is exterior (its square is zero), a generator of
-even degree is polynomial.  A *monomial* is an exponent tuple with one entry
-per generator, always kept in declaration order; odd generators never carry
-an exponent above 1.  All sign bookkeeping lives in the coefficients: the
-monomial itself is the canonical sorted word, and reordering costs are paid
-when two monomials are multiplied.
-
-The degree bases are sorted lists of integer *keys* (:meth:`Algebra.encode`):
-key order is graded-lex order, and multiplying by a generator adds its key,
-so bases are built, and d is applied to them, by integer addition.
+even degree is polynomial.  The engine holds a monomial as an integer *key*
+(:meth:`Algebra.encode`): its word length in the top bits, then one field
+per generator, the first generator's highest.  Key order is graded-lex
+order and key(m * g) = key(m) + key(g), so the degree bases are sorted key
+lists built by addition, an ``Element`` is a ``{key: coefficient}`` dict, a
+product adds keys and takes its Koszul sign from the odd fields by popcount
+(:func:`koszul_mask`), and d runs one rule on keys for elements and bases.
+The exponent tuple, one entry per generator in declaration order, is the
+public view: ``Element(algebra, {tuple: c})``, ``Element.terms``, :func:`basis`.
+Coefficients are ``int`` or ``Fraction``, and integers stay ``int``.
 
 Every generator must have degree >= 2 (the algebras model simply connected
 spaces), so each fixed degree contains only finitely many monomials.
@@ -20,13 +21,18 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from operator import or_
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import ModelError, ParseError, PreconditionError, clipped, quoted
 
 #: A monomial is an exponent vector, one entry per generator.
 Monomial = Tuple[int, ...]
+
+#: An exact coefficient.
+Coefficient = Union[int, Fraction]
 
 
 class Generator(NamedTuple):
@@ -53,14 +59,23 @@ class Algebra:
         # degree and k how many of its monomials have no factor of index >= k
         self._basis_cache: List[List[int]] = []
         self._basis_counts: List[List[int]] = []
-        self._monomials: Dict[int, List[Monomial]] = {}  # those decoded by `basis`
-        # a key's fields (see `encode`) fit the exponents of every degree up to
-        # MAX_DEGREE, as it is now; g_i's field is at bit _offsets[i], the word
-        # length at _shift, and the odd fields' lowest bits are _odd
-        self._width = width = (MAX_DEGREE // 2).bit_length()
-        self._shift = width * self.ngens
-        self._offsets = tuple(range(self._shift - width, -1, -width))
+        # per generator: the largest exponent its field holds, its mask and its
+        # offset.  An odd field is 1 bit; an even g's holds each exponent of
+        # degree <= D = max(MAX_DEGREE + 1, top generator degree + 2), so every
+        # basis, image and d of one, and a guard bit above, set by a product or
+        # d past the limit.  Word length at _shift; key(g) is _unit's
+        top = max(MAX_DEGREE + 1, max(self.degrees, default=0) + 2)
+        self._limits = tuple(
+            1 if d % 2 else (1 << (top // d).bit_length()) - 1 for d in self.degrees
+        )
+        widths = [m.bit_length() + 1 - d % 2 for m, d in zip(self._limits, self.degrees)]
+        self._masks = tuple((1 << w) - 1 for w in widths)
+        self._shift = sum(widths)
+        self._offsets = tuple(self._shift - w for w in accumulate(widths))
         self._odd = sum(1 << self._offsets[i] for i in self.odd_indices)
+        self._guard = sum(self._limits[i] + 1 << self._offsets[i] for i in self.even_indices)
+        self._signs: Dict[int, int] = {}  # koszul_mask per odd part, for products
+        self._key_degrees: Dict[int, int] = {}
         self._signature = tuple((g.name, g.degree) for g in self.generators)
         self._hash = hash(self._signature)
 
@@ -78,27 +93,52 @@ class Algebra:
 
     def encode(self, mono: Monomial) -> int:
         """The key of a monomial: its word length, then its exponents, the first
-        generator's highest, in fixed-width fields.  Keys compare as graded-lex
-        order does, and key(m * g_i) = key(m) + key(g_i).  Above the degree
-        limit a field may carry, and the key is then no monomial's."""
-        fields = sum(e << off for e, off in zip(mono, self._offsets))
-        return fields | sum(mono) << self._shift
+        generator's highest.  Keys compare as graded-lex order does, and
+        key(m * g_i) = key(m) + key(g_i).  PreconditionError for an exponent
+        outside its field."""
+        for i, e in enumerate(mono):
+            if not 0 <= e <= self._limits[i]:
+                raise PreconditionError(self._exponent_error(i, e))
+        return sum(e << off for e, off in zip(mono, self._offsets)) | sum(mono) << self._shift
 
     def decode(self, key: int) -> Monomial:
         """The monomial of a key: the inverse of :meth:`encode`."""
-        mask = (1 << self._width) - 1
-        return tuple([key >> off & mask for off in self._offsets])
+        return tuple([key >> off & m for off, m in zip(self._offsets, self._masks)])
+
+    def key_degree(self, key: int) -> int:
+        """The degree of the monomial of a key, kept once found."""
+        degree = self._key_degrees.get(key)
+        if degree is None:
+            degree = self._key_degrees[key] = self.monomial_degree(self.decode(key))
+        return degree
+
+    def _unit(self, i: int) -> int:
+        """key(g_i), made when asked: n of them would take O(n^2) bits."""
+        return 1 << self._shift | 1 << self._offsets[i]
+
+    def _exponent_error(self, i: int, e: int) -> str:
+        return (
+            f"{quoted(self.generators[i].name)} has exponent {clipped(e)}, outside "
+            f"0..{self._limits[i]}, the exponent limit of this algebra"
+        )
+
+    def _fit(self, e: "Element") -> "Element":
+        """e, unless one of its keys sets a guard bit: PreconditionError for an
+        exponent past its field's limit, which a product or d may reach."""
+        if reduce(or_, e.keyed, 0) & self._guard:
+            mono = self.decode(next(k for k in e.keyed if k & self._guard))
+            i = next(i for i, x in enumerate(mono) if x > self._limits[i])
+            raise PreconditionError(self._exponent_error(i, mono[i]))
+        return e
 
     def gen_element(self, name: str) -> "Element":
-        g = self.generator(name)
-        mono = tuple(1 if i == g.index else 0 for i in range(self.ngens))
-        return Element(self, {mono: Fraction(1)})
+        return Element._of(self, {self._unit(self.generator(name).index): 1})
 
     def one(self) -> "Element":
-        return Element(self, {(0,) * self.ngens: Fraction(1)})
+        return Element._of(self, {0: 1})
 
     def zero(self) -> "Element":
-        return Element(self, {})
+        return Element._of(self, {})
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -140,62 +180,68 @@ def _valid_name(name: str) -> bool:
     return all(c.isalnum() or c == "_" for c in name)
 
 
-def wordlength(mono: Monomial) -> int:
-    """Number of generator factors of a monomial."""
-    return sum(mono)
+def koszul_mask(part: int, odd: int) -> int:
+    """The Koszul rule on keys: for the odd factors ``part`` of a monomial b,
+    the odd fields, of the bits ``odd``, lying below an odd number of them.
+    A product a * b of monomials with no odd factor in common has the sign of
+    the parity of a's odd factors in these fields: each is a factor of a that
+    b's odd factors above it must pass to reach declaration order."""
+    mask = 0
+    while part:
+        low = part & -part
+        mask ^= low - 1
+        part ^= low
+    return mask & odd
 
 
-def grlex_key(mono: Monomial) -> Tuple[int, Monomial]:
-    """Sort key for the graded-lexicographic order on exponent vectors."""
-    return (sum(mono), mono)
-
-
-def koszul_sign(algebra: Algebra, a: Monomial, b: Monomial) -> int:
-    """Sign of merging two canonical monomials, or 0 if an odd factor repeats.
-
-    Even generators commute with everything; each pair of odd factors that
-    must pass one another contributes a factor of -1.
-    """
-    odds_a = [i for i in algebra.odd_indices if a[i]]
-    odds_b = [i for i in algebra.odd_indices if b[i]]
-    if not odds_a or not odds_b:
-        return 1
-    inversions = 0
-    for j in odds_b:
-        if a[j]:
-            return 0
-        for i in odds_a:
-            if i > j:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+def _coefficient(c) -> Coefficient:
+    """c if it is an ``int`` or a ``Fraction``, else TypeError: no float."""
+    if type(c) is int or isinstance(c, Fraction):
+        return c
+    raise TypeError(f"a coefficient must be an int or a Fraction, not {type(c).__name__}")
 
 
 class Element:
-    """A finite Q-linear combination of monomials of one algebra."""
+    """A finite Q-linear combination of monomials of one algebra, held as
+    ``keyed``, a ``{key: coefficient}`` dict with no zero coefficient.
+    ``Element(algebra, {monomial: coefficient})``, :meth:`from_monomial` and
+    :attr:`terms` are the view on exponent tuples; the first two check each
+    exponent against its field and each coefficient's type."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "keyed")
 
-    def __init__(self, algebra: Algebra, terms: Dict[Monomial, Fraction]):
+    def __init__(self, algebra: Algebra, terms: Dict[Monomial, Coefficient]):
         self.algebra = algebra
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.keyed = {algebra.encode(m): c for m, c in terms.items() if _coefficient(c)}
 
-    # -- constructors ------------------------------------------------------
+    @classmethod
+    def _of(cls, algebra: Algebra, keyed: Dict[int, Coefficient]) -> "Element":
+        """The element of a fresh ``{key: coefficient}`` dict, which it keeps,
+        its zero terms dropped: the engine's path, which checks no key and no
+        coefficient."""
+        e = object.__new__(cls)
+        e.algebra = algebra
+        e.keyed = keyed if all(keyed.values()) else {k: c for k, c in keyed.items() if c}
+        return e
 
     @classmethod
     def from_monomial(cls, algebra: Algebra, mono: Monomial, coeff=1) -> "Element":
-        return cls(algebra, {tuple(mono): Fraction(coeff)})
+        return cls(algebra, {tuple(mono): coeff})
 
-    # -- predicates and views ----------------------------------------------
+    @property
+    def terms(self) -> Dict[Monomial, Coefficient]:
+        """The terms as a fresh ``{exponent tuple: coefficient}`` dict."""
+        return {self.algebra.decode(k): c for k, c in self.keyed.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.keyed
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.keyed)
 
     def degrees(self) -> Tuple[int, ...]:
-        return tuple(sorted({self.algebra.monomial_degree(m) for m in self.terms}))
+        return tuple(sorted(set(map(self.algebra.key_degree, self.keyed))))
 
     def degree(self) -> Optional[int]:
         """Degree of a homogeneous element, None for zero.
@@ -210,72 +256,78 @@ class Element:
         return ds[0]
 
     def wordlengths(self) -> Tuple[int, ...]:
-        return tuple(sorted({wordlength(m) for m in self.terms}))
+        shift = self.algebra._shift
+        return tuple(sorted({k >> shift for k in self.keyed}))
 
     def min_wordlength(self) -> Optional[int]:
-        wls = self.wordlengths()
-        return wls[0] if wls else None
+        return min(self.keyed) >> self.algebra._shift if self.keyed else None
 
     def wordlength_component(self, s: int) -> "Element":
-        return Element(
-            self.algebra, {m: c for m, c in self.terms.items() if wordlength(m) == s}
-        )
+        shift, keyed = self.algebra._shift, self.keyed
+        return Element._of(self.algebra, {k: keyed[k] for k in keyed if k >> shift == s})
 
     def leading_monomial(self) -> Monomial:
         if self.is_zero:
             raise ValueError("zero element has no leading monomial")
-        return max(self.terms, key=grlex_key)
+        return self.algebra.decode(max(self.keyed))
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
-
-    # -- arithmetic ---------------------------------------------------------
+    def coefficient(self, mono: Monomial) -> Coefficient:
+        return self.keyed.get(self.algebra.encode(tuple(mono)), 0)
 
     def _check_same_algebra(self, other: "Element") -> None:
         if self.algebra != other.algebra:
             raise ValueError("mismatched algebras")
 
     def __add__(self, other: "Element") -> "Element":
-        self._check_same_algebra(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return Element(self.algebra, terms)
+        if other.algebra is not self.algebra:
+            self._check_same_algebra(other)
+        keyed = dict(self.keyed)
+        for k, c in other.keyed.items():
+            keyed[k] = keyed.get(k, 0) + c
+        return Element._of(self.algebra, keyed)
 
     def __sub__(self, other: "Element") -> "Element":
-        self._check_same_algebra(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) - c
-        return Element(self.algebra, terms)
+        return self + -other
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, {m: -c for m, c in self.terms.items()})
+        return Element._of(self.algebra, {k: -c for k, c in self.keyed.items()})
 
     def __mul__(self, other):
-        if isinstance(other, Element):
+        """The product with an Element, or with an ``int`` or ``Fraction``.
+
+        Two terms multiply by adding keys, unless they share an odd factor;
+        the sign is the parity of the left key's bits in the
+        :func:`koszul_mask` of the right key's odd part.
+        """
+        alg = self.algebra
+        if not isinstance(other, Element):
+            c = _coefficient(other)
+            return Element._of(alg, {k: a * c for k, a in self.keyed.items()})
+        if other.algebra is not alg:
             self._check_same_algebra(other)
-            out: Dict[Monomial, Fraction] = {}
-            for ma, ca in self.terms.items():
-                for mb, cb in other.terms.items():
-                    sign = koszul_sign(self.algebra, ma, mb)
-                    if sign == 0:
-                        continue
-                    mono = tuple(x + y for x, y in zip(ma, mb))
-                    out[mono] = out.get(mono, 0) + sign * ca * cb
-            return Element(self.algebra, out)
-        return Element(
-            self.algebra, {m: c * Fraction(other) for m, c in self.terms.items()}
-        )
+        odd, signs, out = alg._odd, alg._signs, {}
+        for kb, cb in other.keyed.items():
+            part = kb & odd
+            mask = signs.get(part)
+            if mask is None:
+                mask = signs[part] = koszul_mask(part, odd)
+            for ka, ca in self.keyed.items():
+                if ka & part:
+                    continue
+                v = ca * cb
+                if (ka & mask).bit_count() & 1:
+                    v = -v
+                k = ka + kb
+                prev = out.get(k)
+                out[k] = v if prev is None else prev + v
+        return alg._fit(Element._of(alg, out))
 
     def __rmul__(self, other) -> "Element":
         return self.__mul__(other)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Element)
-            and self.algebra == other.algebra
-            and self.terms == other.terms
+        return isinstance(other, Element) and (
+            self.algebra == other.algebra and self.keyed == other.keyed
         )
 
     __hash__ = None
@@ -288,28 +340,26 @@ def basis(
     algebra: Algebra, degree: int, wordlength_exact: Optional[int] = None
 ) -> List[Monomial]:
     """All monomials of the given degree, in graded-lex order: the keys of
-    :func:`basis_keys` decoded, once per degree, and handed out as a fresh
-    list; changing it does not change the cache.  ``wordlength_exact``
-    restricts to one word length, found by bisection on the keys, which sort
-    by word length first."""
-    keys = basis_keys(algebra, degree)
-    monos = algebra._monomials.get(degree)
-    if monos is None:
-        monos = algebra._monomials[degree] = list(map(algebra.decode, keys))
-    if wordlength_exact is None:
-        return list(monos)
-    lo = bisect_left(keys, wordlength_exact << algebra._shift)
-    return monos[lo:bisect_left(keys, wordlength_exact + 1 << algebra._shift, lo)]
+    :func:`basis_keys` decoded into a fresh list."""
+    return list(map(algebra.decode, basis_keys(algebra, degree, wordlength_exact)))
 
 
-def basis_keys(algebra: Algebra, degree: int) -> List[int]:
+def basis_keys(
+    algebra: Algebra, degree: int, wordlength_exact: Optional[int] = None
+) -> List[int]:
     """The keys of the degree basis (see :meth:`Algebra.encode`), ascending,
     which is graded-lex order: the cached list itself, to be read and not
-    changed.  Negative degrees give the empty list."""
+    changed.  Negative degrees give the empty list.  ``wordlength_exact``
+    restricts to one word length, a fresh slice found by bisection on the
+    keys, which sort by word length first."""
     if degree < 0:
         return []
     _fill_bases(algebra, degree)
-    return algebra._basis_cache[degree]
+    keys = algebra._basis_cache[degree]
+    if wordlength_exact is None:
+        return keys
+    lo = bisect_left(keys, wordlength_exact << algebra._shift)
+    return keys[lo:bisect_left(keys, wordlength_exact + 1 << algebra._shift, lo)]
 
 
 #: The most monomials one degree basis may hold.  Far above every model in
@@ -368,38 +418,37 @@ def _fill_bases(algebra: Algebra, degree: int) -> None:
     Raises PreconditionError when a basis would exceed ``MAX_BASIS`` or
     ``degree`` is above ``MAX_DEGREE`` (see :func:`check_basis_limits`).
     """
-    cache, counts, width = algebra._basis_cache, algebra._basis_counts, algebra._width
+    cache, counts = algebra._basis_cache, algebra._basis_counts
     check_basis_limits(degree)
     while len(cache) <= degree:
         d = len(cache)
         count_degree(counts, algebra.degrees, d)
         keys = [0] if d == 0 else []
-        for a, off in zip(algebra.degrees, algebra._offsets):
+        for i, (a, off) in enumerate(zip(algebra.degrees, algebra._offsets)):
             if a <= d:
-                unit = 1 << algebra._shift | 1 << off
-                after = (1 << off + width * (a % 2)) - 1
+                unit, after = algebra._unit(i), (1 << off + a % 2) - 1
                 keys += [k + unit for k in cache[d - a] if not k & after]
         keys.sort()
         cache.append(keys)
 
 
-def coefficient_vector(e: Element, keys: Sequence[int]) -> Dict[int, Fraction]:
+def coefficient_vector(e: Element, keys: Sequence[int]) -> Dict[int, Coefficient]:
     """Sparse coordinates {position: coefficient} of e in the basis of the
     sorted ``keys``, each position found by bisection."""
     out = {}
-    for m, c in e.terms.items():
-        i = bisect_left(keys, key := e.algebra.encode(m))
-        if keys[i:i + 1] != [key]:
-            raise ValueError(f"monomial {m} outside the given basis")
+    for k, c in e.keyed.items():
+        i = bisect_left(keys, k)
+        if keys[i:i + 1] != [k]:
+            raise ValueError(f"monomial {e.algebra.decode(k)} outside the given basis")
         out[i] = c
     return out
 
 
 def element_from_vector(
-    algebra: Algebra, keys: Sequence[int], vec: Dict[int, Fraction]
+    algebra: Algebra, keys: Sequence[int], vec: Dict[int, Coefficient]
 ) -> Element:
     """The element with sparse coordinates vec in the basis of ``keys``."""
-    return Element(algebra, {algebra.decode(keys[i]): c for i, c in vec.items()})
+    return Element._of(algebra, {keys[i]: c for i, c in vec.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +500,7 @@ def parse_element(text: str, algebra: Algebra) -> Element:
         i, sign = 1, (-1 if tokens[0][1] == "-" else 1)
     if tokens[i][0] == "eof":
         raise ParseError("empty expression", column=tokens[i][2])
-    terms: Dict[Monomial, Fraction] = {}
+    terms: Dict[Monomial, Coefficient] = {}
     while True:
         i, mono, coeff = _parse_term(tokens, i, algebra, sign)
         terms[mono] = terms.get(mono, 0) + coeff
@@ -476,13 +525,14 @@ def _int_token(value: str, pos: int) -> int:
 
 def _parse_term(
     tokens: List[Tuple[str, str, int]], i: int, algebra: Algebra, sign: int
-) -> Tuple[int, Monomial, Fraction]:
+) -> Tuple[int, Monomial, Coefficient]:
     """The index after the term at ``tokens[i]``, its monomial and coefficient.
 
     An odd factor flips the sign once per odd factor of higher index already
-    read: the Koszul sign of moving it into declaration order.
+    read: the Koszul sign of moving it into declaration order.  An exponent
+    past its field's limit is a ParseError at the exponent.
     """
-    coeff = Fraction(sign)
+    coeff: Coefficient = sign
     exps = [0] * algebra.ngens
     kind, value, pos = tokens[i]
     if kind == "int":
@@ -495,7 +545,7 @@ def _parse_term(
             den = _int_token(dvalue, dpos)
             if den == 0:
                 raise ParseError("zero denominator", column=dpos)
-            coeff /= den
+            coeff = Fraction(coeff, den)
             i += 2
         if tokens[i][:2] == ("op", "*"):
             i += 1
@@ -508,7 +558,7 @@ def _parse_term(
         if not algebra.has_generator(value):
             raise ParseError(f"unknown generator {quoted(value)}", column=pos)
         gen = algebra.generator(value)
-        exponent = 1
+        exponent, epos = 1, pos
         if tokens[i + 1][:2] == ("op", "^"):
             ekind, evalue, epos = tokens[i + 2]
             if ekind != "int":
@@ -521,6 +571,9 @@ def _parse_term(
             if sum(exps[j] for j in algebra.odd_indices if j > gen.index) % 2:
                 coeff = -coeff
         exps[gen.index] += exponent
+        if exps[gen.index] > algebra._limits[gen.index]:
+            message = algebra._exponent_error(gen.index, exps[gen.index])
+            raise ParseError(message, column=epos)
         if tokens[i + 1][:2] != ("op", "*"):
             return i + 1, tuple(exps), coeff
         i += 2
@@ -542,10 +595,9 @@ def format_element(e: Element) -> str:
     """
     if e.is_zero:
         return "0"
-    items = sorted(e.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
     out = []
-    for i, (mono, coeff) in enumerate(items):
-        mono_str = _format_monomial(e.algebra, mono)
+    for i, (key, coeff) in enumerate(sorted(e.keyed.items(), reverse=True)):
+        mono_str = _format_monomial(e.algebra, e.algebra.decode(key))
         mag = abs(coeff)
         if not mono_str:
             body = str(mag)

@@ -43,7 +43,7 @@ from .algebra import (
     coefficient_vector,
     element_from_vector,
 )
-from .differential import SullivanModel, _cached, pure_projection
+from .differential import SullivanModel, _cached, _exact, pure_projection
 from .errors import InternalInconsistencyError, PreconditionError
 from .linalg import ColumnFactorization, RationalMatrix, RowSpace, Vector
 
@@ -325,8 +325,8 @@ def _pure_ideal(model: SullivanModel) -> Tuple[Tuple[int, ...], List[Polynomial]
     alg = model.algebra
     sigma = pure_projection(model).differential
     ideal = [
-        {tuple(m[j] for j in alg.even_indices): c for m, c, _ in terms}
-        for terms in sigma._terms.values()
+        {tuple(m[j] for j in alg.even_indices): _exact(c) for m, c in img.terms.items()}
+        for img in sigma.images.values()
     ]
     return tuple(alg.degrees[j] for j in alg.even_indices), ideal
 

@@ -9,36 +9,30 @@ lies in word length >= 2.
 the first potentially nonzero component in d = d_k + d_{k+1} + ...; for the
 zero differential there is no such component and ``k`` is None.
 
-A derivation is applied to a monomial directly on exponent tuples
-(:meth:`Derivation.add_image`).  Each Leibniz summand
-sign * e_i * left * d(g_i) * right goes term by term into one
-``{monomial: coefficient}`` dict: a term t of d(g_i) adds its exponents to
-those of the rest of the monomial, its sign is the Koszul sign of moving t
-into place, and a term that repeats an odd factor drops out.  No
-``Element`` product is formed.  The matrices of d are written column by
-column by the same rule on the integer keys of the degree bases
-(:meth:`Derivation.key_image`), and delta's are cut from them
-(``cohomology._delta_slot``).  A key's exponent fields are sized for the
-bases, up to ``MAX_DEGREE``, while an ``Element``, or a generator image, may
-have any degree, so ``Element``s keep the rule on tuples.
-
-A coefficient of a generator image that is an integer is kept as an ``int``
-for this, so a model with integer coefficients has matrices of ``int``
-entries, and ``int`` arithmetic is exact as well.  The images themselves,
-like every ``Element`` a user builds, keep their ``Fraction``s.
+A derivation is applied by one Leibniz rule on keys
+(:meth:`Derivation.key_image`), to ``Element``s and to the columns of the
+matrices of d alike, delta's being cut from d's (``cohomology._delta_slot``):
+each summand sign * e_i * left * d(g_i) * right goes term by term into one
+``{key: coefficient}`` dict, a term t of d(g_i) at key(m) - key(g_i) +
+key(t), its sign the parity of m's odd factors in a mask fixed per term
+from the Koszul rule of products, and a term that repeats an odd factor
+drops out.  A basis key's d stays inside the key's fields, every degree
+being at most ``MAX_DEGREE`` + 1; d of an ``Element`` is checked, like a
+product, for an exponent past its field.  An integer coefficient of a
+generator image is kept as an ``int``, so a model with integer
+coefficients has matrices of ``int`` entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Union
 
-from .algebra import Algebra, Element, Generator, Monomial, format_element, koszul_sign
+from .algebra import Algebra, Coefficient, Element, Generator, format_element, koszul_mask
 from .errors import ModelError, clipped, quoted
 
 
-def _exact(a) -> Union[int, Fraction]:
+def _exact(a) -> Coefficient:
     """The coefficient a as an ``int`` when it is an integer, else a ``Fraction``."""
     a = Fraction(a)
     return a.numerator if a.denominator == 1 else a
@@ -47,8 +41,8 @@ def _exact(a) -> Union[int, Fraction]:
 class Derivation:
     """An odd-degree derivation given by generator images (not validated).
 
-    ``images`` are kept as given; the terms that :meth:`add_image` and
-    :meth:`key_image` read hold each integer coefficient as an ``int``.
+    ``images`` are kept as given; the rule that :meth:`key_image` reads holds
+    each integer coefficient as an ``int``.
     """
 
     def __init__(self, algebra: Algebra, images: Mapping[int, Element]):
@@ -56,33 +50,23 @@ class Derivation:
         self.images: Dict[int, Element] = {
             i: img for i, img in images.items() if not img.is_zero
         }
-        # the terms of each image, an integer coefficient as an int, each
-        # flagged when it has an odd factor
-        odd = algebra.odd_indices
-        self._terms: Dict[int, List[Tuple[Monomial, Union[int, Fraction], bool]]] = {
-            i: [(t, _exact(a), any(t[j] for j in odd)) for t, a in img.terms.items()]
-            for i, img in self.images.items()
-        }
-        # the same for key_image, per g_i: its field's offset, and per term t:
+        # per g_i: its field's offset and mask, and per term t of d(g_i):
         # key(t) - key(g_i), the coefficient, t's odd factors but g_i, and the
-        # odd fields whose factors in m flip t's sign: those before g_i, for
-        # (-1)^|L|, and for each odd factor y of t those between y and g_i
-        alg, width, n = algebra, algebra._width, algebra.ngens
-
-        def between(lo: int, hi: int) -> int:  # the odd fields j, lo < j < hi
-            return (1 << width * (n - 1 - lo)) - (1 << width * (n - hi)) & alg._odd
-
-        self._rule = []
-        for i in sorted(self._terms):
-            unit, terms = 1 << alg._shift | 1 << alg._offsets[i], []
-            for t, a, _ in self._terms[i]:
-                sign = between(-1, i)
-                for y in odd:
-                    if t[y] and y != i:
-                        sign ^= between(*sorted((y, i)))
-                key = alg.encode(t)
-                terms.append((key - unit, a, key & alg._odd & ~unit, sign))
-            self._rule.append((alg._offsets[i], terms))
+        # odd fields but g_i's whose factors in m flip t's sign: those before
+        # g_i, for (-1)^|L|, those below an odd number of t's odd factors, for
+        # left * t, and those after g_i if t has an odd number, for t * right
+        odd, self._rule = algebra._odd, []
+        for i in sorted(self.images):
+            off, mask, unit = algebra._offsets[i], algebra._masks[i], algebra._unit(i)
+            before, after = odd & -(mask + 1 << off), odd & (1 << off) - 1
+            terms = []
+            for key, a in self.images[i].keyed.items():
+                part = key & odd
+                sign = koszul_mask(part, odd) & ~unit ^ before
+                if part.bit_count() & 1:
+                    sign ^= after
+                terms.append((key - unit, _exact(a), part & ~unit, sign))
+            self._rule.append((off, mask, terms))
 
     def image_of(self, gen: Union[Generator, str]) -> Element:
         if isinstance(gen, str):
@@ -94,64 +78,35 @@ class Derivation:
         return not self.images
 
     def __call__(self, e: Element) -> Element:
-        """Apply the derivation via the Leibniz rule, term by term."""
+        """Apply the derivation via the Leibniz rule, term by term;
+        PreconditionError for an exponent past its field's limit."""
         if e.algebra != self.algebra:
             raise ValueError("element does not live in this derivation's algebra")
-        out: Dict[Monomial, Fraction] = {}
-        for mono, coeff in e.terms.items():
-            self.add_image(mono, coeff, out)
-        return Element(self.algebra, out)
+        out: Dict[int, Coefficient] = {}
+        for key, coeff in e.keyed.items():
+            self.key_image(key, coeff, out)
+        return self.algebra._fit(Element._of(self.algebra, out))
 
-    def add_image(self, mono: Monomial, coeff, out: Dict[Monomial, Fraction]) -> None:
-        """Add ``coeff * d(mono)`` into the dict ``out``; terms that cancel
-        are left in with coefficient zero.
+    def key_image(self, key: int, coeff: Coefficient = 1, out=None) -> Dict[int, Coefficient]:
+        """coeff * d(m) added into ``out`` (a fresh dict by default) and
+        returned, m the monomial of ``key``; terms that cancel are left in.
 
-        With mono = L g_i^e R, where L and R are the factors before and after
+        With m = L g_i^e R, where L and R are the factors before and after
         g_i, the Leibniz summand of g_i is (-1)^{|L|} e * left * d(g_i) * right
-        with left = L g_i^(e-1) and right = R.  Each term t of d(g_i) enters
-        by adding exponents, with the Koszul signs of left * t and t * right;
-        a term sharing an odd factor with left or right drops out.
+        with left = L g_i^(e-1) and right = R: a term t of d(g_i) enters at
+        key(m) - key(g_i) + key(t), its sign the parity of m's odd factors in
+        the fields the rule marks, unless it shares an odd factor with m.
         """
-        alg = self.algebra
-        n = alg.ngens
-        prefix_degree = 0
-        for i, e in enumerate(mono):
-            if not e:
-                continue
-            terms = self._terms.get(i)
-            if terms is not None:
-                c = -coeff * e if prefix_degree % 2 else coeff * e
-                rest = mono[:i] + (e - 1,) + mono[i + 1:]
-                for t, a, has_odd in terms:
-                    f = c
-                    if has_odd:
-                        left = rest[: i + 1] + (0,) * (n - i - 1)
-                        right = (0,) * (i + 1) + rest[i + 1:]
-                        sign = koszul_sign(alg, left, t) * koszul_sign(alg, t, right)
-                        if not sign:
-                            continue
-                        f = c * sign
-                    v = a if f == 1 else a * f
-                    m = tuple(map(add, rest, t))
-                    prev = out.get(m)
-                    out[m] = v if prev is None else prev + v
-            prefix_degree += e * alg.degrees[i]
-
-    def key_image(self, key: int) -> Dict[int, Union[int, Fraction]]:
-        """d(m) as {key: coefficient}, m the monomial of ``key``, by the rule
-        of :meth:`add_image` with cancelled terms left in: a term t of d(g_i)
-        enters at key(m) - key(g_i) + key(t), its sign the parity of m's odd
-        factors in the fields the rule marks, unless it shares one with m."""
-        out: Dict[int, Union[int, Fraction]] = {}
-        mask = (1 << self.algebra._width) - 1
-        for off, terms in self._rule:
+        out = {} if out is None else out
+        for off, mask, terms in self._rule:
             e = key >> off & mask
             if not e:
                 continue
+            f = coeff * e
             for t, a, odd, sign in terms:
                 if key & odd:
                     continue
-                v = a if e == 1 else a * e
+                v = a if f == 1 else a * f
                 m = key + t
                 prev = out.get(m, 0)
                 out[m] = prev - v if (key & sign).bit_count() & 1 else prev + v
@@ -297,12 +252,12 @@ def pure_projection(model: SullivanModel) -> SullivanModel:
             if not g.is_odd:
                 continue
             kept = {
-                mono: c
-                for mono, c in model.differential.image_of(g).terms.items()
-                if not any(mono[i] for i in alg.odd_indices)
+                k: c
+                for k, c in model.differential.image_of(g).keyed.items()
+                if not k & alg._odd
             }
             if kept:
-                images[g.name] = Element(alg, kept)
+                images[g.name] = Element._of(alg, kept)
         sigma = build_differential(alg, images)  # also certifies d_sigma^2 = 0
         return build_model(alg, sigma)
 

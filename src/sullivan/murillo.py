@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List
 
-from .algebra import Algebra, Element, grlex_key
+from .algebra import Algebra, Element
 from .cohomology import formal_dimension, is_boundary, require_elliptic
 from .differential import Derivation, SullivanModel, _cached, is_pure
 from .errors import InternalInconsistencyError, PreconditionError
@@ -43,25 +43,25 @@ def coefficient_matrix(model: SullivanModel) -> List[List[Element]]:
         alg = model.algebra
         evens = [alg.generators[i] for i in alg.even_indices]
         xs = [alg.gen_element(x.name) for x in evens]
+        fields = [alg._masks[x.index] << alg._offsets[x.index] for x in evens]
         entries: List[List[Element]] = []
         for y in (alg.generators[j] for j in alg.odd_indices):
             image = model.differential.image_of(y)
             # each term goes to the column of the first even generator in it
             row = [{} for _ in evens]
-            for mono, c in image.terms.items():
-                col = next((i for i, x in enumerate(evens) if mono[x.index]), None)
+            for key, c in image.keyed.items():
+                col = next((i for i, field in enumerate(fields) if key & field), None)
                 if col is None:
                     continue
-                k = evens[col].index
-                row[col][mono[:k] + (mono[k] - 1,) + mono[k + 1:]] = c
-            entries.append([Element(alg, quotient) for quotient in row])
+                row[col][key - alg._unit(evens[col].index)] = c
+            entries.append([Element._of(alg, quotient) for quotient in row])
             if sum((e * x for e, x in zip(entries[-1], xs)), alg.zero()) != image:
                 raise InternalInconsistencyError(
                     f"coefficient row for {y.name!r} does not reassemble d"
                 )
         for i in range(len(evens)):
-            earlier = [x.index for x in evens[:i]]
-            if any(m[e] for row in entries for m in row[i].terms for e in earlier):
+            earlier = sum(fields[:i])
+            if any(k & earlier for row in entries for k in row[i].keyed):
                 raise InternalInconsistencyError("coefficient matrix is not triangular")
         return entries
 
@@ -100,15 +100,15 @@ def exact_divide(a: Element, b: Element) -> Element:
     alg = a.algebra
     quotient = alg.zero()
     remainder = a
-    lead_b = max(b.terms, key=grlex_key)
-    cb = b.terms[lead_b]
+    lead_b = b.leading_monomial()
+    cb = b.coefficient(lead_b)
     while not remainder.is_zero:
-        lead_r = max(remainder.terms, key=grlex_key)
+        lead_r = remainder.leading_monomial()
         mono = tuple(er - eb for er, eb in zip(lead_r, lead_b))
         if any(e < 0 for e in mono):
             raise InternalInconsistencyError("inexact division during elimination")
         # a coefficient may be an int, and int / int is a float
-        step = Element.from_monomial(alg, mono, Fraction(remainder.terms[lead_r]) / cb)
+        step = Element.from_monomial(alg, mono, Fraction(remainder.coefficient(lead_r)) / cb)
         quotient = quotient + step
         remainder = remainder - step * b
     return quotient
@@ -156,7 +156,7 @@ def murillo_fundamental_class(model: SullivanModel) -> Element:
         raise InternalInconsistencyError(
             "determinant formula produced zero on an elliptic model"
         )
-    if omega.terms[omega.leading_monomial()] < 0:
+    if omega.keyed[max(omega.keyed)] < 0:
         omega = -omega
     n_formal = formal_dimension(model)
     if omega.degree() != n_formal:

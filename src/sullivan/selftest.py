@@ -23,12 +23,12 @@ import random
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
-from .algebra import Algebra, Element, Monomial, _fill_bases, basis, basis_keys
+from .algebra import Algebra, Coefficient, Element, _fill_bases, basis_keys
 from .cohomology import check_duality, cohomology_dim, formal_dimension, is_elliptic
 from .differential import SullivanModel, _cached
 from .errors import InternalInconsistencyError
 from .models import ELLIPTIC_K3_POOL, all_models
-from .spectral import FilteredPair, delta_apply, pair_basis, pair_product
+from .spectral import FilteredPair, _slot_keys, delta_apply, pair_product
 
 
 #: The fixture zoo as `all_models` builds it: (name, model) pairs.
@@ -50,26 +50,24 @@ def random_element(
 ) -> Element:
     """A small random element of one degree, drawn from the populated
     degrees up to `max_degree`, with small rational coefficients."""
-    # read the populated degrees off the cached keys, and the one drawn off
-    # the bases `basis` decoded, decoding it on first use
     _fill_bases(algebra, max_degree)
     degrees = [n for n, ks in enumerate(algebra._basis_cache[: max_degree + 1]) if ks]
-    n = rng.choice(degrees)
-    monos = algebra._monomials.get(n) or basis(algebra, n)
-    return _random_sum(rng, algebra, monos, rng.randint(1, max_terms), 4, 3)
+    keys = algebra._basis_cache[rng.choice(degrees)]
+    return _random_sum(rng, algebra, keys, rng.randint(1, max_terms), 4, 3)
 
 
 def _random_sum(
-    rng: random.Random, algebra: Algebra, monos, count: int, top: int, den: int
+    rng: random.Random, algebra: Algebra, keys, count: int, top: int, den: int
 ) -> Element:
     """The sum of `count` drawn terms a/b * m: a in [-top, top], b in
-    [1, den], then m from `monos`, gathered in one term dict."""
-    terms: Dict[Monomial, Fraction] = {}
+    [1, den], an `int` when b is 1, then m from the basis `keys`, gathered
+    in one term dict."""
+    terms: Dict[int, Coefficient] = {}
     for _ in range(count):
-        coeff = Fraction(rng.randint(-top, top), rng.randint(1, den))
-        mono = rng.choice(monos)
-        terms[mono] = terms.get(mono, 0) + coeff
-    return Element(algebra, terms)
+        a, b = rng.randint(-top, top), rng.randint(1, den)
+        key = rng.choice(keys)
+        terms[key] = terms.get(key, 0) + (a if b == 1 else Fraction(a, b))
+    return Element._of(algebra, terms)
 
 
 def random_pair(
@@ -85,20 +83,20 @@ def random_pair(
     p, n, ub, vb = rng.choice(slots)
     alg = model.algebra
 
-    def sample(monos):
+    def sample(keys):
         count = rng.randint(0, 2)
-        return _random_sum(rng, alg, monos, count if monos else 0, 3, 2)
+        return _random_sum(rng, alg, keys, count if keys else 0, 3, 2)
 
     return FilteredPair(model, p, n, sample(ub), sample(vb))
 
 
 def _pair_slots(model: SullivanModel, max_degree: int):
-    """Every (p, n, u-basis, v-basis) slot with 4p <= max_degree and
+    """Every (p, n, u-keys, v-keys) slot with 4p <= max_degree and
     n <= max_degree that has a nonzero basis."""
     slots = []
     for p in range(0, max_degree // 4 + 1):
         for n in range(0, max_degree + 1):
-            ub, vb = pair_basis(model, p, n)
+            ub, vb = _slot_keys(model, p, n)
             if ub or vb:
                 slots.append((p, n, ub, vb))
     return slots

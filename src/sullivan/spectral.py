@@ -29,14 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import List, NamedTuple, Optional, Tuple
 
-from .algebra import (
-    Element,
-    Monomial,
-    basis,
-    basis_keys,
-    coefficient_vector,
-    element_from_vector,
-)
+from .algebra import Element, Monomial, basis_keys, coefficient_vector, element_from_vector
 from .cohomology import (
     ToomerResult,
     _cohomology,
@@ -74,9 +67,9 @@ class FilteredPair:
         if p < 0:
             raise ValueError("filtration index must be nonnegative")
         for name, part, want_wl in (("u", u, 2 * p), ("v", v, 2 * p + 1)):
-            if part.algebra != model.algebra:
+            if part.algebra is not model.algebra and part.algebra != model.algebra:
                 raise ValueError(f"component {name} lives in a different algebra")
-            if part.is_zero:
+            if not part.keyed:
                 continue
             wls = part.wordlengths()
             if wls != (want_wl,):
@@ -136,14 +129,15 @@ def delta_apply(pair: FilteredPair) -> FilteredPair:
     return FilteredPair.slot(model, _delta_slot(pair.p), pair.n + 1, image)
 
 
+def _slot_keys(model: SullivanModel, p: int, n: int) -> Tuple[List[int], List[int]]:
+    """The basis keys of the two slots of E_1^{p, n-p}."""
+    _require_delta(model)
+    return tuple(basis_keys(model.algebra, n, w) for w in (2 * p, 2 * p + 1))
+
+
 def pair_basis(model: SullivanModel, p: int, n: int) -> Tuple[List[Monomial], List[Monomial]]:
     """Monomial bases of the two slots of E_1^{p, n-p}."""
-    _require_delta(model)
-    alg = model.algebra
-    return (
-        basis(alg, n, wordlength_exact=2 * p),
-        basis(alg, n, wordlength_exact=2 * p + 1),
-    )
+    return tuple(list(map(model.algebra.decode, ks)) for ks in _slot_keys(model, p, n))
 
 
 def delta_matrix(model: SullivanModel, p: int, n: int) -> RationalMatrix:
@@ -151,7 +145,7 @@ def delta_matrix(model: SullivanModel, p: int, n: int) -> RationalMatrix:
     coordinates that list the u slot, then the v slot.  It is one diagonal
     block of the whole-degree matrix the engine solves with: d's columns
     cut by the one rule of delta."""
-    src = [model.algebra.encode(m) for m in sum(pair_basis(model, p, n), [])]
+    src = sum(_slot_keys(model, p, n), [])
     dst = basis_keys(model.algebra, n + 1)
     q, shift = _delta_slot(p), model.algebra._shift
     first, end = (bisect_left(dst, w << shift) for w in (2 * q, 2 * q + 2))

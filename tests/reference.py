@@ -1,7 +1,9 @@
 """The references the tests compare the engine against, each written once
 (not a test module): dense Gauss-Jordan elimination and the random matrices
-it is compared on; the Leibniz rule by ``Element`` products and delta by the
-pair formula, and the word-length components of d that it is made of; the
+it is compared on; the Koszul sign by counting inversions, the product of
+monomial tuples built on it, the Leibniz rule by those products and delta
+by the pair formula, and the word-length components of d that it is made
+of; the word length and graded-lex order of monomial tuples; the
 coordinates of an element in a basis of monomial tuples and the columns of
 a map between such bases; one boundary solve, through the
 kernel's checked public ``ColumnFactorization.solve``, and the depth search
@@ -14,9 +16,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
+from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from sullivan.algebra import Algebra, Element, Monomial, basis, basis_keys, wordlength
+from sullivan.algebra import Algebra, Element, Monomial, basis, basis_keys
 from sullivan.cohomology import _factor, _images
 from sullivan.differential import Derivation, SullivanModel
 from sullivan.linalg import ColumnFactorization
@@ -158,12 +161,55 @@ def matrix_cases():
         yield random_rows(rng, nrows, ncols, density, rng.random() < 0.5), ncols
 
 
+def wordlength(mono: Monomial) -> int:
+    """Number of generator factors of a monomial."""
+    return sum(mono)
+
+
+def grlex_key(mono: Monomial) -> Tuple[int, Monomial]:
+    """Sort key for the graded-lexicographic order on exponent vectors."""
+    return (sum(mono), mono)
+
+
+def koszul_sign(algebra: Algebra, a: Monomial, b: Monomial) -> int:
+    """Sign of merging two canonical monomials, or 0 if an odd factor repeats.
+
+    Even generators commute with everything; each pair of odd factors that
+    must pass one another contributes a factor of -1.
+    """
+    odds_a = [i for i in algebra.odd_indices if a[i]]
+    odds_b = [i for i in algebra.odd_indices if b[i]]
+    if not odds_a or not odds_b:
+        return 1
+    inversions = 0
+    for j in odds_b:
+        if a[j]:
+            return 0
+        for i in odds_a:
+            if i > j:
+                inversions += 1
+    return -1 if inversions % 2 else 1
+
+
+def reference_product(algebra: Algebra, a: Dict[Monomial, Fraction], b) -> Dict:
+    """The product of two {monomial tuple: coefficient} dicts, term by term:
+    exponents add, and the sign is :func:`koszul_sign`'s."""
+    out: Dict[Monomial, Fraction] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            sign = koszul_sign(algebra, ma, mb)
+            if sign:
+                m = tuple(map(add, ma, mb))
+                out[m] = out.get(m, 0) + sign * ca * cb
+    return out
+
+
 def reference_apply(derivation: Derivation, e: Element) -> Element:
     """d(e) by the Leibniz rule, each summand sign * left * d(g_i) * right
-    formed by two Element products."""
+    formed by two :func:`reference_product`s on monomial tuples."""
     alg = derivation.algebra
     n = alg.ngens
-    out = alg.zero()
+    out: Dict[Monomial, Fraction] = {}
     for mono, coeff in e.terms.items():
         prefix_degree = 0
         for i, exp in enumerate(mono):
@@ -178,12 +224,11 @@ def reference_apply(derivation: Derivation, e: Element) -> Element:
                     c = coeff * exp
                     if prefix_degree % 2:
                         c = -c
-                    term = Element.from_monomial(alg, left, c) * img
-                    if any(right):
-                        term = term * Element.from_monomial(alg, right)
-                    out = out + term
+                    term = reference_product(alg, {left: c}, img.terms)
+                    for m, x in reference_product(alg, term, {right: 1}).items():
+                        out[m] = out.get(m, 0) + x
                 prefix_degree += exp * alg.degrees[i]
-    return out
+    return Element(alg, out)
 
 
 def homogeneous_component(d: Derivation, i: int) -> Derivation:

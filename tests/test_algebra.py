@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from reference import grlex_key, koszul_sign, reference_product, wordlength
 from sullivan import algebra
 from sullivan.algebra import (
     Element,
@@ -14,12 +15,10 @@ from sullivan.algebra import (
     build_algebra,
     coefficient_vector,
     format_element,
-    grlex_key,
-    koszul_sign,
     parse_element,
-    wordlength,
 )
 from sullivan.cohomology import formal_dimension
+from sullivan.differential import build_differential
 from sullivan.errors import ModelError, ParseError, PreconditionError
 from sullivan.models import ALL_MODELS
 from zoo import model_files, models
@@ -224,18 +223,47 @@ def test_keys_round_trip_and_sort_as_graded_lex():
 
 
 def test_an_exponent_at_the_field_limit_round_trips():
-    # x2^500 in degree MAX_DEGREE: the largest exponent a key's field holds
+    # x2^500 in degree MAX_DEGREE; x2's field holds exponents up to 511, the
+    # largest of its bit length, and a guard bit above them
     alg = build_algebra([("x2", 2), ("x6", 6), ("y3", 3), ("y5", 5)])
     top = basis(alg, algebra.MAX_DEGREE)
     assert top[-1] == (algebra.MAX_DEGREE // 2, 0, 0, 0)
     assert top == sorted(top, key=grlex_key) and len(top) == 333
     assert [alg.decode(alg.encode(m)) for m in top] == top
     assert [alg.encode(m) for m in top] == basis_keys(alg, algebra.MAX_DEGREE)
-    # past the limit a field carries, and the key is no monomial's
-    over = (algebra.MAX_DEGREE, 0, 0, 0)
-    assert alg.decode(alg.encode(over)) != over
+    at = (511, 0, 0, 1)
+    assert alg.decode(alg.encode(at)) == at
+    assert Element.from_monomial(alg, at).terms == {at: 1}
+    # past the limit no key is made: the constructor and encode both raise
+    message = "^'x2' has exponent 512, outside 0..511, the exponent limit of this algebra$"
+    for build in (alg.encode, lambda m: Element.from_monomial(alg, m)):
+        with pytest.raises(PreconditionError, match=message):
+            build((512, 0, 0, 0))
+    with pytest.raises(PreconditionError, match="^'y3' has exponent 2, outside 0..1,"):
+        alg.encode((0, 0, 2, 0))
     with pytest.raises(ValueError, match="outside the given basis"):
-        coefficient_vector(Element.from_monomial(alg, over), basis_keys(alg, 2))
+        coefficient_vector(Element.from_monomial(alg, at), basis_keys(alg, 2))
+
+
+def test_a_product_or_d_past_a_field_raises_with_no_wrong_key():
+    """x2's field is sized from the model: D = 1203, the top generator degree
+    + 2, so it holds exponents up to 1023.  A product or d that passes it
+    raises, naming the limit, and no element holds a key whose field carried."""
+    alg = build_algebra([("y1201", 1201), ("x2", 2), ("y3", 3)])
+    d = build_differential(
+        alg, {"y1201": parse_element("x2^601", alg), "y3": parse_element("x2^2", alg)}
+    )
+    message = "^'x2' has exponent 1024, outside 0..1023, the exponent limit of this algebra$"
+    high, low = parse_element("x2^1000", alg), parse_element("x2^24*y3", alg)
+    assert (high * parse_element("x2^23", alg)).terms == {(0, 1023, 0): 1}
+    with pytest.raises(PreconditionError, match=message):
+        high * parse_element("3*x2^24", alg)
+    with pytest.raises(PreconditionError, match=message):
+        low * high
+    # d(x2^1021 y3) = x2^1023 stays in the field; d(x2^1022 y3) does not
+    assert d(parse_element("x2^1021*y3", alg)) == parse_element("x2^1023", alg)
+    with pytest.raises(PreconditionError, match=message):
+        d(parse_element("x2^1022*y3", alg))
 
 
 def test_no_key_is_built_past_the_degree_limit():
@@ -275,12 +303,19 @@ def test_koszul_sign_even_commutes():
 
 
 def test_koszul_sign_function_values():
+    """y15 * y5 = -y5 * y15, y5 * y5 = 0 and an even factor commutes, on
+    Element products and on the reference product."""
     alg = _alg_n37()
-    y5 = (0, 0, 1, 0, 0)
-    y15 = (0, 0, 0, 1, 0)
+    x2, y5, y15 = (1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)
     assert koszul_sign(alg, y15, y5) == -1
     assert koszul_sign(alg, y5, y5) == 0
-    assert koszul_sign(alg, (1, 0, 0, 0, 0), y5) == 1
+    assert koszul_sign(alg, x2, y5) == 1
+    expected = [((y15, y5), {(0, 0, 1, 1, 0): -1}), ((y5, y5), {}),
+                ((x2, y5), {(1, 0, 1, 0, 0): 1})]
+    for (a, b), terms in expected:
+        assert reference_product(alg, {a: 1}, {b: 1}) == terms
+        product = Element.from_monomial(alg, a) * Element.from_monomial(alg, b)
+        assert product == Element(alg, terms)
 
 
 def test_scalar_and_linear_arithmetic():
@@ -294,8 +329,9 @@ def test_scalar_and_linear_arithmetic():
 
 def test_mixed_algebra_operations_rejected():
     a1, a2 = _alg_s2(), _alg_n37()
-    with pytest.raises(ValueError):
-        a1.gen_element("x2") + a2.gen_element("x2")
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError, match="mismatched algebras"):
+            op(a1.gen_element("x2"), a2.gen_element("x2"))
 
 
 def test_structurally_equal_algebras_interoperate():
@@ -389,8 +425,13 @@ def test_parse_power_is_one_monomial():
     assert parse_element("x2^0", alg) == alg.one()
     assert parse_element("2*x2^0*y3", alg) == parse_element("2*y3", alg)
     assert parse_element("x2^3", alg) == parse_element("x2*x2*x2", alg)
-    huge = parse_element("x2^9999999999", alg)
-    assert huge.degree() == 2 * 9999999999
+    # x2's field holds exponents up to 511: x2^511 is one monomial, and a
+    # higher exponent, given at once or in two factors, stops at its column
+    assert parse_element("x2^511", alg).degree() == 2 * 511
+    for text, column in (("x2^9999999999", 3), ("x2^500*x2^12", 10)):
+        with pytest.raises(ParseError, match="the exponent limit of this algebra") as err:
+            parse_element(text, alg)
+        assert err.value.column == column
     with pytest.raises(ParseError):
         parse_element("x2*y3^9999999999", alg)
 

@@ -27,15 +27,10 @@ import pytest
 
 from reference import (
     boundary_solve, coordinates, cut_depth_search, dense, dense_solve, element_of,
-    map_columns, reference_delta, sparse,
+    map_columns, reference_delta, sparse, wordlength,
 )
 from sullivan import cli, cohomology, spectral
-from sullivan.algebra import (
-    Element,
-    basis,
-    parse_element,
-    wordlength,
-)
+from sullivan.algebra import Element, basis, parse_element
 from sullivan.cohomology import (
     cohomology_basis,
     formal_dimension,

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from sullivan.algebra import Element
+from sullivan.algebra import Element, build_algebra
 from sullivan.cli import parse_model_file
 from sullivan.cohomology import (
     _pure_ideal,
@@ -123,15 +123,13 @@ def test_every_coefficient_is_an_int_or_a_fraction(name, build):
 
 def _as_fractions(model):
     """The model with every coefficient that assembly and the ellipticity
-    scan read held as a ``Fraction``: the terms of d, on tuples and on keys,
-    which delta reads too, and the generators of the cached pure quotient."""
+    scan read held as a ``Fraction``: the terms of d's rule on keys, which
+    delta and the d of an element read too, and the generators of the
+    cached pure quotient."""
     d = model.differential
-    d._terms = {
-        i: [(t, Fraction(a), odd) for t, a, odd in terms] for i, terms in d._terms.items()
-    }
     d._rule = [
-        (off, [(t, Fraction(a), odd, sign) for t, a, odd, sign in terms])
-        for off, terms in d._rule
+        (off, mask, [(t, Fraction(a), odd, sign) for t, a, odd, sign in terms])
+        for off, mask, terms in d._rule
     ]
     weights, ideal = _pure_ideal(model)
     model._cache[("pure_quotient",)] = _PureQuotient(
@@ -222,3 +220,28 @@ def test_a_row_with_another_lead_falls_back_to_fractions():
     assert space.add({0: 2, 1: 3})
     assert space._rows == {0: {0: 1, 1: Fraction(3, 2)}}
     _check(space._rows[0].values(), "stored row")
+
+
+# ---------------------------------------------------------------------------
+# no float enters an element
+
+
+def test_a_coefficient_that_is_not_an_int_or_a_fraction_is_refused():
+    alg = build_algebra([("x2", 2), ("y3", 3)])
+    x2 = alg.gen_element("x2")
+    refused = [
+        lambda c: Element(alg, {(1, 0): c}),
+        lambda c: Element.from_monomial(alg, (1, 0), c),
+        lambda c: x2 * c,
+        lambda c: c * x2,
+    ]
+    for build in refused:
+        for c in (0.1, 0.0, True, "1"):
+            with pytest.raises(TypeError, match="must be an int or a Fraction, not"):
+                build(c)
+    # an int stays an int, and a given Fraction is kept as it is
+    assert [type(c) for c in (3 * x2).terms.values()] == [int]
+    for c in (Fraction(3), Fraction(1, 10)):
+        for e in (Element.from_monomial(alg, (1, 0), c), x2 * c):
+            assert [type(v) for v in e.terms.values()] == [Fraction]
+            assert e.terms == {(1, 0): c}

@@ -1,16 +1,16 @@
-"""The Leibniz rule on exponent tuples and on keys against the
-Element-product rule.
+"""The one Leibniz rule on keys against the reference rule on tuples.
 
-``Derivation.add_image`` merges each Leibniz summand straight into one
-``{monomial: coefficient}`` dict, and ``Derivation.key_image`` does the same
-on the integer keys of monomials, for the matrices.  Here they are compared
-with a plain copy of the rule they replaced, which built every summand from
-two full ``Element`` products, on d and its word-length components d3 and
-d4 of every fixture and delta of every k = 3 fixture, on random derivations
-whose images carry odd factors, on elements with exponents a key's fields
-cannot hold, on the matrices the engine eliminates, and on the ellipticity
-scan's quotient dimensions.  The engine cuts delta from d, one pair slot
-up; the reference delta is built from the components.
+``Derivation.key_image`` merges each Leibniz summand straight into one
+``{key: coefficient}`` dict, for the d of an ``Element`` and for the
+matrices alike.  Here it is compared with ``reference.reference_apply``,
+which builds every summand from two products of monomial tuples signed by
+counting inversions, code the engine's rule shares nothing with, on d and
+its word-length components d3 and d4 of every fixture and delta of every
+k = 3 fixture, on random derivations whose images carry odd factors, on
+elements with exponents near the limit of a key's fields, on the matrices
+the engine eliminates, and on the ellipticity scan's quotient dimensions.
+The engine cuts delta from d, one pair slot up; the reference delta is
+built from the components.
 """
 
 from __future__ import annotations
@@ -21,17 +21,10 @@ from fractions import Fraction
 import pytest
 
 from reference import (
-    homogeneous_component, map_columns, reference_apply, reference_delta,
+    homogeneous_component, koszul_sign, map_columns, reference_apply, reference_delta,
 )
 from sullivan import cli, cohomology
-from sullivan.algebra import (
-    Element,
-    basis,
-    basis_keys,
-    build_algebra,
-    koszul_sign,
-    parse_element,
-)
+from sullivan.algebra import Element, basis, basis_keys, build_algebra, parse_element
 from sullivan.cohomology import _images, formal_dimension, is_elliptic
 from sullivan.differential import (
     Derivation,
@@ -40,6 +33,7 @@ from sullivan.differential import (
     build_model,
     pure_projection,
 )
+from sullivan.errors import PreconditionError
 from sullivan.linalg import RowSpace
 from sullivan.models import ALL_MODELS
 from sullivan.selftest import random_element
@@ -90,19 +84,20 @@ def test_every_basis_monomial_matches_the_reference():
 
 
 def test_d_squared_cancels_term_by_term():
-    """d(d(m)) = 0: every term of it cancels in the merged dict."""
+    """d(d(m)) = 0: every term of it cancels in the merged dict, whether
+    the rule adds each term of d(m) into one dict or each column is summed."""
     cancelled = 0
     for name, model in models():
         alg = model.algebra
         for n in range(30):
             for m in basis(alg, n):
                 dm = model.d(Element.from_monomial(alg, m))
-                out, keyed = {}, {}
-                for t, c in dm.terms.items():
-                    model.differential.add_image(t, c, out)
-                    for k, v in model.differential.key_image(alg.encode(t)).items():
-                        keyed[k] = keyed.get(k, 0) + c * v
-                assert not any(out.values()) and not any(keyed.values()), (name, m)
+                out, summed = {}, {}
+                for t, c in dm.keyed.items():
+                    model.differential.key_image(t, c, out)
+                    for k, v in model.differential.key_image(t).items():
+                        summed[k] = summed.get(k, 0) + c * v
+                assert not any(out.values()) and not any(summed.values()), (name, m)
                 assert model.d(dm) == reference_apply(model.differential, dm) == alg.zero()
                 cancelled += len(out)
     assert cancelled >= 200
@@ -302,18 +297,20 @@ def test_pure_quotient_dims_match_the_reference():
 
 
 def test_elements_past_the_key_fields_keep_an_exact_d():
-    """A key's exponent fields hold 511 at most, enough for every basis up to
-    ``MAX_DEGREE``, but an Element, or a generator image, may have any
-    degree.  Here y1201 comes first, so x2^512 would carry into its field:
-    d(d(y1201)) = d(x2^601) = 0 must hold for the model to build, and d of
-    higher powers must still match the reference."""
+    """A key's exponent fields are sized from the model: here y1201 comes
+    first and x2's field holds exponents up to 1023, so d(d(y1201)) =
+    d(x2^601) = 0 holds and the model builds.  d of x2^600*y3 matches the
+    reference, and d of y1201*x2^520*y3 holds x2^1121*y3, past any field
+    sized from the model, so it raises, naming the limit, and no wrong key
+    is made."""
     alg = build_algebra([("y1201", 1201), ("x2", 2), ("y3", 3)])
     d = build_differential(
         alg, {"y1201": parse_element("x2^601", alg), "y3": parse_element("x2^2", alg)}
     )
-    e = parse_element("x2^600*y3 + 2*y1201*x2^520*y3", alg)
-    assert d(e) == reference_apply(d, e)
-    assert len(d(e).terms) == 3
+    e = parse_element("x2^600*y3", alg)
+    assert d(e) == reference_apply(d, e) == parse_element("x2^602", alg)
+    with pytest.raises(PreconditionError, match="'x2' has exponent 1121, outside 0..1023"):
+        d(e + parse_element("2*y1201*x2^520*y3", alg))
 
 
 def test_an_element_of_another_algebra_is_rejected():
