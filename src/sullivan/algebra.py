@@ -10,7 +10,8 @@ product adds keys and takes its Koszul sign from the odd fields by popcount
 (:func:`koszul_mask`), and d runs one rule on keys for elements and bases.
 The exponent tuple, one entry per generator in declaration order, is the
 public view: ``Element(algebra, {tuple: c})``, ``Element.terms``, :func:`basis`.
-Coefficients are ``int`` or ``Fraction``, and integers stay ``int``.
+Coefficients are ``int`` or ``Fraction``, by the rule of matrix entries
+(``linalg._coefficient``), and integers stay ``int``.
 
 Every generator must have degree >= 2 (the algebras model simply connected
 spaces), so each fixed degree contains only finitely many monomials.
@@ -24,15 +25,13 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from operator import or_
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ModelError, ParseError, PreconditionError, clipped, quoted
+from .linalg import Coefficient, _coefficient
 
 #: A monomial is an exponent vector, one entry per generator.
 Monomial = Tuple[int, ...]
-
-#: An exact coefficient.
-Coefficient = Union[int, Fraction]
 
 
 class Generator(NamedTuple):
@@ -80,6 +79,8 @@ class Algebra:
         self._hash = hash(self._signature)
 
     def generator(self, name: str) -> Generator:
+        if not isinstance(name, str):
+            raise ModelError(f"a generator is named by a str, not {clipped(repr(name))}")
         try:
             return self._by_name[name]
         except KeyError:
@@ -94,8 +95,11 @@ class Algebra:
     def encode(self, mono: Monomial) -> int:
         """The key of a monomial: its word length, then its exponents, the first
         generator's highest.  Keys compare as graded-lex order does, and
-        key(m * g_i) = key(m) + key(g_i).  PreconditionError for an exponent
-        outside its field."""
+        key(m * g_i) = key(m) + key(g_i).  ValueError for a tuple that is not
+        one exponent per generator, PreconditionError for an exponent outside
+        its field."""
+        if len(mono) != self.ngens:
+            raise ValueError(f"a monomial needs {self.ngens} exponents, not {len(mono)}")
         for i, e in enumerate(mono):
             if not 0 <= e <= self._limits[i]:
                 raise PreconditionError(self._exponent_error(i, e))
@@ -192,13 +196,6 @@ def koszul_mask(part: int, odd: int) -> int:
         mask ^= low - 1
         part ^= low
     return mask & odd
-
-
-def _coefficient(c) -> Coefficient:
-    """c if it is an ``int`` or a ``Fraction``, else TypeError: no float."""
-    if type(c) is int or isinstance(c, Fraction):
-        return c
-    raise TypeError(f"a coefficient must be an int or a Fraction, not {type(c).__name__}")
 
 
 class Element:

@@ -267,11 +267,8 @@ def is_elliptic(model: SullivanModel, bound: Optional[int] = None) -> Ellipticit
 
 
 def _scan_pure_quotient(model: SullivanModel, bound: Optional[int]) -> EllipticityResult:
-    alg = model.algebra
     n_formal = formal_dimension(model)
-    even_degrees = [g.degree for g in alg.generators if not g.is_odd]
-    width = max(even_degrees, default=1)
-    max_degree = max((g.degree for g in alg.generators), default=1)
+    max_degree = max(model.algebra.degrees, default=1)
     if bound is None:
         bound = max(2 * max(n_formal, 0) + max_degree, n_formal + 1, 4)
     if bound < 0:
@@ -282,6 +279,7 @@ def _scan_pure_quotient(model: SullivanModel, bound: Optional[int]) -> Elliptici
     quotient = _cached(
         model, ("pure_quotient",), lambda: _PureQuotient(*_pure_ideal(model))
     )
+    width = max(quotient.weights, default=1)
     qdims: Dict[int, int] = {}
 
     def vanishes(degree: int) -> bool:

@@ -122,24 +122,16 @@ class Derivation:
     __hash__ = None
 
 
-def build_differential(
-    algebra: Algebra, images: Mapping[Union[str, Generator], Element]
-) -> Derivation:
-    """Validate generator images and assemble a differential.
+def build_differential(algebra: Algebra, images: Mapping[str, Element]) -> Derivation:
+    """Validate generator images, keyed by name, and assemble a differential.
 
     Checks, in order: every key names a generator of the algebra; every image
     is degree-homogeneous of degree |g| + 1; no image has a word-length 0 or 1
     component (minimality); and d(d(g)) = 0 for every generator.
     """
     by_index: Dict[int, Element] = {}
-    for key, img in images.items():
-        gen = algebra.generator(key) if isinstance(key, str) else key
-        if isinstance(key, Generator) and algebra.generators[key.index] != key:
-            raise ModelError(
-                f"generator {quoted(key.name)} does not belong to the algebra"
-            )
-        if gen.index in by_index:
-            raise ModelError(f"two images given for generator {quoted(gen.name)}")
+    for name, img in images.items():
+        gen = algebra.generator(name)
         if img.algebra != algebra:
             raise ModelError(
                 f"image of {quoted(gen.name)} lives in a different algebra"

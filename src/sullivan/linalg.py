@@ -9,7 +9,9 @@ out of one degree, are almost all zeros, so vectors and matrix rows are
 sparse: ``{index: nonzero value}``.  A vector may also be given
 densely, as a sequence, wherever one is passed in.
 
-Every public entry point checks its vectors (:func:`_vector`).  The engine
+Every public entry point checks its vectors (:func:`_vector`): their
+length, and each entry by the one coefficient rule of the package,
+:func:`_coefficient`, which an ``Element`` keeps too.  The engine
 hands over the vectors it has just built itself, fresh sparse dicts of
 nonzero ``int`` or ``Fraction`` entries within range, without that check,
 through the private :meth:`RowSpace._add`, :meth:`ColumnFactorization._of`
@@ -57,21 +59,27 @@ from bisect import insort
 from fractions import Fraction
 from typing import Dict, KeysView, List, Optional, Sequence, Tuple, Union
 
-Vector = Dict[int, Union[int, Fraction]]
+#: An exact coefficient, the one type of a vector's entries and an element's.
+Coefficient = Union[int, Fraction]
+
+Vector = Dict[int, Coefficient]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _coefficient(c) -> Coefficient:
+    """c if it is an ``int`` or a ``Fraction``, else TypeError: no float, no bool."""
+    if type(c) is int or isinstance(c, Fraction):
+        return c
+    raise TypeError(f"a coefficient must be an int or a Fraction, not {type(c).__name__}")
+
+
 def _vector(v: Union[Vector, Sequence], n: int) -> Vector:
-    """v as a fresh sparse vector of length n: {index: nonzero entry}, an
-    entry of type exactly ``int`` kept and any other made a ``Fraction``."""
+    """v as a fresh sparse vector of length n: {index: nonzero entry}, each
+    entry's type checked by :func:`_coefficient` before a zero is dropped."""
     dense = not isinstance(v, dict)
-    out = {
-        j: x if type(x) is int or isinstance(x, Fraction) else Fraction(x)
-        for j, x in (enumerate(v) if dense else v.items())
-        if x
-    }
+    out = {j: x for j, x in (enumerate(v) if dense else v.items()) if _coefficient(x)}
     if len(v) != n if dense else any(not 0 <= j < n for j in out):
         raise ValueError(f"vector does not have length {n}")
     return out

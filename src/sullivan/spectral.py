@@ -6,11 +6,12 @@ Lambda^{2p} V + Lambda^{2p+1} V, with differential
 
     delta(u, v) = (d_3 u, d_3 v + d_4 u)
 
-and product (u, v)(u', v') = (uu', uv' + vu').  That is the part of d one
-pair slot above its source, by the one rule of delta that cuts the matrices
-too (``cohomology._delta_slot``).  For k = 4 the stages are word-length
-triples and these pairs are not E_1, so every pair entry point checks k = 3
-first (``PreconditionError`` otherwise).
+and product (u, v)(u', v') = (uu', uv' + vu').  Each is a slot of the
+engine's own map: delta the part of d one pair slot above its source, by
+the one rule of delta that cuts the matrices too (``cohomology._delta_slot``),
+and the product the slot p + p' of the product of the pairs' elements.  For
+k = 4 the stages are word-length triples and these pairs are not E_1, so
+every pair entry point checks k = 3 first (``PreconditionError`` otherwise).
 A delta-class is handled as its representative ``FilteredPair``, which
 carries its filtration p and degree n.
 
@@ -94,7 +95,8 @@ class FilteredPair:
         return self.u.is_zero and self.v.is_zero
 
     def as_element(self) -> Element:
-        return self.u + self.v
+        """u + v, whose keys are disjoint: u's and v's word lengths differ."""
+        return Element._of(self.model.algebra, {**self.u.keyed, **self.v.keyed})
 
     def __add__(self, other: "FilteredPair") -> "FilteredPair":
         if (self.model, self.p, self.n) != (other.model, other.p, other.n):
@@ -109,16 +111,11 @@ class FilteredPair:
 
 
 def pair_product(a: FilteredPair, b: FilteredPair) -> FilteredPair:
-    """(u, v)(u', v') = (uu', uv' + vu') at filtration p + p'."""
+    """The (p + p', n + n') slot of the product of the pairs' elements,
+    (uu', uv' + vu'): vv' has word length 2(p + p') + 2, one slot up."""
     if a.model != b.model:
         raise ValueError("pairs belong to different models")
-    return FilteredPair(
-        a.model,
-        a.p + b.p,
-        a.n + b.n,
-        a.u * b.u,
-        a.u * b.v + a.v * b.u,
-    )
+    return FilteredPair.slot(a.model, a.p + b.p, a.n + b.n, a.as_element() * b.as_element())
 
 
 def delta_apply(pair: FilteredPair) -> FilteredPair:

@@ -1,11 +1,11 @@
 """The references the tests compare the engine against, each written once
 (not a test module): dense Gauss-Jordan elimination and the random matrices
 it is compared on; the Koszul sign by counting inversions, the product of
-monomial tuples built on it, the Leibniz rule by those products and delta
-by the pair formula, and the word-length components of d that it is made
-of; the word length and graded-lex order of monomial tuples; the
-coordinates of an element in a basis of monomial tuples and the columns of
-a map between such bases; one boundary solve, through the
+monomial tuples built on it, the Leibniz rule and the pair product by those
+products, delta by the pair formula, and the word-length components of d
+that it is made of; the word length and graded-lex order of monomial
+tuples; the coordinates of an element in a basis of monomial tuples and the
+columns of a map between such bases; one boundary solve, through the
 kernel's checked public ``ColumnFactorization.solve``, and the depth search
 by a solve over the boundary columns cut below its depth; and the
 determinant by its permutation expansion.
@@ -23,6 +23,7 @@ from sullivan.algebra import Algebra, Element, Monomial, basis, basis_keys
 from sullivan.cohomology import _factor, _images
 from sullivan.differential import Derivation, SullivanModel
 from sullivan.linalg import ColumnFactorization
+from sullivan.spectral import FilteredPair
 
 Vector = Dict[int, Fraction]
 
@@ -202,6 +203,20 @@ def reference_product(algebra: Algebra, a: Dict[Monomial, Fraction], b) -> Dict:
                 m = tuple(map(add, ma, mb))
                 out[m] = out.get(m, 0) + sign * ca * cb
     return out
+
+
+def reference_pair_product(a: FilteredPair, b: FilteredPair) -> Tuple[Element, Element]:
+    """The pair product by the paper's formula, (u, v)(u', v') = (uu', uv' +
+    vu'), each product a :func:`reference_product` on monomial tuples."""
+    alg = a.model.algebra
+
+    def times(x: Element, y: Element) -> Dict[Monomial, Fraction]:
+        return reference_product(alg, x.terms, y.terms)
+
+    v = times(a.u, b.v)
+    for m, c in times(a.v, b.u).items():
+        v[m] = v.get(m, 0) + c
+    return Element(alg, times(a.u, b.u)), Element(alg, v)
 
 
 def reference_apply(derivation: Derivation, e: Element) -> Element:

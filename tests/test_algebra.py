@@ -245,6 +245,23 @@ def test_an_exponent_at_the_field_limit_round_trips():
         coefficient_vector(Element.from_monomial(alg, at), basis_keys(alg, 2))
 
 
+def test_a_monomial_of_the_wrong_length_is_refused():
+    # one tuple short would read as x2 and one long would fall off the fields
+    alg = _alg_s2()
+    x2 = Element(alg, {(1, 0): 2})
+    for mono in ((1,), (1, 0, 0)):
+        calls = (
+            lambda: Element(alg, {mono: 1}),
+            lambda: Element.from_monomial(alg, mono),
+            lambda: x2.coefficient(mono),
+        )
+        message = f"^a monomial needs 2 exponents, not {len(mono)}$"
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+    assert x2.coefficient((1, 0)) == 2
+
+
 def test_a_product_or_d_past_a_field_raises_with_no_wrong_key():
     """x2's field is sized from the model: D = 1203, the top generator degree
     + 2, so it holds exponents up to 1023.  A product or d that passes it

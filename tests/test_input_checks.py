@@ -17,7 +17,7 @@ from sullivan.algebra import (
 from sullivan.cohomology import is_elliptic
 from sullivan.differential import build_differential, build_model
 from sullivan.errors import ModelError
-from sullivan.linalg import ColumnFactorization, RowSpace
+from sullivan.linalg import ColumnFactorization, RationalMatrix, RowSpace
 from sullivan.models import elliptic_pure_n35, elliptic_pure_n37, projective_plane
 from sullivan.spectral import (
     FilteredPair,
@@ -37,15 +37,9 @@ def _other_algebra():
     return build_algebra([("z2", 2), ("w3", 3)])
 
 
-def _build_differential_generator_of_another_algebra():
+def _build_differential_keyed_by(key):
     alg = elliptic_pure_n37().algebra
-    build_differential(alg, {Generator("z2", 2, 0): alg.zero()})
-
-
-def _build_differential_two_images():
-    alg = elliptic_pure_n37().algebra
-    image = parse_element("x2^3", alg)
-    build_differential(alg, {"y5": image, alg.generator("y5"): image})
+    build_differential(alg, {key: parse_element("x2^3", alg)})
 
 
 def _build_differential_image_of_another_algebra():
@@ -94,11 +88,16 @@ INPUT_CHECKS = {
         ValueError, "outside the given basis"),
     "is_elliptic-negative-bound": (
         lambda: is_elliptic(elliptic_pure_n37(), -1), ValueError, "nonnegative"),
-    "build_differential-generator-of-another-algebra": (
-        _build_differential_generator_of_another_algebra, ModelError,
-        "does not belong to the algebra"),
-    "build_differential-two-images": (
-        _build_differential_two_images, ModelError, "two images given"),
+    # images are keyed by generator name, and only by name
+    "build_differential-key-5": (
+        lambda: _build_differential_keyed_by(5), ModelError,
+        "^a generator is named by a str, not 5$"),
+    "build_differential-key-None": (
+        lambda: _build_differential_keyed_by(None), ModelError,
+        "^a generator is named by a str, not None$"),
+    "build_differential-key-Generator": (
+        lambda: _build_differential_keyed_by(Generator("y5", 5, 2)), ModelError,
+        r"^a generator is named by a str, not Generator\(name='y5', degree=5, index=2\)$"),
     "build_differential-image-of-another-algebra": (
         _build_differential_image_of_another_algebra, ModelError,
         "lives in a different algebra"),
@@ -136,10 +135,30 @@ def test_input_check_rejects_its_bad_input(case):
         call()
 
 
-def test_public_entries_make_every_entry_but_an_int_a_fraction():
-    (x,) = RowSpace(2).reduce([True, 0]).values()
-    assert type(x) is Fraction and x == 1
-    assert RowSpace(2).reduce([0.5, 0]) == {0: Fraction(1, 2)}
-    assert type(RowSpace(2).reduce([0.5, 0])[0]) is Fraction
-    (x,) = RowSpace(2).reduce([3, 0]).values()
-    assert type(x) is int
+def test_public_entries_refuse_every_entry_but_an_int_or_a_fraction():
+    """The linear-algebra entry points keep the coefficient rule of an
+    ``Element``: each entry's type is checked before a zero is dropped, so a
+    ``0.0`` is refused too, and an ``int`` or a ``Fraction`` is kept as it is."""
+    entries = (
+        lambda v: RowSpace(2).reduce(v),
+        lambda v: RowSpace(2).add(v),
+        lambda v: ColumnFactorization([v], 2),
+        lambda v: RationalMatrix([v], ncols=2),
+    )
+    for entry in entries:
+        for x in (0.5, 0.0, True, "1/3"):
+            for v in ([1, x], {0: 1, 1: x}):
+                with pytest.raises(TypeError, match="must be an int or a Fraction, not"):
+                    entry(v)
+    for v in ([1, 3], [Fraction(1), Fraction(1, 3)], {0: 1, 1: Fraction(3)}):
+        want = [type(x) for x in (v.values() if isinstance(v, dict) else v)]
+        space = RowSpace(2)
+        assert space.add(v)
+        kept = (
+            RowSpace(2).reduce(v),
+            space._rows[0],
+            ColumnFactorization([v], 2).columns[0],
+            RationalMatrix([v], ncols=2).rows[0],
+        )
+        for vector in kept:
+            assert [type(x) for x in vector.values()] == want

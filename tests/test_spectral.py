@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from reference import reference_delta
+from reference import reference_delta, reference_pair_product
 from sullivan import cli, cohomology, spectral
 from sullivan.algebra import basis, format_element, parse_element
 from sullivan.cohomology import formal_dimension, is_boundary, toomer_oracle
@@ -111,6 +111,24 @@ def test_pair_product_formula():
     assert ab.p == 2 and ab.n == 13
     assert ab.u.is_zero
     assert format_element(ab.v) == "x2^4*y5"
+
+
+def test_pair_product_matches_the_pair_formula():
+    """The slot of the element product against the paper's formula on random
+    pairs of every pool model, odd-degree pairs times odd-degree pairs
+    included, where each term's Koszul sign shows."""
+    rng = random.Random(11)
+    odd_odd = vv = 0
+    for name, build in ELLIPTIC_K3_POOL:
+        model = build()
+        for _ in range(60):
+            a, b = (random_pair(rng, model, max_degree=18) for _ in range(2))
+            ab = pair_product(a, b)
+            assert (ab.p, ab.n) == (a.p + b.p, a.n + b.n), name
+            assert (ab.u, ab.v) == reference_pair_product(a, b), name
+            odd_odd += a.n % 2 == b.n % 2 == 1 and not ab.is_zero
+            vv += not (a.v * b.v).is_zero  # the term one slot up, cut off
+    assert odd_odd > 20 and vv > 50
 
 
 # ---------------------------------------------------------------------------
