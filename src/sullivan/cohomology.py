@@ -227,6 +227,8 @@ def check_duality(dims: Sequence[int]) -> None:
 
 def is_boundary(model: SullivanModel, e: Element) -> bool:
     """Exact membership of a homogeneous element in the boundary space."""
+    if e.algebra != model.algebra:
+        raise ValueError("element lives in a different algebra")
     if e.is_zero:
         return True
     bn = basis_keys(model.algebra, e.degree())

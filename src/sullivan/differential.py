@@ -26,9 +26,9 @@ coefficients has matrices of ``int`` entries.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, Mapping, Optional
 
-from .algebra import Algebra, Coefficient, Element, Generator, format_element, koszul_mask
+from .algebra import Algebra, Coefficient, Element, format_element, koszul_mask
 from .errors import ModelError, clipped, quoted
 
 
@@ -68,10 +68,9 @@ class Derivation:
                 terms.append((key - unit, _exact(a), part & ~unit, sign))
             self._rule.append((off, mask, terms))
 
-    def image_of(self, gen: Union[Generator, str]) -> Element:
-        if isinstance(gen, str):
-            gen = self.algebra.generator(gen)
-        return self.images.get(gen.index, self.algebra.zero())
+    def image_of(self, name: str) -> Element:
+        """d of the generator named ``name``, by :meth:`Algebra.generator`."""
+        return self.images.get(self.algebra.generator(name).index, self.algebra.zero())
 
     @property
     def is_zero(self) -> bool:
@@ -158,7 +157,7 @@ def build_differential(algebra: Algebra, images: Mapping[str, Element]) -> Deriv
         by_index[gen.index] = img
     d = Derivation(algebra, by_index)
     for g in algebra.generators:
-        sq = d(d.image_of(g))
+        sq = d(d.image_of(g.name))
         if not sq.is_zero:
             raise ModelError(
                 f"d^2 != 0 on generator {quoted(g.name)}: d(d({clipped(g.name)})) = "
@@ -245,7 +244,7 @@ def pure_projection(model: SullivanModel) -> SullivanModel:
                 continue
             kept = {
                 k: c
-                for k, c in model.differential.image_of(g).keyed.items()
+                for k, c in model.differential.image_of(g.name).keyed.items()
                 if not k & alg._odd
             }
             if kept:

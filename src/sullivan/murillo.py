@@ -46,7 +46,7 @@ def coefficient_matrix(model: SullivanModel) -> List[List[Element]]:
         fields = [alg._masks[x.index] << alg._offsets[x.index] for x in evens]
         entries: List[List[Element]] = []
         for y in (alg.generators[j] for j in alg.odd_indices):
-            image = model.differential.image_of(y)
+            image = model.differential.image_of(y.name)
             # each term goes to the column of the first even generator in it
             row = [{} for _ in evens]
             for key, c in image.keyed.items():

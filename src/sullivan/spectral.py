@@ -37,7 +37,6 @@ from .cohomology import (
     _deepest_representative,
     _delta_slot,
     _factor,
-    _images,
     formal_dimension,
     is_boundary,
     require_elliptic,
@@ -139,18 +138,17 @@ def pair_basis(model: SullivanModel, p: int, n: int) -> Tuple[List[Monomial], Li
 
 def delta_matrix(model: SullivanModel, p: int, n: int) -> RationalMatrix:
     """Matrix of delta from the (p, n) pair slot to the (p+1, n+1) slot, in
-    coordinates that list the u slot, then the v slot.  It is one diagonal
-    block of the whole-degree matrix the engine solves with: d's columns
-    cut by the one rule of delta."""
-    src = sum(_slot_keys(model, p, n), [])
-    dst = basis_keys(model.algebra, n + 1)
-    q, shift = _delta_slot(p), model.algebra._shift
-    first, end = (bisect_left(dst, w << shift) for w in (2 * q, 2 * q + 2))
-    columns = [
-        {i - first: x for i, x in col.items() if first <= i < end}
-        for col in _images(model, src, dst)
-    ]
-    return RationalMatrix.from_columns(columns, end - first)
+    coordinates that list the u slot, then the v slot: the diagonal block of
+    delta's whole-degree factorization at slot p's columns, whose rows lie
+    in the slot :func:`_delta_slot` maps p into, shifted to start there."""
+    _require_delta(model)
+    lo, hi, first, end = (
+        bisect_left(basis_keys(model.algebra, m), w << model.algebra._shift)
+        for m, q in ((n, p), (n + 1, _delta_slot(p))) for w in (2 * q, 2 * q + 2)
+    )
+    columns = _factor(model, "delta", n).columns[lo:hi]
+    block = [{i - first: x for i, x in col.items()} for col in columns]
+    return RationalMatrix.from_columns(block, end - first)
 
 
 def delta_cohomology(model: SullivanModel, n: int) -> List[FilteredPair]:
@@ -175,12 +173,10 @@ def delta_cohomology(model: SullivanModel, n: int) -> List[FilteredPair]:
     return classes
 
 
-def representative_depth(
-    model: SullivanModel, pair: FilteredPair
-) -> Tuple[int, Element]:
+def representative_depth(pair: FilteredPair) -> Tuple[int, Element]:
     """Greatest s such that the class of the delta-cocycle ``pair`` has a
-    delta-representative in Lambda^{>=s} V, plus a representative realizing
-    it.
+    delta-representative in Lambda^{>=s} V of the pair's own model, plus a
+    representative realizing it, whose lowest word length is s.
 
     Works on the total delta complex in the class's degree with the depth
     search the Toomer oracle uses for d: the lowest word length of the
@@ -190,7 +186,7 @@ def representative_depth(
     z = pair.as_element()
     if z.is_zero:
         raise ValueError("zero class has no depth")
-    found = _deepest_representative(model, "delta", pair.n, z)
+    found = _deepest_representative(pair.model, "delta", pair.n, z)
     if found is None:
         raise ValueError("the given class is a delta-boundary")
     return found
@@ -300,13 +296,11 @@ def spectral_run(model: SullivanModel) -> SpectralRun:
     error.
     """
     require_elliptic(model)
-    _require_delta(model)
     n = formal_dimension(model)
     classes = delta_cohomology(model, n)
     outcomes: List[LiftTrace] = []
     for cls in classes:
-        _, deep = representative_depth(model, cls)
-        depth = deep.min_wordlength()
+        depth, deep = representative_depth(cls)
         if depth not in (2 * cls.p, 2 * cls.p + 1):
             raise InternalInconsistencyError(
                 f"class at filtration {cls.p} has depth {depth}; expected "

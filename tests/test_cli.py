@@ -1065,7 +1065,7 @@ def _identity_above_35(pair):
     [
         (spectral, "delta_cohomology", lambda model, n: [], "report", _N35,
          "no delta-class survives to a d-cocycle; inconsistent with ellipticity"),
-        (spectral, "representative_depth", lambda m, pair: (0, m.algebra.one()),
+        (spectral, "representative_depth", lambda pair: (0, pair.model.algebra.one()),
          "report", _N35, "class at filtration 1 has depth 0; expected 2 or 3"),
         (spectral, "lift_to_d_cocycle", _lift_with(final=lambda m: m.algebra.one()),
          "report", _N35, "lift changed the depth of the lowest component"),

@@ -81,7 +81,7 @@ def _assert_same_searches(name: str, model: SullivanModel) -> int:
     classes = delta_cohomology(model, n)
     for i, cls in enumerate(classes):
         old = _descending_search(model, "delta", n, cls.as_element())
-        assert representative_depth(model, cls) == old, (name, i)
+        assert representative_depth(cls) == old, (name, i)
     return len(classes)
 
 
@@ -114,7 +114,7 @@ def test_boundary_has_no_depth():
     )
     source = next(pair for pair in pairs if not delta_apply(pair).is_zero)
     with pytest.raises(ValueError, match="delta-boundary"):
-        representative_depth(model, delta_apply(source))
+        representative_depth(delta_apply(source))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from sullivan.algebra import (
     coefficient_vector,
     parse_element,
 )
-from sullivan.cohomology import is_elliptic
+from sullivan.cohomology import is_boundary, is_elliptic
 from sullivan.differential import build_differential, build_model
 from sullivan.errors import ModelError
 from sullivan.linalg import ColumnFactorization, RationalMatrix, RowSpace
@@ -68,10 +68,18 @@ def _pair_product_across_models():
     )
 
 
+def _image_of(name):
+    elliptic_pure_n37().differential.image_of(name)
+
+
+def _is_boundary_of_n35(text):
+    is_boundary(elliptic_pure_n37(), parse_element(text, elliptic_pure_n35().algebra))
+
+
 def _depth_of_zero_class():
     model = elliptic_pure_n35()
     zero = FilteredPair(model, 0, 0, model.algebra.zero(), model.algebra.zero())
-    representative_depth(model, zero)
+    representative_depth(zero)
 
 
 INPUT_CHECKS = {
@@ -98,6 +106,15 @@ INPUT_CHECKS = {
     "build_differential-key-Generator": (
         lambda: _build_differential_keyed_by(Generator("y5", 5, 2)), ModelError,
         r"^a generator is named by a str, not Generator\(name='y5', degree=5, index=2\)$"),
+    # and an image is asked for by name only
+    "image_of-Generator-of-no-generator": (
+        lambda: _image_of(Generator("z9", 9, 2)), ModelError,
+        r"^a generator is named by a str, not Generator\(name='z9', degree=9, index=2\)$"),
+    "image_of-own-Generator": (
+        lambda: _image_of(elliptic_pure_n37().algebra.generator("y5")), ModelError,
+        r"^a generator is named by a str, not Generator\(name='y5', degree=5, index=2\)$"),
+    "image_of-5": (
+        lambda: _image_of(5), ModelError, "^a generator is named by a str, not 5$"),
     "build_differential-image-of-another-algebra": (
         _build_differential_image_of_another_algebra, ModelError,
         "lives in a different algebra"),
@@ -121,6 +138,12 @@ INPUT_CHECKS = {
     "lift_to_d_cocycle-start-of-another-algebra": (
         lambda: lift_to_d_cocycle(elliptic_pure_n37(), _other_algebra().one()),
         ValueError, "different algebra"),
+    "is_boundary-monomial-of-another-algebra": (
+        lambda: _is_boundary_of_n35("x2^2"), ValueError,
+        "^element lives in a different algebra$"),
+    "is_boundary-class-of-another-algebra": (
+        lambda: _is_boundary_of_n35("x2^2*y13 - x6^2*y5"), ValueError,
+        "^element lives in a different algebra$"),
     "RowSpace.add-index-out-of-range": (
         lambda: RowSpace(3).add({5: 1}), ValueError, "does not have length 3"),
     "ColumnFactorization-column-of-another-length": (

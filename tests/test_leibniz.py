@@ -245,7 +245,7 @@ def _reference_quotient_dim(model: SullivanModel, degree: int) -> int:
     index = {m: i for i, m in enumerate(ambient)}
     rows = []
     for g in alg.generators:
-        img = pure.differential.image_of(g)
+        img = pure.differential.image_of(g.name)
         if not g.is_odd or img.is_zero or degree < img.degree():
             continue
         for m in filter(even, basis(alg, degree - img.degree())):

@@ -64,7 +64,7 @@ def test_row_identity_and_triangularity():
             total = alg.zero()
             for x, entry in zip(evens, row):
                 total = total + entry * alg.gen_element(x.name)
-            assert total == model.differential.image_of(y)
+            assert total == model.differential.image_of(y.name)
             # entries[j][i] involves only x_i, ..., x_n
             for i, entry in enumerate(row):
                 for mono in entry.terms:

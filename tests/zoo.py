@@ -162,7 +162,7 @@ def product(*factors: SullivanModel) -> SullivanModel:
         for g in model.algebra.generators:
             images[f"{g.name}_{i}"] = Element(alg, {
                 (0,) * before + mono + (0,) * after: c
-                for mono, c in model.differential.image_of(g).terms.items()
+                for mono, c in model.differential.image_of(g.name).terms.items()
             })
         before += model.algebra.ngens
     return build_model(alg, build_differential(alg, images))
