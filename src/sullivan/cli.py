@@ -263,8 +263,8 @@ def _toomer_pairs(
         pairs.append(
             ("toomer.spectral.representative", format_element(spectral.representative))
         )
-        pairs.append(("toomer.spectral.witness.p", spectral.witness[0]))
-        pairs.append(("toomer.spectral.witness.parity", spectral.witness[1]))
+        pairs.append(("toomer.spectral.witness.p", spectral.e0 // 2))
+        pairs.append(("toomer.spectral.witness.parity", ("even", "odd")[spectral.e0 % 2]))
     if method == "both":
         pairs.append(("toomer.agree", oracle.e0 == spectral.e0))
     return pairs

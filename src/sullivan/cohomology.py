@@ -67,16 +67,13 @@ class EllipticityResult(NamedTuple):
 
 
 class ToomerResult(NamedTuple):
-    """The Toomer invariant with a witness cocycle.
-
+    """The Toomer invariant with a witness cocycle, for either method:
     ``representative`` is a non-bounding cocycle of top degree whose terms all
-    have word length >= e0.  For the spectral method ``witness`` records the
-    filtration index of the surviving class and whether e0 is 2p or 2p + 1.
-    """
+    have word length >= e0.  The spectral witness, a surviving delta-class at
+    filtration p = e0 // 2 with e0 = 2p or 2p + 1, is read off e0."""
 
     e0: int
     representative: Element
-    witness: Optional[Tuple[int, str]] = None
 
 
 def cochain_maps(model: SullivanModel, n: int) -> Tuple[RationalMatrix, RationalMatrix]:
@@ -231,8 +228,9 @@ def is_boundary(model: SullivanModel, e: Element) -> bool:
         raise ValueError("element lives in a different algebra")
     if e.is_zero:
         return True
-    bn = basis_keys(model.algebra, e.degree())
-    return not _factor(model, "d", e.degree() - 1)._split(coefficient_vector(e, bn))[0]
+    n = e.degree()
+    bn = basis_keys(model.algebra, n)
+    return not _factor(model, "d", n - 1)._split(coefficient_vector(e, bn))[0]
 
 
 def formal_dimension(model: SullivanModel) -> int:

@@ -102,10 +102,6 @@ def _pair_slots(model: SullivanModel, max_degree: int):
     return slots
 
 
-def _scaled(pair: FilteredPair, s: int) -> FilteredPair:
-    return FilteredPair(pair.model, pair.p, pair.n, s * pair.u, s * pair.v)
-
-
 def _round_robin(cases: int, models: Models) -> Iterator[SullivanModel]:
     """The model of each of `cases` law cases, taking the zoo in turn."""
     return (models[i % len(models)][1] for i in range(cases))
@@ -173,12 +169,11 @@ def check_delta_derivation(rng: random.Random, cases: int, models: Models) -> in
     for model in _round_robin(cases, _k3_models(models)):
         a = random_pair(rng, model, max_degree=18)
         b = random_pair(rng, model, max_degree=18)
-        lhs = delta_apply(pair_product(a, b))
+        lhs = delta_apply(pair_product(a, b)).as_element()
         sign = -1 if a.n % 2 else 1
-        rhs = pair_product(delta_apply(a), b) + _scaled(
-            pair_product(a, delta_apply(b)), sign
-        )
-        if lhs != rhs:
+        left = pair_product(delta_apply(a), b).as_element()
+        right = pair_product(a, delta_apply(b)).as_element()
+        if lhs != left + sign * right:
             raise InternalInconsistencyError(
                 f"delta derivation failed at p={a.p},{b.p} n={a.n},{b.n}"
             )

@@ -28,7 +28,7 @@ filtration p and, in its starting representative, the class's depth.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .algebra import Element, Monomial, basis_keys, coefficient_vector, element_from_vector
 from .cohomology import (
@@ -96,11 +96,6 @@ class FilteredPair:
     def as_element(self) -> Element:
         """u + v, whose keys are disjoint: u's and v's word lengths differ."""
         return Element._of(self.model.algebra, {**self.u.keyed, **self.v.keyed})
-
-    def __add__(self, other: "FilteredPair") -> "FilteredPair":
-        if (self.model, self.p, self.n) != (other.model, other.p, other.n):
-            raise ValueError("pairs live on different bigraded slots")
-        return FilteredPair(self.model, self.p, self.n, self.u + other.u, self.v + other.v)
 
     @classmethod
     def slot(cls, model: SullivanModel, p: int, n: int, e: Element) -> "FilteredPair":
@@ -186,6 +181,8 @@ def representative_depth(pair: FilteredPair) -> Tuple[int, Element]:
     z = pair.as_element()
     if z.is_zero:
         raise ValueError("zero class has no depth")
+    if not delta_apply(pair).is_zero:
+        raise ValueError("the given pair is not a delta-cocycle")
     found = _deepest_representative(pair.model, "delta", pair.n, z)
     if found is None:
         raise ValueError("the given class is a delta-boundary")
@@ -291,14 +288,15 @@ def spectral_run(model: SullivanModel) -> SpectralRun:
     Every class of H^N(delta) is lifted from a depth-maximal representative,
     so a class's depth is the lowest word length of its trace's ``start``
     and its filtration is the trace's ``p``.  Among the lifts that end in a
-    d-nontrivial cocycle the maximal depth is e0; the result is
-    cross-checked against the direct oracle and any disagreement is a hard
-    error.
+    d-nontrivial cocycle the maximal depth is e0, and the first class with
+    it, at p = e0 // 2, gives the representative; e0 is cross-checked
+    against the direct oracle and any disagreement is a hard error.
     """
     require_elliptic(model)
     n = formal_dimension(model)
     classes = delta_cohomology(model, n)
     outcomes: List[LiftTrace] = []
+    winners: List[Tuple[int, LiftTrace]] = []
     for cls in classes:
         depth, deep = representative_depth(cls)
         if depth not in (2 * cls.p, 2 * cls.p + 1):
@@ -307,30 +305,25 @@ def spectral_run(model: SullivanModel) -> SpectralRun:
                 f"{2 * cls.p} or {2 * cls.p + 1}"
             )
         trace = lift_to_d_cocycle(model, deep)
-        if trace.outcome == "success" and trace.final.min_wordlength() != depth:
-            raise InternalInconsistencyError(
-                "lift changed the depth of the lowest component"
-            )
+        if trace.outcome == "success":
+            if trace.final.min_wordlength() != depth:
+                raise InternalInconsistencyError(
+                    "lift changed the depth of the lowest component"
+                )
+            winners.append((depth, trace))
         outcomes.append(trace)
-    winners = [t for t in outcomes if t.outcome == "success"]
     if not winners:
         raise InternalInconsistencyError(
             "no delta-class survives to a d-cocycle; inconsistent with "
             "ellipticity"
         )
-    best = max(winners, key=lambda t: t.start.min_wordlength())
-    e0 = best.start.min_wordlength()
+    e0, best = max(winners, key=lambda won: won[0])
     oracle = toomer_oracle(model)
     if oracle.e0 != e0:
         raise InternalInconsistencyError(
             f"spectral method found e0 = {e0} but the oracle found {oracle.e0}"
         )
-    result = ToomerResult(
-        e0=e0,
-        representative=best.final,
-        witness=(best.p, "even" if e0 == 2 * best.p else "odd"),
-    )
-    return SpectralRun(classes, outcomes, result)
+    return SpectralRun(classes, outcomes, ToomerResult(e0, best.final))
 
 
 def toomer_spectral(model: SullivanModel) -> ToomerResult:

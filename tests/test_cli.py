@@ -1144,7 +1144,7 @@ def test_spectral_path_checks_exit_3(
 
 _real_d = differential.SullivanModel.d
 _real_basis_keys = selftest.basis_keys
-_real_scaled = selftest._scaled
+_real_pair_product = selftest.pair_product
 _real_cohomology_dim = selftest.cohomology_dim
 
 
@@ -1152,6 +1152,15 @@ def _d_on_odd_degrees(self, e):
     """d on odd degrees and 0 on even ones: it squares to 0 but is no
     derivation."""
     return _real_d(self, e) if (e.degree() or 0) % 2 else self.algebra.zero()
+
+
+def _pair_product_signed_by_its_left_factor(a, b):
+    """The pair product negated when its left factor has odd degree: a
+    Koszul sign fault of the product that delta is a derivation of."""
+    ab = _real_pair_product(a, b)
+    if a.n % 2 == 0:
+        return ab
+    return spectral.FilteredPair(ab.model, ab.p, ab.n, -ab.u, -ab.v)
 
 
 @pytest.mark.parametrize(
@@ -1163,7 +1172,8 @@ def _d_on_odd_degrees(self, e):
         (differential.SullivanModel, "d", _d_on_odd_degrees, "leibniz"),
         (differential.SullivanModel, "d", lambda self, e: e, "d_squared"),
         (selftest, "delta_apply", lambda pair: pair, "delta_squared"),
-        (selftest, "_scaled", lambda pair, s: _real_scaled(pair, -s), "delta_derivation"),
+        (selftest, "pair_product", _pair_product_signed_by_its_left_factor,
+         "delta_derivation"),
         (selftest, "basis_keys", lambda *args: 2 * _real_basis_keys(*args), "basis_counts"),
         (selftest, "cohomology_dim",
          lambda model, n: _real_cohomology_dim(model, n)

@@ -57,11 +57,6 @@ def _pair_component_of_another_algebra():
     FilteredPair(model, 0, 0, _other_algebra().one(), model.algebra.zero())
 
 
-def _pair_sum_across_slots():
-    model = elliptic_pure_n37()
-    _pair(1, 4, "x2^2", "0", model) + _pair(1, 8, "x2*x6", "0", model)
-
-
 def _pair_product_across_models():
     pair_product(
         _pair(0, 0, "1", "0"), _pair(0, 0, "1", "0", projective_plane())
@@ -129,12 +124,14 @@ INPUT_CHECKS = {
         lambda: _pair(-1, 0, "0", "0"), ValueError, "nonnegative"),
     "FilteredPair-component-of-another-algebra": (
         _pair_component_of_another_algebra, ValueError, "different algebra"),
-    "FilteredPair-sum-across-slots": (
-        _pair_sum_across_slots, ValueError, "different bigraded slots"),
     "pair_product-across-models": (
         _pair_product_across_models, ValueError, "different models"),
     "representative_depth-zero-class": (
         _depth_of_zero_class, ValueError, "zero class has no depth"),
+    # (0, y5) has delta (0, x2^3), so it is no class to measure
+    "representative_depth-pair-not-a-delta-cocycle": (
+        lambda: representative_depth(_pair(0, 5, "0", "y5")), ValueError,
+        "^the given pair is not a delta-cocycle$"),
     "lift_to_d_cocycle-start-of-another-algebra": (
         lambda: lift_to_d_cocycle(elliptic_pure_n37(), _other_algebra().one()),
         ValueError, "different algebra"),

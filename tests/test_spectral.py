@@ -432,15 +432,25 @@ def test_toomer_spectral_reference_values():
     assert toomer_spectral(elliptic_pure_n35()).e0 == 6
 
 
+def _witness_pairs(model):
+    """The ``toomer.spectral.witness.*`` pairs the report prints for model."""
+    return [kv for kv in cli._toomer_pairs(model, "spectral") if ".witness." in kv[0]]
+
+
 def test_toomer_spectral_witness():
-    res = toomer_spectral(elliptic_pure_n37())
-    assert res.witness == (3, "even")
+    assert _witness_pairs(elliptic_pure_n37()) == [
+        ("toomer.spectral.witness.p", 3),
+        ("toomer.spectral.witness.parity", "even"),
+    ]
 
 
 def test_toomer_spectral_simplest_k3():
     res = toomer_spectral(projective_plane())
     assert res.e0 == 2
-    assert res.witness == (1, "even")
+    assert _witness_pairs(projective_plane()) == [
+        ("toomer.spectral.witness.p", 1),
+        ("toomer.spectral.witness.parity", "even"),
+    ]
 
 
 def test_toomer_spectral_rejects_k2():
