@@ -275,7 +275,7 @@ def _spectral_trace_pairs(run: SpectralRun) -> Pairs:
     for i, trace in enumerate(run.outcomes):
         prefix = f"delta.class.{i}"
         pairs.append((f"{prefix}.p", trace.p))
-        pairs.append((f"{prefix}.depth", trace.start.min_wordlength()))
+        pairs.append((f"{prefix}.depth", trace.depth))
         pairs.append((f"{prefix}.lift.outcome", trace.outcome))
         pairs.append((f"{prefix}.lift.iterations", trace.iterations))
         pairs.append((f"{prefix}.lift.t_bound", trace.t_bound))

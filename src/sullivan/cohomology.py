@@ -90,12 +90,14 @@ def cochain_maps(model: SullivanModel, n: int) -> Tuple[RationalMatrix, Rational
 
 def _images(model: SullivanModel, src: List[int], dst: List[int]) -> List[Vector]:
     """Columns of the matrix of d from span(src) to span(dst), both lists
-    of monomial keys: the coordinates of its value on each monomial of src."""
-    key_image = model.differential.key_image
-    index = {k: i for i, k in enumerate(dst)}
-    return [
-        {index[m]: c for m, c in key_image(key).items() if c} for key in src
-    ]
+    of monomial keys: the coordinates of its value on each monomial of src,
+    in one Leibniz pass that writes each term at its row.  No column holds a
+    zero: Leibniz summands (m / g_i) t and (m / g_j) s of m, t in d(g_i) and
+    s in d(g_j), i != j, meet only if g_i divides t, and t / g_i would have
+    degree |g_i| + 1 - |g_i| = 1, while every generator has degree >= 2."""
+    columns = [{} for _ in src]
+    model.differential.leibniz(src, [1] * len(src), columns, {k: i for i, k in enumerate(dst)})
+    return columns
 
 
 def _delta_slot(p: int) -> int:

@@ -9,23 +9,24 @@ lies in word length >= 2.
 the first potentially nonzero component in d = d_k + d_{k+1} + ...; for the
 zero differential there is no such component and ``k`` is None.
 
-A derivation is applied by one Leibniz rule on keys
-(:meth:`Derivation.key_image`), to ``Element``s and to the columns of the
-matrices of d alike, delta's being cut from d's (``cohomology._delta_slot``):
-each summand sign * e_i * left * d(g_i) * right goes term by term into one
-``{key: coefficient}`` dict, a term t of d(g_i) at key(m) - key(g_i) +
-key(t), its sign the parity of m's odd factors in a mask fixed per term
-from the Koszul rule of products, and a term that repeats an odd factor
-drops out.  A basis key's d stays inside the key's fields, every degree
-being at most ``MAX_DEGREE`` + 1; d of an ``Element`` is checked, like a
-product, for an exponent past its field.  An integer coefficient of a
-generator image is kept as an ``int``, so a model with integer
-coefficients has matrices of ``int`` entries.
+A derivation is applied by one Leibniz pass over a list of keys
+(:meth:`Derivation.leibniz`): an ``Element``'s keys into one dict, and a
+degree basis into one column per key, each term at its row, delta's columns
+being cut from d's (``cohomology._delta_slot``).  Each summand
+sign * e_i * left * d(g_i) * right goes term by term into the key's dict, a
+term t of d(g_i) at key(m) - key(g_i) + key(t), its sign the parity of m's
+odd factors in a mask fixed per term from the Koszul rule of products, and
+a term that repeats an odd factor drops out.  A basis key's d stays inside
+the key's fields, every degree being at most ``MAX_DEGREE`` + 1; d of an
+``Element`` is checked, like a product, for an exponent past its field.
+An integer coefficient of a generator image is kept as an ``int``, so a
+model with integer coefficients has matrices of ``int`` entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from typing import Dict, Mapping, Optional
 
 from .algebra import Algebra, Coefficient, Element, format_element, koszul_mask
@@ -41,7 +42,7 @@ def _exact(a) -> Coefficient:
 class Derivation:
     """An odd-degree derivation given by generator images (not validated).
 
-    ``images`` are kept as given; the rule that :meth:`key_image` reads holds
+    ``images`` are kept as given; the rule that :meth:`leibniz` reads holds
     each integer coefficient as an ``int``.
     """
 
@@ -82,13 +83,13 @@ class Derivation:
         if e.algebra != self.algebra:
             raise ValueError("element does not live in this derivation's algebra")
         out: Dict[int, Coefficient] = {}
-        for key, coeff in e.keyed.items():
-            self.key_image(key, coeff, out)
+        self.leibniz(e.keyed, e.keyed.values(), repeat(out))
         return self.algebra._fit(Element._of(self.algebra, out))
 
-    def key_image(self, key: int, coeff: Coefficient = 1, out=None) -> Dict[int, Coefficient]:
-        """coeff * d(m) added into ``out`` (a fresh dict by default) and
-        returned, m the monomial of ``key``; terms that cancel are left in.
+    def leibniz(self, keys, coeffs, outs, index=None) -> None:
+        """One Leibniz pass over ``keys``, with ``coeffs`` and ``outs`` in step:
+        coeff * d(m) is added into out, m the monomial of key, each term at
+        its own key, or at ``index`` of it if given; cancelled terms stay.
 
         With m = L g_i^e R, where L and R are the factors before and after
         g_i, the Leibniz summand of g_i is (-1)^{|L|} e * left * d(g_i) * right
@@ -96,20 +97,19 @@ class Derivation:
         key(m) - key(g_i) + key(t), its sign the parity of m's odd factors in
         the fields the rule marks, unless it shares an odd factor with m.
         """
-        out = {} if out is None else out
-        for off, mask, terms in self._rule:
-            e = key >> off & mask
-            if not e:
-                continue
-            f = coeff * e
-            for t, a, odd, sign in terms:
-                if key & odd:
+        for key, coeff, out in zip(keys, coeffs, outs):
+            for off, mask, terms in self._rule:
+                e = key >> off & mask
+                if not e:
                     continue
-                v = a if f == 1 else a * f
-                m = key + t
-                prev = out.get(m, 0)
-                out[m] = prev - v if (key & sign).bit_count() & 1 else prev + v
-        return out
+                f = coeff * e
+                for t, a, odd, sign in terms:
+                    if key & odd:
+                        continue
+                    v = a if f == 1 else a * f
+                    m = key + t if index is None else index[key + t]
+                    prev = out.get(m, 0)
+                    out[m] = prev - v if (key & sign).bit_count() & 1 else prev + v
 
     def __eq__(self, other) -> bool:
         return (

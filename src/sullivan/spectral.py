@@ -192,15 +192,18 @@ def representative_depth(pair: FilteredPair) -> Tuple[int, Element]:
 class LiftTrace:
     """Full record of one run of the lifting algorithm.  When it "died",
     ``obstructions[-1]`` is the obstruction that is not a delta-boundary.
-    ``outcome`` is "success", "died" or "collapsed"."""
+    ``outcome`` is "success", "died" or "collapsed"; ``depth`` is start's
+    lowest word length, None for a zero start."""
 
-    __slots__ = "start", "p", "l", "t_bound", "outcome", "final", "obstructions", "correctors"
+    __slots__ = ("start", "p", "l", "t_bound", "outcome", "final", "depth", "obstructions",
+                 "correctors")
 
     def __init__(
-        self, start: Element, p: int, l: int, t_bound: int, outcome: str, final=None
+        self, start: Element, p: int, l: int, t_bound: int, outcome: str, final=None,
+        depth=None,
     ):
         self.start, self.p, self.l, self.t_bound = start, p, l, t_bound
-        self.outcome, self.final = outcome, final
+        self.outcome, self.final, self.depth = outcome, final, depth
         self.obstructions: List[FilteredPair] = []
         self.correctors: List[Element] = []
 
@@ -239,7 +242,7 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
         if not delta_apply(FilteredPair.slot(model, q, n, start)).is_zero:
             raise PreconditionError("start element is not a delta-cocycle")
     t_bound = (n - 4 * p - 4 * l - 1) // 4
-    trace = LiftTrace(start=start, p=p, l=l, t_bound=t_bound, outcome="")
+    trace = LiftTrace(start=start, p=p, l=l, t_bound=t_bound, outcome="", depth=wls[0])
     w = start
     last_obstruction_p = None
     # p_obs rises from >= p + 1 and is <= (n + 1) // 4, as every degree is >= 2

@@ -1,10 +1,12 @@
 """The one Leibniz rule on keys against the reference rule on tuples.
 
-``Derivation.key_image`` merges each Leibniz summand straight into one
-``{key: coefficient}`` dict, for the d of an ``Element`` and for the
-matrices alike.  Here it is compared with ``reference.reference_apply``,
-which builds every summand from two products of monomial tuples signed by
-counting inversions, code the engine's rule shares nothing with, on d and
+``Derivation.leibniz`` merges each Leibniz summand straight into one
+``{key: coefficient}`` dict per source key, in one pass over a list of
+keys, for the d of an ``Element`` (all keys into one dict) and for the
+columns of the matrices (one dict per key, each term at its row) alike.
+Here it is compared with ``reference.reference_apply``, which builds every
+summand from two products of monomial tuples signed by counting
+inversions, code the engine's rule shares nothing with, on d and
 its word-length components d3 and d4 of every fixture and delta of every
 k = 3 fixture, on random derivations whose images carry odd factors, on
 elements with exponents near the limit of a key's fields, on the matrices
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 
@@ -38,7 +41,7 @@ from sullivan.linalg import RowSpace
 from sullivan.models import ALL_MODELS
 from sullivan.selftest import random_element
 from sullivan.spectral import FilteredPair, delta_apply
-from zoo import FIXTURES, assorted, model_files, models, random_pure_model
+from zoo import FIXTURES, LARGE, assorted, model_files, models, random_pure_model
 
 
 def _pair_delta(model: SullivanModel, e: Element) -> Element:
@@ -92,10 +95,12 @@ def test_d_squared_cancels_term_by_term():
         for n in range(30):
             for m in basis(alg, n):
                 dm = model.d(Element.from_monomial(alg, m))
-                out, summed = {}, {}
-                for t, c in dm.keyed.items():
-                    model.differential.key_image(t, c, out)
-                    for k, v in model.differential.key_image(t).items():
+                keys, coeffs = list(dm.keyed), list(dm.keyed.values())
+                out, columns, summed = {}, [{} for _ in keys], {}
+                model.differential.leibniz(keys, coeffs, repeat(out))
+                model.differential.leibniz(keys, repeat(1), columns)
+                for c, column in zip(coeffs, columns):
+                    for k, v in column.items():
                         summed[k] = summed.get(k, 0) + c * v
                 assert not any(out.values()) and not any(summed.values()), (name, m)
                 assert model.d(dm) == reference_apply(model.differential, dm) == alg.zero()
@@ -172,7 +177,8 @@ def test_random_derivations_with_odd_factors_match_the_reference():
             for m in basis(alg, n):
                 e = Element.from_monomial(alg, m, rng.choice((1, -3, Fraction(2, 5))))
                 assert derivation(e) == reference_apply(derivation, e), m
-                keyed = derivation.key_image(alg.encode(m))
+                keyed = {}
+                derivation.leibniz([alg.encode(m)], [1], [keyed])
                 assert Element(alg, {alg.decode(k): v for k, v in keyed.items()}) == (
                     reference_apply(derivation, Element.from_monomial(alg, m))
                 ), m
@@ -184,6 +190,50 @@ def test_random_derivations_with_odd_factors_match_the_reference():
             assert derivation(e) == reference_apply(derivation, e), e
     assert compared >= 3000
     assert min(signs.values()) >= 1000, signs
+
+
+def test_one_pass_over_each_degree_matches_the_reference_per_monomial():
+    """One ``leibniz`` pass over every basis key of a degree, each term
+    written at its position, is ``reference_apply`` of each monomial mapped
+    through the positions, on every degree 0 .. N + 1 of every model of
+    ``ALL_MODELS`` and of ``tests/large`` and on random derivations.  No
+    column holds a zero, and each has one term per surviving Leibniz
+    summand: two summands of one monomial never meet, since a term of
+    d(g_i) divisible by g_i would leave a cofactor of degree 1.  d of an
+    element with mixed int and Fraction coefficients, the same pass into one
+    dict, is the sum of c * column."""
+    rng = random.Random("leibniz one pass")
+    cases = [
+        (model.differential, formal_dimension(model) + 1)
+        for _, model in models(model_files(LARGE))
+    ]
+    cases += [(_random_derivation(rng), 16) for _ in range(8)]
+    columns = fractions = 0
+    for derivation, top in cases:
+        alg = derivation.algebra
+        reach = top + max([0] + [max(img.degrees()) for img in derivation.images.values()])
+        keys = [k for n in range(reach + 1) for k in basis_keys(alg, n)]
+        index = {k: i for i, k in enumerate(keys)}
+        for n in range(top + 1):
+            src = basis_keys(alg, n)
+            got = [{} for _ in src]
+            derivation.leibniz(src, repeat(1), got, index)
+            coeffs = [rng.choice((1, -2, 3, Fraction(1, 3), Fraction(-5, 2))) for _ in src]
+            monos, total = [alg.decode(k) for k in src], {}
+            for m, column, c in zip(monos, got, coeffs):
+                want = reference_apply(derivation, Element.from_monomial(alg, m))
+                assert column == {index[k]: x for k, x in want.keyed.items()}, m
+                assert all(column.values()), m
+                assert len(column) == sum(1 for s in _summand_signs(derivation, m) if s), m
+                for i, x in column.items():
+                    total[i] = total.get(i, 0) + c * x
+                columns += 1
+            e = Element(alg, dict(zip(monos, coeffs)))
+            assert {index[k]: x for k, x in derivation(e).keyed.items()} == {
+                i: x for i, x in total.items() if x
+            }, (alg, n)
+            fractions += sum(isinstance(c, Fraction) for c in coeffs)
+    assert columns >= 20000 and fractions >= 5000, (columns, fractions)
 
 
 def test_cochain_maps_and_delta_matrices_match_the_reference():

@@ -382,6 +382,7 @@ def test_lift_traces_do_not_share_their_lists():
     collapsed = lift_to_d_cocycle(model, model.algebra.zero())
     assert len(lifted.obstructions) == len(lifted.correctors) == 1
     assert collapsed.obstructions == collapsed.correctors == []
+    assert (lifted.depth, collapsed.depth) == (3, None)
     first, second = (LiftTrace(model.algebra.zero(), 0, 0, 0, "died") for _ in range(2))
     first.obstructions.append(lifted.obstructions[0])
     first.correctors.append(lifted.correctors[0])
@@ -471,6 +472,7 @@ def test_spectral_run_records_depths_consistent_with_pairs():
         for trace in run.outcomes:
             p = trace.p
             assert trace.start.min_wordlength() in (2 * p, 2 * p + 1), name
+            assert trace.depth == trace.start.min_wordlength(), name
         # report's delta.class.* and delta.dim.* lines count the same classes
         classes = delta_cohomology(model, formal_dimension(model))
         assert [t.p for t in run.outcomes] == [c.p for c in classes], name
