@@ -315,7 +315,7 @@ def _report(args, model: SullivanModel) -> Tuple[Pairs, int]:
     if is_elliptic(model, args.max_degree).is_elliptic:
         n = formal_dimension(model)
         # the top class first: the ranks at N - 1 and N are then read off
-        # the factorizations it builds, which the depth searches reuse
+        # the boundaries and the factorization it builds, which are reused
         top = _top_class_pairs(model)
         dims = _cohomology_pairs(model, 0, n, with_reps=False)
         check_duality([dim for _, dim in dims])

@@ -3,13 +3,10 @@
 Everything is computed one degree at a time with exact rational
 arithmetic.  The pieces provided here:
 
-* cochain maps and cohomology bases, each basis a list of deterministic
-  representatives read off the factorizations of d into and out of its
-  degree, through one set of cached helpers that serve both d and the
-  spectral sequence's page-one differential delta, whose columns are d's
-  cut one word-length pair slot up (:func:`_delta_slot`); the factorization
-  of the map into the degree hands over its unreduced image as the row
-  space of the boundaries, with no back-substitution,
+* cochain maps and cohomology bases, each basis the cocycles of the one
+  factorization with unit coordinates out of its degree that extend the
+  echelon of the boundaries, eliminated without them, through cached
+  helpers that serve d and the page-one differential delta alike,
 * cohomology dimensions from two ranks, dim H^n = |B_n| - rank d_n -
   rank d_{n-1}, with no representatives built, each rank taken only off
   the pivot columns of the boundaries below it, and their duality check,
@@ -25,7 +22,7 @@ arithmetic.  The pieces provided here:
   of a cocycle modulo the boundary echelon, over a basis ordered by word
   length, starts at the deepest filtration stage holding the class; that
   reduction stopped at the stage is the witness the boundary columns cut
-  below it solve for, read off the one factorization of the boundaries.
+  below it solve for, read off the one echelon of the boundaries.
 """
 
 from __future__ import annotations
@@ -116,47 +113,57 @@ def _delta_slot(p: int) -> int:
 # side by side.
 
 
-def _factor(model: SullivanModel, which: str, n: int) -> ColumnFactorization:
-    """The differential ``which`` out of degree n, eliminated once: its
-    kernel holds the degree-n cocycles, its image rows span the degree-(n+1)
-    boundaries, and it solves ``which``(x) = b.
+def _columns(model: SullivanModel, which: str, n: int) -> List[Vector]:
+    """The columns of ``which`` out of degree n: d's assembled once and
+    cached, delta's cut from them, column m keeping its rows in the slot
+    :func:`_delta_slot` maps m's into (a key's word length, halved)."""
+    src, dst = basis_keys(model.algebra, n), basis_keys(model.algebra, n + 1)
+    columns = _cached(model, ("d", "columns", n), lambda: _images(model, src, dst))
+    if which == "delta":
+        shift = model.algebra._shift + 1
+        slots = [k >> shift for k in dst]
+        columns = [
+            {i: x for i, x in col.items() if slots[i] == up}
+            for col, up in zip(columns, [_delta_slot(k >> shift) for k in src])
+        ]
+    return columns
 
-    delta's columns are d's, the cached factorization's when there is one:
-    column m keeps its rows in the slot :func:`_delta_slot` maps m's into,
-    a key's slot being its word length, its top bits, halved."""
+
+def _factor(model: SullivanModel, which: str, n: int) -> ColumnFactorization:
+    """``which`` out of degree n, eliminated once with unit coordinates for
+    the readers of a kernel or a solve: the cocycles of :func:`_cohomology`
+    and the solve of ``spectral.lift_to_d_cocycle``."""
+    key, nrows = (which, "factor", n), len(basis_keys(model.algebra, n + 1))
+    return _cached(model, key, lambda: ColumnFactorization._of(_columns(model, which, n), nrows))
+
+
+def _boundaries(model: SullivanModel, which: str, n: int) -> RowSpace:
+    """The degree-n boundaries of ``which``, the unreduced echelon of its map
+    out of degree n - 1: read off that map's cached factorization, or else
+    eliminated once with no unit coordinates.  No reader changes a row."""
 
     def produce():
-        src, dst = basis_keys(model.algebra, n), basis_keys(model.algebra, n + 1)
-        d = model._cache.get(("d", "factor", n))
-        columns = d.columns if d is not None else _images(model, src, dst)
-        if which == "delta":
-            shift = model.algebra._shift + 1
-            slots = [k >> shift for k in dst]
-            columns = [
-                {i: x for i, x in col.items() if slots[i] == up}
-                for col, up in zip(columns, [_delta_slot(k >> shift) for k in src])
-            ]
-        return ColumnFactorization._of(columns, len(dst))
+        factor = model._cache.get((which, "factor", n - 1))
+        if factor is not None:
+            return factor._image()
+        space = RowSpace(len(basis_keys(model.algebra, n)))
+        space._extend(map(dict, _columns(model, which, n - 1)), space.ncols)
+        return space
 
-    return _cached(model, (which, "factor", n), produce)
+    return _cached(model, (which, "boundaries", n), produce)
 
 
 def _cohomology(model: SullivanModel, which: str, n: int) -> List[Element]:
     """Representatives of the degree-n cohomology of ``which``: the kernel
-    basis vectors that extend the boundary echelon, the unreduced image of
-    the factorization out of degree n - 1 handed over as a row space, to a
-    cocycle basis."""
+    vectors that extend the boundary echelon, rows shared, to a basis."""
 
     def produce():
         cocycles = _factor(model, which, n).kernel
-        space = _factor(model, which, n - 1)._image()
-        dim = len(cocycles) - space.rank
         bn = basis_keys(model.algebra, n)
-        reps = [
-            element_from_vector(model.algebra, bn, z)
-            for z in cocycles
-            if space._add(dict(z))
-        ]
+        space = RowSpace(len(bn))
+        space._rows.update(_boundaries(model, which, n)._rows)
+        dim = len(cocycles) - space.rank
+        reps = [element_from_vector(model.algebra, bn, z) for z in cocycles if space._add(dict(z))]
         if dim != len(reps):
             raise InternalInconsistencyError(
                 f"H^{n}({which}): dimension {dim} but {len(reps)} representatives"
@@ -174,26 +181,28 @@ def cohomology_basis(model: SullivanModel, n: int) -> List[Element]:
 
 
 def _rank(model: SullivanModel, n: int) -> int:
-    """The rank of d out of degree n: read off its factorization when one is
-    cached, or else eliminated once as a plain row space of the image
-    columns, with no unit coordinates, and cached.  B_n is im d_{n-1} plus
-    the unit vectors off its pivot columns P, and d vanishes on im d_{n-1},
-    so only the columns off P are built: P from a cached factorization of
-    degree n - 1, or the last rank's (the one set kept), or else empty."""
-    factor = model._cache.get(("d", "factor", n))
-    if factor is not None:
-        return len(factor.columns) - len(factor.kernel)
+    """The rank of d out of degree n: read off the cached factorization out
+    of n or boundaries of degree n + 1, or else eliminated once as a plain
+    row space of the image columns, and cached.  B_n is im d_{n-1} plus the
+    unit vectors off its pivot columns P, and d vanishes on im d_{n-1}, so
+    only the columns off P are built, P the last rank's or else empty."""
+    cache = model._cache
 
     def produce():
+        factor = cache.get(("d", "factor", n))
+        if factor is not None:
+            return len(factor.columns) - len(factor.kernel)
+        boundaries = cache.get(("d", "boundaries", n + 1))
+        if boundaries is not None:
+            return boundaries.rank
         src, dst = basis_keys(model.algebra, n), basis_keys(model.algebra, n + 1)
-        last, pivots = model._cache.get(("d", "pivots"), (None, ()))
-        below = model._cache.get(("d", "factor", n - 1))
-        pivots = below._pivots if below else pivots if last == n - 1 else ()
+        last, pivots = cache.get(("d", "pivots"), (None, ()))
+        pivots = pivots if last == n - 1 else ()
         space = RowSpace(len(dst))
         off = [m for j, m in enumerate(src) if j not in pivots]
         for column in _images(model, off, dst):
             space._add(column)
-        model._cache[("d", "pivots")] = (n, frozenset(space._pivots))
+        cache[("d", "pivots")] = (n, frozenset(space._pivots))
         return space.rank
 
     return _cached(model, ("d", "rank", n), produce)
@@ -232,7 +241,7 @@ def is_boundary(model: SullivanModel, e: Element) -> bool:
         return True
     n = e.degree()
     bn = basis_keys(model.algebra, n)
-    return not _factor(model, "d", n - 1)._split(coefficient_vector(e, bn))[0]
+    return not _boundaries(model, "d", n)._reduce(coefficient_vector(e, bn))
 
 
 def formal_dimension(model: SullivanModel) -> int:
@@ -542,8 +551,8 @@ def _deepest_representative(
     and a witness; z has degree n.
 
     The degree-n basis is in graded-lex order, so its word lengths ascend,
-    and the boundaries are the image of ``which`` out of degree n - 1.  Each
-    row of its image echelon is zero left of its pivot, so reducing z modulo
+    and the boundaries are the echelon of :func:`_boundaries`.  Each row of
+    the echelon is zero left of its pivot, so reducing z modulo
     the boundaries subtracts only rows pivoted at word length >= s from any
     z in Lambda^{>=s}V: the lowest word length of the normal form is
     therefore exactly the greatest s.
@@ -559,14 +568,14 @@ def _deepest_representative(
     Returns None when z is a boundary.
     """
     bn, shift = basis_keys(model.algebra, n), model.algebra._shift
-    boundaries = _factor(model, which, n - 1)
+    boundaries = _boundaries(model, which, n)
     zvec = coefficient_vector(z, bn)
-    normal = boundaries._split(dict(zvec))[0]
+    normal = boundaries._reduce(dict(zvec))
     if not normal:
         return None
     s = bn[min(normal)] >> shift
     shallow = bisect_left(bn, s << shift)
-    witness = boundaries._split(zvec, shallow)[0]
+    witness = boundaries._reduce(zvec, shallow)
     if min(witness) < shallow:
         raise InternalInconsistencyError(
             f"no representative at word length >= {s}, the depth of its own "

@@ -14,9 +14,9 @@ length, and each entry by the one coefficient rule of the package,
 :func:`_coefficient`, which an ``Element`` keeps too.  The engine
 hands over the vectors it has just built itself, fresh sparse dicts of
 nonzero ``int`` or ``Fraction`` entries within range, without that check,
-through the private :meth:`RowSpace._add`, :meth:`ColumnFactorization._of`
-and :meth:`ColumnFactorization._split`, and reads pivot columns off either
-through the read-only view ``_pivots``.
+through the private :meth:`RowSpace._add`, :meth:`RowSpace._extend`,
+:meth:`ColumnFactorization._of` and :meth:`ColumnFactorization._split`, and
+reads pivot columns off a row space through the read-only view ``_pivots``.
 
 All elimination is done by one kernel, :class:`RowSpace`, which keeps a row
 space as a row echelon basis: one row per pivot column, 1 there and 0 to
@@ -30,34 +30,36 @@ the only nonzero entry of its column), formed only when it is read, by the
 one back-substitution, :meth:`RowSpace.echelon`.  ``rref`` picks the first
 nonzero column as the next pivot and scales every pivot to 1.
 
-A map m: Q^ncols -> Q^nrows is eliminated once, as a
-:class:`ColumnFactorization`: column j goes into a ``RowSpace`` with one
-extra unit coordinate, nrows + j, in column order, reduced only up to its
-lead (its first nonzero column that is not a pivot column).  A column is
-stored exactly when it is independent of the earlier ones, so the stored
-columns are the pivot columns of m, and they are independent.  Hence every
-answer read off the factorization is unique, and ``kernel_basis`` and
+A map m: Q^ncols -> Q^nrows is eliminated by one insertion loop,
+:meth:`RowSpace._extend`: its columns go in, in column order, each reduced
+only up to its lead (its first nonzero column that is not a pivot column)
+and stored exactly when it is independent of the earlier ones.  So the
+stored columns are the pivot columns of m, and the stored rows an echelon
+basis of its image, leads 1, not reduced.  Where a kernel or a solve is
+read, m is eliminated as a :class:`ColumnFactorization`, column j with one
+extra unit coordinate, nrows + j; none is a pivot, so the stored rows cut
+to the first nrows coordinates are the same (the private ``_image``).
+Every answer read off it is unique, and ``kernel_basis`` and
 ``solve_membership`` are views of it:
 
 * a column that is not stored is reduced fully and leaves only its unit
   part: the kernel vector with that free variable 1 and the others 0, free
   columns ascending;
-* the stored rows, cut to the first nrows coordinates, are an echelon basis
-  of the image with leads 1, not reduced, under their own pivots: the
-  private ``_image`` hands them over as a fresh ``RowSpace``;
 * b is in the image exactly when its normal form vanishes on the first
   nrows coordinates; minus its unit part is then the solution of m x = b
-  with every free variable 0;
-* with its private ``stop`` = S, ``_split`` clears only the pivots below
-  row S, and its unit part is then the one the factorization of the
-  columns cut below S finds (``cohomology._deepest_representative``).
+  with every free variable 0.
+
+With its private ``stop`` = S, ``RowSpace._reduce`` clears only the pivots
+below column S: on the image echelon, b - m x for the x the factorization
+of the columns cut below S finds for b cut there, whose stored rows are
+those with leads below S, cut there (``cohomology._deepest_representative``).
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from typing import Dict, KeysView, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, KeysView, List, Optional, Sequence, Tuple, Union
 
 #: An exact coefficient, the one type of a vector's entries and an element's.
 Coefficient = Union[int, Fraction]
@@ -211,6 +213,18 @@ class RowSpace:
                 v[j] *= inv
         self._rows[lead] = v
 
+    def _extend(self, vectors: Iterable[Vector], below: int) -> List[Vector]:
+        """The one insertion loop: each of ``vectors``, reduced in place only up
+        to its lead, stored if that is below ``below``; the rest, nonzero."""
+        rest = []
+        for v in vectors:
+            v = self._reduce(v, lead=True)
+            if v and min(v) < below:
+                self._store(v)
+            elif v:
+                rest.append(v)
+        return rest
+
     def _add(self, v: Vector) -> bool:
         """:meth:`add` of a vector the engine has just built, taken without
         the check and reduced in place."""
@@ -264,28 +278,16 @@ class ColumnFactorization:
         return factorization
 
     def _eliminate(self, columns: List[Vector], nrows: int) -> None:
-        self.nrows = nrows
-        self.columns = columns
-        self.kernel: List[Vector] = []
+        self.nrows, self.columns = nrows, columns
         self._space = RowSpace(nrows + len(columns))
-        for j, col in enumerate(columns):
-            v = self._space._reduce({**col, nrows + j: 1}, lead=True)
-            if min(v) < nrows:
-                self._space._store(v)
-            else:
-                self.kernel.append({i - nrows: x for i, x in v.items()})
+        rest = self._space._extend(({**c, nrows + j: 1} for j, c in enumerate(columns)), nrows)
+        self.kernel = [{i - nrows: x for i, x in v.items()} for v in rest]
 
-    @property
-    def _pivots(self) -> KeysView[int]:
-        """The pivot rows of the image, as a read-only view."""
-        return self._space._pivots
-
-    def _split(self, r: Vector, stop: Optional[int] = None) -> Tuple[Vector, Vector]:
-        """The normal form of r, reduced in place (with ``stop``, only at the
-        pivots below row ``stop``): its first nrows coordinates, and minus
-        the rest."""
+    def _split(self, r: Vector) -> Tuple[Vector, Vector]:
+        """The normal form of r, reduced in place: its first nrows
+        coordinates, and minus the rest."""
         n = self.nrows
-        r = self._space._reduce(r, stop)
+        r = self._space._reduce(r)
         rest = {i: x for i, x in r.items() if i < n}
         return rest, {i - n: -x for i, x in r.items() if i >= n}
 

@@ -30,10 +30,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import List, NamedTuple, Tuple
 
-from .algebra import Element, Monomial, basis_keys, coefficient_vector, element_from_vector
+from .algebra import Element, basis_keys, coefficient_vector, element_from_vector
 from .cohomology import (
     ToomerResult,
     _cohomology,
+    _columns,
     _deepest_representative,
     _delta_slot,
     _factor,
@@ -126,11 +127,6 @@ def _slot_keys(model: SullivanModel, p: int, n: int) -> Tuple[List[int], List[in
     return tuple(basis_keys(model.algebra, n, w) for w in (2 * p, 2 * p + 1))
 
 
-def pair_basis(model: SullivanModel, p: int, n: int) -> Tuple[List[Monomial], List[Monomial]]:
-    """Monomial bases of the two slots of E_1^{p, n-p}."""
-    return tuple(list(map(model.algebra.decode, ks)) for ks in _slot_keys(model, p, n))
-
-
 def delta_matrix(model: SullivanModel, p: int, n: int) -> RationalMatrix:
     """Matrix of delta from the (p, n) pair slot to the (p+1, n+1) slot, in
     coordinates that list the u slot, then the v slot: the diagonal block of
@@ -141,7 +137,7 @@ def delta_matrix(model: SullivanModel, p: int, n: int) -> RationalMatrix:
         bisect_left(basis_keys(model.algebra, m), w << model.algebra._shift)
         for m, q in ((n, p), (n + 1, _delta_slot(p))) for w in (2 * q, 2 * q + 2)
     )
-    columns = _factor(model, "delta", n).columns[lo:hi]
+    columns = _columns(model, "delta", n)[lo:hi]
     block = [{i - first: x for i, x in col.items()} for col in columns]
     return RationalMatrix.from_columns(block, end - first)
 

@@ -4,8 +4,9 @@ it is compared on; the Koszul sign by counting inversions, the product of
 monomial tuples built on it, the Leibniz rule and the pair product by those
 products, delta by the pair formula, and the word-length components of d
 that it is made of; the word length and graded-lex order of monomial
-tuples; the coordinates of an element in a basis of monomial tuples and the
-columns of a map between such bases; one boundary solve, through the
+tuples, and the monomial bases of the two slots of a pair; the
+coordinates of an element in a basis of monomial tuples and the columns
+of a map between such bases; one boundary solve, through the
 kernel's checked public ``ColumnFactorization.solve``, and the depth search
 by a solve over the boundary columns cut below its depth; and the
 determinant by its permutation expansion.
@@ -20,10 +21,10 @@ from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from sullivan.algebra import Algebra, Element, Monomial, basis, basis_keys
-from sullivan.cohomology import _factor, _images
+from sullivan.cohomology import _columns, _images
 from sullivan.differential import Derivation, SullivanModel
 from sullivan.linalg import ColumnFactorization
-from sullivan.spectral import FilteredPair
+from sullivan.spectral import FilteredPair, _slot_keys
 
 Vector = Dict[int, Fraction]
 
@@ -219,31 +220,37 @@ def reference_pair_product(a: FilteredPair, b: FilteredPair) -> Tuple[Element, E
     return Element(alg, times(a.u, b.u)), Element(alg, v)
 
 
-def reference_apply(derivation: Derivation, e: Element) -> Element:
-    """d(e) by the Leibniz rule, each summand sign * left * d(g_i) * right
-    formed by two :func:`reference_product`s on monomial tuples."""
+def reference_apply(derivation: Derivation) -> Callable[[Element], Element]:
+    """The derivation applied by the Leibniz rule, each summand sign * left *
+    d(g_i) * right formed by two :func:`reference_product`s on monomial
+    tuples; the generator images are decoded once, here."""
     alg = derivation.algebra
     n = alg.ngens
-    out: Dict[Monomial, Fraction] = {}
-    for mono, coeff in e.terms.items():
-        prefix_degree = 0
-        for i, exp in enumerate(mono):
-            if exp:
-                img = derivation.images.get(i)
-                if img is not None:
-                    left = tuple(
-                        (mono[j] if j < i else (exp - 1 if j == i else 0))
-                        for j in range(n)
-                    )
-                    right = tuple((mono[j] if j > i else 0) for j in range(n))
-                    c = coeff * exp
-                    if prefix_degree % 2:
-                        c = -c
-                    term = reference_product(alg, {left: c}, img.terms)
-                    for m, x in reference_product(alg, term, {right: 1}).items():
-                        out[m] = out.get(m, 0) + x
-                prefix_degree += exp * alg.degrees[i]
-    return Element(alg, out)
+    images = {i: img.terms for i, img in derivation.images.items()}
+
+    def apply(e: Element) -> Element:
+        out: Dict[Monomial, Fraction] = {}
+        for mono, coeff in e.terms.items():
+            prefix_degree = 0
+            for i, exp in enumerate(mono):
+                if exp:
+                    img = images.get(i)
+                    if img is not None:
+                        left = tuple(
+                            (mono[j] if j < i else (exp - 1 if j == i else 0))
+                            for j in range(n)
+                        )
+                        right = tuple((mono[j] if j > i else 0) for j in range(n))
+                        c = coeff * exp
+                        if prefix_degree % 2:
+                            c = -c
+                        term = reference_product(alg, {left: c}, img)
+                        for m, x in reference_product(alg, term, {right: 1}).items():
+                            out[m] = out.get(m, 0) + x
+                    prefix_degree += exp * alg.degrees[i]
+        return Element(alg, out)
+
+    return apply
 
 
 def homogeneous_component(d: Derivation, i: int) -> Derivation:
@@ -261,15 +268,21 @@ def homogeneous_component(d: Derivation, i: int) -> Derivation:
 def reference_delta(model: SullivanModel) -> Callable[[Element], Element]:
     """delta by the paper's pair formula, (u, v) -> (d3 u, d3 v + d4 u): d3 of
     e plus d4 of its even word-length part, d3 and d4 being the word-length
-    components of d, built once here, each applied by
+    components of d, built once here, each applied by its
     :func:`reference_apply`."""
-    d3, d4 = (homogeneous_component(model.differential, i) for i in (3, 4))
+    d3, d4 = (reference_apply(homogeneous_component(model.differential, i)) for i in (3, 4))
 
     def delta(e: Element) -> Element:
         even = Element(e.algebra, {m: c for m, c in e.terms.items() if sum(m) % 2 == 0})
-        return reference_apply(d3, e) + reference_apply(d4, even)
+        return d3(e) + d4(even)
 
     return delta
+
+
+def pair_basis(model: SullivanModel, p: int, n: int) -> Tuple[List[Monomial], List[Monomial]]:
+    """Monomial bases of the two slots of E_1^{p, n-p}; ``PreconditionError``
+    unless k = 3."""
+    return tuple(list(map(model.algebra.decode, ks)) for ks in _slot_keys(model, p, n))
 
 
 def coordinates(e: Element, monos: Sequence[Monomial]) -> Vector:
@@ -295,11 +308,11 @@ def map_columns(
 
 def boundary_columns(model: SullivanModel, which: str, n: int) -> List[Vector]:
     """The engine's columns of ``which`` ("d" or "delta") from degree n - 1
-    into degree n: d's assembled afresh, delta's read off its factorization."""
+    into degree n: d's assembled afresh, delta's cut from d's cached ones."""
     alg = model.algebra
     if which == "d":
         return _images(model, basis_keys(alg, n - 1), basis_keys(alg, n))
-    return _factor(model, which, n - 1).columns
+    return _columns(model, which, n - 1)
 
 
 def boundary_solve(

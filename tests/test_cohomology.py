@@ -468,10 +468,13 @@ def test_ranks_off_the_boundary_pivots_match_dense_ranks(monkeypatch, dense_imag
 
 
 def test_report_factors_d_only_in_the_top_two_degrees():
-    """The dimensions of H^0 .. H^N come from ranks; the whole factorizations
-    of d are those of the top class and the depth searches.  On seeded random
-    non-pure models, whose images carry odd factors in a random generator
-    order, their columns are those of the reference Leibniz rule."""
+    """The dimensions of H^0 .. H^N come from ranks; d's columns are
+    assembled only out of N - 1 and N, for the top class and the depth
+    searches, and eliminated once in each: with unit coordinates out of N,
+    whose kernel holds the top class, and without them out of N - 1, the
+    echelon of the boundaries of degree N.  On seeded random non-pure
+    models, whose images carry odd factors in a random generator order,
+    those columns are those of the reference Leibniz rule."""
     path = str(FIXTURES / "pure_n37.model")
     rng = random.Random("non-pure reports")
     zoo = [(path, cli.parse_model_file(path).model)]
@@ -479,13 +482,15 @@ def test_report_factors_d_only_in_the_top_two_degrees():
     for path, model in zoo:
         cli._report(argparse.Namespace(model=path, max_degree=None), model)
         n, alg = formal_dimension(model), model.algebra
-        factored = {
-            key[2] for key in model._cache if len(key) == 3 and key[:2] == ("d", "factor")
-        }
-        assert factored == {n - 1, n}, path
+
+        def cached(kind):
+            return {key[2] for key in model._cache if key[:2] == ("d", kind)}
+
+        assert cached("columns") == {n - 1, n}, path
+        assert (cached("factor"), cached("boundaries")) == ({n}, {n}), path
         if not is_pure(model):
-            d = lambda e: reference_apply(model.differential, e)  # noqa: E731
-            for m in factored:
+            d = reference_apply(model.differential)
+            for m in cached("columns"):
                 want = map_columns(alg, d, basis(alg, m), basis(alg, m + 1))
-                assert model._cache[("d", "factor", m)].columns == want, m
+                assert model._cache[("d", "columns", m)] == want, m
     assert sum(not is_pure(model) for _, model in zoo) == 6

@@ -27,7 +27,7 @@ import pytest
 
 from reference import (
     boundary_solve, coordinates, cut_depth_search, dense, dense_solve, element_of,
-    map_columns, reference_delta, sparse, wordlength,
+    map_columns, pair_basis, reference_delta, sparse, wordlength,
 )
 from sullivan import cli, cohomology, spectral
 from sullivan.algebra import Element, basis, parse_element
@@ -48,7 +48,6 @@ from sullivan.spectral import (
     delta_apply,
     delta_cohomology,
     lift_to_d_cocycle,
-    pair_basis,
     representative_depth,
 )
 from zoo import FIXTURES, models, random_k3_models
@@ -246,15 +245,20 @@ def test_delta_class_outside_one_pair_slot_is_an_inconsistency(monkeypatch):
 
 
 def _count_factorizations(monkeypatch):
-    """Patch ``cohomology`` so that every factorization is counted: ``built``
-    counts the cached ones by (model, key), ``constructed`` all of them."""
-    cached, built, constructed = cohomology._cached, Counter(), [0]
+    """Patch ``cohomology`` so that every elimination of a whole map is
+    counted: ``built`` counts the cached factorizations and boundary
+    echelons by (model, key), ``eliminated`` the eliminations run while each
+    was built, and ``constructed`` all of them."""
+    cached, built, eliminated, constructed = cohomology._cached, Counter(), Counter(), [0]
 
     def counting_cache(model, key, producer):
-        if key[1:2] == ("factor",):
+        if key[1:2] in (("factor",), ("boundaries",)):
             def produce():
                 built[(id(model), key)] += 1
-                return producer()
+                before = constructed[0]
+                value = producer()
+                eliminated[(id(model), key)] += constructed[0] - before
+                return value
 
             return cached(model, key, produce)
         return cached(model, key, producer)
@@ -266,36 +270,61 @@ def _count_factorizations(monkeypatch):
             constructed[0] += 1
             super()._eliminate(*args)
 
+    class CountedSpace(RowSpace):
+        # the echelon of a map, eliminated with no unit coordinates
+        def _extend(self, *args):
+            constructed[0] += 1
+            return super()._extend(*args)
+
     monkeypatch.setattr(cohomology, "_cached", counting_cache)
     monkeypatch.setattr(cohomology, "ColumnFactorization", Counted)
-    return built, constructed
+    monkeypatch.setattr(cohomology, "RowSpace", CountedSpace)
+    return built, eliminated, constructed
+
+
+def _eliminated_once(built, eliminated, constructed):
+    """Each key was built once, every elimination ran inside one of them,
+    and no map out of one degree was eliminated twice: a factorization is
+    one elimination, and boundaries are one unless they were read off the
+    factorization of the map below them, with none of their own."""
+    assert set(built.values()) == {1}
+    assert sum(eliminated.values()) == constructed[0]
+    assert all(eliminated[key] == 1 for key in built if key[1][1] == "factor")
+    maps = [
+        (model, which, n if kind == "factor" else n - 1)
+        for (model, (which, kind, n)), count in eliminated.items()
+        for _ in range(count)
+    ]
+    assert len(maps) == len(set(maps))
 
 
 def test_report_builds_each_factorization_once(capsys, monkeypatch):
-    """Every factorization comes from the model cache, once per key, and
-    every key is a whole differential's, (differential, "factor", degree):
-    the depth searches build none of their own."""
-    built, constructed = _count_factorizations(monkeypatch)
+    """Every elimination comes from the model cache, once per key: d and
+    delta are factored with unit coordinates only at N, where a kernel and
+    a solve are read, and their boundaries of degree N, which the depth
+    searches and the boundary tests read, are eliminated once each without
+    them; the depth searches build none of their own."""
+    built, eliminated, constructed = _count_factorizations(monkeypatch)
     code = cli.main(
         ["report", str(FIXTURES / "pure_n35.model"), "--format", "structured"]
     )
     assert code == 0
     keys = {key for _, key in built}
-    assert keys >= {(which, "factor", n) for which in ("d", "delta") for n in (34, 35)}
-    assert {key[:2] for key in keys} == {("d", "factor"), ("delta", "factor")}
-    assert {len(key) for key in keys} == {3}
-    assert set(built.values()) == {1}
-    assert constructed[0] == len(built)
+    kinds = ("factor", "boundaries")
+    assert keys == {(which, kind, 35) for which in ("d", "delta") for kind in kinds}
+    assert set(eliminated.values()) == {1}
+    _eliminated_once(built, eliminated, constructed)
+    assert constructed[0] == len(built) == 4
 
 
 def test_depth_searches_build_no_factorization(monkeypatch):
     """Once a degree's cohomology is known, its depth searches build no
-    factorization: they read depth and witness off the cached one of the
-    boundaries.  Each (s, witness) is that of a solve on a fresh
+    factorization: they read depth and witness off the cached echelon of
+    the boundaries.  Each (s, witness) is that of a solve on a fresh
     factorization of the boundary columns cut below word length s
     (``reference.cut_depth_search``), on the zoo and on eight random k = 3
     models."""
-    built, constructed = _count_factorizations(monkeypatch)
+    built, eliminated, constructed = _count_factorizations(monkeypatch)
     searched = Counter()
     for name, model in models(randoms=8):
         searches = []  # (which, degree, class), each degree's cohomology known
@@ -314,8 +343,7 @@ def test_depth_searches_build_no_factorization(monkeypatch):
             assert got == cut_depth_search(model, *args), (name, args[:2])
             searched[args[0]] += 1
     assert {len(key) for _, key in built} == {3}
-    assert set(built.values()) == {1}
-    assert constructed[0] == len(built)
+    _eliminated_once(built, eliminated, constructed)
     assert searched["d"] >= 22 and searched["delta"] >= 460, searched
 
 
@@ -336,6 +364,7 @@ def test_lifts_boundaries_and_cached_cohomology_build_no_factorization(monkeypat
         raise AssertionError("factorization built on a cached degree")
 
     monkeypatch.setattr(cohomology, "ColumnFactorization", fail)
+    monkeypatch.setattr(RowSpace, "_extend", fail)
     again = [lift_to_d_cocycle(model, z) for z in starts]
     assert [(t.outcome, t.correctors, t.final) for t in again] == [
         (t.outcome, t.correctors, t.final) for t in lifts

@@ -97,6 +97,13 @@ def test_every_coefficient_is_an_int_or_a_fraction(name, build):
             _check(vector.values(), "kernel vector")
         for row in factor._image()._rows.values():
             _check(row.values(), "image row")
+    # and every boundary echelon, read off a factorization or eliminated
+    # with no unit coordinates
+    echelons = [v for k, v in model._cache.items() if k[1:2] == ("boundaries",)]
+    assert echelons
+    for echelon in echelons:
+        for row in echelon._rows.values():
+            _check(row.values(), "boundary row")
 
     # the Groebner basis of the pure ideal, made monic by division on the
     # scaled model, and the series read off its lead monomials
@@ -193,12 +200,16 @@ def test_integer_models_are_assembled_and_eliminated_in_int(stem):
         which.append("delta")
     for w in which:
         factors = [v for k, v in model._cache.items() if k[:2] == (w, "factor")]
-        assert factors, w
+        echelons = [v for k, v in model._cache.items() if k[:2] == (w, "boundaries")]
+        assert factors and echelons, w
         for factor in factors:
             image = factor._image()._rows.values()
             for vectors in (factor.columns, factor.kernel, image):
                 for vector in vectors:
                     assert all(type(x) is int for x in vector.values()), w
+        for echelon in echelons:
+            for row in echelon._rows.values():
+                assert all(type(x) is int for x in row.values()), w
     # the pure ideal and its Groebner basis, whose leads are all 1
     ideal = _pure_ideal(model)[1]
     groebner = model._cache[("pure_quotient",)].basis

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import random
 from collections import Counter
 from fractions import Fraction
@@ -16,7 +17,7 @@ from reference import (
     random_rows,
     sparse,
 )
-from sullivan import cohomology
+from sullivan import cli, cohomology
 from sullivan.algebra import basis
 from sullivan.cohomology import formal_dimension
 from sullivan.linalg import ColumnFactorization, RowSpace
@@ -123,10 +124,11 @@ def _minus_columns(b, columns, x):
 
 
 def test_split_stopped_at_a_row_solves_the_columns_cut_there():
-    """``_split(b, stop)`` clears only the pivots below row ``stop``: its
-    unit part is what a fresh factorization of the columns cut below
-    ``stop`` finds for b cut there, and its first nrows coordinates are
-    b - m x.  On int and Fraction matrices, for every stop in 0..nrows."""
+    """The image echelon, eliminated with no unit coordinates, reduced with
+    ``stop`` clears only the pivots below row ``stop``: it leaves b - m x,
+    for the x that a fresh factorization of the columns cut below ``stop``
+    finds for b cut there, and below ``stop`` that factorization's own
+    normal form.  On int and Fraction matrices, for every stop in 0..nrows."""
     rng = random.Random(31)
     kinds, solved = Counter(), 0
     for rows, ncols in matrix_cases():
@@ -135,7 +137,9 @@ def test_split_stopped_at_a_row_solves_the_columns_cut_there():
             rows = [[int(x) for x in r] for r in rows]
         columns = [sparse([r[j] for r in rows]) for j in range(ncols)]
         kinds[type(next((x for c in columns for x in c.values()), 0))] += 1
-        factor = ColumnFactorization(columns, nrows)
+        echelon = RowSpace(nrows)
+        assert not echelon._extend(map(dict, columns), nrows)
+        assert echelon._rows == ColumnFactorization(columns, nrows)._image()._rows
         for stop in range(nrows + 1):
             cut_columns = [{i: x for i, x in c.items() if i < stop} for c in columns]
             cut = ColumnFactorization(cut_columns, stop)
@@ -147,19 +151,19 @@ def test_split_stopped_at_a_row_solves_the_columns_cut_there():
             picked = rng.sample(range(ncols), min(ncols, 3))
             minus_y = {j: rng.choice((-2, -1, 1, 3)) for j in picked}
             inside = _minus_columns(tail, columns, minus_y)
-            rest, x = factor._split(dict(inside), stop)
-            assert x == cut.solve({i: v for i, v in inside.items() if i < stop})
+            rest = echelon._reduce(dict(inside), stop)
+            x = cut.solve({i: v for i, v in inside.items() if i < stop})
+            assert x is not None
             assert rest == _minus_columns(inside, columns, x)
             assert all(i >= stop for i in rest)
             solved += 1
             # any b: the cut factorization's own split, below stop
             for b in random_rows(rng, 2, nrows, 0.4, rng.random() < 0.5):
-                rest, x = factor._split(sparse(b), stop)
+                rest = echelon._reduce(sparse(b), stop)
                 below = {i: v for i, v in sparse(b).items() if i < stop}
                 cut_rest, cut_x = cut._split(below)
-                assert x == cut_x
                 assert {i: v for i, v in rest.items() if i < stop} == cut_rest
-                assert rest == _minus_columns(sparse(b), columns, x)
+                assert rest == _minus_columns(sparse(b), columns, cut_x)
     assert kinds[int] >= 5 and kinds[Fraction] >= 5, kinds
     assert solved >= 500
 
@@ -211,12 +215,23 @@ def _assert_factor_matches_dense(factor, nrows, dense_images):
     return len(pivots)
 
 
+def _assert_echelon_matches_dense(model, which, n, dense_images):
+    """The boundaries of degree n + 1, eliminated with no unit coordinates
+    while no factorization out of degree n is cached, against dense
+    Gauss-Jordan elimination of the same columns."""
+    assert (which, "factor", n) not in model._cache
+    echelon = cohomology._boundaries(model, which, n + 1)
+    want, pivots = dense_images(cohomology._columns(model, which, n), echelon.ncols)
+    assert echelon.echelon() == want and set(echelon._pivots) == set(pivots)
+
+
 def test_d_factorizations_and_ranks_match_dense_gauss_jordan(dense_images):
     for name, model in models([FIXTURES / "five_even_k2.model"]):
         for n in range(formal_dimension(model) + 1):
             # the rank first, while no factorization of degree n is cached,
             # so that it comes from the plain row space
             rk = cohomology._rank(model, n)
+            _assert_echelon_matches_dense(model, "d", n, dense_images)
             factor = cohomology._factor(model, "d", n)
             nrows = len(basis(model.algebra, n + 1))
             rank = _assert_factor_matches_dense(factor, nrows, dense_images)
@@ -229,5 +244,37 @@ def test_delta_factorizations_match_dense_gauss_jordan(dense_images):
         n = formal_dimension(model)
         for degree in (n - 1, n):
             nrows = len(basis(model.algebra, degree + 1))
+            _assert_echelon_matches_dense(model, "delta", degree, dense_images)
             factor = cohomology._factor(model, "delta", degree)
             _assert_factor_matches_dense(factor, nrows, dense_images)
+
+
+def test_boundary_echelons_are_the_images_of_the_factorizations():
+    """The boundaries of each degree, eliminated once with no unit
+    coordinates, have the pivots, in order, and the rows of the image of
+    the factorization of the same columns, for d and delta in every degree
+    0 .. N + 1 of ``ALL_MODELS``, five_even_k2 and eight random k = 3
+    models.  And ``report`` on pure_n35 keeps no kernel vector out of
+    degree N - 1: the only factorizations it caches are those out of N."""
+    compared = 0
+    for name, model in models([FIXTURES / "five_even_k2.model"], randoms=8):
+        which = ("d", "delta") if model.k == 3 else ("d",)
+        for n in range(max(formal_dimension(model), 0) + 2):
+            for w in which:
+                echelon = cohomology._boundaries(model, w, n)
+                assert (w, "factor", n - 1) not in model._cache
+                columns = cohomology._columns(model, w, n - 1)
+                image = ColumnFactorization(columns, echelon.ncols)._image()
+                assert list(echelon._pivots) == list(image._pivots), (name, w, n)
+                assert echelon._rows == image._rows, (name, w, n)
+                compared += echelon.rank > 0
+    assert compared >= 480, compared
+
+    path = str(FIXTURES / "pure_n35.model")
+    model = cli.parse_model_file(path).model
+    cli._report(argparse.Namespace(model=path, max_degree=None), model)
+    cached = model._cache.items()
+    factors = {k for k, v in cached if isinstance(v, ColumnFactorization)}
+    echelons = {k for k, v in cached if isinstance(v, RowSpace)}
+    assert factors == {("d", "factor", 35), ("delta", "factor", 35)}
+    assert echelons == {("d", "boundaries", 35), ("delta", "boundaries", 35)}

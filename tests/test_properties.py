@@ -11,7 +11,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from reference import homogeneous_component
+from reference import homogeneous_component, pair_basis
 from sullivan import models, selftest
 from sullivan.algebra import Element, basis, parse_element
 from sullivan.cli import parse_model_text
@@ -29,7 +29,7 @@ from sullivan.selftest import (
     random_pair,
     run_all,
 )
-from sullivan.spectral import FilteredPair, pair_basis, toomer_spectral
+from sullivan.spectral import FilteredPair, toomer_spectral
 import zoo
 
 CASES = 200

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from reference import reference_delta, reference_pair_product
+from reference import pair_basis, reference_delta, reference_pair_product
 from sullivan import cli, cohomology, spectral
 from sullivan.algebra import basis, format_element, parse_element
 from sullivan.cohomology import formal_dimension, is_boundary, toomer_oracle
@@ -25,7 +25,6 @@ from sullivan.spectral import (
     delta_apply,
     delta_cohomology,
     lift_to_d_cocycle,
-    pair_basis,
     pair_product,
     representative_depth,
     spectral_run,
@@ -47,7 +46,6 @@ def _pair(model, p, n, u_text, v_text):
 
 PAIR_ENTRY_POINTS = {
     "FilteredPair": lambda m: FilteredPair(m, 0, 0, m.algebra.one(), m.algebra.zero()),
-    "pair_basis": lambda m: pair_basis(m, 1, 4),
     "delta_cohomology": lambda m: delta_cohomology(m, 6),
     "lift_to_d_cocycle": lambda m: lift_to_d_cocycle(m, m.algebra.one()),
     "spectral_run": spectral_run,
