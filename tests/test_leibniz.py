@@ -151,19 +151,22 @@ def _random_derivation(rng: random.Random) -> Derivation:
     return Derivation(alg, images)
 
 
-def _summand_signs(derivation: Derivation, mono):
-    """The Koszul sign of every summand term of d(mono): 1, -1, or 0 for a
-    term sharing an odd factor with the rest of mono."""
-    n = derivation.algebra.ngens
-    for i, exp in enumerate(mono):
-        img = derivation.images.get(i)
-        if exp and img is not None:
-            left = mono[:i] + (exp - 1,) + (0,) * (n - i - 1)
-            right = (0,) * (i + 1) + mono[i + 1:]
-            for t in img.terms:
-                yield koszul_sign(derivation.algebra, left, t) * koszul_sign(
-                    derivation.algebra, t, right
-                )
+def _summand_signs(derivation: Derivation):
+    """For each monomial, the Koszul sign of every summand term of d(mono):
+    1, -1, or 0 for a term sharing an odd factor with the rest of mono; the
+    generator images are decoded once, here."""
+    alg = derivation.algebra
+    n, images = alg.ngens, {i: img.terms for i, img in derivation.images.items()}
+
+    def signs(mono):
+        for i, exp in enumerate(mono):
+            if exp and i in images:
+                left = mono[:i] + (exp - 1,) + (0,) * (n - i - 1)
+                right = (0,) * (i + 1) + mono[i + 1:]
+                for t in images[i]:
+                    yield koszul_sign(alg, left, t) * koszul_sign(alg, t, right)
+
+    return signs
 
 
 def test_random_derivations_with_odd_factors_match_the_reference():
@@ -173,6 +176,7 @@ def test_random_derivations_with_odd_factors_match_the_reference():
     for _ in range(40):
         derivation = _random_derivation(rng)
         alg, reference = derivation.algebra, reference_apply(derivation)
+        summand_signs = _summand_signs(derivation)
         for n in range(17):
             for m in basis(alg, n):
                 e = Element.from_monomial(alg, m, rng.choice((1, -3, Fraction(2, 5))))
@@ -182,7 +186,7 @@ def test_random_derivations_with_odd_factors_match_the_reference():
                 assert Element(alg, {alg.decode(k): v for k, v in keyed.items()}) == (
                     reference(Element.from_monomial(alg, m))
                 ), m
-                for sign in _summand_signs(derivation, m):
+                for sign in summand_signs(m):
                     signs[sign] += 1
                 compared += 1
         for _ in range(20):
@@ -211,6 +215,7 @@ def test_one_pass_over_each_degree_matches_the_reference_per_monomial():
     columns = fractions = 0
     for derivation, top in cases:
         alg, reference = derivation.algebra, reference_apply(derivation)
+        summand_signs = _summand_signs(derivation)
         reach = top + max([0] + [max(img.degrees()) for img in derivation.images.values()])
         keys = [k for n in range(reach + 1) for k in basis_keys(alg, n)]
         index = {k: i for i, k in enumerate(keys)}
@@ -224,7 +229,7 @@ def test_one_pass_over_each_degree_matches_the_reference_per_monomial():
                 want = reference(Element.from_monomial(alg, m))
                 assert column == {index[k]: x for k, x in want.keyed.items()}, m
                 assert all(column.values()), m
-                assert len(column) == sum(1 for s in _summand_signs(derivation, m) if s), m
+                assert len(column) == sum(1 for s in summand_signs(m) if s), m
                 for i, x in column.items():
                     total[i] = total.get(i, 0) + c * x
                 columns += 1
