@@ -589,7 +589,7 @@ def toomer_oracle(model: SullivanModel) -> ToomerResult:
     that still contains a representative of the fundamental class.
 
     The fundamental cocycle is reduced modulo the boundaries of top degree,
-    whose factorization :func:`cohomology_basis` already built; the lowest word
+    whose echelon :func:`cohomology_basis` already built; the lowest word
     length left is e0, and the reduction stopped there is the witness
     representative (see :func:`_deepest_representative`).  The result is
     kept in the model's cache, so the cross-check in the spectral method

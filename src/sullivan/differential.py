@@ -185,13 +185,13 @@ class SullivanModel:
     """A free minimal algebra together with a validated differential.
 
     ``k`` is None exactly when the differential is zero.  The ``_cache``
-    dictionary memoizes results derived from the model (factorizations,
-    ranks and classes of d and delta, the pure projection, the Groebner
-    basis of the pure quotient, the ellipticity scan, the oracle, the
-    coefficient matrix, the selftest's pair slots); entries are write-once,
-    but for the one slot of the last d-rank's pivot columns,
-    ``("d", "pivots")``: (degree, frozenset).  Models compare by algebra
-    and differential, and are unhashable.
+    dictionary memoizes results derived from the model (d's columns, the
+    factorizations, boundary echelons, ranks and classes of d and delta,
+    the pure projection, the Groebner basis of the pure quotient, the
+    ellipticity scan, the oracle, the coefficient matrix, the selftest's
+    pair slots); entries are write-once, but for the one slot of the last
+    d-rank's pivot columns, ``("d", "pivots")``: (degree, frozenset).
+    Models compare by algebra and differential, and are unhashable.
     """
 
     __slots__ = ("algebra", "differential", "k", "_cache")

@@ -130,7 +130,7 @@ def _slot_keys(model: SullivanModel, p: int, n: int) -> Tuple[List[int], List[in
 def delta_matrix(model: SullivanModel, p: int, n: int) -> RationalMatrix:
     """Matrix of delta from the (p, n) pair slot to the (p+1, n+1) slot, in
     coordinates that list the u slot, then the v slot: the diagonal block of
-    delta's whole-degree factorization at slot p's columns, whose rows lie
+    delta's whole-degree columns at slot p's columns, whose rows lie
     in the slot :func:`_delta_slot` maps p into, shifted to start there."""
     _require_delta(model)
     lo, hi, first, end = (
