@@ -23,7 +23,7 @@ import sys
 from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import or_
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -54,10 +54,12 @@ class Algebra:
         self.odd_indices = tuple(g.index for g in self.generators if g.is_odd)
         self.even_indices = tuple(g.index for g in self.generators if not g.is_odd)
         self._by_name = {g.name: g for g in self.generators}
-        # the degree bases as sorted keys, filled from degree 0 up, and for each
-        # degree and k how many of its monomials have no factor of index >= k
+        # the degree bases as sorted keys, filled from degree 0 up; for each
+        # degree and k how many of its monomials have no factor of index >= k;
+        # and the last (top generator degree) bases listed by last factor
         self._basis_cache: List[List[int]] = []
         self._basis_counts: List[List[int]] = []
+        self._basis_order: Dict[int, List[int]] = {}
         # per generator: the largest exponent its field holds, its mask and its
         # offset.  An odd field is 1 bit; an even g's holds each exponent of
         # degree <= D = max(MAX_DEGREE + 1, top generator degree + 2), so every
@@ -394,8 +396,10 @@ def count_degree(counts: List[List[int]], degrees: Sequence[int], d: int) -> Non
 
     A monomial of positive degree is m*g for exactly one generator g, its
     last factor: m has degree d - |g|, no factor after g, and no factor g
-    when g is odd.  :func:`_fill_bases` builds the keys of a basis by the
-    same rule, so a basis is as long as its count.
+    when g is odd.  So a basis grouped by last factor lists those m first:
+    with g = g_i, they are its first ``counts[d - |g|][i + (|g| even)]``
+    keys, the prefixes from which :func:`_fill_bases` builds a basis, as
+    long as its count.
     """
     ends = [  # how many monomials of degree d have last factor k
         counts[d - a][k + (a % 2 == 0)] if a <= d else 0 for k, a in enumerate(degrees)
@@ -407,26 +411,28 @@ def count_degree(counts: List[List[int]], degrees: Sequence[int], d: int) -> Non
 
 def _fill_bases(algebra: Algebra, degree: int) -> None:
     """Cache the keys of the bases of every degree up to ``degree``, lowest
-    first: a monomial of degree d is m*g for its last factor g (see
-    :func:`count_degree`), so its keys are those of degree d - |g| with no bit
-    set after g's field (nor in it, for an odd g) plus g's, sorted, and its
-    size is summed from the counts below before any key is built.
+    first: a monomial of degree d is m*g for its last factor g, so, by
+    ascending g, the keys of the prefix of the degree-(d - |g|) basis that
+    :func:`count_degree` counts plus g's are the degree-d basis grouped by
+    last factor, kept for the degrees above it to read, and then sorted.
+    Its size is summed from the counts below before any key is built.
 
     Raises PreconditionError when a basis would exceed ``MAX_BASIS`` or
     ``degree`` is above ``MAX_DEGREE`` (see :func:`check_basis_limits`).
     """
-    cache, counts = algebra._basis_cache, algebra._basis_counts
+    cache, counts, order = algebra._basis_cache, algebra._basis_counts, algebra._basis_order
     check_basis_limits(degree)
     while len(cache) <= degree:
         d = len(cache)
         count_degree(counts, algebra.degrees, d)
         keys = [0] if d == 0 else []
-        for i, (a, off) in enumerate(zip(algebra.degrees, algebra._offsets)):
+        for i, a in enumerate(algebra.degrees):
             if a <= d:
-                unit, after = algebra._unit(i), (1 << off + a % 2) - 1
-                keys += [k + unit for k in cache[d - a] if not k & after]
-        keys.sort()
-        cache.append(keys)
+                unit, lower = algebra._unit(i), order[d - a]
+                keys += [k + unit for k in islice(lower, counts[d - a][i + 1 - a % 2])]
+        order[d] = keys
+        order.pop(d - max(algebra.degrees, default=0), None)
+        cache.append(sorted(keys))
 
 
 def coefficient_vector(e: Element, keys: Sequence[int]) -> Dict[int, Coefficient]:

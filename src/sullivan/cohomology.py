@@ -8,8 +8,8 @@ arithmetic.  The pieces provided here:
   echelon of the boundaries, eliminated without them, through cached
   helpers that serve d and the page-one differential delta alike,
 * cohomology dimensions from two ranks, dim H^n = |B_n| - rank d_n -
-  rank d_{n-1}, with no representatives built, each rank taken only off
-  the pivot columns of the boundaries below it, and their duality check,
+  rank d_{n-1}, with no representatives built, each rank taken on keys
+  off the pivots of the boundaries below it, and their duality check,
 * the formal dimension N read off the generator degrees,
 * an ellipticity decision procedure through the associated pure model,
   whose quotient dimensions are read off the Hilbert series of one
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import repeat
 from operator import add, le, mul, neg, sub
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -40,7 +41,7 @@ from .algebra import (
     coefficient_vector,
     element_from_vector,
 )
-from .differential import SullivanModel, _cached, _exact, pure_projection
+from .differential import SullivanModel, _cached, _exact, is_pure, pure_projection
 from .errors import InternalInconsistencyError, PreconditionError
 from .linalg import ColumnFactorization, RationalMatrix, RowSpace, Vector
 
@@ -185,22 +186,27 @@ def _rank(model: SullivanModel, n: int) -> int:
     of n or boundaries of degree n + 1, or else eliminated once as a plain
     row space of the image columns, and cached.  B_n is im d_{n-1} plus the
     unit vectors off its pivot columns P, and d vanishes on im d_{n-1}, so
-    only the columns off P are built, P the last rank's or else empty."""
+    only the columns off P are built, P the last rank's or else empty, in
+    one Leibniz pass with each term at its key: the row space and P are on
+    the keys of degree n + 1, whose order is that of their rows.  A P
+    serves the next rank only, so it is dropped when any rank is taken."""
     cache = model._cache
 
     def produce():
+        last, pivots = cache.pop(("d", "pivots"), (None, ()))
         factor = cache.get(("d", "factor", n))
         if factor is not None:
             return len(factor.columns) - len(factor.kernel)
         boundaries = cache.get(("d", "boundaries", n + 1))
         if boundaries is not None:
             return boundaries.rank
-        src, dst = basis_keys(model.algebra, n), basis_keys(model.algebra, n + 1)
-        last, pivots = cache.get(("d", "pivots"), (None, ()))
+        dst = basis_keys(model.algebra, n + 1)
         pivots = pivots if last == n - 1 else ()
-        space = RowSpace(len(dst))
-        off = [m for j, m in enumerate(src) if j not in pivots]
-        for column in _images(model, off, dst):
+        off = [m for m in basis_keys(model.algebra, n) if m not in pivots]
+        columns = [{} for _ in off]
+        model.differential.leibniz(off, repeat(1), columns)
+        space = RowSpace(dst[-1] + 1 if dst else 0)
+        for column in columns:
             space._add(column)
         cache[("d", "pivots")] = (n, frozenset(space._pivots))
         return space.rank
@@ -330,12 +336,13 @@ def _pure_ideal(model: SullivanModel) -> Tuple[Tuple[int, ...], List[Polynomial]
     """The degrees of the even generators, and the pure images of the odd
     generators as polynomials in them, {exponent tuple over the even
     generators: coefficient}, an integer coefficient as an ``int``, as the
-    derivation holds it."""
+    derivation holds it.  A pure model's own images are its pure images, so
+    only a model that is not pure builds its :func:`pure_projection`."""
     alg = model.algebra
-    sigma = pure_projection(model).differential
+    sigma = (model if is_pure(model) else pure_projection(model)).differential
     ideal = [
         {tuple(m[j] for j in alg.even_indices): _exact(c) for m, c in img.terms.items()}
-        for img in sigma.images.values()
+        for _, img in sorted(sigma.images.items())
     ]
     return tuple(alg.degrees[j] for j in alg.even_indices), ideal
 

@@ -187,10 +187,11 @@ class SullivanModel:
     ``k`` is None exactly when the differential is zero.  The ``_cache``
     dictionary memoizes results derived from the model (d's columns, the
     factorizations, boundary echelons, ranks and classes of d and delta,
-    the pure projection, the Groebner basis of the pure quotient, the
-    ellipticity scan, the oracle, the coefficient matrix, the selftest's
-    pair slots); entries are write-once, but for the one slot of the last
-    d-rank's pivot columns, ``("d", "pivots")``: (degree, frozenset).
+    the pure projection of a model that is not pure, the Groebner basis of
+    the pure quotient, the ellipticity scan, the oracle, the coefficient
+    matrix, the selftest's pair slots); entries are write-once, but for the
+    one slot of the last d-rank's pivot columns, ``("d", "pivots")``:
+    (degree n, the frozenset of their keys, of degree n + 1).
     Models compare by algebra and differential, and are unhashable.
     """
 
@@ -220,10 +221,13 @@ def build_model(algebra: Algebra, differential: Derivation) -> SullivanModel:
 
 
 def is_pure(model: SullivanModel) -> bool:
-    """Pure (Felix-Halperin-Thomas, GTM 205, section 32): d equals its
-    :func:`pure_projection`, so it vanishes on even generators and sends odd
-    ones into the even subalgebra."""
-    return pure_projection(model).differential.images == model.differential.images
+    """Pure (Felix-Halperin-Thomas, GTM 205, section 32): d vanishes on even
+    generators and sends odd ones into the even subalgebra, so it equals its
+    :func:`pure_projection`.  Read off the generator images, with no
+    projection built: no image term has an odd factor, so every generator
+    with a nonzero image is odd, an even one's image having odd degree."""
+    odd = model.algebra._odd
+    return not any(k & odd for img in model.differential.images.values() for k in img.keyed)
 
 
 def pure_projection(model: SullivanModel) -> SullivanModel:
@@ -232,8 +236,8 @@ def pure_projection(model: SullivanModel) -> SullivanModel:
     Even generators are sent to zero; the image of an odd generator keeps the
     monomials built entirely from even generators.  The result is pure, and
     the construction is idempotent.  It is built once per model and kept in
-    the model's cache, where :func:`is_pure`, the ellipticity scan and the
-    coefficient matrix read it.
+    the model's cache; the ellipticity scan reads it for a model that is
+    not pure, and reads a pure model itself.
     """
 
     def produce():

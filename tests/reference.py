@@ -17,8 +17,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
-from operator import add
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from operator import add, lshift
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from sullivan.algebra import Algebra, Element, Monomial, basis, basis_keys
 from sullivan.cohomology import _columns, _images
@@ -220,27 +220,26 @@ def reference_pair_product(a: FilteredPair, b: FilteredPair) -> Tuple[Element, E
     return Element(alg, times(a.u, b.u)), Element(alg, v)
 
 
-def reference_apply(derivation: Derivation) -> Callable[[Element], Element]:
+def reference_apply(derivation: Derivation) -> Callable[[Union[Element, int]], Element]:
     """The derivation applied by the Leibniz rule, each summand sign * left *
     d(g_i) * right formed by two :func:`reference_product`s on monomial
-    tuples; the generator images are decoded once, here."""
+    tuples; the generator images are decoded once, here.  It takes an
+    element, or the key of one monomial (coefficient 1), and packs the keys
+    of its result from the algebra's field offsets, unchecked."""
     alg = derivation.algebra
-    n = alg.ngens
+    n, offsets, shift = alg.ngens, alg._offsets, alg._shift
     images = {i: img.terms for i, img in derivation.images.items()}
 
-    def apply(e: Element) -> Element:
+    def apply(e: Union[Element, int]) -> Element:
         out: Dict[Monomial, Fraction] = {}
-        for mono, coeff in e.terms.items():
+        for mono, coeff in ({alg.decode(e): 1} if type(e) is int else e.terms).items():
             prefix_degree = 0
             for i, exp in enumerate(mono):
                 if exp:
                     img = images.get(i)
                     if img is not None:
-                        left = tuple(
-                            (mono[j] if j < i else (exp - 1 if j == i else 0))
-                            for j in range(n)
-                        )
-                        right = tuple((mono[j] if j > i else 0) for j in range(n))
+                        left = mono[:i] + (exp - 1,) + (0,) * (n - i - 1)
+                        right = (0,) * (i + 1) + mono[i + 1:]
                         c = coeff * exp
                         if prefix_degree % 2:
                             c = -c
@@ -248,7 +247,8 @@ def reference_apply(derivation: Derivation) -> Callable[[Element], Element]:
                         for m, x in reference_product(alg, term, {right: 1}).items():
                             out[m] = out.get(m, 0) + x
                     prefix_degree += exp * alg.degrees[i]
-        return Element(alg, out)
+        keyed = {sum(map(lshift, m, offsets)) | sum(m) << shift: c for m, c in out.items()}
+        return Element._of(alg, keyed)
 
     return apply
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -17,11 +18,12 @@ from sullivan.algebra import (
     format_element,
     parse_element,
 )
+from sullivan.cli import parse_model_file
 from sullivan.cohomology import formal_dimension
 from sullivan.differential import build_differential
 from sullivan.errors import ModelError, ParseError, PreconditionError
 from sullivan.models import ALL_MODELS
-from zoo import model_files, models
+from zoo import BENCH, FIXTURES, model_files, models
 
 
 def _alg_n37():
@@ -149,6 +151,47 @@ def test_basis_matches_the_exponent_vector_walk():
         alg = build().algebra
         for n in range(0, 46):
             assert basis(alg, n) == _enumerated_basis(alg, n), (name, n)
+
+
+def _brute_force_keys(alg, top):
+    """The keys of the bases of degrees 0 .. ``top``, brute force: every
+    exponent vector with each exponent in range (an odd one at most 1), cut
+    to degree <= ``top`` generator by generator, put with its degree,
+    encoded and sorted."""
+    vectors = [((), 0)]
+    for g in alg.generators:
+        cap = 1 if g.is_odd else top // g.degree
+        vectors = [
+            (m + (e,), d + e * g.degree)
+            for m, d in vectors for e in range(cap + 1) if d + e * g.degree <= top
+        ]
+    bases = [[] for _ in range(top + 1)]
+    for m, d in vectors:
+        bases[d].append(alg.encode(m))
+    return [sorted(keys) for keys in bases]
+
+
+def test_bases_built_from_lower_prefixes_match_brute_force():
+    """Every basis up to degree 30, built in two calls (to 12, then to 30)
+    so that the window of lower bases in construction order carries across
+    them, is the brute-force one, on every ``ALL_MODELS`` algebra, on
+    five_even_k2 and n37_cp2, and on 8 seeded random algebras of odd and
+    even generators of degrees 2 to 9.  Afterwards no construction-order
+    list is held below the window of the top generator degree."""
+    algebras = [build().algebra for _, build in ALL_MODELS]
+    for path in (FIXTURES / "five_even_k2.model", BENCH / "n37_cp2.model"):
+        algebras.append(parse_model_file(str(path)).model.algebra)
+    rng = random.Random("bases from prefixes")
+    for r in range(8):
+        degrees = [2, 3] + [rng.randint(2, 9) for _ in range(rng.randint(1, 3))]
+        rng.shuffle(degrees)
+        algebras.append(build_algebra([(f"g{i}", d) for i, d in enumerate(degrees)]))
+    assert len(algebras) == 15 + 2 + 8
+    for alg in algebras:
+        want = _brute_force_keys(alg, 30)
+        for top in (12, 30):
+            assert [basis_keys(alg, n) for n in range(top + 1)] == want[: top + 1], alg
+        assert sorted(alg._basis_order) == list(range(31 - max(alg.degrees), 31)), alg
 
 
 def test_basis_of_a_deep_degree_first(monkeypatch):

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import importlib
 import io
+import json
 import os
 import pkgutil
 import subprocess
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import record_manifest
 import sullivan
 from sullivan import (
     algebra,
@@ -983,8 +985,12 @@ def test_report_hands_the_kernel_only_its_own_vectors(
     assert out == (GOLDEN / golden).read_text()
 
 
-def test_report_builds_one_pure_projection(capsys, monkeypatch):
-    # is_pure, the ellipticity scan and the coefficient matrix share it
+def test_report_builds_a_pure_projection_only_for_a_model_that_is_not_pure(
+    capsys, monkeypatch
+):
+    # a pure model is its own projection: is_pure reads the images, and the
+    # ellipticity scan and the coefficient matrix read the model; a model
+    # that is not pure builds its projection once, for the scan
     built = []
 
     def counted(algebra, d):
@@ -997,6 +1003,12 @@ def test_report_builds_one_pure_projection(capsys, monkeypatch):
     code, out, _ = _run(capsys, "report", model, "--format", "structured")
     assert code == 0
     assert out == (GOLDEN / "report_n35.txt").read_text()
+    assert built == []
+    root = str(Path.cwd())
+    argv = ("report", f"{root}/bench/models/nonpure_n23.model", "--format", "structured")
+    manifest = json.loads(record_manifest.MANIFEST.read_text(encoding="utf-8"))
+    want = manifest[" ".join(argv).replace(root, "<root>")]
+    assert record_manifest.run(argv, {root: "<root>"}) == want
     assert len(built) == 1
 
 

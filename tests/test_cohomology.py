@@ -431,38 +431,46 @@ def test_dimensions_from_ranks_on_random_pure_models():
 def test_ranks_off_the_boundary_pivots_match_dense_ranks(monkeypatch, dense_images):
     """dim H^0 .. H^N on fresh models, cold from the top down, and from the
     bottom up as ``report`` asks for them (the top class first), equal |B_n|
-    less two dense ranks.  Bottom up, each rank below N - 1 assembles only
-    the columns off the pivots of the boundaries below it, |B_n| -
-    rank d_{n-1} of them, and the model keeps one degree's pivots."""
-    images, assembled = cohomology._images, []
-
-    def counted(model, src, dst):
-        assembled.extend(src)
-        return images(model, src, dst)
-
+    less two dense ranks.  Bottom up, each rank below N - 1 hands its one
+    Leibniz pass, with no index, only the keys off the pivots of the
+    boundaries below it, |B_n| - rank d_{n-1} of them, and the model keeps
+    one degree's pivots, as keys of degree N - 1 after rank d_{N-2}, until
+    the next rank is taken."""
     checked = 0
     for (name, cold), (_, warm) in zip(assorted(), assorted()):
         if not is_elliptic(cold).is_elliptic:
             continue
         alg, n_top = cold.algebra, formal_dimension(cold)
-        ranks = [0]  # rank d_{-1}, then rank d_n for n = 0 .. N
+        # the dense pivot keys of im d_n in degree n + 1, for n = -1 .. N
+        pivots = [set()]
         for n in range(n_top + 1):
-            nrows = len(basis(alg, n + 1))
-            columns = images(cold, basis_keys(alg, n), basis_keys(alg, n + 1))
-            ranks.append(len(dense_images(columns, nrows)[1]))
+            src, dst = basis_keys(alg, n), basis_keys(alg, n + 1)
+            leads = dense_images(cohomology._images(cold, src, dst), len(dst))[1]
+            pivots.append({dst[j] for j in leads})
+        ranks = list(map(len, pivots))  # rank d_{-1}, then rank d_n
         want = [len(basis(alg, n)) - ranks[n + 1] - ranks[n] for n in range(n_top + 1)]
         down = [cohomology_dim(cold, n) for n in range(n_top, -1, -1)]
         assert down[::-1] == want, name
 
         top_class(warm)
-        monkeypatch.setattr(cohomology, "_images", counted)
-        assembled.clear()
-        assert [cohomology_dim(warm, n) for n in range(n_top + 1)] == want, name
-        monkeypatch.setattr(cohomology, "_images", images)
-        off = sum(len(basis(alg, n)) - ranks[n] for n in range(n_top - 1))
-        assert len(assembled) == off, name
-        (last, pivots), = [v for k, v in warm._cache.items() if "pivots" in k]
-        assert last == n_top - 2 and type(pivots) is frozenset, name
+        passed, leibniz = [], warm.differential.leibniz
+
+        def counted(keys, coeffs, outs, index=None):
+            assert index is None, name  # d's columns at positions are all cached
+            passed.extend(keys)
+            leibniz(keys, coeffs, outs, index)
+
+        monkeypatch.setattr(warm.differential, "leibniz", counted)
+        dims = [cohomology_dim(warm, n) for n in range(n_top - 1)]
+        (last, kept), = [v for k, v in warm._cache.items() if "pivots" in k]
+        assert last == n_top - 2 and type(kept) is frozenset, name
+        assert kept == pivots[n_top - 1] <= set(basis_keys(alg, n_top - 1)), name
+        dims += [cohomology_dim(warm, n) for n in (n_top - 1, n_top)]
+        assert dims == want, name
+        off = [k for n in range(n_top - 1) for k in basis_keys(alg, n) if k not in pivots[n]]
+        assert passed == off, name
+        # rank d_{N-1}, read off the boundaries of degree N, dropped them
+        assert not [k for k in warm._cache if "pivots" in k], name
         checked += 1
     assert checked >= 23
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from reference import homogeneous_component
@@ -19,6 +21,7 @@ from sullivan.models import (
     nonpure_n23_wide,
     sphere_s2,
 )
+from zoo import model_files, models, random_nonpure_model
 
 
 def test_apply_d_on_product_of_two_odds():
@@ -123,6 +126,19 @@ def test_is_pure_and_projection():
     assert pure.d(alg.gen_element("x8")).is_zero
     assert pure.d(alg.gen_element("y23")) == parse_element("x8^3", alg)
     assert pure.d(alg.gen_element("y5")) == parse_element("x2^3", alg)
+
+
+def test_purity_read_off_the_images_matches_the_projection():
+    """``is_pure``, read off the generator images, says whether the model
+    equals its pure projection: on every fixture, every model file and 20
+    seeded random models that are not pure."""
+    rng = random.Random("purity off the images")
+    zoo = models(model_files()) + [("random", random_nonpure_model(rng)) for _ in range(20)]
+    for name, model in zoo:
+        same = pure_projection(model).differential.images == model.differential.images
+        assert is_pure(model) == same, name
+    assert sum(is_pure(model) for _, model in zoo) >= 30
+    assert not any(is_pure(model) for name, model in zoo if name == "random")
 
 
 def test_pure_projection_keeps_deep_even_terms():
