@@ -435,25 +435,6 @@ def _fill_bases(algebra: Algebra, degree: int) -> None:
         cache.append(sorted(keys))
 
 
-def coefficient_vector(e: Element, keys: Sequence[int]) -> Dict[int, Coefficient]:
-    """Sparse coordinates {position: coefficient} of e in the basis of the
-    sorted ``keys``, each position found by bisection."""
-    out = {}
-    for k, c in e.keyed.items():
-        i = bisect_left(keys, k)
-        if keys[i:i + 1] != [k]:
-            raise ValueError(f"monomial {e.algebra.decode(k)} outside the given basis")
-        out[i] = c
-    return out
-
-
-def element_from_vector(
-    algebra: Algebra, keys: Sequence[int], vec: Dict[int, Coefficient]
-) -> Element:
-    """The element with sparse coordinates vec in the basis of ``keys``."""
-    return Element._of(algebra, {keys[i]: c for i, c in vec.items()})
-
-
 # ---------------------------------------------------------------------------
 # Parsing and printing
 # ---------------------------------------------------------------------------

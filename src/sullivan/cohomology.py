@@ -27,20 +27,12 @@ arithmetic.  The pieces provided here:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import repeat
 from operator import add, le, mul, neg, sub
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import (
-    Element,
-    Monomial,
-    basis_keys,
-    count_degree,
-    coefficient_vector,
-    element_from_vector,
-)
+from .algebra import Element, Monomial, basis_keys, count_degree
 from .differential import SullivanModel, _cached, _exact, is_pure, pure_projection
 from .errors import InternalInconsistencyError, PreconditionError
 from .linalg import ColumnFactorization, RationalMatrix, RowSpace, Vector
@@ -79,23 +71,37 @@ def cochain_maps(model: SullivanModel, n: int) -> Tuple[RationalMatrix, Rational
 
     Returns ``(outgoing, incoming)`` where ``outgoing`` maps degree-n
     coordinates to degree-(n+1) coordinates and ``incoming`` maps degree-(n-1)
-    coordinates to degree-n coordinates.  Columns are indexed by the
-    graded-lex monomial basis of the source degree.
+    coordinates to degree-n coordinates.  Rows and columns are positions in
+    the graded-lex monomial bases, to which the keys of d's columns are
+    mapped here, as in ``spectral.delta_matrix``: the engine's one other
+    positional matrix.
     """
-    factors = _factor(model, "d", n), _factor(model, "d", n - 1)
-    return tuple(RationalMatrix.from_columns(f.columns, f.nrows) for f in factors)
+    matrices = []
+    for m in (n, n - 1):
+        dst = basis_keys(model.algebra, m + 1)
+        row = {k: i for i, k in enumerate(dst)}
+        columns = [{row[k]: x for k, x in c.items()} for c in _columns(model, "d", m)]
+        matrices.append(RationalMatrix.from_columns(columns, len(dst)))
+    return tuple(matrices)
 
 
-def _images(model: SullivanModel, src: List[int], dst: List[int]) -> List[Vector]:
-    """Columns of the matrix of d from span(src) to span(dst), both lists
-    of monomial keys: the coordinates of its value on each monomial of src,
-    in one Leibniz pass that writes each term at its row.  No column holds a
-    zero: Leibniz summands (m / g_i) t and (m / g_j) s of m, t in d(g_i) and
-    s in d(g_j), i != j, meet only if g_i divides t, and t / g_i would have
-    degree |g_i| + 1 - |g_i| = 1, while every generator has degree >= 2."""
+def _images(model: SullivanModel, src: List[int]) -> List[Vector]:
+    """Columns of d on the monomials of src, keys of one degree n: the value
+    of d on each, on the keys of degree n + 1, in one Leibniz pass that
+    writes each term at its key.  No column holds a zero: Leibniz summands
+    (m / g_i) t and (m / g_j) s of m, t in d(g_i) and s in d(g_j), i != j,
+    meet only if g_i divides t, and t / g_i would have degree
+    |g_i| + 1 - |g_i| = 1, while every generator has degree >= 2."""
     columns = [{} for _ in src]
-    model.differential.leibniz(src, [1] * len(src), columns, {k: i for i, k in enumerate(dst)})
+    model.differential.leibniz(src, repeat(1), columns)
     return columns
+
+
+def _bound(model: SullivanModel, n: int) -> int:
+    """One past the greatest key of degree n: the coordinates of the
+    degree-n vectors of the engine lie below it."""
+    keys = basis_keys(model.algebra, n)
+    return keys[-1] + 1 if keys else 0
 
 
 def _delta_slot(p: int) -> int:
@@ -115,17 +121,17 @@ def _delta_slot(p: int) -> int:
 
 
 def _columns(model: SullivanModel, which: str, n: int) -> List[Vector]:
-    """The columns of ``which`` out of degree n: d's assembled once and
-    cached, delta's cut from them, column m keeping its rows in the slot
-    :func:`_delta_slot` maps m's into (a key's word length, halved)."""
-    src, dst = basis_keys(model.algebra, n), basis_keys(model.algebra, n + 1)
-    columns = _cached(model, ("d", "columns", n), lambda: _images(model, src, dst))
+    """The columns of ``which`` out of degree n, on the keys of degree n + 1:
+    d's assembled once and cached, delta's cut from them, column m keeping
+    its rows in the slot :func:`_delta_slot` maps m's into (a key's word
+    length, halved)."""
+    src = basis_keys(model.algebra, n)
+    columns = _cached(model, ("d", "columns", n), lambda: _images(model, src))
     if which == "delta":
         shift = model.algebra._shift + 1
-        slots = [k >> shift for k in dst]
+        ups = [_delta_slot(k >> shift) for k in src]
         columns = [
-            {i: x for i, x in col.items() if slots[i] == up}
-            for col, up in zip(columns, [_delta_slot(k >> shift) for k in src])
+            {k: x for k, x in col.items() if k >> shift == up} for col, up in zip(columns, ups)
         ]
     return columns
 
@@ -133,9 +139,13 @@ def _columns(model: SullivanModel, which: str, n: int) -> List[Vector]:
 def _factor(model: SullivanModel, which: str, n: int) -> ColumnFactorization:
     """``which`` out of degree n, eliminated once with unit coordinates for
     the readers of a kernel or a solve: the cocycles of :func:`_cohomology`
-    and the solve of ``spectral.lift_to_d_cocycle``."""
-    key, nrows = (which, "factor", n), len(basis_keys(model.algebra, n + 1))
-    return _cached(model, key, lambda: ColumnFactorization._of(_columns(model, which, n), nrows))
+    and the solve of ``spectral.lift_to_d_cocycle``, both on degree-n keys."""
+
+    def produce():
+        src = basis_keys(model.algebra, n)
+        return ColumnFactorization._of(_columns(model, which, n), _bound(model, n + 1), src)
+
+    return _cached(model, (which, "factor", n), produce)
 
 
 def _boundaries(model: SullivanModel, which: str, n: int) -> RowSpace:
@@ -147,7 +157,7 @@ def _boundaries(model: SullivanModel, which: str, n: int) -> RowSpace:
         factor = model._cache.get((which, "factor", n - 1))
         if factor is not None:
             return factor._image()
-        space = RowSpace(len(basis_keys(model.algebra, n)))
+        space = RowSpace(_bound(model, n))
         space._extend(map(dict, _columns(model, which, n - 1)), space.ncols)
         return space
 
@@ -160,11 +170,10 @@ def _cohomology(model: SullivanModel, which: str, n: int) -> List[Element]:
 
     def produce():
         cocycles = _factor(model, which, n).kernel
-        bn = basis_keys(model.algebra, n)
-        space = RowSpace(len(bn))
+        space = RowSpace(_bound(model, n))
         space._rows.update(_boundaries(model, which, n)._rows)
         dim = len(cocycles) - space.rank
-        reps = [element_from_vector(model.algebra, bn, z) for z in cocycles if space._add(dict(z))]
+        reps = [Element._of(model.algebra, dict(z)) for z in cocycles if space._add(dict(z))]
         if dim != len(reps):
             raise InternalInconsistencyError(
                 f"H^{n}({which}): dimension {dim} but {len(reps)} representatives"
@@ -186,10 +195,9 @@ def _rank(model: SullivanModel, n: int) -> int:
     of n or boundaries of degree n + 1, or else eliminated once as a plain
     row space of the image columns, and cached.  B_n is im d_{n-1} plus the
     unit vectors off its pivot columns P, and d vanishes on im d_{n-1}, so
-    only the columns off P are built, P the last rank's or else empty, in
-    one Leibniz pass with each term at its key: the row space and P are on
-    the keys of degree n + 1, whose order is that of their rows.  A P
-    serves the next rank only, so it is dropped when any rank is taken."""
+    only the columns off P are built, by :func:`_images`, P the last rank's
+    or else empty: the row space and P are on the keys of degree n + 1.  A
+    P serves the next rank only, so it is dropped when any rank is taken."""
     cache = model._cache
 
     def produce():
@@ -200,13 +208,10 @@ def _rank(model: SullivanModel, n: int) -> int:
         boundaries = cache.get(("d", "boundaries", n + 1))
         if boundaries is not None:
             return boundaries.rank
-        dst = basis_keys(model.algebra, n + 1)
         pivots = pivots if last == n - 1 else ()
         off = [m for m in basis_keys(model.algebra, n) if m not in pivots]
-        columns = [{} for _ in off]
-        model.differential.leibniz(off, repeat(1), columns)
-        space = RowSpace(dst[-1] + 1 if dst else 0)
-        for column in columns:
+        space = RowSpace(_bound(model, n + 1))
+        for column in _images(model, off):
             space._add(column)
         cache[("d", "pivots")] = (n, frozenset(space._pivots))
         return space.rank
@@ -245,9 +250,7 @@ def is_boundary(model: SullivanModel, e: Element) -> bool:
         raise ValueError("element lives in a different algebra")
     if e.is_zero:
         return True
-    n = e.degree()
-    bn = basis_keys(model.algebra, n)
-    return not _boundaries(model, "d", n)._reduce(coefficient_vector(e, bn))
+    return not _boundaries(model, "d", e.degree())._reduce(dict(e.keyed))
 
 
 def formal_dimension(model: SullivanModel) -> int:
@@ -557,16 +560,16 @@ def _deepest_representative(
     """The greatest s with z in Lambda^{>=s}V + boundaries of ``which``,
     and a witness; z has degree n.
 
-    The degree-n basis is in graded-lex order, so its word lengths ascend,
+    The vectors are on the degree-n keys, which sort by word length first,
     and the boundaries are the echelon of :func:`_boundaries`.  Each row of
     the echelon is zero left of its pivot, so reducing z modulo
     the boundaries subtracts only rows pivoted at word length >= s from any
     z in Lambda^{>=s}V: the lowest word length of the normal form is
     therefore exactly the greatest s.
 
-    The witness is z reduced only at the pivots below ``shallow``, where
-    word length s starts: z - M x, M the columns of ``which``, zero below
-    ``shallow`` as the normal form is.  It is the membership solve of z
+    The witness is z reduced only at the pivots below ``shallow``, the
+    least key of word length s: z - M x, M the columns of ``which``, zero
+    below ``shallow`` as the normal form is.  It is the membership solve of z
     against the unit vectors of word length >= s and then M (free variables
     0), by a lemma: a column is stored reduced only up to its lead, so by
     induction over the columns the stored rows with leads below ``shallow``,
@@ -574,21 +577,19 @@ def _deepest_representative(
 
     Returns None when z is a boundary.
     """
-    bn, shift = basis_keys(model.algebra, n), model.algebra._shift
-    boundaries = _boundaries(model, which, n)
-    zvec = coefficient_vector(z, bn)
-    normal = boundaries._reduce(dict(zvec))
+    boundaries, shift = _boundaries(model, which, n), model.algebra._shift
+    normal = boundaries._reduce(dict(z.keyed))
     if not normal:
         return None
-    s = bn[min(normal)] >> shift
-    shallow = bisect_left(bn, s << shift)
-    witness = boundaries._reduce(zvec, shallow)
+    s = min(normal) >> shift
+    shallow = s << shift
+    witness = boundaries._reduce(dict(z.keyed), shallow)
     if min(witness) < shallow:
         raise InternalInconsistencyError(
             f"no representative at word length >= {s}, the depth of its own "
             "normal form"
         )
-    return s, element_from_vector(z.algebra, bn, witness)
+    return s, Element._of(z.algebra, witness)
 
 
 def toomer_oracle(model: SullivanModel) -> ToomerResult:

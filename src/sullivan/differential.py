@@ -11,16 +11,16 @@ zero differential there is no such component and ``k`` is None.
 
 A derivation is applied by one Leibniz pass over a list of keys
 (:meth:`Derivation.leibniz`): an ``Element``'s keys into one dict, and a
-degree basis into one column per key, each term at its row, delta's columns
-being cut from d's (``cohomology._delta_slot``).  Each summand
-sign * e_i * left * d(g_i) * right goes term by term into the key's dict, a
-term t of d(g_i) at key(m) - key(g_i) + key(t), its sign the parity of m's
-odd factors in a mask fixed per term from the Koszul rule of products, and
-a term that repeats an odd factor drops out.  A basis key's d stays inside
-the key's fields, every degree being at most ``MAX_DEGREE`` + 1; d of an
-``Element`` is checked, like a product, for an exponent past its field.
-An integer coefficient of a generator image is kept as an ``int``, so a
-model with integer coefficients has matrices of ``int`` entries.
+degree basis into one column per key, each term at its row, which is its
+key, delta's columns being cut from d's (``cohomology._delta_slot``).  Each
+summand sign * e_i * left * d(g_i) * right goes term by term into the key's
+dict, a term t of d(g_i) at key(m) - key(g_i) + key(t), its sign the parity
+of m's odd factors in a mask fixed per term from the Koszul rule of
+products, and a term that repeats an odd factor drops out.  A basis key's d
+stays inside the key's fields, every degree being at most ``MAX_DEGREE`` +
+1; d of an ``Element`` is checked, like a product, for an exponent past its
+field.  An integer coefficient of a generator image is kept as an ``int``,
+so a model with integer coefficients has matrices of ``int`` entries.
 """
 
 from __future__ import annotations
@@ -86,10 +86,10 @@ class Derivation:
         self.leibniz(e.keyed, e.keyed.values(), repeat(out))
         return self.algebra._fit(Element._of(self.algebra, out))
 
-    def leibniz(self, keys, coeffs, outs, index=None) -> None:
+    def leibniz(self, keys, coeffs, outs) -> None:
         """One Leibniz pass over ``keys``, with ``coeffs`` and ``outs`` in step:
         coeff * d(m) is added into out, m the monomial of key, each term at
-        its own key, or at ``index`` of it if given; cancelled terms stay.
+        its own key; cancelled terms stay.
 
         With m = L g_i^e R, where L and R are the factors before and after
         g_i, the Leibniz summand of g_i is (-1)^{|L|} e * left * d(g_i) * right
@@ -107,9 +107,9 @@ class Derivation:
                     if key & odd:
                         continue
                     v = a if f == 1 else a * f
-                    m = key + t if index is None else index[key + t]
-                    prev = out.get(m, 0)
-                    out[m] = prev - v if (key & sign).bit_count() & 1 else prev + v
+                    k = key + t
+                    prev = out.get(k, 0)
+                    out[k] = prev - v if (key & sign).bit_count() & 1 else prev + v
 
     def __eq__(self, other) -> bool:
         return (

@@ -6,8 +6,9 @@ row turns to ``Fraction`` only when its lead is not 1 or -1.  The only
 division is ``ONE / lead``, by a ``Fraction`` numerator, so ``int / int``
 (a float) never occurs.  The engine's matrices, the maps of d and of delta
 out of one degree, are almost all zeros, so vectors and matrix rows are
-sparse: ``{index: nonzero value}``.  A vector may also be given
-densely, as a sequence, wherever one is passed in.
+sparse: ``{coordinate: nonzero value}``, the engine's coordinates being the
+monomial keys of a degree.  A vector may also be given densely, as a
+sequence, wherever one is passed in.
 
 Every public entry point checks its vectors (:func:`_vector`): their
 length, and each entry by the one coefficient rule of the package,
@@ -37,17 +38,21 @@ and stored exactly when it is independent of the earlier ones.  So the
 stored columns are the pivot columns of m, and the stored rows an echelon
 basis of its image, leads 1, not reduced.  Where a kernel or a solve is
 read, m is eliminated as a :class:`ColumnFactorization`, column j with one
-extra unit coordinate, nrows + j; none is a pivot, so the stored rows cut
-to the first nrows coordinates are the same (the private ``_image``).
-Every answer read off it is unique, and ``kernel_basis`` and
-``solve_membership`` are views of it:
+extra unit coordinate, bound + key j, the bound above every row coordinate
+and the keys ascending.  The engine's rows and columns are the monomial
+keys of their degrees, so a kernel vector or a solve is an element's
+coordinates; a public factorization's are positions, its bound nrows and
+its key j just j.  No unit coordinate is a pivot, so the stored rows cut
+below the bound are the same (the private ``_image``).  Every answer read
+off it is unique, and ``kernel_basis`` and ``solve_membership`` are views
+of it:
 
 * a column that is not stored is reduced fully and leaves only its unit
   part: the kernel vector with that free variable 1 and the others 0, free
   columns ascending;
-* b is in the image exactly when its normal form vanishes on the first
-  nrows coordinates; minus its unit part is then the solution of m x = b
-  with every free variable 0.
+* b is in the image exactly when its normal form vanishes below the bound;
+  minus its unit part is then the solution of m x = b with every free
+  variable 0.
 
 With its private ``stop`` = S, ``RowSpace._reduce`` clears only the pivots
 below column S: on the image echelon, b - m x for the x the factorization
@@ -267,25 +272,27 @@ class ColumnFactorization:
     (see the module docstring); ``kernel`` is its kernel basis."""
 
     def __init__(self, columns: Sequence, nrows: int):
-        self._eliminate([_vector(c, nrows) for c in columns], nrows)
+        self._eliminate([_vector(c, nrows) for c in columns], nrows, range(len(columns)))
 
     @classmethod
-    def _of(cls, columns: List[Vector], nrows: int) -> "ColumnFactorization":
+    def _of(cls, columns: List[Vector], bound: int, keys: Sequence[int]) -> "ColumnFactorization":
         """The factorization of columns the engine has just built, taken as
-        they are, without the check, and kept as its ``columns``."""
+        they are, without the check, and kept as its ``columns``: their rows
+        below ``bound``, column j's unit coordinate ``bound + keys[j]``, the
+        ascending ``keys`` being the coordinates of its kernel and solves."""
         factorization = cls.__new__(cls)
-        factorization._eliminate(columns, nrows)
+        factorization._eliminate(columns, bound, keys)
         return factorization
 
-    def _eliminate(self, columns: List[Vector], nrows: int) -> None:
+    def _eliminate(self, columns: List[Vector], nrows: int, keys: Sequence[int]) -> None:
         self.nrows, self.columns = nrows, columns
-        self._space = RowSpace(nrows + len(columns))
-        rest = self._space._extend(({**c, nrows + j: 1} for j, c in enumerate(columns)), nrows)
+        self._space = RowSpace(nrows + (keys[-1] + 1 if keys else 0))
+        rest = self._space._extend(({**c, nrows + k: 1} for c, k in zip(columns, keys)), nrows)
         self.kernel = [{i - nrows: x for i, x in v.items()} for v in rest]
 
     def _split(self, r: Vector) -> Tuple[Vector, Vector]:
-        """The normal form of r, reduced in place: its first nrows
-        coordinates, and minus the rest."""
+        """The normal form of r, reduced in place: its coordinates below
+        nrows, and minus the rest, on the keys of the columns."""
         n = self.nrows
         r = self._space._reduce(r)
         rest = {i: x for i, x in r.items() if i < n}

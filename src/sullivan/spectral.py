@@ -27,10 +27,9 @@ filtration p and, in its starting representative, the class's depth.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import List, NamedTuple, Tuple
 
-from .algebra import Element, basis_keys, coefficient_vector, element_from_vector
+from .algebra import Element, basis_keys
 from .cohomology import (
     ToomerResult,
     _cohomology,
@@ -130,16 +129,16 @@ def _slot_keys(model: SullivanModel, p: int, n: int) -> Tuple[List[int], List[in
 def delta_matrix(model: SullivanModel, p: int, n: int) -> RationalMatrix:
     """Matrix of delta from the (p, n) pair slot to the (p+1, n+1) slot, in
     coordinates that list the u slot, then the v slot: the diagonal block of
-    delta's whole-degree columns at slot p's columns, whose rows lie
-    in the slot :func:`_delta_slot` maps p into, shifted to start there."""
+    delta's whole-degree columns at slot p's columns, whose rows lie in the
+    slot :func:`_delta_slot` maps p into, their keys mapped to positions
+    there, as in ``cohomology.cochain_maps``."""
     _require_delta(model)
-    lo, hi, first, end = (
-        bisect_left(basis_keys(model.algebra, m), w << model.algebra._shift)
-        for m, q in ((n, p), (n + 1, _delta_slot(p))) for w in (2 * q, 2 * q + 2)
-    )
-    columns = _columns(model, "delta", n)[lo:hi]
-    block = [{i - first: x for i, x in col.items()} for col in columns]
-    return RationalMatrix.from_columns(block, end - first)
+    u, v = _slot_keys(model, _delta_slot(p), n + 1)
+    row = {k: i for i, k in enumerate(u + v)}
+    src, shift = basis_keys(model.algebra, n), model.algebra._shift + 1
+    columns = [c for k, c in zip(src, _columns(model, "delta", n)) if k >> shift == p]
+    block = [{row[k]: x for k, x in col.items()} for col in columns]
+    return RationalMatrix.from_columns(block, len(row))
 
 
 def delta_cohomology(model: SullivanModel, n: int) -> List[FilteredPair]:
@@ -263,12 +262,11 @@ def lift_to_d_cocycle(model: SullivanModel, start: Element) -> LiftTrace:
                 "lowest obstruction pair is not a delta-cocycle"
             )
         trace.obstructions.append(obstruction)
-        rhs = coefficient_vector(obstruction.as_element(), basis_keys(alg, n + 1))
-        rest, sol = _factor(model, "delta", n)._split(rhs)
+        rest, sol = _factor(model, "delta", n)._split(obstruction.as_element().keyed)
         if rest:
             trace.outcome = "died"
             return trace
-        corrector = element_from_vector(alg, basis_keys(alg, n), sol)
+        corrector = Element._of(alg, sol)
         trace.correctors.append(corrector)
         w = w - corrector
 

@@ -5,8 +5,9 @@ monomial tuples built on it, the Leibniz rule and the pair product by those
 products, delta by the pair formula, and the word-length components of d
 that it is made of; the word length and graded-lex order of monomial
 tuples, and the monomial bases of the two slots of a pair; the
-coordinates of an element in a basis of monomial tuples and the columns
-of a map between such bases; one boundary solve, through the
+coordinates of an element in a basis of monomial tuples, the columns of a
+map between such bases, and the engine's vectors on monomial keys at
+positions in a basis; one boundary solve, through the
 kernel's checked public ``ColumnFactorization.solve``, and the depth search
 by a solve over the boundary columns cut below its depth; and the
 determinant by its permutation expansion.
@@ -306,13 +307,23 @@ def map_columns(
     return [coordinates(f(Element.from_monomial(alg, m)), dst) for m in src]
 
 
+def positions(vectors: Sequence[Vector], keys: Sequence[int]) -> List[Vector]:
+    """The engine's vectors on monomial keys as vectors on positions in the
+    basis of the sorted ``keys``; KeyError for a key outside it."""
+    index = {k: i for i, k in enumerate(keys)}
+    return [{index[k]: x for k, x in v.items()} for v in vectors]
+
+
 def boundary_columns(model: SullivanModel, which: str, n: int) -> List[Vector]:
     """The engine's columns of ``which`` ("d" or "delta") from degree n - 1
-    into degree n: d's assembled afresh, delta's cut from d's cached ones."""
+    into degree n, at positions in the degree-n basis: d's assembled
+    afresh, delta's cut from d's cached ones."""
     alg = model.algebra
     if which == "d":
-        return _images(model, basis_keys(alg, n - 1), basis_keys(alg, n))
-    return _columns(model, which, n - 1)
+        columns = _images(model, basis_keys(alg, n - 1))
+    else:
+        columns = _columns(model, which, n - 1)
+    return positions(columns, basis_keys(alg, n))
 
 
 def boundary_solve(

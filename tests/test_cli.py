@@ -1046,6 +1046,15 @@ class _KeepsEveryRow(linalg.RowSpace):
         return True
 
 
+class _StopsBeforeEveryPivot(linalg.RowSpace):
+    """A row space whose reduction stopped at a key clears no pivot, so the
+    depth search's witness keeps the cocycle's terms below its depth: put
+    in place of the one ``_boundaries`` eliminates the boundary echelon in."""
+
+    def _reduce(self, v, stop=None, lead=False):
+        return v if stop is not None else super()._reduce(v, stop, lead)
+
+
 def _last_column(columns, default):
     """``next`` over a column pick, taking the last column offered."""
     picked = list(columns)
@@ -1105,7 +1114,7 @@ def _identity_above_35(pair):
          "fundamental class is a boundary"),
         (cohomology, "RowSpace", _KeepsEveryRow, "top-class", _N35,
          "H^35(d): dimension 1 but 6 representatives"),
-        (cohomology, "bisect_left", lambda bn, key: len(bn), "toomer", _N35,
+        (cohomology, "RowSpace", _StopsBeforeEveryPivot, "toomer", _N35,
          "no representative at word length >= 6, the depth of its own normal form"),
     ],
     ids=[

@@ -7,13 +7,7 @@ from fractions import Fraction
 import pytest
 
 from reference import homogeneous_component
-from sullivan.algebra import (
-    Generator,
-    basis_keys,
-    build_algebra,
-    coefficient_vector,
-    parse_element,
-)
+from sullivan.algebra import Generator, build_algebra, parse_element
 from sullivan.cohomology import is_boundary, is_elliptic
 from sullivan.differential import build_differential, build_model
 from sullivan.errors import ModelError
@@ -83,12 +77,6 @@ INPUT_CHECKS = {
     "leading_monomial-of-zero": (
         lambda: elliptic_pure_n37().algebra.zero().leading_monomial(),
         ValueError, "no leading monomial"),
-    "coefficient_vector-outside-basis": (
-        lambda: coefficient_vector(
-            elliptic_pure_n37().algebra.gen_element("x6"),
-            basis_keys(elliptic_pure_n37().algebra, 2),
-        ),
-        ValueError, "outside the given basis"),
     "is_elliptic-negative-bound": (
         lambda: is_elliptic(elliptic_pure_n37(), -1), ValueError, "nonnegative"),
     # images are keyed by generator name, and only by name

@@ -14,15 +14,16 @@ from reference import (
     dense_rref,
     dense_solve,
     matrix_cases,
+    positions,
     random_rows,
     sparse,
 )
 from sullivan import cli, cohomology
-from sullivan.algebra import basis
+from sullivan.algebra import Element, basis_keys
 from sullivan.cohomology import formal_dimension
 from sullivan.linalg import ColumnFactorization, RowSpace
 from sullivan.models import ELLIPTIC_K3_POOL
-from zoo import FIXTURES, models
+from zoo import FIXTURES, LARGE, model_files, models
 
 
 def test_row_space_extension():
@@ -205,24 +206,30 @@ def test_row_space_matches_dense_row_space_in_any_row_order():
 # the engine's own matrices against dense Gauss-Jordan elimination
 
 
-def _assert_factor_matches_dense(factor, nrows, dense_images):
-    columns = [dense(c, nrows) for c in factor.columns]
-    rows = [list(r) for r in zip(*columns)]
-    ncols = len(columns)
-    assert [dense(v, ncols) for v in factor.kernel] == dense_kernel(rows, ncols)
-    want, pivots = dense_images(factor.columns, nrows)
-    assert _image_of(factor).echelon() == want
+def _assert_factor_matches_dense(model, factor, n, dense_images):
+    """The factorization out of degree n, its columns on the keys of degree
+    n + 1 and its kernel on those of degree n, against dense Gauss-Jordan
+    elimination of the columns at positions in the bases."""
+    src, dst = basis_keys(model.algebra, n), basis_keys(model.algebra, n + 1)
+    columns = positions(factor.columns, dst)
+    rows = [list(r) for r in zip(*(dense(c, len(dst)) for c in columns))]
+    kernel = [dense(v, len(src)) for v in positions(factor.kernel, src)]
+    assert kernel == dense_kernel(rows, len(src))
+    want, pivots = dense_images(columns, len(dst))
+    assert positions(_image_of(factor).echelon(), dst) == want
     return len(pivots)
 
 
 def _assert_echelon_matches_dense(model, which, n, dense_images):
     """The boundaries of degree n + 1, eliminated with no unit coordinates
     while no factorization out of degree n is cached, against dense
-    Gauss-Jordan elimination of the same columns."""
+    Gauss-Jordan elimination of the same columns at positions in the basis."""
     assert (which, "factor", n) not in model._cache
     echelon = cohomology._boundaries(model, which, n + 1)
-    want, pivots = dense_images(cohomology._columns(model, which, n), echelon.ncols)
-    assert echelon.echelon() == want and set(echelon._pivots) == set(pivots)
+    dst = basis_keys(model.algebra, n + 1)
+    want, pivots = dense_images(positions(cohomology._columns(model, which, n), dst), len(dst))
+    assert positions(echelon.echelon(), dst) == want
+    assert set(echelon._pivots) == {dst[j] for j in pivots}
 
 
 def test_d_factorizations_and_ranks_match_dense_gauss_jordan(dense_images):
@@ -233,8 +240,7 @@ def test_d_factorizations_and_ranks_match_dense_gauss_jordan(dense_images):
             rk = cohomology._rank(model, n)
             _assert_echelon_matches_dense(model, "d", n, dense_images)
             factor = cohomology._factor(model, "d", n)
-            nrows = len(basis(model.algebra, n + 1))
-            rank = _assert_factor_matches_dense(factor, nrows, dense_images)
+            rank = _assert_factor_matches_dense(model, factor, n, dense_images)
             assert rank == rk, (name, n)
 
 
@@ -243,10 +249,35 @@ def test_delta_factorizations_match_dense_gauss_jordan(dense_images):
         model = build()
         n = formal_dimension(model)
         for degree in (n - 1, n):
-            nrows = len(basis(model.algebra, degree + 1))
             _assert_echelon_matches_dense(model, "delta", degree, dense_images)
             factor = cohomology._factor(model, "delta", degree)
-            _assert_factor_matches_dense(factor, nrows, dense_images)
+            _assert_factor_matches_dense(model, factor, degree, dense_images)
+
+
+def test_kernels_and_solves_of_the_engine_are_on_the_keys_of_their_degree():
+    """The engine's factorization out of degree n names column j's unit
+    coordinate by the key of j's monomial, so its kernel vectors and solves
+    are elements' ``keyed`` dicts.  At degrees N - 1 and N of every
+    ``ELLIPTIC_K3_POOL`` model and of ``tests/large``, each kernel vector is
+    keyed by degree-n basis keys and d kills its element, and each stored
+    column, split, solves back to an element of those keys whose d is it."""
+    cases = [(name, build()) for name, build in ELLIPTIC_K3_POOL]
+    cases += [(p.stem, cli.parse_model_file(str(p)).model) for p in model_files(LARGE)]
+    kernels = solves = 0
+    for name, model in cases:
+        alg, top = model.algebra, formal_dimension(model)
+        for n in (top - 1, top):
+            factor, keys = cohomology._factor(model, "d", n), set(basis_keys(alg, n))
+            for z in factor.kernel:
+                assert z and set(z) <= keys, (name, n)
+                assert model.d(Element._of(alg, dict(z))).is_zero, (name, n)
+            for column in factor.columns:
+                rest, x = factor._split(dict(column))
+                assert not rest and set(x) <= keys, (name, n)
+                assert model.d(Element._of(alg, x)).keyed == column, (name, n)
+            kernels += len(factor.kernel)
+            solves += len(factor.columns)
+    assert kernels >= 3000 and solves >= 6000, (kernels, solves)
 
 
 def test_boundary_echelons_are_the_images_of_the_factorizations():
